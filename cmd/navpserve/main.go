@@ -44,7 +44,7 @@
 //	POST /cluster/drain       ?node=N[&timeout_ms=M] evacuate a member
 //	POST /cluster/refresh     adopt daemons that joined mid-run
 //	GET  /metrics             wire.* + sched.* registry snapshot
-//	     /debug/pprof/...     pprof (in-process mode)
+//	     /debug/pprof/...     pprof
 //
 // SIGINT/SIGTERM drain gracefully: admission stops, queued jobs are
 // evicted, running jobs finish, then the cluster shuts down.
@@ -188,7 +188,7 @@ func runDrain(connect, seedSpec string, node int, timeout time.Duration, stop bo
 		return err
 	}
 	defer rc.Close()
-	if err := rc.Drain(node, timeout); err != nil {
+	if err := rc.DrainNode(node, timeout); err != nil {
 		return fmt.Errorf("navpserve: drain node %d: %w", node, err)
 	}
 	fmt.Printf("navpserve: node %d drained (%d members remain placeable)\n", node, len(rc.LiveNodes()))
@@ -203,36 +203,16 @@ func runDrain(connect, seedSpec string, node int, timeout time.Duration, stop bo
 
 // runFrontend serves HTTP over a cluster of remote daemon processes.
 func runFrontend(connect, seedSpec, addr string, workers, queue int, placement string) error {
-	pol, err := sched.NewPlacement(placement)
-	if err != nil {
-		return err
-	}
 	rc, err := dialRemote(connect, seedSpec, wire.RemoteOptions{Heartbeat: true})
 	if err != nil {
 		return err
 	}
-	defer rc.Close()
-	s, err := sched.New(sched.Config{
-		Cluster: rc, Workers: workers, QueueDepth: queue, Placement: pol,
-	})
-	if err != nil {
-		return err
-	}
-	mux := http.NewServeMux()
-	sched.NewServer(s).Register(mux)
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		rc.Metrics().Snapshot().WriteJSON(w)
-	})
-	fmt.Printf("navpserve: front-end over %d daemons (%s), %d workers, queue %d, placement %s\n",
-		rc.Size(), strings.Join(rc.Members(), " "), workers, queue, pol.Name())
-	return serveHTTP(mux, addr, func() {
-		s.Close()
-		rc.Close()
-	})
+	fmt.Printf("navpserve: front-end over %d daemons (%s)\n", rc.Size(), strings.Join(rc.Members(), " "))
+	return serve(rc, rc.Close, addr, workers, queue, placement)
 }
 
-// runInProcess is the original single-process stack.
+// runInProcess is the single-process stack: the daemons are hosts in
+// this address space, driven through the same client as remote ones.
 func runInProcess(nodes int, addr string, workers, queue int, placement, chaos string) error {
 	var plan *fault.Plan
 	if chaos != "" {
@@ -241,39 +221,42 @@ func runInProcess(nodes int, addr string, workers, queue int, placement, chaos s
 			return err
 		}
 	}
-	pol, err := sched.NewPlacement(placement)
-	if err != nil {
-		return err
-	}
 	cl, err := wire.NewClusterOpts(nodes, wire.Options{Fault: plan})
 	if err != nil {
 		return err
 	}
-	defer cl.Close()
+	fmt.Printf("navpserve: %d in-process PEs\n", nodes)
+	if plan != nil {
+		fmt.Printf("navpserve: serving under fault plan %v\n", plan)
+	}
+	return serve(cl, cl.Close, addr, workers, queue, placement)
+}
+
+// serve is the front end of both modes: the scheduler and its HTTP API
+// over backend, beside the backend registry's /metrics and pprof.
+// closeBackend runs on every exit path, after the scheduler has stopped.
+func serve(backend sched.Backend, closeBackend func(), addr string, workers, queue int, placement string) error {
+	defer closeBackend()
+	pol, err := sched.NewPlacement(placement)
+	if err != nil {
+		return err
+	}
 	s, err := sched.New(sched.Config{
-		Cluster: cl, Workers: workers, QueueDepth: queue, Placement: pol,
+		Cluster: backend, Workers: workers, QueueDepth: queue, Placement: pol,
 	})
 	if err != nil {
 		return err
 	}
-
-	mux := cl.DebugHandler()
+	mux := wire.DebugHandler(backend.Metrics())
 	sched.NewServer(s).Register(mux)
-	fmt.Printf("navpserve: %d PEs, %d workers, queue %d, placement %s\n",
-		nodes, workers, queue, pol.Name())
-	if plan != nil {
-		fmt.Printf("navpserve: serving under fault plan %v\n", plan)
-	}
-	return serveHTTP(mux, addr, func() {
-		s.Close()
-		cl.Close()
-	})
+	fmt.Printf("navpserve: %d workers, queue %d, placement %s\n", workers, queue, pol.Name())
+	return serveHTTP(mux, addr, s.Close)
 }
 
 // serveHTTP runs the API listener until a signal or a server error,
 // then drains: stop accepting HTTP first, then the caller's teardown
-// (scheduler before cluster). Teardowns are idempotent, so racing a
-// second signal's impatient operator is safe.
+// (the scheduler; the cluster closes after it). Teardowns are
+// idempotent, so racing a second signal's impatient operator is safe.
 func serveHTTP(mux *http.ServeMux, addr string, drain func()) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -411,7 +411,7 @@ func serveElasticPoint(from, to, workers, queue int, ol sched.OpenLoopConfig) (s
 		defer close(drained)
 		time.Sleep(ol.Duration / 2)
 		for node := from - 1; node >= to; node-- {
-			if err := rc.Drain(node, 30*time.Second); err != nil {
+			if err := rc.DrainNode(node, 30*time.Second); err != nil {
 				drainErr = fmt.Errorf("drain node %d: %w", node, err)
 				return
 			}

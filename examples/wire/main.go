@@ -40,6 +40,9 @@ func main() {
 	const n, pes = 9, 3
 
 	wire.RegisterState(&carrierState{})
+	// Node variables placed from outside a daemon cross the wire boxed in
+	// an interface, so their type is registered like agent state.
+	wire.RegisterState([][]float64{})
 	wire.Register("RowCarrier", func(ctx *wire.Ctx) wire.Verdict {
 		st := ctx.State().(*carrierState)
 		bcols := ctx.Get("Bcols").([][]float64)
@@ -64,10 +67,7 @@ func main() {
 	a, b := matrix.RandomPair(matrix.NewSeeded(17), n)
 
 	cl, err := wire.NewCluster(pes)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(err)
 	defer cl.Close()
 
 	// Distribute B by column chunks: node(j) holds B(*, j-chunk).
@@ -81,7 +81,7 @@ func main() {
 			}
 			bcols[lj] = col
 		}
-		cl.Set(pe, "Bcols", bcols)
+		check(cl.SetVar(pe, "Bcols", bcols))
 	}
 
 	rows := make([][]float64, n)
@@ -89,18 +89,16 @@ func main() {
 		rows[i] = append([]float64(nil), a.Row(i)...)
 	}
 	start := time.Now()
-	cl.Inject(0, "RowCarrier", &carrierState{Mi: 0, Rows: n, Row: rows[0], Pending: rows[1:]})
-	if err := cl.Wait(30 * time.Second); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	check(cl.Inject(0, "RowCarrier", &carrierState{Mi: 0, Rows: n, Row: rows[0], Pending: rows[1:]}))
+	check(cl.Wait(30 * time.Second))
 	elapsed := time.Since(start)
 
 	got := matrix.NewDense(n, n)
 	for pe := 0; pe < pes; pe++ {
 		for i := 0; i < n; i++ {
-			crow := cl.Get(pe, fmt.Sprintf("Crow:%d", i)).([]float64)
-			for lj, v := range crow {
+			crow, err := cl.GetVar(pe, fmt.Sprintf("Crow:%d", i))
+			check(err)
+			for lj, v := range crow.([]float64) {
 				got.Set(i, pe*colsPerPE+lj, v)
 			}
 		}
@@ -113,4 +111,11 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("the computation migrated; the data (mostly) stayed put.")
+}
+
+func check(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }

@@ -5,8 +5,12 @@ import (
 	"go/types"
 )
 
-// wirePath is the import path of the socket runtime.
-const wirePath = "repro/internal/wire"
+// wirePath is the import path of the socket runtime; driverType is its
+// one cluster driver, which declares every control operation.
+const (
+	wirePath   = "repro/internal/wire"
+	driverType = "RemoteCluster"
+)
 
 // NewGobSafe returns the gobsafe analyzer.
 //
@@ -16,10 +20,12 @@ const wirePath = "repro/internal/wire"
 // and fails at runtime on chan- and func-typed exported fields — either
 // way, a checkpoint replay restores less state than the agent carried,
 // which is a silent correctness bug in exactly the code paths fault
-// injection exercises. gobsafe walks every type that flows into a wire
-// state sink (wire.RegisterState, Ctx.SetState, Ctx.Inject,
-// Cluster.Inject, gob.Register, Encoder.Encode) and reports the fields
-// gob would lose.
+// injection exercises. Node variables placed by a coordinator cross a
+// gob control frame and are persisted as gob the same way. gobsafe walks
+// every type that flows into a wire state sink (wire.RegisterState,
+// Ctx.SetState, Ctx.Inject, the cluster driver's Inject, InjectJob and
+// SetVar, gob.Register, Encoder.Encode) and reports the fields gob would
+// lose.
 func NewGobSafe() *Analyzer {
 	a := &Analyzer{
 		Name: "gobsafe",
@@ -67,6 +73,9 @@ func stateSinkArg(pass *Pass, call *ast.CallExpr) (ast.Expr, string) {
 		return nil, ""
 	}
 	sig, _ := fn.Type().(*types.Signature)
+	// The cluster driver's methods are declared on one type; wire.Cluster
+	// only embeds it, so calls through either resolve to that receiver.
+	onDriver := sig != nil && sig.Recv() != nil && namedIn(sig.Recv().Type(), wirePath, driverType)
 	switch {
 	case isPkgFunc(fn, wirePath, "RegisterState") && len(call.Args) == 1:
 		return call.Args[0], "wire.RegisterState"
@@ -76,9 +85,15 @@ func stateSinkArg(pass *Pass, call *ast.CallExpr) (ast.Expr, string) {
 		if namedIn(sig.Recv().Type(), wirePath, "Ctx") && len(call.Args) == 2 {
 			return call.Args[1], "Ctx.Inject"
 		}
-		if namedIn(sig.Recv().Type(), wirePath, "Cluster") && len(call.Args) == 3 {
-			return call.Args[2], "Cluster.Inject"
+		if onDriver && len(call.Args) == 3 {
+			return call.Args[2], driverType + ".Inject"
 		}
+	// The serving path: every scheduler job's agent state and operands go
+	// through these two.
+	case isPkgFunc(fn, wirePath, "InjectJob") && onDriver && len(call.Args) == 4:
+		return call.Args[3], driverType + ".InjectJob"
+	case isPkgFunc(fn, wirePath, "SetVar") && onDriver && len(call.Args) == 3:
+		return call.Args[2], driverType + ".SetVar"
 	case isPkgFunc(fn, "encoding/gob", "Register") && len(call.Args) == 1:
 		return call.Args[0], "gob.Register"
 	case isPkgFunc(fn, "encoding/gob", "Encode") && sig != nil && sig.Recv() != nil && len(call.Args) == 1:

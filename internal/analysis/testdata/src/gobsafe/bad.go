@@ -35,8 +35,18 @@ func registerBad() {
 }
 
 func injectBad(cl *wire.Cluster, ctx *wire.Ctx) {
-	cl.Inject(0, "b", chanState{})            // want `field Results of chanState has type chan int`
+	cl.Inject(0, "b", chanState{})            // want `RemoteCluster.Inject: field Results of chanState has type chan int`
 	ctx.SetState(&leakyState{Visible: 1})     // want `field hidden of leakyState is unexported`
 	ctx.Inject("b", leakyState{})             // want `field hidden of leakyState is unexported`
 	_ = gob.NewEncoder(nil).Encode(&nested{}) // want `field Inner.ok of nested is unexported`
+}
+
+// servingBad is the serving path: job-scoped injection and operand
+// distribution, through the in-process cluster and through the bare
+// client — one driver, so one set of sinks.
+func servingBad(cl *wire.Cluster, rc *wire.RemoteCluster) {
+	cl.InjectJob(0, 7, "b", &leakyState{})    // want `RemoteCluster.InjectJob: field hidden of leakyState is unexported`
+	rc.InjectJob(0, 7, "b", chanState{})      // want `RemoteCluster.InjectJob: field Results of chanState has type chan int`
+	cl.SetVar(0, "operand", []leakyState{{}}) // want `RemoteCluster.SetVar: field \[\]\.hidden of \[\]leakyState is unexported`
+	rc.SetVar(0, "operand", &nested{})        // want `RemoteCluster.SetVar: field Inner.ok of nested is unexported`
 }

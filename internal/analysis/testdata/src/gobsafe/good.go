@@ -20,3 +20,11 @@ func registerGood(ctx *wire.Ctx) {
 	wire.RegisterState(&cleanState{})
 	ctx.SetState(&cleanState{Row: []float64{1}})
 }
+
+func servingGood(cl *wire.Cluster, rc *wire.RemoteCluster) {
+	cl.Inject(0, "b", &cleanState{})
+	cl.InjectJob(0, 7, "b", &cleanState{})
+	rc.InjectJob(0, 7, "b", nil)
+	cl.SetVar(0, "operand", [][]float64{{1}})
+	rc.SetVar(0, "operand", map[string]*cleanState{})
+}

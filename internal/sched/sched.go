@@ -23,12 +23,12 @@ import (
 	"repro/internal/metrics"
 )
 
-// Backend is the cluster surface the scheduler runs jobs on. Both the
-// in-process wire.Cluster (daemons as goroutines, one address space)
-// and the wire.RemoteCluster client (daemons as separate OS processes,
-// reached over control connections) implement it, so a scheduler —
-// and every Work program — runs unchanged against either. Methods that
-// cannot fail in-process return errors because remotely they can.
+// Backend is the cluster surface the scheduler runs jobs on. The wire
+// runtime has one implementation, the wire.RemoteCluster client —
+// reached directly when the daemons are separate OS processes, or
+// through wire.Cluster, which embeds it over in-process hosts — so a
+// scheduler, and every Work program, runs on the same control frames
+// either way. Every method that crosses a connection returns an error.
 type Backend interface {
 	// Size returns the cluster's node count.
 	Size() int

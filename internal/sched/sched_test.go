@@ -493,8 +493,8 @@ func TestWireMatmulWorkOnCluster(t *testing.T) {
 	if n := cl.JobsTracked(); n != 0 {
 		t.Fatalf("%d job namespaces still tracked after completion", n)
 	}
-	if v := cl.Get(0, fmt.Sprintf("j%d:B", id<<8|1)); v != nil {
-		t.Fatal("job-prefixed node variables survived cleanup")
+	if v, err := cl.GetVar(0, fmt.Sprintf("j%d:B", id<<8|1)); err != nil || v != nil {
+		t.Fatalf("job-prefixed node variables survived cleanup (%v, %v)", v, err)
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 )
 
 // Server is the scheduler's HTTP API. Register mounts it on a mux —
-// typically the one returned by wire.Cluster.DebugHandler, so the
+// typically the one returned by wire.DebugHandler, so the
 // serving surface and the runtime's /metrics and pprof endpoints share
 // one listener:
 //

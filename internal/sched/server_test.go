@@ -30,7 +30,7 @@ func newTestServer(t *testing.T, nodes int, cfg Config) (*httptest.Server, *Sche
 		cl.Close()
 		t.Fatal(err)
 	}
-	mux := cl.DebugHandler()
+	mux := wire.DebugHandler(cl.Metrics())
 	NewServer(s).Register(mux)
 	ts := httptest.NewServer(mux)
 	t.Cleanup(func() {

@@ -183,8 +183,8 @@ func TestSoakConcurrentJobsUnderChaos(t *testing.T) {
 	}
 	for pe := 0; pe < pes; pe++ {
 		for _, o := range outcomes {
-			if v := cl.Get(pe, fmt.Sprintf("j%d:B", o.id<<8|1)); v != nil {
-				t.Fatalf("PE %d still holds job %d's B partition", pe, o.id)
+			if v, err := cl.GetVar(pe, fmt.Sprintf("j%d:B", o.id<<8|1)); err != nil || v != nil {
+				t.Fatalf("PE %d still holds job %d's B partition (%v, %v)", pe, o.id, v, err)
 			}
 		}
 	}
@@ -209,7 +209,7 @@ func TestSoakHTTPOpenLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	mux := cl.DebugHandler()
+	mux := wire.DebugHandler(cl.Metrics())
 	NewServer(s).Register(mux)
 	ts := httptest.NewServer(mux)
 	defer ts.Close()

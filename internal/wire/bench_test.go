@@ -31,7 +31,7 @@ func BenchmarkWireHop(b *testing.B) {
 	}
 	defer cl.Close()
 	b.ResetTimer()
-	cl.Inject(0, "bench-ring", &benchState{Remaining: b.N})
+	inject(b, cl, 0, "bench-ring", &benchState{Remaining: b.N})
 	if err := cl.Wait(5 * time.Minute); err != nil {
 		b.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func BenchmarkWireConcurrentAgents(b *testing.B) {
 	per := b.N/agents + 1
 	b.ResetTimer()
 	for i := 0; i < agents; i++ {
-		cl.Inject(i%4, "bench-ring", &benchState{Remaining: per})
+		inject(b, cl, i%4, "bench-ring", &benchState{Remaining: per})
 	}
 	if err := cl.Wait(5 * time.Minute); err != nil {
 		b.Fatal(err)

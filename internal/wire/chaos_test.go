@@ -73,6 +73,28 @@ func intMatrices(n int, seed int64) (a, b, want [][]int64) {
 	return a, b, want
 }
 
+// injectUnderKills is inject for clusters whose plan kills daemons: an
+// injection aimed at a dead daemon fails, exactly as it does against a
+// dead process, and the caller re-places it once the supervisor has the
+// node back. An acknowledgement lost to a kill that fired on the
+// injection itself leaves the agent durable and retried — a duplicate,
+// which the callers' agents tolerate (idempotent writes, and every agent
+// balances its own counters). job 0 is the default namespace.
+func injectUnderKills(t *testing.T, cl *Cluster, node int, job uint64, behavior string, state any) {
+	t.Helper()
+	deadline := time.Now().Add(chaosTimeout)
+	for {
+		err := cl.inject(node, job, behavior, state)
+		if err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("injection on node %d never acknowledged: %v", node, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // runChaosMatMul executes the carrier matmul on a cluster with the given
 // fault plan and returns the collected product, gathered from the
 // node-resident stores after quiescence.
@@ -95,10 +117,10 @@ func runChaosMatMul(t *testing.T, n, pes int, opts Options) [][]int64 {
 			}
 			bcols[lj] = col
 		}
-		cl.Set(pe, "Bint", bcols)
+		setVar(t, cl, pe, "Bint", bcols)
 	}
 	for i := 0; i < n; i++ {
-		cl.Inject(i%pes, "chaosCarrier", &carrierState{Row: i, Vals: a[i]})
+		injectUnderKills(t, cl, i%pes, 0, "chaosCarrier", &carrierState{Row: i, Vals: a[i]})
 	}
 	if err := cl.Wait(chaosTimeout); err != nil {
 		t.Fatal(err)
@@ -110,7 +132,7 @@ func runChaosMatMul(t *testing.T, n, pes int, opts Options) [][]int64 {
 	}
 	for pe := 0; pe < pes; pe++ {
 		for i := 0; i < n; i++ {
-			crow, ok := cl.Get(pe, fmt.Sprintf("Cint:%d", i)).([]int64)
+			crow, ok := getVar(t, cl, pe, fmt.Sprintf("Cint:%d", i)).([]int64)
 			if !ok {
 				t.Fatalf("PE %d has no result for row %d", pe, i)
 			}
@@ -236,16 +258,16 @@ func TestDuplicatedHopsCountOnce(t *testing.T) {
 			}
 			bcols[lj] = col
 		}
-		cl.Set(pe, "Bint", bcols)
+		setVar(t, cl, pe, "Bint", bcols)
 	}
 	for i := 0; i < n; i++ {
-		cl.Inject(i%pes, "chaosCarrier", &carrierState{Row: i, Vals: a[i]})
+		inject(t, cl, i%pes, "chaosCarrier", &carrierState{Row: i, Vals: a[i]})
 	}
 	if err := cl.Wait(chaosTimeout); err != nil {
 		t.Fatal(err)
 	}
 	var total counters
-	for _, ns := range cl.states {
+	for _, ns := range states(cl) {
 		total.add(ns.counters())
 	}
 	if total.Created != int64(n) || total.Finished != int64(n) {
@@ -256,7 +278,7 @@ func TestDuplicatedHopsCountOnce(t *testing.T) {
 	}
 	for pe := 0; pe < pes; pe++ {
 		for i := 0; i < n; i++ {
-			crow := cl.Get(pe, fmt.Sprintf("Cint:%d", i)).([]int64)
+			crow := getVar(t, cl, pe, fmt.Sprintf("Cint:%d", i)).([]int64)
 			for lj, v := range crow {
 				if v != want[i][pe*colsPerPE+lj] {
 					t.Fatalf("C[%d][%d] = %d, want %d", i, pe*colsPerPE+lj, v, want[i][pe*colsPerPE+lj])
@@ -286,10 +308,10 @@ func TestCheckpointsDrainAfterQuiescence(t *testing.T) {
 				}
 				bcols[lj] = col
 			}
-			cl.Set(pe, "Bint", bcols)
+			setVar(t, cl, pe, "Bint", bcols)
 		}
 		for i := 0; i < n; i++ {
-			cl.Inject(i%pes, "chaosCarrier", &carrierState{Row: i, Vals: a[i]})
+			inject(t, cl, i%pes, "chaosCarrier", &carrierState{Row: i, Vals: a[i]})
 		}
 		return cl
 	}
@@ -299,7 +321,7 @@ func TestCheckpointsDrainAfterQuiescence(t *testing.T) {
 	if err := cl.Wait(chaosTimeout); err != nil {
 		t.Fatal(err)
 	}
-	for i, ns := range cl.states {
+	for i, ns := range states(cl) {
 		if p := ns.pendingCheckpoints(); p != 0 {
 			t.Fatalf("node %d still holds %d checkpoints after quiescence", i, p)
 		}

@@ -10,9 +10,9 @@ import (
 
 // nodeState is the node-resident persistent state of one cluster node:
 // node variables, events, the checkpoint store, the hop dedup table, and
-// the termination counters. It is owned by the Cluster and handed to
-// every daemon incarnation serving the node, so it survives daemon
-// crashes — the role the node's local disk plays in application-initiated
+// the termination counters. It is owned by the Host and handed to every
+// daemon incarnation serving the node, so it survives daemon crashes —
+// the role the node's local disk plays in application-initiated
 // checkpointing, where a restarted MESSENGERS daemon re-injects in-flight
 // agents from their last completed hop.
 //
@@ -27,8 +27,8 @@ type nodeState struct {
 	events  *events
 	met     *wireMetrics
 	retain  int        // dedup high-water mark (Options.DedupRetain)
-	cancels *cancelSet // cluster-shared set of cancelled job namespaces
-	persist *persister // disk snapshots for multi-host daemons; nil in-process
+	cancels *cancelSet // cancelled job namespaces
+	persist *persister // disk snapshots; nil without a state directory
 
 	mu        sync.Mutex
 	ckpt      map[uint64]*checkpoint // agent ID → last completed hop boundary
@@ -81,12 +81,12 @@ type checkpoint struct {
 	state    []byte
 }
 
-// cancelSet is the cluster-shared record of cancelled job namespaces.
-// Every nodeState holds the same instance, so a cancellation issued at
-// the coordinator is visible to each daemon at its next dispatch — the
-// mechanism that propagates job cancellation through hops: wherever a
-// cancelled agent lands (or replays after a crash), the daemon retires it
-// instead of running its step.
+// cancelSet is a node's record of cancelled job namespaces. The
+// coordinator delivers the mark to every node (msgCancel, re-delivered
+// by the waiter to nodes that were down for the broadcast), so wherever
+// a cancelled agent lands — or replays after a crash — the daemon
+// retires it instead of running its step: the mechanism that propagates
+// job cancellation through hops.
 type cancelSet struct {
 	mu sync.Mutex
 	m  map[uint64]struct{}
@@ -121,10 +121,10 @@ func (cs *cancelSet) release(job uint64) {
 	cs.mu.Unlock()
 }
 
-func newNodeState(id int, met *wireMetrics, retain int, cancels *cancelSet) *nodeState {
+func newNodeState(id int, met *wireMetrics, retain int) *nodeState {
 	return &nodeState{
 		id: id, vars: newStore(), events: newEvents(), met: met, retain: retain,
-		cancels: cancels,
+		cancels: newCancelSet(),
 		ckpt:    map[uint64]*checkpoint{}, lastHop: map[uint64]uint64{},
 		perJob:     map[uint64]*counters{},
 		migrations: map[uint64]int{}, reroutes: map[uint64]int{},
@@ -343,17 +343,6 @@ func (ns *nodeState) accept(msg *agentMsg) (dup bool, arrivals int64, err error)
 	return false, ns.arrivals, nil
 }
 
-// isDupHop reports whether hop frame (id, hop) is a known duplicate —
-// at or below the highest hop this node has accepted for the agent. An
-// evacuated tombstone shell uses it to settle acks for frames it
-// accepted before draining while refusing anything fresh.
-func (ns *nodeState) isDupHop(id, hop uint64) bool {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	last, seen := ns.lastHop[id]
-	return seen && hop <= last
-}
-
 // rehop advances an agent's checkpoint across a free local hop (dst ==
 // current node): hop boundaries are checkpoint boundaries even when no
 // frame crosses the wire. It reports false — abandon the step — when the
@@ -426,7 +415,8 @@ func (ns *nodeState) complete(id, hop uint64) bool {
 // counters reads the termination snapshot contribution. A drained node
 // contributes zeros: its entire history was absorbed by a survivor, and
 // reporting it twice would unbalance every snapshot that still reaches
-// this node's state (the in-process fallback read, a revived state dir).
+// this node's state (a tombstone shell polled directly, a revived state
+// dir).
 func (ns *nodeState) counters() counters {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()

@@ -129,7 +129,7 @@ func TestBlockCheckpointReplay(t *testing.T) {
 	for i := range blk.Data {
 		blk.Data[i] = -float64(i) / 3
 	}
-	ns := newNodeState(1, newWireMetrics(nil), 1024, newCancelSet())
+	ns := newNodeState(1, newWireMetrics(nil), 1024)
 	msg := &agentMsg{ID: 1<<40 | 1, Hop: 0, Behavior: "bench-ring",
 		State: &benchBlockState{Row: 2, Blk: blk}}
 	if _, err := ns.inject(msg); err != nil {

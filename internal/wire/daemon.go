@@ -229,6 +229,19 @@ func (d *daemon) handleControl(env *envelope, rp *replier) bool {
 		return rp.send(out)
 	}
 	synced := func() error { return d.node.sync() }
+	// thaw lifts job's freeze mark, persists that (and whatever mutation
+	// the caller made first), re-dispatches the agents the mark had
+	// parked, and acknowledges.
+	thaw := func(job uint64) bool {
+		thawed := d.node.thaw(job)
+		if err := synced(); err != nil {
+			return ok(err)
+		}
+		for _, p := range thawed {
+			d.startStep(p.msg, p.replay)
+		}
+		return ok(nil)
+	}
 	switch env.Kind {
 	case msgJoin:
 		if env.Addr == "" { // observer: just report the membership
@@ -286,25 +299,11 @@ func (d *daemon) handleControl(env *envelope, rp *replier) bool {
 		// A cancelled job's parked agents would otherwise sleep through
 		// their own cancellation: thaw them so the dispatch prologue's
 		// cancel check absorbs each one and the namespace can quiesce.
-		thawed := d.node.thaw(env.Job)
-		if err := synced(); err != nil {
-			return ok(err)
-		}
-		for _, p := range thawed {
-			d.startStep(p.msg, p.replay)
-		}
-		return ok(nil)
+		return thaw(env.Job)
 	case msgFree:
 		d.node.releaseJob(env.Job)
 		d.node.cancels.release(env.Job)
-		thawed := d.node.thaw(env.Job)
-		if err := synced(); err != nil {
-			return ok(err)
-		}
-		for _, p := range thawed {
-			d.startStep(p.msg, p.replay)
-		}
-		return ok(nil)
+		return thaw(env.Job)
 	case msgClear:
 		d.node.vars.deletePrefix(env.Name)
 		return ok(synced())
@@ -328,14 +327,7 @@ func (d *daemon) handleControl(env *envelope, rp *replier) bool {
 		d.node.freeze(env.Job)
 		return ok(synced())
 	case msgThaw:
-		thawed := d.node.thaw(env.Job)
-		if err := synced(); err != nil {
-			return ok(err)
-		}
-		for _, p := range thawed {
-			d.startStep(p.msg, p.replay)
-		}
-		return ok(nil)
+		return thaw(env.Job)
 	case msgDrain:
 		timeout := d.opts.DrainTimeout
 		if env.Count > 0 {

@@ -4,10 +4,13 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+
+	"repro/internal/metrics"
 )
 
-// DebugHandler returns an HTTP handler exposing the cluster's live
-// observability surface:
+// DebugHandler returns an HTTP handler exposing a process's live
+// observability surface over reg — a cluster's registry, a remote
+// client's, a host's:
 //
 //	/metrics        current metrics snapshot as indented JSON
 //	/debug/pprof/   the standard Go profiling endpoints
@@ -17,14 +20,12 @@ import (
 // global state. It is returned as a concrete *http.ServeMux so layers
 // above the runtime (the job scheduler's HTTP API, say) can register
 // their own routes beside the runtime's.
-func (cl *Cluster) DebugHandler() *http.ServeMux {
+func DebugHandler(reg *metrics.Registry) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if err := cl.Metrics().Snapshot().WriteJSON(w); err != nil {
-			// Headers are already out; nothing useful left to do.
-			return
-		}
+		// On failure the headers are already out; nothing useful left to do.
+		reg.Snapshot().WriteJSON(w)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -36,14 +37,14 @@ func (cl *Cluster) DebugHandler() *http.ServeMux {
 
 // ServeDebug starts the debug endpoint on addr (e.g. "127.0.0.1:0") and
 // returns the bound address and a stop function. The server lives until
-// stop is called; it is independent of the cluster's lifecycle so a
+// stop is called; it is independent of any cluster's lifecycle so a
 // wedged cluster can still be inspected.
-func (cl *Cluster) ServeDebug(addr string) (string, func() error, error) {
+func ServeDebug(addr string, reg *metrics.Registry) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: cl.DebugHandler()}
+	srv := &http.Server{Handler: DebugHandler(reg)}
 	go srv.Serve(ln)
 	return ln.Addr().String(), ln.Close, nil
 }

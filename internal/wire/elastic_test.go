@@ -17,7 +17,7 @@ import (
 
 func totalParked(cl *Cluster) int {
 	n := 0
-	for _, ns := range cl.states {
+	for _, ns := range states(cl) {
 		n += ns.parkedCount()
 	}
 	return n
@@ -47,42 +47,49 @@ func TestFreezeMigrateThaw(t *testing.T) {
 	if err := cl.FreezeJob(job); err != nil {
 		t.Fatal(err)
 	}
-	// Every agent parks at its next dispatch boundary; in-flight sends
-	// settle first, so once all are parked the namespace is balanced.
-	waitFor(t, "all agents to park", func() bool { return totalParked(cl) == agents })
-	if c := cl.snapshotJob(job); c.Sent != c.Received {
-		t.Fatalf("frozen namespace has in-flight sends: %+v", c)
-	}
+	// Every agent parks at its next dispatch boundary. The last sender may
+	// still be processing the ack of a hop whose agent has already parked,
+	// so the namespace balances a moment after the parked count is full —
+	// and then stays balanced, because nothing moves.
+	waitFor(t, "all agents to park with no send in flight", func() bool {
+		c := jobCounters(t, cl.RemoteCluster, job)
+		return totalParked(cl) == agents && c.Sent == c.Received
+	})
 
-	// Migrate node 0's residents to node 2. While the job is frozen, the
-	// parked set IS the resident set, so the marked count is exact and
-	// the shipped agents re-park at the destination.
-	before := cl.states[0].parkedCount()
-	if before == 0 {
-		t.Fatal("no agents parked on node 0; the migration would be vacuous")
+	// Migrate one node's residents two nodes on. Where the agents parked
+	// depends on where the freeze caught them, so the source is whichever
+	// node holds the most. While the job is frozen, the parked set IS the
+	// resident set, so the marked count is exact and the shipped agents
+	// re-park at the destination.
+	src := 0
+	for node, ns := range states(cl) {
+		if ns.parkedCount() > states(cl)[src].parkedCount() {
+			src = node
+		}
 	}
-	moved, err := cl.MigrateAgents(0, 2, job, 0)
+	dst := (src + 2) % 3
+	before := states(cl)[src].parkedCount()
+	moved, err := cl.MigrateAgents(src, dst, job, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if moved != before {
-		t.Fatalf("MigrateAgents marked %d agents, node 0 held %d", moved, before)
+		t.Fatalf("MigrateAgents marked %d agents, node %d held %d", moved, src, before)
 	}
 	// The migrated counter ticks on the sender after the destination's
 	// ack, which can trail the destination's own re-park — poll all
 	// three observations together.
 	waitFor(t, "migrated agents to land", func() bool {
-		return cl.states[0].parkedCount() == 0 && totalParked(cl) == agents &&
+		return states(cl)[src].parkedCount() == 0 && totalParked(cl) == agents &&
 			cl.Metrics().Snapshot().Counter(MetricAgentsMigrated) >= int64(moved)
 	})
-
 	if err := cl.ThawJob(job); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.WaitJob(job, chaosTimeout); err != nil {
 		t.Fatalf("thawed job never drained: %v", err)
 	}
-	c := cl.snapshotJob(job)
+	c := jobCounters(t, cl.RemoteCluster, job)
 	if c.Created != int64(agents) || c.Finished != int64(agents) || c.Sent != c.Received {
 		t.Fatalf("namespace imbalanced after freeze/migrate/thaw: %+v", c)
 	}
@@ -133,18 +140,18 @@ func TestDrainNodeEvacuatesAndReroutes(t *testing.T) {
 	if err := cl.WaitJob(job, chaosTimeout); err != nil {
 		t.Fatalf("job never drained after node drain: %v", err)
 	}
-	c := cl.snapshotJob(job)
+	c := jobCounters(t, cl.RemoteCluster, job)
 	if c.Created != 6 || c.Finished != 6 || c.Sent != c.Received {
 		t.Fatalf("namespace imbalanced after drain: %+v", c)
 	}
-	for i, ns := range cl.states {
+	for i, ns := range states(cl) {
 		if p := ns.pendingCheckpoints(); p != 0 {
 			t.Fatalf("node %d still holds %d checkpoints", i, p)
 		}
 	}
 	// The drained node's history moved to a survivor; the shell reports
 	// zeros so cluster totals are not double-counted.
-	if z := cl.states[2].counters(); z != (counters{}) {
+	if z := states(cl)[2].counters(); z != (counters{}) {
 		t.Fatalf("drained node still reports counters: %+v", z)
 	}
 	snap := cl.Metrics().Snapshot()
@@ -165,8 +172,14 @@ func TestDrainNodeEvacuatesAndReroutes(t *testing.T) {
 	if err := cl.WaitJob(32, chaosTimeout); err != nil {
 		t.Fatalf("post-drain job never finished: %v", err)
 	}
-	// ...but the shell itself refuses fresh injections.
+	// ...but the client refuses to place on the departed member, and the
+	// shell itself refuses a fresh injection that reaches it anyway.
 	if err := cl.InjectJob(2, 33, "jobRelay", &slowRelayState{Hops: 1}); err == nil {
+		t.Fatal("client placed a fresh injection on a departed member")
+	}
+	err := cl.control(2, &envelope{Kind: msgInject, Job: 33,
+		Agent: &agentMsg{Behavior: "jobRelay", State: &slowRelayState{Hops: 1}}})
+	if err == nil {
 		t.Fatal("drained node accepted a fresh injection")
 	} else if !strings.Contains(err.Error(), "evacuated") {
 		t.Fatalf("unexpected refusal error: %v", err)
@@ -183,7 +196,7 @@ func TestDrainNodeEvacuatesAndReroutes(t *testing.T) {
 // acted on.
 func TestElasticStateSurvivesPersistRoundTrip(t *testing.T) {
 	met := newWireMetrics(metrics.NewRegistry())
-	src := newNodeState(3, met, 64, newCancelSet())
+	src := newNodeState(3, met, 64)
 	src.migrations[11] = 1
 	src.assignMigration(12, 2)
 	src.pinReroute(13, 0)
@@ -201,7 +214,7 @@ func TestElasticStateSurvivesPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newNodeState(3, newWireMetrics(metrics.NewRegistry()), 64, newCancelSet())
+	dst := newNodeState(3, newWireMetrics(metrics.NewRegistry()), 64)
 	if err := dst.restore(img); err != nil {
 		t.Fatal(err)
 	}
@@ -340,6 +353,12 @@ func TestRemoteElasticGrowMigrateDrain(t *testing.T) {
 	if err := rc.FreezeJob(job); err != nil {
 		t.Fatal(err)
 	}
+	// The agent may have been mid-hop when the freeze landed; until its
+	// sender has the ack, two nodes hold a checkpoint and both would mark it.
+	waitFor(t, "the agent to park with its last hop settled", func() bool {
+		return h0.node.parkedCount()+h1.node.parkedCount() == 1 &&
+			h0.node.pendingCheckpoints()+h1.node.pendingCheckpoints() == 1
+	})
 	movedTotal := 0
 	for node := 0; node < 2; node++ {
 		n, err := rc.MigrateAgents(node, 2, job, 0)
@@ -356,7 +375,7 @@ func TestRemoteElasticGrowMigrateDrain(t *testing.T) {
 	}
 
 	// Shrink: drain node 1 while the job runs; nothing may be lost.
-	if err := rc.Drain(1, 10*time.Second); err != nil {
+	if err := rc.DrainNode(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if rc.Alive(1) || !rc.Left(1) {

@@ -97,7 +97,7 @@ type envelope struct {
 // Job is the agent's job namespace, inherited by everything it injects
 // and carried across every hop. It scopes the termination counters (so
 // one tenant's quiescence is detectable while others still run) and the
-// cancellation set; 0 is the default namespace of plain Cluster.Inject.
+// cancellation set; 0 is the default namespace of plain Inject.
 type agentMsg struct {
 	ID       uint64
 	Hop      uint64

@@ -108,7 +108,7 @@ func TestGobSilentlyDropsUnexportedFields(t *testing.T) {
 // what a restarted daemon re-injects.
 func TestReplayMessagesSnapshotIsolation(t *testing.T) {
 	RegisterState(&richState{})
-	ns := newNodeState(0, newWireMetrics(nil), 1024, newCancelSet())
+	ns := newNodeState(0, newWireMetrics(nil), 1024)
 	live := &richState{Mi: 1, Row: []float64{10, 20}}
 	if _, err := ns.inject(&agentMsg{ID: 7, Hop: 0, Behavior: "B", State: live}); err != nil {
 		t.Fatalf("inject: %v", err)

@@ -6,19 +6,20 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/metrics"
 )
 
-// A Host is one node's MESSENGERS daemon running as its own OS process —
-// the deployment shape the paper assumes and the in-process Cluster only
-// simulates. The durable half of the node (counters, checkpoints,
-// variables, cancellation marks) lives in a state directory on the
-// host's disk; the daemon incarnation is disposable, and kill -9 merely
-// forces the next incarnation to reload the snapshot and replay its
-// checkpointed agents — exactly what the in-process monitor does after
-// an injected kill, but across a process boundary.
+// A Host is one node's MESSENGERS daemon — normally its own OS process,
+// the deployment shape the paper assumes; an in-process Cluster is N of
+// them in one address space. The durable half of the node (counters,
+// checkpoints, variables, cancellation marks) lives in a state directory
+// on the host's disk; the daemon incarnation is disposable, and kill -9
+// merely forces the next incarnation to reload the snapshot and replay
+// its checkpointed agents — exactly what the in-process supervisor does
+// after an injected kill, minus the reload.
 //
 // Membership is discovered one of two ways:
 //
@@ -55,14 +56,22 @@ type HostConfig struct {
 	Options Options
 }
 
-// Host is a running daemon process's handle.
+// Host is one node's handle: the durable node state plus the daemon
+// incarnation currently serving it. A process host has exactly one
+// incarnation for its lifetime; an in-process Cluster's supervisor
+// starts a fresh one on the same node state after each injected kill.
 type Host struct {
 	ID   int
 	Addr string
 
-	daemon  *daemon
+	node    *nodeState
 	members *membership
+	opts    Options
 	errs    chan error
+	sink    *traceSink
+
+	mu     sync.Mutex
+	daemon *daemon // current incarnation
 }
 
 // StartHost binds the listener, resolves membership (static or join),
@@ -78,13 +87,16 @@ func StartHost(cfg HostConfig) (*Host, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wire: host listen %s: %w", cfg.Listen, err)
 	}
+	fail := func(err error) (*Host, error) {
+		ln.Close()
+		return nil, err
+	}
 	addr := cfg.Advertise
 	if addr == "" {
 		addr = ln.Addr().String()
 	}
 	if err := validateAddr(addr); err != nil {
-		ln.Close()
-		return nil, err
+		return fail(err)
 	}
 
 	var members *membership
@@ -93,17 +105,14 @@ func StartHost(cfg HostConfig) (*Host, error) {
 	case cfg.Join != "":
 		id, members, err = joinCluster(cfg.Join, addr, opts.AckTimeout)
 		if err != nil {
-			ln.Close()
-			return nil, err
+			return fail(err)
 		}
 	case len(cfg.Peers) > 0:
 		if err := validateMembers(cfg.Peers); err != nil {
-			ln.Close()
-			return nil, err
+			return fail(err)
 		}
 		if id < 0 || id >= len(cfg.Peers) {
-			ln.Close()
-			return nil, fmt.Errorf("wire: host node %d not in a seed list of %d", id, len(cfg.Peers))
+			return fail(fmt.Errorf("wire: host node %d not in a seed list of %d", id, len(cfg.Peers)))
 		}
 		members = newMembership(cfg.Peers)
 	default:
@@ -113,65 +122,79 @@ func StartHost(cfg HostConfig) (*Host, error) {
 		members = newMembership([]string{addr})
 	}
 
-	met := newWireMetrics(opts.Metrics)
-	node := newNodeState(id, met, opts.DedupRetain, newCancelSet())
+	node := newNodeState(id, newWireMetrics(opts.Metrics), opts.DedupRetain)
 	if cfg.StateDir != "" {
 		p, err := newPersister(cfg.StateDir)
 		if err != nil {
-			ln.Close()
-			return nil, err
+			return fail(err)
 		}
 		img, found, err := p.load()
 		if err != nil {
-			ln.Close()
-			return nil, err
+			return fail(err)
 		}
 		if found {
 			if img.Node != id {
-				ln.Close()
-				return nil, fmt.Errorf("wire: state dir %s belongs to node %d, not %d", cfg.StateDir, img.Node, id)
+				return fail(fmt.Errorf("wire: state dir %s belongs to node %d, not %d", cfg.StateDir, img.Node, id))
 			}
 			if err := node.restore(img); err != nil {
-				ln.Close()
-				return nil, err
+				return fail(err)
 			}
 		}
 		node.persist = p
 	}
 
-	errs := make(chan error, 16)
-	sink := &traceSink{tracer: opts.Tracer, epoch: time.Now()}
-	h := &Host{ID: id, Addr: addr, members: members, errs: errs}
-	h.daemon = newDaemon(id, members, ln, node, &opts, errs, sink)
-	go h.daemon.serve()
-
-	// Replay checkpointed agents from the reloaded snapshot — the
-	// recovery half of application-initiated checkpointing, across a
-	// process death instead of an in-process kill.
-	msgs, err := node.replayMessages()
-	if err != nil {
+	h := &Host{ID: id, Addr: addr, node: node, members: members, opts: opts,
+		errs: make(chan error, 16), sink: &traceSink{tracer: opts.Tracer, epoch: time.Now()}}
+	if _, err := h.serve(ln); err != nil {
 		h.Close()
 		return nil, err
 	}
-	for _, msg := range msgs {
-		h.daemon.startStep(msg, true)
+	return h, nil
+}
+
+// serve starts a fresh daemon incarnation on ln over the host's node
+// state and replays every checkpointed agent from its last completed
+// hop — the recovery half of application-initiated checkpointing,
+// whether the previous incarnation died with its process (the node
+// state was just reloaded from disk) or was killed in-process by a
+// fault plan (the node state never left memory). It returns how many
+// agents it replayed.
+func (h *Host) serve(ln net.Listener) (int, error) {
+	d := newDaemon(h.ID, h.members, ln, h.node, &h.opts, h.errs, h.sink)
+	h.mu.Lock()
+	h.daemon = d
+	h.mu.Unlock()
+	go d.serve()
+	msgs, err := h.node.replayMessages()
+	if err != nil {
+		return 0, err
 	}
-	// A drain interrupted by a process death resumes where its on-disk
-	// flags left it: still-draining replayed agents evacuate themselves
+	for _, msg := range msgs {
+		d.startStep(msg, true)
+	}
+	// A drain interrupted by the death resumes where its durable flags
+	// left it: still-draining replayed agents evacuate themselves
 	// through the dispatch prologue above, and the background drain
 	// drives the evacuated → absorb → drained tail. An already-drained
-	// image respawns as a tombstone shell (the evacuated flag makes
+	// image comes back as a tombstone shell (the evacuated flag makes
 	// accept refuse) and just re-announces its departure.
-	if node.isDraining() && !node.isDrained() {
+	if h.node.isDraining() && !h.node.isDrained() {
 		go func() {
-			if err := h.daemon.drain(opts.DrainTimeout); err != nil {
-				h.daemon.fail(err)
+			if err := d.drain(h.opts.DrainTimeout); err != nil {
+				d.fail(err)
 			}
 		}()
-	} else if node.isDrained() {
-		h.daemon.broadcastLeave()
+	} else if h.node.isDrained() {
+		d.broadcastLeave()
 	}
-	return h, nil
+	return len(msgs), nil
+}
+
+// incarnation returns the daemon currently serving the node.
+func (h *Host) incarnation() *daemon {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.daemon
 }
 
 // joinCluster performs the join handshake against any live member.
@@ -212,22 +235,11 @@ func listenReuse(addr string) (net.Listener, error) {
 	return nil, err
 }
 
-// Err returns the daemon's first asynchronous error, if any has
-// arrived.
-func (h *Host) Err() error {
-	select {
-	case err := <-h.errs:
-		return err
-	default:
-		return nil
-	}
-}
-
 // WaitShutdown blocks until the daemon terminates (msgShutdown, kill)
 // or fails, returning the failure.
 func (h *Host) WaitShutdown() error {
 	select {
-	case <-h.daemon.stopped:
+	case <-h.incarnation().stopped:
 		return nil
 	case err := <-h.errs:
 		return err
@@ -235,11 +247,11 @@ func (h *Host) WaitShutdown() error {
 }
 
 // Metrics exposes the host's metric registry.
-func (h *Host) Metrics() *metrics.Registry { return h.daemon.opts.Metrics }
+func (h *Host) Metrics() *metrics.Registry { return h.opts.Metrics }
 
 // Close terminates the daemon incarnation. The state directory — the
 // node — survives.
-func (h *Host) Close() { h.daemon.terminate() }
+func (h *Host) Close() { h.incarnation().terminate() }
 
 // Environment-variable configuration for re-exec'd host processes. A
 // parent (paperbench, a test binary) sets HostModeEnv and spawns its own

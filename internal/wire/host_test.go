@@ -175,6 +175,8 @@ func TestHostJoinInjectWait(t *testing.T) {
 		t.Fatalf("joined ids = %d, %d, want 1, 2", h1.ID, h2.ID)
 	}
 
+	// Node 0 pushes the grown list to h1 asynchronously after h2's join.
+	waitFor(t, "h1 to learn of h2", func() bool { return h1.members.size() == 3 })
 	rc, err := DialCluster(h1.Addr, RemoteOptions{Heartbeat: true})
 	if err != nil {
 		t.Fatal(err)

@@ -61,7 +61,7 @@ func TestWaitJobIsolatesTenants(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 300*time.Millisecond {
 		t.Fatalf("WaitJob(7) took %v — it waited for the other tenant", elapsed)
 	}
-	c9 := cl.snapshotJob(9)
+	c9 := jobCounters(t, cl.RemoteCluster, 9)
 	if c9.Created == c9.Finished {
 		t.Fatal("slow tenant already finished; the isolation check proved nothing")
 	}
@@ -75,7 +75,7 @@ func TestWaitJobIsolatesTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	for node := 0; node < 3; node++ {
-		if got := cl.Get(node, fmt.Sprintf("seen@%d", node)); got != uint64(11) {
+		if got := getVar(t, cl, node, fmt.Sprintf("seen@%d", node)); got != uint64(11) {
 			t.Fatalf("node %d saw job %v, want 11", node, got)
 		}
 	}
@@ -118,12 +118,12 @@ func TestCancelJobDrainsInFlightAgents(t *testing.T) {
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("drain after cancel took implausibly long")
 	}
-	c := cl.snapshotJob(job)
+	c := jobCounters(t, cl.RemoteCluster, job)
 	if c.Created != c.Finished || c.Sent != c.Received {
 		t.Fatalf("drained namespace imbalanced: %+v", c)
 	}
 	// Quiescent: no checkpoints may remain anywhere.
-	for i, ns := range cl.states {
+	for i, ns := range states(cl) {
 		if p := ns.pendingCheckpoints(); p != 0 {
 			t.Fatalf("node %d still holds %d checkpoints after cancel drain", i, p)
 		}
@@ -148,9 +148,9 @@ func TestCancelledJobSurvivesDaemonKill(t *testing.T) {
 	defer cl.Close()
 	const job = 5
 	for i := 0; i < 8; i++ {
-		if err := cl.InjectJob(i%2, job, "jobRelay", &slowRelayState{Hops: 40, Pause: time.Millisecond}); err != nil {
-			t.Fatal(err)
-		}
+		// The early agents are already hopping, so a kill can land on (or
+		// just before) a later injection.
+		injectUnderKills(t, cl, i%2, job, "jobRelay", &slowRelayState{Hops: 40, Pause: time.Millisecond})
 	}
 	time.Sleep(20 * time.Millisecond) // let hops (and the kills) happen
 	cl.CancelJob(job)
@@ -192,21 +192,21 @@ func TestClearVarsPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	cl.Set(0, "j5:B", 1)
-	cl.Set(0, "j5:C:0", 2)
-	cl.Set(1, "j5:B", 3)
-	cl.Set(0, "j6:B", 4)
-	cl.Set(1, "keep", 5)
+	setVar(t, cl, 0, "j5:B", 1)
+	setVar(t, cl, 0, "j5:C:0", 2)
+	setVar(t, cl, 1, "j5:B", 3)
+	setVar(t, cl, 0, "j6:B", 4)
+	setVar(t, cl, 1, "keep", 5)
 	cl.ClearVarsPrefix("j5:")
 	for node, name := range map[int]string{0: "j5:B", 1: "j5:B"} {
-		if v := cl.Get(node, name); v != nil {
+		if v := getVar(t, cl, node, name); v != nil {
 			t.Fatalf("node %d still has %s = %v", node, name, v)
 		}
 	}
-	if cl.Get(0, "j5:C:0") != nil {
+	if getVar(t, cl, 0, "j5:C:0") != nil {
 		t.Fatal("prefixed row survived the clear")
 	}
-	if cl.Get(0, "j6:B") != 4 || cl.Get(1, "keep") != 5 {
+	if getVar(t, cl, 0, "j6:B") != 4 || getVar(t, cl, 1, "keep") != 5 {
 		t.Fatal("clear removed variables outside the prefix")
 	}
 }
@@ -216,7 +216,7 @@ func TestCloseIdempotentAndConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.Inject(0, "jobRelay", &slowRelayState{Hops: 3})
+	inject(t, cl, 0, "jobRelay", &slowRelayState{Hops: 3})
 	if err := cl.Wait(chaosTimeout); err != nil {
 		t.Fatal(err)
 	}

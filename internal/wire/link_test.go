@@ -14,7 +14,7 @@ import (
 // ack that arrives on link B.
 func TestLinkDialRaceSingleLink(t *testing.T) {
 	cl := newCluster(t, 2)
-	d := cl.daemons[0]
+	d := cl.hosts[0].incarnation()
 
 	const callers = 50
 	start := make(chan struct{})

@@ -3,7 +3,6 @@ package wire
 import (
 	"fmt"
 	"net"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -224,12 +223,4 @@ func ParseSeeds(text string) ([]string, error) {
 // one address per line.
 func FormatSeeds(addrs []string) string {
 	return strings.Join(addrs, "\n") + "\n"
-}
-
-// sortedCopy is a test helper for comparing address sets irrespective
-// of join order.
-func sortedCopy(addrs []string) []string {
-	out := append([]string(nil), addrs...)
-	sort.Strings(out)
-	return out
 }

@@ -17,7 +17,7 @@ import (
 func TestDedupHighWaterEviction(t *testing.T) {
 	const retain = 4
 	reg := metrics.NewRegistry()
-	ns := newNodeState(0, newWireMetrics(reg), retain, newCancelSet())
+	ns := newNodeState(0, newWireMetrics(reg), retain)
 	for i := uint64(1); i <= 100; i++ {
 		msg := &agentMsg{ID: i, Hop: 3, Behavior: "ring"}
 		if dup, _, err := ns.accept(msg); err != nil || dup {
@@ -48,7 +48,7 @@ func TestDedupHighWaterEviction(t *testing.T) {
 // stale queue entry must not evict the newer table entry.
 func TestDedupEvictionSkipsRevisitedAgents(t *testing.T) {
 	const retain = 2
-	ns := newNodeState(0, newWireMetrics(nil), retain, newCancelSet())
+	ns := newNodeState(0, newWireMetrics(nil), retain)
 	// Agent 7 visits at hop 1, leaves (entry queued), then revisits at hop 5.
 	ns.accept(&agentMsg{ID: 7, Hop: 1, Behavior: "ring"})
 	ns.ackDelivered(7, 1)
@@ -73,7 +73,7 @@ func TestClusterMetricsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	cl.Inject(0, "ring", &ringState{Laps: 2})
+	inject(t, cl, 0, "ring", &ringState{Laps: 2})
 	if err := cl.Wait(waitTimeout); err != nil {
 		t.Fatal(err)
 	}
@@ -109,12 +109,12 @@ func TestClusterMetricsSnapshot(t *testing.T) {
 // snapshot over HTTP.
 func TestDebugEndpoint(t *testing.T) {
 	cl := newCluster(t, 2)
-	addr, stop, err := cl.ServeDebug("127.0.0.1:0")
+	addr, stop, err := ServeDebug("127.0.0.1:0", cl.Metrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { stop() })
-	cl.Inject(0, "ring", &ringState{Laps: 1})
+	inject(t, cl, 0, "ring", &ringState{Laps: 1})
 	if err := cl.Wait(waitTimeout); err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestDroppedErrorsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
-	d := cl.daemon(0)
+	d := cl.hosts[0].incarnation()
 	for i := 0; i < 3; i++ {
 		d.fail(fmt.Errorf("synthetic error %d", i))
 	}

@@ -189,17 +189,6 @@ func (ns *nodeState) takeParked(id uint64) (*parkedAgent, bool) {
 	return p, ok
 }
 
-// residentAgents lists the IDs of every checkpointed agent.
-func (ns *nodeState) residentAgents() []uint64 {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	ids := make([]uint64, 0, len(ns.ckpt))
-	for id := range ns.ckpt {
-		ids = append(ids, id)
-	}
-	return ids
-}
-
 // sweepStaleMarks drops migration marks whose agents are no longer
 // resident (they hopped or completed through another path while the
 // mark was pending). Called by the drain loop between rounds.

@@ -11,10 +11,10 @@ import (
 
 // Node-state persistence for multi-host daemons.
 //
-// An in-process Cluster keeps every node's durable state (nodeState) in
-// the coordinator's memory, so an injected daemon kill loses nothing. A
-// real per-host daemon process has no such refuge: kill -9 takes the
-// address space with it. The persister is the node's "local disk" from
+// An in-process Cluster's hosts keep their durable state (nodeState) in
+// the test's memory, so an injected daemon kill loses nothing. A real
+// per-host daemon process has no such refuge: kill -9 takes the address
+// space with it. The persister is the node's "local disk" from
 // the MESSENGERS architecture — the whole nodeState image (counters,
 // dedup table, checkpoint store, node variables, cancellation marks,
 // allocator high-water marks) is written as one gob snapshot with an

@@ -76,7 +76,7 @@ func TestMatternNeverDeclaresEarly(t *testing.T) {
 			defer cl.Close()
 			for a := range routes {
 				name := fmt.Sprintf("w%d", a)
-				cl.Inject(starts[a], "walker", &walkerState{Name: name, Route: routes[a]})
+				inject(t, cl, starts[a], "walker", &walkerState{Name: name, Route: routes[a]})
 			}
 			if err := cl.Wait(chaosTimeout); err != nil {
 				t.Fatalf("plan %v: %v", plan, err)
@@ -88,7 +88,7 @@ func TestMatternNeverDeclaresEarly(t *testing.T) {
 				if len(routes[a]) > 0 {
 					end = routes[a][len(routes[a])-1]
 				}
-				if cl.Get(end, "done:"+name) != true {
+				if getVar(t, cl, end, "done:"+name) != true {
 					t.Errorf("quiescence declared but walker %s (route %v from %d) unfinished",
 						name, routes[a], starts[a])
 				}
@@ -96,7 +96,7 @@ func TestMatternNeverDeclaresEarly(t *testing.T) {
 			// And the counters must balance exactly: each walker created
 			// once, finished once, every accepted migration matched.
 			var total counters
-			for _, ns := range cl.states {
+			for _, ns := range states(cl) {
 				total.add(ns.counters())
 			}
 			if total.Created != int64(agents) || total.Finished != int64(agents) {
@@ -123,12 +123,12 @@ func TestMatternUnbalancedWhileAgentHeld(t *testing.T) {
 		return ctx.Done()
 	})
 	cl := newCluster(t, 2)
-	cl.Inject(0, "holder", nil)
+	inject(t, cl, 0, "holder", nil)
 	<-release
 	if err := cl.Wait(250 * time.Millisecond); err == nil {
 		t.Fatal("quiescence declared while an agent was alive and blocked")
 	}
-	cl.states[0].events.signal("release-holder")
+	states(cl)[0].events.signal("release-holder")
 	if err := cl.Wait(waitTimeout); err != nil {
 		t.Fatalf("after release: %v", err)
 	}

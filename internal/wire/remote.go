@@ -16,6 +16,10 @@ import (
 // job that cannot move.
 var ErrJobFrozen = errors.New("wire: job is frozen")
 
+// errClosed is what every operation on a closed client returns: Close
+// promises no connection is redialed back open.
+var errClosed = errors.New("wire: remote cluster is closed")
+
 // remoteMember is the client's view of one cluster node: its address,
 // a control connection (serialized round trips), a dedicated heartbeat
 // probe connection (so a slow control round trip cannot starve
@@ -26,22 +30,49 @@ type remoteMember struct {
 	probe *ctlConn
 	alive atomic.Bool
 	left  atomic.Bool
+
+	// owed holds the reclamation frames (msgFree, msgClear) that could not
+	// be delivered because the member was unreachable; the prober settles
+	// them when it next answers. No cap is needed: a job only reaches its
+	// release after a complete snapshot round, so the frames owed to a
+	// member are those of the jobs that finished in the instant between
+	// its last answer and its death — at most one per scheduler worker.
+	owedMu sync.Mutex
+	owed   []*envelope
 }
 
-// RemoteCluster is the coordinator's client for a cluster of daemon
-// processes — the same surface the in-process Cluster offers a
-// scheduler (inject, wait, variables, cancellation), implemented over
-// control connections to real hosts instead of shared memory. A
-// scheduler built on sched.Backend runs unchanged against either.
+// settle re-delivers owed reclamation frames over the probe connection
+// (so it never queues behind the control connection's callers), stopping
+// at the first failure; both frame kinds are idempotent.
+func (m *remoteMember) settle(timeout time.Duration) {
+	m.owedMu.Lock()
+	owed := m.owed
+	m.owed = nil
+	m.owedMu.Unlock()
+	for i, env := range owed {
+		if _, err := m.probe.roundTrip(env, timeout); err != nil {
+			m.owedMu.Lock()
+			m.owed = append(owed[i:], m.owed...)
+			m.owedMu.Unlock()
+			return
+		}
+	}
+}
+
+// RemoteCluster is the coordinator's client for a cluster of daemons —
+// the one cluster driver: inject, wait, variables, cancellation, freeze,
+// migration, drain, all as control frames over per-member connections.
+// It drives daemon processes on other machines and, embedded in Cluster,
+// the in-process hosts of a test or a single-binary server exactly the
+// same way, so a scheduler built on sched.Backend never knows which it
+// has.
 //
-// The termination-detection caveat of distribution: an in-process
-// coordinator can read a dead daemon's counters straight out of the
-// shared nodeState, so its snapshots are always complete. A remote
-// coordinator polling a killed host gets nothing — and an incomplete
-// snapshot must never be mistaken for a balanced one, or WaitJob would
-// declare a job finished while its agents sit checkpointed on the dead
-// host's disk. Unreachable member ⇒ the round is discarded, and the
-// job stays live until every member answers again. Members marked left
+// The termination-detection caveat of distribution: a coordinator
+// polling a killed host gets nothing — and an incomplete snapshot must
+// never be mistaken for a balanced one, or WaitJob would declare a job
+// finished while its agents sit checkpointed on the dead host.
+// Unreachable member ⇒ the round is discarded, and the job stays live
+// until every member answers again. Members marked left
 // (a completed drain) are the one exception: their history was absorbed
 // by a survivor and they report zeros ever after, so snapshots skip
 // them — which is what lets a job finish after the cluster shrinks.
@@ -56,6 +87,11 @@ type RemoteCluster struct {
 	members   []*remoteMember
 	cancelled map[uint64]bool
 	frozen    map[uint64]bool
+
+	// errs carries the daemons' asynchronous failures to a waiting caller
+	// when the hosts share this address space (Cluster sets it); nil for a
+	// client of remote processes, whose errors stay in their own logs.
+	errs chan error
 
 	closed atomic.Bool
 	hbStop chan struct{}
@@ -194,14 +230,6 @@ func (rc *RemoteCluster) Left(i int) bool {
 	return m == nil || m.left.Load()
 }
 
-// MarkLeft records node i as departed without a drain round trip — the
-// hook for an operator who shut a drained shell down out of band.
-func (rc *RemoteCluster) MarkLeft(i int) {
-	if m := rc.member(i); m != nil {
-		m.left.Store(true)
-	}
-}
-
 // LiveNodes lists the indices of members that have not departed. It is
 // the scheduler's placement domain in an elastic cluster.
 func (rc *RemoteCluster) LiveNodes() []int {
@@ -220,7 +248,7 @@ func (rc *RemoteCluster) LiveNodes() []int {
 // ignored.
 func (rc *RemoteCluster) Refresh() error {
 	if rc.closed.Load() {
-		return fmt.Errorf("wire: remote cluster is closed")
+		return errClosed
 	}
 	var reply *envelope
 	var err error
@@ -253,9 +281,9 @@ func (rc *RemoteCluster) Refresh() error {
 	return nil
 }
 
-// heartbeat probes every member each interval — the liveness half of
-// the in-process monitor, without the restart half (an operator or a
-// supervisor respawns real processes).
+// heartbeat probes every member each interval. It only observes: an
+// operator, a process supervisor, or the in-process Cluster's monitor
+// does the restarting.
 func (rc *RemoteCluster) heartbeat(interval time.Duration) {
 	defer close(rc.hbDone)
 	for {
@@ -274,7 +302,11 @@ func (rc *RemoteCluster) heartbeat(interval time.Duration) {
 				continue
 			}
 			reply, err := m.probe.roundTrip(&envelope{Kind: msgPing}, interval*4)
-			m.alive.Store(err == nil && reply.Kind == msgPong)
+			alive := err == nil && reply.Kind == msgPong
+			m.alive.Store(alive)
+			if alive {
+				m.settle(rc.opts.AckTimeout)
+			}
 		}
 	}
 }
@@ -294,12 +326,46 @@ func (rc *RemoteCluster) control(i int, env *envelope) error {
 	return nil
 }
 
+// broadcast sends env to every member that has not departed, one round
+// trip each, and returns the first failure; the members after a failed
+// one are still tried.
+func (rc *RemoteCluster) broadcast(env *envelope) error {
+	var firstErr error
+	for i, m := range rc.snapshotMembers() {
+		if m.left.Load() {
+			continue
+		}
+		if err := rc.control(i, env); err != nil && firstErr == nil {
+			firstErr = err
+		}
+	}
+	return firstErr
+}
+
+// reclaim broadcasts a reclamation frame. A member that cannot be reached
+// owes it, and the prober (when enabled) delivers it on the member's
+// return — otherwise a daemon that was down in the instant a job was
+// released would hold that job's counter slice and variables, in memory
+// and in every snapshot it writes, for good.
+func (rc *RemoteCluster) reclaim(env *envelope) {
+	for i, m := range rc.snapshotMembers() {
+		if m.left.Load() {
+			continue
+		}
+		if rc.control(i, env) != nil && rc.hbStop != nil {
+			m.owedMu.Lock()
+			m.owed = append(m.owed, env)
+			m.owedMu.Unlock()
+		}
+	}
+}
+
 // roundTrip performs one control round trip to node i. A closed client
 // refuses instead of redialing — the post-Close resurrection Close
 // promises not to allow.
 func (rc *RemoteCluster) roundTrip(i int, env *envelope) (*envelope, error) {
 	if rc.closed.Load() {
-		return nil, fmt.Errorf("wire: remote cluster is closed")
+		return nil, errClosed
 	}
 	m := rc.member(i)
 	if m == nil {
@@ -333,14 +399,28 @@ func (rc *RemoteCluster) GetVar(node int, name string) (any, error) {
 	return reply.Value.V, nil
 }
 
-// InjectJob starts an agent on node under a job namespace. The daemon
-// checkpoints and persists the agent before acknowledging, so a nil
-// return means the injection is durable there. Departed members refuse
-// placement immediately.
+// InjectJob starts an agent on node under a job namespace: the agent —
+// and every agent it transitively injects — is accounted to job, so
+// WaitJob can detect that one tenant's work has drained while others
+// still run, and CancelJob can retire its agents without touching anyone
+// else's. The daemon checkpoints and persists the agent before
+// acknowledging, so a nil return means the injection is durable there.
+// Departed members refuse placement immediately. job must be nonzero (0
+// is the default namespace of plain Inject).
 func (rc *RemoteCluster) InjectJob(node int, job uint64, behavior string, state any) error {
 	if job == 0 {
 		return fmt.Errorf("wire: job id must be nonzero")
 	}
+	return rc.inject(node, job, behavior, state)
+}
+
+// Inject is InjectJob into the default namespace (job 0), the one Wait
+// observes — the paper's command-line injection.
+func (rc *RemoteCluster) Inject(node int, behavior string, state any) error {
+	return rc.inject(node, 0, behavior, state)
+}
+
+func (rc *RemoteCluster) inject(node int, job uint64, behavior string, state any) error {
 	if m := rc.member(node); m != nil && m.left.Load() {
 		return fmt.Errorf("wire: node %d has left the cluster", node)
 	}
@@ -376,16 +456,7 @@ func (rc *RemoteCluster) FreezeJob(job uint64) error {
 	rc.mu.Lock()
 	rc.frozen[job] = true
 	rc.mu.Unlock()
-	var firstErr error
-	for i, m := range rc.snapshotMembers() {
-		if m.left.Load() {
-			continue
-		}
-		if err := rc.control(i, &envelope{Kind: msgFreeze, Job: job}); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return rc.broadcast(&envelope{Kind: msgFreeze, Job: job})
 }
 
 // ThawJob resumes a frozen namespace: every member re-dispatches its
@@ -397,16 +468,7 @@ func (rc *RemoteCluster) ThawJob(job uint64) error {
 	rc.mu.Lock()
 	delete(rc.frozen, job)
 	rc.mu.Unlock()
-	var firstErr error
-	for i, m := range rc.snapshotMembers() {
-		if m.left.Load() {
-			continue
-		}
-		if err := rc.control(i, &envelope{Kind: msgThaw, Job: job}); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return rc.broadcast(&envelope{Kind: msgThaw, Job: job})
 }
 
 // JobFrozen reports whether the client has frozen the namespace.
@@ -416,15 +478,15 @@ func (rc *RemoteCluster) JobFrozen(job uint64) bool {
 	return rc.frozen[job]
 }
 
-// Drain evacuates node: every resident agent migrates to a live member,
-// the node's counter history is absorbed by a survivor, and the member
-// is marked departed here. The daemon keeps serving as a tombstone
+// DrainNode evacuates node: every resident agent migrates to a live
+// member, the node's counter history is absorbed by a survivor, and the
+// member is marked departed here. The daemon keeps serving as a tombstone
 // shell (settling duplicate acks, refusing fresh frames) until it is
 // shut down. timeout bounds the daemon-side evacuation; the round trip
 // itself is given a margin on top.
-func (rc *RemoteCluster) Drain(node int, timeout time.Duration) error {
+func (rc *RemoteCluster) DrainNode(node int, timeout time.Duration) error {
 	if rc.closed.Load() {
-		return fmt.Errorf("wire: remote cluster is closed")
+		return errClosed
 	}
 	m := rc.member(node)
 	if m == nil {
@@ -450,12 +512,6 @@ func (rc *RemoteCluster) Drain(node int, timeout time.Duration) error {
 	return nil
 }
 
-// DrainNode is Drain under the method name shared with the in-process
-// Cluster, so a scheduler's elastic interface matches either backend.
-func (rc *RemoteCluster) DrainNode(node int, timeout time.Duration) error {
-	return rc.Drain(node, timeout)
-}
-
 // CancelJob marks a job cancelled on every reachable member and records
 // the mark locally, so WaitJob can re-deliver it to members that were
 // down when the broadcast went out.
@@ -470,12 +526,7 @@ func (rc *RemoteCluster) CancelJob(job uint64) {
 	// failing fast to observing the drain.
 	delete(rc.frozen, job)
 	rc.mu.Unlock()
-	for i, m := range rc.snapshotMembers() {
-		if m.left.Load() {
-			continue
-		}
-		rc.control(i, &envelope{Kind: msgCancel, Job: job})
-	}
+	rc.broadcast(&envelope{Kind: msgCancel, Job: job})
 }
 
 func (rc *RemoteCluster) isCancelled(job uint64) bool {
@@ -484,10 +535,10 @@ func (rc *RemoteCluster) isCancelled(job uint64) bool {
 	return rc.cancelled[job]
 }
 
-// ReleaseJob forgets a drained job's bookkeeping on every member.
-// Best-effort per member: an unreachable host releases the namespace
-// when a later ReleaseJob reaches it, or holds a stale slice — a
-// bounded leak, not a correctness problem.
+// ReleaseJob forgets a drained job's bookkeeping on every member. An
+// unreachable member is settled by the prober when it returns (see
+// reclaim); without a prober it holds a stale slice — a bounded leak, not
+// a correctness problem.
 func (rc *RemoteCluster) ReleaseJob(job uint64) {
 	if job == 0 {
 		return
@@ -496,46 +547,58 @@ func (rc *RemoteCluster) ReleaseJob(job uint64) {
 	delete(rc.cancelled, job)
 	delete(rc.frozen, job)
 	rc.mu.Unlock()
-	for i, m := range rc.snapshotMembers() {
-		if m.left.Load() {
-			continue
-		}
-		rc.control(i, &envelope{Kind: msgFree, Job: job})
-	}
+	rc.reclaim(&envelope{Kind: msgFree, Job: job})
 }
 
 // ClearVarsPrefix deletes prefixed node variables on every member.
 func (rc *RemoteCluster) ClearVarsPrefix(prefix string) {
-	for i, m := range rc.snapshotMembers() {
-		if m.left.Load() {
-			continue
-		}
-		rc.control(i, &envelope{Kind: msgClear, Name: prefix})
-	}
+	rc.reclaim(&envelope{Kind: msgClear, Name: prefix})
 }
 
-// WaitJob blocks until job's namespace is quiescent, by Mattern
-// detection over remote snapshots: two consecutive identical complete
-// snapshots with created == finished and sent == received. A round with
-// any unreachable member is incomplete and discarded — the checkpointed
-// agents on a dead host keep the job alive until a respawned daemon
-// answers for them. Departed members are skipped: their history lives
-// on in the survivor that absorbed it. Each round also re-delivers the
-// job's cancellation mark (if any) to every member, so a host that was
-// down for the CancelJob broadcast still absorbs the job's agents after
-// respawn. A frozen job fails fast with ErrJobFrozen.
+// WaitJob blocks until job's namespace is quiescent — every agent of the
+// job finished (or was retired by cancellation) and none of its
+// migrations in flight. Other tenants' agents keep the cluster busy
+// without disturbing the detection: their events land in their own
+// namespaces. A frozen job fails fast with ErrJobFrozen.
 func (rc *RemoteCluster) WaitJob(job uint64, timeout time.Duration) error {
 	if job == 0 {
-		return fmt.Errorf("wire: WaitJob needs a nonzero job id")
+		return fmt.Errorf("wire: WaitJob needs a nonzero job id (use Wait for the whole cluster)")
 	}
+	return rc.wait(job, timeout)
+}
+
+// Wait blocks until the whole cluster is quiescent: every agent of every
+// namespace finished and no migration in flight.
+func (rc *RemoteCluster) Wait(timeout time.Duration) error { return rc.wait(0, timeout) }
+
+// wait is the termination detector (job 0 = the cluster-wide totals):
+// Mattern's four-counter method over remote snapshots, declaring
+// quiescence on two consecutive identical complete snapshots with
+// created == finished and sent == received. Because a daemon counts a
+// migration sent only when the receiver acknowledged checkpointing it,
+// and counts received only for deduplicated accepts, the detection stays
+// correct under dropped, duplicated, and replayed hops; and because an
+// unfinished agent always holds a checkpoint (created > finished), a
+// killed daemon holding agents keeps the snapshot unbalanced once it is
+// back. Until then its round is incomplete and discarded — the
+// checkpointed agents on a dead host keep the job alive until a
+// restarted daemon answers for them. Departed members are skipped: their
+// history lives on in the survivor that absorbed it. Each round also
+// re-delivers the job's cancellation mark (if any) to every member, so a
+// host that was down for the CancelJob broadcast still absorbs the job's
+// agents after it returns. It returns the first daemon error an
+// in-process host reported, or an error on timeout.
+func (rc *RemoteCluster) wait(job uint64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	var prev counters
 	havePrev := false
 	for {
-		rc.mu.Lock()
-		frozen := rc.frozen[job]
-		rc.mu.Unlock()
-		if frozen {
+		select {
+		case err := <-rc.errs:
+			return err
+		default:
+		}
+		if rc.JobFrozen(job) {
 			return ErrJobFrozen
 		}
 		cur, complete := rc.snapshotJob(job)
@@ -553,14 +616,14 @@ func (rc *RemoteCluster) WaitJob(job uint64, timeout time.Duration) error {
 				job, timeout, cur.Created, cur.Finished, cur.Sent, cur.Received, complete)
 		}
 		if rc.isCancelled(job) {
-			for i, m := range rc.snapshotMembers() {
-				if m.left.Load() {
-					continue
-				}
-				rc.control(i, &envelope{Kind: msgCancel, Job: job})
-			}
+			rc.broadcast(&envelope{Kind: msgCancel, Job: job})
 		}
 		time.Sleep(5 * time.Millisecond)
+		if rc.closed.Load() {
+			// Every member fails its round trip from here on, so no round
+			// can complete: say so instead of polling to the deadline.
+			return errClosed
+		}
 	}
 }
 
@@ -616,7 +679,7 @@ func (rc *RemoteCluster) Shutdown() {
 // tombstone shell's process without touching the rest of the cluster.
 func (rc *RemoteCluster) ShutdownNode(node int) error {
 	if rc.closed.Load() {
-		return fmt.Errorf("wire: remote cluster is closed")
+		return errClosed
 	}
 	m := rc.member(node)
 	if m == nil {

@@ -40,7 +40,7 @@ func TestSoakWireLeaks(t *testing.T) {
 
 	for wave := 0; wave < waves; wave++ {
 		for i := 0; i < agents; i++ {
-			cl.Inject(i%nodes, "ring", &ringState{Laps: laps})
+			inject(t, cl, i%nodes, "ring", &ringState{Laps: laps})
 		}
 		if err := cl.Wait(60 * time.Second); err != nil {
 			t.Fatalf("wave %d: %v", wave, err)
@@ -65,7 +65,7 @@ func TestSoakWireLeaks(t *testing.T) {
 		t.Fatalf("dedup gauge = %d after quiescence, want ≤ %d: lastHop is leaking", got, max)
 	}
 	for i := 0; i < nodes; i++ {
-		if got := cl.states[i].dedupSize(); got > retain {
+		if got := states(cl)[i].dedupSize(); got > retain {
 			t.Fatalf("node %d holds %d dedup entries, want ≤ %d", i, got, retain)
 		}
 	}

@@ -23,6 +23,10 @@ func init() {
 	RegisterState(&ringState{})
 	RegisterState(&dotState{})
 	RegisterState(&rowState{})
+	// Node variables set from outside a daemon cross a gob frame inside an
+	// interface value, so their dynamic types are registered like state.
+	RegisterState([][]float64{})
+	RegisterState([][]int64{})
 
 	Register("ring", func(ctx *Ctx) Verdict {
 		st := ctx.State().(*ringState)
@@ -124,14 +128,59 @@ func newCluster(t *testing.T, n int) *Cluster {
 	return cl
 }
 
+// states peeks at every node's resident state behind the control surface.
+func states(cl *Cluster) []*nodeState {
+	out := make([]*nodeState, len(cl.hosts))
+	for i, h := range cl.hosts {
+		out[i] = h.node
+	}
+	return out
+}
+
+// inject starts a default-namespace agent; an injection the daemon did
+// not acknowledge fails the test.
+func inject(t testing.TB, cl *Cluster, node int, behavior string, state any) {
+	t.Helper()
+	if err := cl.Inject(node, behavior, state); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func setVar(t testing.TB, cl *Cluster, node int, name string, v any) {
+	t.Helper()
+	if err := cl.SetVar(node, name, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func getVar(t testing.TB, cl *Cluster, node int, name string) any {
+	t.Helper()
+	v, err := cl.GetVar(node, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// jobCounters reads job's counter slice summed over the cluster, from one
+// snapshot round every member answered.
+func jobCounters(t testing.TB, rc *RemoteCluster, job uint64) counters {
+	t.Helper()
+	c, complete := rc.snapshotJob(job)
+	if !complete {
+		t.Fatalf("job %d snapshot round incomplete: a member did not answer", job)
+	}
+	return c
+}
+
 func TestRingAgentCrossesRealSockets(t *testing.T) {
 	cl := newCluster(t, 4)
-	cl.Inject(0, "ring", &ringState{Laps: 3})
+	inject(t, cl, 0, "ring", &ringState{Laps: 3})
 	if err := cl.Wait(waitTimeout); err != nil {
 		t.Fatal(err)
 	}
 	// Three laps over nodes 0..3 summing node ids: 3 × (0+1+2+3).
-	got := cl.Get(3, "ringsum")
+	got := getVar(t, cl, 3, "ringsum")
 	if got != int64(18) {
 		t.Fatalf("ringsum = %v, want 18", got)
 	}
@@ -148,34 +197,34 @@ func TestDistributedDotProduct(t *testing.T) {
 			y[i] = 2
 			next++
 		}
-		cl.Set(pe, "x", x)
-		cl.Set(pe, "y", y)
+		setVar(t, cl, pe, "x", x)
+		setVar(t, cl, pe, "y", y)
 	}
-	cl.Inject(0, "dot", &dotState{})
+	inject(t, cl, 0, "dot", &dotState{})
 	if err := cl.Wait(waitTimeout); err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.Get(2, "result"); got != float64(156) {
+	if got := getVar(t, cl, 2, "result"); got != float64(156) {
 		t.Fatalf("dot = %v, want 156", got)
 	}
 }
 
 func TestEventsSynchronizeAcrossWireAgents(t *testing.T) {
 	cl := newCluster(t, 2)
-	cl.Inject(0, "consumer", nil) // hops to node 1, waits
+	inject(t, cl, 0, "consumer", nil) // hops to node 1, waits
 	time.Sleep(10 * time.Millisecond)
-	cl.Inject(1, "producer", nil)
+	inject(t, cl, 1, "producer", nil)
 	if err := cl.Wait(waitTimeout); err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.Get(1, "consumed"); got != 99 {
+	if got := getVar(t, cl, 1, "consumed"); got != 99 {
 		t.Fatalf("consumed = %v, want 99", got)
 	}
 }
 
 func TestLocalInjectionSpawnsAgents(t *testing.T) {
 	cl := newCluster(t, 3)
-	cl.Inject(1, "spawner", nil)
+	inject(t, cl, 1, "spawner", nil)
 	if err := cl.Wait(waitTimeout); err != nil {
 		t.Fatal(err)
 	}
@@ -205,13 +254,13 @@ func TestMatMulDSCOverWire(t *testing.T) {
 			}
 			bcols[lj] = col
 		}
-		cl.Set(pe, "Bcols", bcols)
+		setVar(t, cl, pe, "Bcols", bcols)
 	}
 	rows := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		rows[i] = append([]float64(nil), a.Row(i)...)
 	}
-	cl.Inject(0, "RowCarrier", &rowState{Mi: 0, Rows: n, Row: rows[0], NextRows: rows[1:]})
+	inject(t, cl, 0, "RowCarrier", &rowState{Mi: 0, Rows: n, Row: rows[0], NextRows: rows[1:]})
 	if err := cl.Wait(waitTimeout); err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +268,7 @@ func TestMatMulDSCOverWire(t *testing.T) {
 	got := matrix.NewDense(n, n)
 	for pe := 0; pe < pes; pe++ {
 		for i := 0; i < n; i++ {
-			crow := cl.Get(pe, fmt.Sprintf("Crow:%d", i)).([]float64)
+			crow := getVar(t, cl, pe, fmt.Sprintf("Crow:%d", i)).([]float64)
 			for lj, v := range crow {
 				got.Set(i, pe*colsPerPE+lj, v)
 			}
@@ -232,7 +281,7 @@ func TestMatMulDSCOverWire(t *testing.T) {
 
 func TestBehaviorPanicSurfaces(t *testing.T) {
 	cl := newCluster(t, 1)
-	cl.Inject(0, "boom", nil)
+	inject(t, cl, 0, "boom", nil)
 	err := cl.Wait(waitTimeout)
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("err = %v, want panic report", err)
@@ -241,7 +290,7 @@ func TestBehaviorPanicSurfaces(t *testing.T) {
 
 func TestMissingVerdictSurfaces(t *testing.T) {
 	cl := newCluster(t, 1)
-	cl.Inject(0, "noverdict", nil)
+	inject(t, cl, 0, "noverdict", nil)
 	err := cl.Wait(waitTimeout)
 	if err == nil || !strings.Contains(err.Error(), "verdict") {
 		t.Fatalf("err = %v", err)
@@ -250,7 +299,7 @@ func TestMissingVerdictSurfaces(t *testing.T) {
 
 func TestUnregisteredBehaviorSurfaces(t *testing.T) {
 	cl := newCluster(t, 1)
-	cl.Inject(0, "no-such-behavior", nil)
+	inject(t, cl, 0, "no-such-behavior", nil)
 	err := cl.Wait(waitTimeout)
 	if err == nil || !strings.Contains(err.Error(), "not registered") {
 		t.Fatalf("err = %v", err)
@@ -263,7 +312,7 @@ func TestWaitTimesOutOnStuckAgent(t *testing.T) {
 		return ctx.Done()
 	})
 	cl := newCluster(t, 1)
-	cl.Inject(0, "stuck", nil)
+	inject(t, cl, 0, "stuck", nil)
 	err := cl.Wait(300 * time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "timeout") {
 		t.Fatalf("err = %v, want timeout", err)
@@ -284,7 +333,7 @@ func TestManyConcurrentAgents(t *testing.T) {
 	cl := newCluster(t, 4)
 	const agents = 32
 	for i := 0; i < agents; i++ {
-		cl.Inject(i%4, "churn", &ringState{})
+		inject(t, cl, i%4, "churn", &ringState{})
 	}
 	if err := cl.Wait(waitTimeout); err != nil {
 		t.Fatal(err)
