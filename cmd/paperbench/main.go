@@ -261,7 +261,7 @@ func runRegress(dir string, quick bool) error {
 	}
 	// Gates run after both files are written so a red run still leaves
 	// the measurements on disk for diagnosis.
-	if violations := kernels.CheckGates(); len(violations) > 0 {
+	if violations := append(kernels.CheckGates(), wireFile.CheckGates()...); len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, v)
 		}

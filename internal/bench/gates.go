@@ -1,9 +1,9 @@
 package bench
 
-// Regression gates over a freshly measured kernels RegressFile. The
-// harness FAILS (paperbench -regress exits non-zero) when a gate is
+// Regression gates over a freshly measured kernels or wire RegressFile.
+// The harness FAILS (paperbench -regress exits non-zero) when a gate is
 // violated — recording a regression is not enough, the run itself must
-// go red. The thresholds encode the issue's acceptance floors:
+// go red. The kernel thresholds encode the issue's acceptance floors:
 //
 //   - the packed kernel must hold ≥3× the naive baseline (the original
 //     roofline gap this repo's compute path exists to close);
@@ -18,6 +18,18 @@ package bench
 // Quick (CI smoke) runs use loosened thresholds: at n=128 the kernel's
 // cache blocking barely engages and thread overhead dominates, so the
 // quick gates only catch catastrophic breakage, not drift.
+//
+// The wire suite gates the durability layer (DESIGN.md §13.2): a sync
+// must cost what changed, not what the node holds —
+//
+//   - one sync of an 8-byte change on a plateau-shaped node stays under
+//     50 µs (the whole-image snapshot it replaced took 330–450 µs; the
+//     append takes ~3);
+//   - the same sync beside 4 MiB of resident state costs at most 2× the
+//     bare one (the snapshot's ratio was 13–20).
+//
+// Quick runs keep both gates at 4× the slack: on a loaded CI runner the
+// append's microseconds are noisy, a re-encoded image's are not.
 
 import (
 	"fmt"
@@ -49,15 +61,53 @@ const (
 	// -quick runs (n=128, where per-panel overhead is proportionally
 	// large).
 	gateQuickOverhead = 0.50
+
+	// gateSyncPlateauNs caps BenchmarkSync/plateau (full runs).
+	gateSyncPlateauNs = 50e3
+	// gateSyncBallastRatio caps ballast=4MiB over plateau (full runs).
+	gateSyncBallastRatio = 2.0
+	// gateQuickSyncSlack loosens both sync gates for -quick runs.
+	gateQuickSyncSlack = 4.0
 )
 
-// CheckGates evaluates every regression gate against a kernels suite
-// and returns the violations (empty means the run passes). Non-kernel
-// suites have no gates.
+// CheckGates evaluates every regression gate of the file's suite and
+// returns the violations (empty means the run passes).
 func (f *RegressFile) CheckGates() []error {
-	if f.Suite != "kernels" {
-		return nil
+	switch f.Suite {
+	case "kernels":
+		return f.checkKernelGates()
+	case "wire":
+		return f.checkWireGates()
 	}
+	return nil
+}
+
+// checkWireGates holds the durability layer to a sync cost that is
+// small and flat in resident state size.
+func (f *RegressFile) checkWireGates() []error {
+	var errs []error
+	fail := func(format string, args ...any) {
+		errs = append(errs, fmt.Errorf("gate: "+format, args...))
+	}
+	plateau, ballast := f.Find("BenchmarkSync/plateau"), f.Find("BenchmarkSync/ballast=4MiB")
+	if plateau == nil || ballast == nil || plateau.NsPerOp <= 0 {
+		fail("no BenchmarkSync plateau/ballast pair recorded")
+		return errs
+	}
+	ceiling, ratioCap := gateSyncPlateauNs, gateSyncBallastRatio
+	if f.Quick {
+		ceiling, ratioCap = ceiling*gateQuickSyncSlack, ratioCap*gateQuickSyncSlack
+	}
+	if plateau.NsPerOp > ceiling {
+		fail("sync on the serving plateau is %.1f µs, above the %.0f µs ceiling", plateau.NsPerOp/1e3, ceiling/1e3)
+	}
+	if ratio := ballast.NsPerOp / plateau.NsPerOp; ratio > ratioCap {
+		fail("sync beside 4 MiB of ballast is %.2fx the plateau sync, above %.1fx — its cost follows resident state, not what changed", ratio, ratioCap)
+	}
+	return errs
+}
+
+func (f *RegressFile) checkKernelGates() []error {
 	var errs []error
 	fail := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf("gate: "+format, args...))

@@ -120,10 +120,52 @@ func TestGatesQuickMode(t *testing.T) {
 	}
 }
 
-// TestGatesIgnoreNonKernelSuites pins that wire files are ungated.
+// TestGatesIgnoreNonKernelSuites pins that a suite without gates of its
+// own is ungated, and that the wire suite faces its own gates (see
+// TestWireGates), never the kernel ones.
 func TestGatesIgnoreNonKernelSuites(t *testing.T) {
-	f := &RegressFile{Schema: 2, Suite: "wire"}
+	f := &RegressFile{Schema: 2, Suite: "sched"}
 	if errs := f.CheckGates(); len(errs) != 0 {
+		t.Fatalf("sched suite hit gates: %v", errs)
+	}
+	f = &RegressFile{Schema: 2, Suite: "wire"}
+	if errs := f.CheckGates(); hasViolation(errs, "kernel") {
 		t.Fatalf("wire suite hit kernel gates: %v", errs)
+	}
+}
+
+// wireGateFile builds a synthetic wire RegressFile holding the two
+// BenchmarkSync rows.
+func wireGateFile(quick bool, plateauNs, ballastNs float64) *RegressFile {
+	return &RegressFile{Schema: 2, Suite: "wire", Quick: quick, Results: []RegressResult{
+		{Name: "BenchmarkSync/plateau", NsPerOp: plateauNs},
+		{Name: "BenchmarkSync/ballast=4MiB", NsPerOp: ballastNs},
+	}}
+}
+
+// TestWireGates pins the durability gates: a sync that costs what
+// changed passes; one that is slow, or that follows resident state
+// size, fails — with -quick loosening both, not removing them.
+func TestWireGates(t *testing.T) {
+	if errs := wireGateFile(false, 3300, 3500).CheckGates(); len(errs) != 0 {
+		t.Fatalf("append-log numbers violated gates: %v", errs)
+	}
+	// The whole-image snapshot this gate was set against.
+	errs := wireGateFile(false, 400e3, 6e6).CheckGates()
+	if !hasViolation(errs, "above the 50 µs ceiling") || !hasViolation(errs, "follows resident state") {
+		t.Fatalf("whole-image numbers passed the wire gates: %v", errs)
+	}
+	if errs := wireGateFile(false, 10e3, 25e3).CheckGates(); !hasViolation(errs, "2.50x the plateau sync") {
+		t.Fatalf("a 2.5x ballast ratio passed the 2x gate: %v", errs)
+	}
+	if errs := wireGateFile(true, 120e3, 300e3).CheckGates(); len(errs) != 0 {
+		t.Fatalf("quick run within the loosened gates failed: %v", errs)
+	}
+	if errs := wireGateFile(true, 400e3, 6e6).CheckGates(); len(errs) != 2 {
+		t.Fatalf("whole-image numbers passed the quick wire gates: %v", errs)
+	}
+	missing := &RegressFile{Schema: 2, Suite: "wire"}
+	if errs := missing.CheckGates(); !hasViolation(errs, "no BenchmarkSync") {
+		t.Fatalf("a wire file without the sync rows passed: %v", errs)
 	}
 }

@@ -13,6 +13,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"runtime"
 	"testing"
 
@@ -219,7 +220,8 @@ func regressBlockStateN(n int) *regressBlockState {
 
 // RegressWire measures the wire data path: frame encode (the pooled
 // zero-copy fast path), frame decode, and the hop-boundary checkpoint
-// snapshot, over a control-size state and block-carrying states.
+// snapshot, over a control-size state and block-carrying states; then
+// the persist-before-acknowledge sync against resident state size.
 func RegressWire(quick bool) (*RegressFile, error) {
 	f := newRegressFile("wire", quick)
 	cases := []struct {
@@ -273,6 +275,34 @@ func RegressWire(quick bool) (*RegressFile, error) {
 			}
 		})
 		f.Results = append(f.Results, withMBPerSec(res, snap))
+	}
+
+	// The durability layer: one sync of an 8-byte change on a
+	// plateau-shaped node, bare and beside 4 MiB of resident state. Both
+	// run in quick mode too — the pair is what the wire gates read.
+	for _, c := range []struct {
+		name    string
+		ballast int
+	}{{"plateau", 0}, {"ballast=4MiB", 4 << 20}} {
+		dir, err := os.MkdirTemp("", "navp-benchsync-")
+		if err != nil {
+			return nil, fmt.Errorf("bench: sync %s: %w", c.name, err)
+		}
+		step, closeNode, err := wire.BenchSyncNode(dir, c.ballast)
+		if err != nil {
+			os.RemoveAll(dir)
+			return nil, fmt.Errorf("bench: sync %s: %w", c.name, err)
+		}
+		res := benchmarked("BenchmarkSync/"+c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		closeNode()
+		os.RemoveAll(dir)
+		f.Results = append(f.Results, res)
 	}
 	return f, nil
 }

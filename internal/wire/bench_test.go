@@ -153,3 +153,30 @@ func BenchmarkWireConcurrentAgents(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// BenchmarkSync measures one sync of an 8-byte change on a node at the
+// serving plateau, bare and beside a 4 MiB variable — the cost a SetVar,
+// an inject and a hop accept pay before their acknowledgement, and the
+// pair BENCH_wire.json gates (flat in resident state size).
+func BenchmarkSync(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		ballast int
+	}{{"plateau", 0}, {"ballast=4MiB", 4 << 20}} {
+		c := c
+		b.Run(c.name, func(b *testing.B) {
+			step, closeNode, err := BenchSyncNode(b.TempDir(), c.ballast)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer closeNode()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := step(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // nodeState is the node-resident persistent state of one cluster node:
@@ -28,9 +29,15 @@ type nodeState struct {
 	met     *wireMetrics
 	retain  int        // dedup high-water mark (Options.DedupRetain)
 	cancels *cancelSet // cancelled job namespaces
-	persist *persister // disk snapshots; nil without a state directory
+	persist *persister // snapshot + log on disk; nil without a state directory
+
+	// seq numbers the node's durable mutations across all three lock
+	// domains (this one, vars, cancels); sync() compares it with what the
+	// log covers. It stays zero when persist is nil.
+	seq atomic.Uint64
 
 	mu        sync.Mutex
+	dirty     *dirtySet[recKey]      // keys changed since the last batch; nil when persist is nil
 	ckpt      map[uint64]*checkpoint // agent ID → last completed hop boundary
 	lastHop   map[uint64]uint64      // agent ID → highest accepted hop (dedup)
 	perJob    map[uint64]*counters   // job namespace → its slice of the counters
@@ -40,8 +47,13 @@ type nodeState struct {
 	// retired is the FIFO of dedup entries whose agents are no longer
 	// resident (hopped away or finished), awaiting high-water eviction;
 	// retiredHead indexes its oldest live element. See retireDedup.
-	retired     []dedupRetired
-	retiredHead int
+	// Entries are numbered from the node's first retirement — retiredBase
+	// is retired[0]'s number — so the log appends them by position, and
+	// retiredLogged is the position the log has reached.
+	retired       []dedupRetired
+	retiredHead   int
+	retiredBase   uint64
+	retiredLogged uint64
 
 	// Migration and elasticity state (DESIGN.md §16). migrations and
 	// reroutes pin a destination choice *before* the frame is shipped, so
@@ -88,8 +100,9 @@ type checkpoint struct {
 // retires it instead of running its step: the mechanism that propagates
 // job cancellation through hops.
 type cancelSet struct {
-	mu sync.Mutex
-	m  map[uint64]struct{}
+	mu    sync.Mutex
+	m     map[uint64]struct{}
+	dirty *dirtySet[uint64] // marks changed since the last batch; nil without persistence
 }
 
 func newCancelSet() *cancelSet { return &cancelSet{m: map[uint64]struct{}{}} }
@@ -100,7 +113,10 @@ func newCancelSet() *cancelSet { return &cancelSet{m: map[uint64]struct{}{}} }
 //navplint:fact durable
 func (cs *cancelSet) cancel(job uint64) {
 	cs.mu.Lock()
-	cs.m[job] = struct{}{}
+	if _, ok := cs.m[job]; !ok {
+		cs.m[job] = struct{}{}
+		cs.dirty.mark(job)
+	}
 	cs.mu.Unlock()
 }
 
@@ -117,7 +133,10 @@ func (cs *cancelSet) cancelled(job uint64) bool {
 //navplint:fact durable
 func (cs *cancelSet) release(job uint64) {
 	cs.mu.Lock()
-	delete(cs.m, job)
+	if _, ok := cs.m[job]; ok {
+		delete(cs.m, job)
+		cs.dirty.mark(job)
+	}
 	cs.mu.Unlock()
 }
 
@@ -137,6 +156,10 @@ func newNodeState(id int, met *wireMetrics, retain int) *nodeState {
 // it on first use. Callers hold ns.mu. Entries are removed by releaseJob
 // once the scheduler is done with a namespace, so per-job bookkeeping
 // does not accumulate across a long-lived serving cluster.
+//
+// Every caller is about to move a counter, and moves the node totals in
+// the meta key in the same breath, so both are marked dirty here — the
+// caller keeps ns.mu until the move is made, and capture takes ns.mu.
 func (ns *nodeState) jobCounters(job uint64) *counters {
 	c, ok := ns.perJob[job]
 	if !ok {
@@ -144,7 +167,18 @@ func (ns *nodeState) jobCounters(job uint64) *counters {
 		ns.perJob[job] = c
 		ns.met.jobsTracked.Add(1)
 	}
+	ns.dirty.mark(recKey{domJob, job})
+	ns.dirty.mark(metaKey)
 	return c
+}
+
+// delJobCounters drops job's counter slice. Callers hold ns.mu.
+func (ns *nodeState) delJobCounters(job uint64) {
+	if _, ok := ns.perJob[job]; ok {
+		delete(ns.perJob, job)
+		ns.met.jobsTracked.Add(-1)
+		ns.dirty.mark(recKey{domJob, job})
+	}
 }
 
 // releaseJob drops job's counter slice (called by the cluster after the
@@ -153,10 +187,7 @@ func (ns *nodeState) jobCounters(job uint64) *counters {
 //navplint:fact durable
 func (ns *nodeState) releaseJob(job uint64) {
 	ns.mu.Lock()
-	if _, ok := ns.perJob[job]; ok {
-		delete(ns.perJob, job)
-		ns.met.jobsTracked.Add(-1)
-	}
+	ns.delJobCounters(job)
 	ns.mu.Unlock()
 }
 
@@ -167,6 +198,16 @@ func (ns *nodeState) setLastHop(id, hop uint64) {
 		ns.met.dedupSize.Add(1)
 	}
 	ns.lastHop[id] = hop
+	ns.dirty.mark(recKey{domHop, id})
+}
+
+// delLastHop forgets id's dedup entry. Callers hold ns.mu.
+func (ns *nodeState) delLastHop(id uint64) {
+	if _, ok := ns.lastHop[id]; ok {
+		delete(ns.lastHop, id)
+		ns.met.dedupSize.Add(-1)
+		ns.dirty.mark(recKey{domHop, id})
+	}
 }
 
 // putCkpt installs or replaces an agent's checkpoint, keeping the
@@ -176,6 +217,7 @@ func (ns *nodeState) putCkpt(id uint64, c *checkpoint) {
 		ns.met.ckptSize.Add(1)
 	}
 	ns.ckpt[id] = c
+	ns.dirty.mark(recKey{domCkpt, id})
 }
 
 // delCkpt removes an agent's checkpoint. Callers hold ns.mu.
@@ -183,6 +225,22 @@ func (ns *nodeState) delCkpt(id uint64) {
 	if _, ok := ns.ckpt[id]; ok {
 		ns.met.ckptSize.Add(-1)
 		delete(ns.ckpt, id)
+		ns.dirty.mark(recKey{domCkpt, id})
+	}
+}
+
+// setPin and delPin write the migration (domMig) and reroute
+// (domReroute) destination tables. Callers hold ns.mu.
+func (ns *nodeState) setPin(dom byte, id uint64, dst int) {
+	ns.pins(dom)[id] = dst
+	ns.dirty.mark(recKey{dom, id})
+}
+
+func (ns *nodeState) delPin(dom byte, id uint64) {
+	m := ns.pins(dom)
+	if _, ok := m[id]; ok {
+		delete(m, id)
+		ns.dirty.mark(recKey{dom, id})
 	}
 }
 
@@ -223,12 +281,12 @@ func (ns *nodeState) delCkpt(id uint64) {
 //     entry is skipped and the newer retirement governs.
 func (ns *nodeState) retireDedup(id, hop uint64) {
 	ns.retired = append(ns.retired, dedupRetired{id: id, hop: hop})
+	ns.dirty.mark(metaKey) // the queue's new entries and head travel with the meta key
 	for len(ns.retired)-ns.retiredHead > ns.retain {
 		e := ns.retired[ns.retiredHead]
 		ns.retiredHead++
 		if cur, ok := ns.lastHop[e.id]; ok && cur == e.hop {
-			delete(ns.lastHop, e.id)
-			ns.met.dedupSize.Add(-1)
+			ns.delLastHop(e.id)
 			ns.met.dedupEvicted.Inc()
 		}
 	}
@@ -237,6 +295,7 @@ func (ns *nodeState) retireDedup(id, hop uint64) {
 	if ns.retiredHead > ns.retain {
 		n := copy(ns.retired, ns.retired[ns.retiredHead:])
 		ns.retired = ns.retired[:n]
+		ns.retiredBase += uint64(ns.retiredHead)
 		ns.retiredHead = 0
 	}
 }
@@ -268,6 +327,7 @@ func (ns *nodeState) newAgentID() uint64 {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	ns.nextAgent++
+	ns.dirty.mark(metaKey)
 	return uint64(ns.id)<<40 | ns.nextAgent
 }
 
@@ -383,8 +443,8 @@ func (ns *nodeState) ackDelivered(id, prevHop uint64) bool {
 	// The agent is now owned downstream: its pinned migration and
 	// reroute choices are spent, and its dedup entry here starts its
 	// high-water retirement countdown.
-	delete(ns.migrations, id)
-	delete(ns.reroutes, id)
+	ns.delPin(domMig, id)
+	ns.delPin(domReroute, id)
 	ns.retireDedup(id, prevHop)
 	return true
 }
@@ -402,8 +462,8 @@ func (ns *nodeState) complete(id, hop uint64) bool {
 	ns.finished++
 	ns.jobCounters(cur.job).Finished++
 	ns.met.agentsCompleted.Inc()
-	delete(ns.migrations, id)
-	delete(ns.reroutes, id)
+	ns.delPin(domMig, id)
+	ns.delPin(domReroute, id)
 	// Terminal retirement: the finished agent's dedup entry is queued
 	// for eviction rather than deleted outright, so late duplicates of
 	// its final inbound hop are still recognized for a further `retain`

@@ -140,9 +140,10 @@ func (d *daemon) handle(conn net.Conn) {
 				// Refused ack is the sender's proof that no copy of the
 				// agent exists here, which is what makes its reroute to a
 				// live member exactly-once safe. The refusal itself
-				// mutates nothing, but the sync is unconditional — like
-				// the dup-ack sync below, it persists an unchanged image
-				// (coalesced by the persister) so the
+				// mutates nothing, so this sync finds the mutation
+				// sequence already covered and writes nothing (pinned by
+				// TestDuplicateAndRefusedFramesWriteNothing); it is here,
+				// like the dup-ack sync below, so the
 				// persist-before-acknowledge ordering holds on every
 				// path of this loop, not just the accepting ones.
 				d.node.met.framesRefused.Inc()
@@ -162,10 +163,11 @@ func (d *daemon) handle(conn net.Conn) {
 			// Persist the acceptance BEFORE acknowledging it: once the
 			// ack is out, the sender retires its checkpoint and this
 			// node owns the only durable copy of the agent. The sync is
-			// unconditional — on a duplicate it persists an unchanged
-			// image, which the persister coalesces — so the
-			// persist-before-acknowledge ordering holds on every path,
-			// not just the ones that happen to correlate with !dup.
+			// unconditional so the persist-before-acknowledge ordering
+			// holds on every path, not just the ones that happen to
+			// correlate with !dup; a duplicate dirtied nothing, and a
+			// sync with nothing newer than the log's last batch returns
+			// without a write.
 			if err := d.node.sync(); err != nil {
 				d.fail(err)
 				return
@@ -864,7 +866,7 @@ func (d *daemon) reroute(msg *agentMsg, failed int) int {
 	return nd
 }
 
-// syncLazily persists the node image after an internal transition
+// syncLazily persists what changed after an internal transition
 // (checkpoint retirement, completion, local rehop). Unlike the
 // pre-acknowledgement sync these are promptness-only — a crash that
 // loses one merely re-runs a step from its hop boundary — but a

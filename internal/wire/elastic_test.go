@@ -190,7 +190,7 @@ func TestDrainNodeEvacuatesAndReroutes(t *testing.T) {
 	}
 }
 
-// TestElasticStateSurvivesPersistRoundTrip pins the schema-2 image:
+// TestElasticStateSurvivesPersistRoundTrip pins the elastic keys of the image:
 // every destination pin, freeze mark, drain flag, and absorb record
 // must round-trip, or a crashed node would forget decisions it already
 // acted on.
@@ -210,14 +210,19 @@ func TestElasticStateSurvivesPersistRoundTrip(t *testing.T) {
 		t.Fatalf("pinAbsorbTarget = %d, want 1", got)
 	}
 
-	img, err := src.export()
+	// Round trip through a state directory: the image is written as a
+	// snapshot (src was mutated before any persister tracked it) and read
+	// back into a fresh node.
+	dir := t.TempDir()
+	p, err := newPersister(dir, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := newNodeState(3, newWireMetrics(metrics.NewRegistry()), 64)
-	if err := dst.restore(img); err != nil {
+	if err := src.compact(); err != nil {
 		t.Fatal(err)
 	}
+	p.close()
+	dst := loadState(t, dir, 3, 64)
 	for id, want := range map[uint64]int{11: 1, 12: 2} {
 		if got, ok := dst.migrateTarget(id); !ok || got != want {
 			t.Fatalf("migration pin %d = (%d, %v), want %d", id, got, ok, want)

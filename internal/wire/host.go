@@ -17,7 +17,7 @@ import (
 // them in one address space. The durable half of the node (counters,
 // checkpoints, variables, cancellation marks) lives in a state directory
 // on the host's disk; the daemon incarnation is disposable, and kill -9
-// merely forces the next incarnation to reload the snapshot and replay
+// merely forces the next incarnation to reload snapshot and log and replay
 // its checkpointed agents — exactly what the in-process supervisor does
 // after an injected kill, minus the reload.
 //
@@ -48,7 +48,8 @@ type HostConfig struct {
 	// Join is the address of any live member to join through. The host's
 	// node id is assigned by the cluster.
 	Join string
-	// StateDir is where the node persists its snapshot; empty disables
+	// StateDir is where the node persists its snapshot and log (one
+	// daemon per directory; a second is refused); empty disables
 	// persistence (a kill then loses the node, which only tests want).
 	StateDir string
 	// Options carries the wire runtime knobs (timeouts, metrics, fault
@@ -124,23 +125,9 @@ func StartHost(cfg HostConfig) (*Host, error) {
 
 	node := newNodeState(id, newWireMetrics(opts.Metrics), opts.DedupRetain)
 	if cfg.StateDir != "" {
-		p, err := newPersister(cfg.StateDir)
-		if err != nil {
+		if _, err := newPersister(cfg.StateDir, node); err != nil {
 			return fail(err)
 		}
-		img, found, err := p.load()
-		if err != nil {
-			return fail(err)
-		}
-		if found {
-			if img.Node != id {
-				return fail(fmt.Errorf("wire: state dir %s belongs to node %d, not %d", cfg.StateDir, img.Node, id))
-			}
-			if err := node.restore(img); err != nil {
-				return fail(err)
-			}
-		}
-		node.persist = p
 	}
 
 	h := &Host{ID: id, Addr: addr, node: node, members: members, opts: opts,
@@ -249,9 +236,14 @@ func (h *Host) WaitShutdown() error {
 // Metrics exposes the host's metric registry.
 func (h *Host) Metrics() *metrics.Registry { return h.opts.Metrics }
 
-// Close terminates the daemon incarnation. The state directory — the
-// node — survives.
-func (h *Host) Close() { h.incarnation().terminate() }
+// Close terminates the daemon incarnation and releases the state
+// directory (its log descriptor and lock), so the node's next
+// incarnation — in this process or another — can claim it. The state
+// directory — the node — survives.
+func (h *Host) Close() {
+	h.incarnation().terminate()
+	h.node.persist.close()
+}
 
 // Environment-variable configuration for re-exec'd host processes. A
 // parent (paperbench, a test binary) sets HostModeEnv and spawns its own

@@ -48,6 +48,16 @@ const (
 	MetricAgentsParked   = "wire.agents.parked"
 	MetricFramesRefused  = "wire.frames.refused"
 	MetricDrains         = "wire.drains"
+	// Persistence (DESIGN.md §13.2; all zero without a state directory):
+	// wall-clock microseconds of each sync that wrote a batch (capture,
+	// append, and the compaction it may trigger), bytes appended as
+	// batches, the current log generation's size, snapshot compactions,
+	// and log batches replayed when a host reloaded its directory.
+	MetricPersistSyncUS      = "wire.persist.sync_us"
+	MetricPersistBatchBytes  = "wire.persist.batch_bytes"
+	MetricPersistLogBytes    = "wire.persist.log_bytes"
+	MetricPersistCompactions = "wire.persist.compactions"
+	MetricPersistReplayed    = "wire.persist.replayed_batches"
 )
 
 // wireMetrics holds the pre-resolved metric handles shared by every
@@ -75,11 +85,21 @@ type wireMetrics struct {
 	inboundConns    *metrics.Gauge
 	jobsTracked     *metrics.Gauge
 	agentsParked    *metrics.Gauge
+
+	persistSyncUS      *metrics.Histogram
+	persistBatchBytes  *metrics.Counter
+	persistLogBytes    *metrics.Gauge
+	persistCompactions *metrics.Counter
+	persistReplayed    *metrics.Counter
 }
 
 // ackLatencyBounds ladders from 50µs to ~1.6s; loopback acks land in
 // the early buckets, retry-delayed ones spread up the tail.
 var ackLatencyBounds = metrics.ExponentialBounds(50, 2, 16)
+
+// syncBounds ladders from 1µs to ~65ms: a batch append sits in the first
+// few buckets, a compaction of a large image up the tail.
+var syncBounds = metrics.ExponentialBounds(1, 2, 17)
 
 // newWireMetrics resolves every wire metric in r. A nil registry yields
 // valid no-op handles, so instrumented code never branches.
@@ -106,5 +126,11 @@ func newWireMetrics(r *metrics.Registry) *wireMetrics {
 		inboundConns:    r.Gauge(MetricInboundConns),
 		jobsTracked:     r.Gauge(MetricJobsTracked),
 		agentsParked:    r.Gauge(MetricAgentsParked),
+
+		persistSyncUS:      r.Histogram(MetricPersistSyncUS, syncBounds),
+		persistBatchBytes:  r.Counter(MetricPersistBatchBytes),
+		persistLogBytes:    r.Gauge(MetricPersistLogBytes),
+		persistCompactions: r.Counter(MetricPersistCompactions),
+		persistReplayed:    r.Counter(MetricPersistReplayed),
 	}
 }

@@ -50,7 +50,7 @@ func (ns *nodeState) markMigrations(dst int, job uint64, max int) []uint64 {
 		if _, ok := ns.migrations[id]; ok {
 			continue
 		}
-		ns.migrations[id] = dst
+		ns.setPin(domMig, id, dst)
 		marked = append(marked, id)
 	}
 	return marked
@@ -68,7 +68,7 @@ func (ns *nodeState) assignMigration(id uint64, dst int) int {
 	if cur, ok := ns.migrations[id]; ok {
 		return cur
 	}
-	ns.migrations[id] = dst
+	ns.setPin(domMig, id, dst)
 	return dst
 }
 
@@ -86,7 +86,7 @@ func (ns *nodeState) migrateTarget(id uint64) (int, bool) {
 //navplint:fact durable
 func (ns *nodeState) clearMigration(id uint64) {
 	ns.mu.Lock()
-	delete(ns.migrations, id)
+	ns.delPin(domMig, id)
 	ns.mu.Unlock()
 }
 
@@ -110,7 +110,7 @@ func (ns *nodeState) rerouteFor(id uint64) (int, bool) {
 //navplint:fact durable
 func (ns *nodeState) pinReroute(id uint64, dst int) {
 	ns.mu.Lock()
-	ns.reroutes[id] = dst
+	ns.setPin(domReroute, id, dst)
 	ns.mu.Unlock()
 }
 
@@ -121,7 +121,10 @@ func (ns *nodeState) pinReroute(id uint64, dst int) {
 //navplint:fact durable
 func (ns *nodeState) freeze(job uint64) {
 	ns.mu.Lock()
-	ns.frozen[job] = struct{}{}
+	if _, ok := ns.frozen[job]; !ok {
+		ns.frozen[job] = struct{}{}
+		ns.dirty.mark(recKey{domFrozen, job})
+	}
 	ns.mu.Unlock()
 }
 
@@ -155,8 +158,9 @@ func (ns *nodeState) park(msg *agentMsg, replay bool) {
 func (ns *nodeState) thaw(job uint64) []*parkedAgent {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
-	if job != 0 {
+	if _, ok := ns.frozen[job]; ok && job != 0 {
 		delete(ns.frozen, job)
+		ns.dirty.mark(recKey{domFrozen, job})
 	}
 	var out []*parkedAgent
 	for id, p := range ns.parked {
@@ -196,7 +200,7 @@ func (ns *nodeState) sweepStaleMarks() {
 	ns.mu.Lock()
 	for id := range ns.migrations {
 		if _, ok := ns.ckpt[id]; !ok {
-			delete(ns.migrations, id)
+			ns.delPin(domMig, id)
 		}
 	}
 	ns.mu.Unlock()
@@ -211,6 +215,7 @@ func (ns *nodeState) sweepStaleMarks() {
 func (ns *nodeState) setDraining(v bool) {
 	ns.mu.Lock()
 	ns.draining = v
+	ns.dirty.mark(metaKey)
 	ns.mu.Unlock()
 }
 
@@ -224,6 +229,7 @@ func (ns *nodeState) isDraining() bool {
 func (ns *nodeState) setEvacuated(v bool) {
 	ns.mu.Lock()
 	ns.evacuated = v
+	ns.dirty.mark(metaKey)
 	ns.mu.Unlock()
 }
 
@@ -237,6 +243,7 @@ func (ns *nodeState) isEvacuated() bool {
 func (ns *nodeState) setDrained() {
 	ns.mu.Lock()
 	ns.drained = true
+	ns.dirty.mark(metaKey)
 	ns.mu.Unlock()
 }
 
@@ -260,6 +267,7 @@ func (ns *nodeState) pinAbsorbTarget(pick func() int) int {
 		return ns.absorbTarget
 	}
 	ns.absorbTarget = pick()
+	ns.dirty.mark(metaKey)
 	return ns.absorbTarget
 }
 
@@ -291,6 +299,8 @@ func (ns *nodeState) absorb(src int, total counters, perJob map[uint64]counters)
 		return false
 	}
 	ns.absorbed[src] = true
+	ns.dirty.mark(recKey{domAbsorbed, uint64(src)})
+	ns.dirty.mark(metaKey)
 	ns.created += total.Created
 	ns.finished += total.Finished
 	ns.sent += total.Sent

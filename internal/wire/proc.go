@@ -132,7 +132,9 @@ func (p *HostProc) Wait(timeout time.Duration) (error, bool) {
 // Respawn starts a fresh process for the same node: same advertised
 // address (rebinding it), same state directory, static identity. This is
 // the operator restarting a crashed host; the new incarnation reloads
-// the snapshot and replays its checkpointed agents.
+// snapshot and log and replays its checkpointed agents. The dead
+// process must have been reaped (Kill9 waits for that): its lock on the
+// state directory goes with it, and a live holder refuses the respawn.
 func (p *HostProc) Respawn(peers []string, extraEnv ...string) (*HostProc, error) {
 	cfg := p.cfg
 	cfg.Listen = p.Addr

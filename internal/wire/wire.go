@@ -169,8 +169,9 @@ func (c *Ctx) Done() Verdict { return Verdict{stop: true} }
 
 // store is a daemon's node-variable table.
 type store struct {
-	mu sync.Mutex
-	m  map[string]any
+	mu    sync.Mutex
+	m     map[string]any
+	dirty *dirtySet[string] // names changed since the last batch; nil without persistence
 }
 
 func newStore() *store { return &store{m: map[string]any{}} }
@@ -189,6 +190,7 @@ func (s *store) get(name string) any {
 func (s *store) set(name string, v any) {
 	s.mu.Lock()
 	s.m[name] = v
+	s.dirty.mark(name)
 	s.mu.Unlock()
 }
 
@@ -201,6 +203,7 @@ func (s *store) deletePrefix(prefix string) {
 	for name := range s.m {
 		if len(name) >= len(prefix) && name[:len(prefix)] == prefix {
 			delete(s.m, name)
+			s.dirty.mark(name)
 		}
 	}
 	s.mu.Unlock()
