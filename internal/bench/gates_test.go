@@ -135,11 +135,19 @@ func TestGatesIgnoreNonKernelSuites(t *testing.T) {
 }
 
 // wireGateFile builds a synthetic wire RegressFile holding the two
-// BenchmarkSync rows.
+// BenchmarkSync rows and a BenchmarkControlRoundTrip pair that passes.
 func wireGateFile(quick bool, plateauNs, ballastNs float64) *RegressFile {
+	return ctlGateFile(quick, 230e3, 80e3, plateauNs, ballastNs)
+}
+
+// ctlGateFile is wireGateFile with the control round-trip pair chosen
+// too.
+func ctlGateFile(quick bool, serialNs, burstNs, plateauNs, ballastNs float64) *RegressFile {
 	return &RegressFile{Schema: 2, Suite: "wire", Quick: quick, Results: []RegressResult{
 		{Name: "BenchmarkSync/plateau", NsPerOp: plateauNs},
 		{Name: "BenchmarkSync/ballast=4MiB", NsPerOp: ballastNs},
+		{Name: "BenchmarkControlRoundTrip/serial", NsPerOp: serialNs},
+		{Name: "BenchmarkControlRoundTrip/burst=16", NsPerOp: burstNs},
 	}}
 }
 
@@ -167,5 +175,32 @@ func TestWireGates(t *testing.T) {
 	missing := &RegressFile{Schema: 2, Suite: "wire"}
 	if errs := missing.CheckGates(); !hasViolation(errs, "no BenchmarkSync") {
 		t.Fatalf("a wire file without the sync rows passed: %v", errs)
+	}
+}
+
+// TestGatesControlRoundTrip pins the control-plane gates: a
+// connection that overlaps its callers passes; one whose burst queues
+// (the serialized connection's numbers), or whose lone call pays too
+// much for the pipelining, fails — and -quick loosens, never removes.
+func TestGatesControlRoundTrip(t *testing.T) {
+	if errs := ctlGateFile(false, 230e3, 80e3, 3300, 3500).CheckGates(); len(errs) != 0 {
+		t.Fatalf("pipelined numbers violated gates: %v", errs)
+	}
+	// The serialized connection: a fine lone call, a burst that takes turns.
+	if errs := ctlGateFile(false, 140e3, 250e3, 3300, 3500).CheckGates(); len(errs) != 1 || !hasViolation(errs, "not overlapping its callers") {
+		t.Fatalf("serialized numbers passed the burst gate: %v", errs)
+	}
+	if errs := ctlGateFile(false, 450e3, 90e3, 3300, 3500).CheckGates(); len(errs) != 1 || !hasViolation(errs, "above the 400 µs ceiling") {
+		t.Fatalf("a 450 µs lone round trip passed the ceiling: %v", errs)
+	}
+	if errs := ctlGateFile(true, 900e3, 1200e3, 3300, 3500).CheckGates(); len(errs) != 0 {
+		t.Fatalf("quick run within the loosened control gates failed: %v", errs)
+	}
+	if errs := ctlGateFile(true, 2e6, 6e6, 3300, 3500).CheckGates(); len(errs) != 2 {
+		t.Fatalf("a slow, serialized quick run passed the control gates: %v", errs)
+	}
+	noCtl := &RegressFile{Schema: 2, Suite: "wire", Results: wireGateFile(false, 3300, 3500).Results[:2]}
+	if errs := noCtl.CheckGates(); len(errs) != 1 || !hasViolation(errs, "no BenchmarkControlRoundTrip") {
+		t.Fatalf("a wire file without the control round-trip rows passed: %v", errs)
 	}
 }

@@ -221,7 +221,8 @@ func regressBlockStateN(n int) *regressBlockState {
 // RegressWire measures the wire data path: frame encode (the pooled
 // zero-copy fast path), frame decode, and the hop-boundary checkpoint
 // snapshot, over a control-size state and block-carrying states; then
-// the persist-before-acknowledge sync against resident state size.
+// the persist-before-acknowledge sync against resident state size and
+// the coordinator's control round trip, lone and overlapped.
 func RegressWire(quick bool) (*RegressFile, error) {
 	f := newRegressFile("wire", quick)
 	cases := []struct {
@@ -302,6 +303,26 @@ func RegressWire(quick bool) (*RegressFile, error) {
 		})
 		closeNode()
 		os.RemoveAll(dir)
+		f.Results = append(f.Results, res)
+	}
+
+	// The control plane: one GetVar round trip on a client's pipelined
+	// connection to an in-process host, callers taking turns and sixteen
+	// at once (per call). The other pair the wire gates read.
+	for _, c := range []struct {
+		name    string
+		callers int
+	}{{"serial", 1}, {"burst=16", 16}} {
+		run, closeCluster, err := wire.BenchControlRoundTrip()
+		if err != nil {
+			return nil, fmt.Errorf("bench: control round trip %s: %w", c.name, err)
+		}
+		res := benchmarked("BenchmarkControlRoundTrip/"+c.name, func(b *testing.B) {
+			if err := run(c.callers, b.N); err != nil {
+				b.Fatal(err)
+			}
+		})
+		closeCluster()
 		f.Results = append(f.Results, res)
 	}
 	return f, nil

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -163,8 +164,55 @@ func liveRing(cl Backend) []int {
 	return ring
 }
 
+// fanOutLimit bounds how many of a job's control calls are in flight at
+// once. The calls are round trips on pipelined connections that a
+// daemon serves one at a time per connection, so depth beyond a few
+// dozen buys no more overlap — it only queues — while an unbounded fan
+// would turn an order-1024 job into 1024 goroutines and a 1024-deep
+// queue, whose tail would wait out the per-call timeout behind its own
+// head.
+const fanOutLimit = 32
+
+// fanOut calls fn(0) … fn(n-1) concurrently, at most fanOutLimit at a
+// time, and returns the first error any call reported. After an error no
+// further call is started; every call that was started has returned by
+// the time fanOut does.
+func fanOut(n int, fn func(i int) error) error {
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		first error
+	)
+	failed := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return first != nil
+	}
+	sem := make(chan struct{}, fanOutLimit)
+	for i := 0; i < n && !failed(); i++ {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			if err := fn(i); err != nil {
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
+			}
+		}(i)
+	}
+	wg.Wait()
+	return first
+}
+
 // Run implements Work: distribute B over the live nodes, inject the
-// row carriers with an explicit visit ring, then await and collect. On
+// row carriers with an explicit visit ring, then await and collect —
+// each phase's control calls overlapped (fanOut), one call per strip,
+// carrier and row as before, and every strip placed before the first
+// carrier is injected, because a carrier may arrive anywhere. On
 // an elastic cluster the live set is captured once here: a drain that
 // lands mid-attempt can fail this attempt (a missing strip is an
 // error, never a wrong answer), and the retry re-plans on the shrunk
@@ -181,7 +229,7 @@ func (w WireMatmul) Run(rt *Runtime) (any, error) {
 	pes := len(live)
 	a, b := intMatrices(n, w.Seed)
 	pre := rt.Prefix()
-	for pe := 0; pe < pes; pe++ {
+	err := fanOut(pes, func(pe int) error {
 		lo, hi := colRange(n, pes, pe)
 		cols := make([][]int64, hi-lo)
 		for j := lo; j < hi; j++ {
@@ -191,9 +239,10 @@ func (w WireMatmul) Run(rt *Runtime) (any, error) {
 			}
 			cols[j-lo] = col
 		}
-		if err := rt.Cluster.SetVar(live[pe], pre+"B", &bPart{Off: lo, Cols: cols}); err != nil {
-			return nil, err
-		}
+		return rt.Cluster.SetVar(live[pe], pre+"B", &bPart{Off: lo, Cols: cols})
+	})
+	if err != nil {
+		return nil, err
 	}
 	// The base PE anchors the rotation; a base that has since been
 	// drained degrades to a deterministic index, not an error.
@@ -204,16 +253,17 @@ func (w WireMatmul) Run(rt *Runtime) (any, error) {
 			break
 		}
 	}
-	for i := 0; i < n; i++ {
+	err = fanOut(n, func(i int) error {
 		start := (b0 + i) % pes
 		ring := make([]int, pes)
 		for k := range ring {
 			ring[k] = live[(start+k)%pes]
 		}
 		st := &rowCarrierState{Row: i, Vals: a[i], Ring: ring}
-		if err := rt.Cluster.InjectJob(ring[0], rt.Job, "sched.rowCarrier", st); err != nil {
-			return nil, err
-		}
+		return rt.Cluster.InjectJob(ring[0], rt.Job, "sched.rowCarrier", st)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return w.await(rt, a, b, live)
 }
@@ -249,22 +299,28 @@ func (w WireMatmul) await(rt *Runtime, a, b [][]int64, live []int) (any, error) 
 	for i := range got {
 		got[i] = make([]int64, n)
 	}
-	for pe := 0; pe < pes; pe++ {
+	// One GetVar per (row, strip), strips innermost so the calls in flight
+	// spread over every member's connection; each writes its own columns
+	// of its own row, so the calls share nothing.
+	err := fanOut(n*pes, func(k int) error {
+		i, pe := k/pes, k%pes
 		lo, hi := colRange(n, pes, pe)
 		if lo == hi {
-			continue
+			return nil
 		}
-		for i := 0; i < n; i++ {
-			v, err := rt.Cluster.GetVar(live[pe], fmt.Sprintf("%sC:%d", pre, i))
-			if err != nil {
-				return nil, err
-			}
-			crow, ok := v.([]int64)
-			if !ok {
-				return nil, fmt.Errorf("sched: wirematmul row %d missing on PE %d after quiescence", i, live[pe])
-			}
-			copy(got[i][lo:hi], crow)
+		v, err := rt.Cluster.GetVar(live[pe], fmt.Sprintf("%sC:%d", pre, i))
+		if err != nil {
+			return err
 		}
+		crow, ok := v.([]int64)
+		if !ok {
+			return fmt.Errorf("sched: wirematmul row %d missing on PE %d after quiescence", i, live[pe])
+		}
+		copy(got[i][lo:hi], crow)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {

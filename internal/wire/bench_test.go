@@ -180,3 +180,29 @@ func BenchmarkSync(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkControlRoundTrip measures one GetVar round trip on a client's
+// control connection, when the callers take turns and when sixteen have
+// a call in flight at once (per call) — the pair BENCH_wire.json gates:
+// overlapping must pay, and a lone call must not pay much for the
+// hand-off from the connection's reader.
+func BenchmarkControlRoundTrip(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		callers int
+	}{{"serial", 1}, {"burst=16", 16}} {
+		c := c
+		b.Run(c.name, func(b *testing.B) {
+			run, closeCluster, err := BenchControlRoundTrip()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer closeCluster()
+			b.ReportAllocs()
+			b.ResetTimer()
+			if err := run(c.callers, b.N); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}

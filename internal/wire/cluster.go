@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -118,73 +119,220 @@ type Cluster struct {
 	monitorDone chan struct{}
 }
 
-// ctlConn is the coordinator's lazily redialed connection to one
-// daemon. The mutex serializes round trips: with a scheduler on top,
-// Wait and any number of concurrent WaitJob pollers share these
-// connections.
+// ctlConn is a lazily redialed, pipelined control connection to one
+// daemon: any number of callers have a round trip in flight on it at
+// once. A caller writes its request frame and then waits for the reply
+// on a channel of its own; one reader goroutine per live connection
+// hands each frame it reads to the oldest caller still waiting.
+//
+// Matching replies to requests by position needs no request id because
+// of the daemon's side of the contract: daemon.handle serves one inbound
+// connection with a sequential loop that writes exactly one reply per
+// request, in arrival order. (msgShutdown is answered by closing the
+// connection, which is the failure path below and ends the sequence.)
+//
+// Any read or write error, an undecodable reply, or one caller's timeout
+// tears the connection down and fails every round trip in flight on it —
+// after a lost reply the positions no longer line up, so no neighbour's
+// reply can be trusted. The next round trip redials, reaching the
+// daemon's current incarnation after a restart. An explicit close() is
+// terminal instead: a round trip racing or following it fails and never
+// redials. The zero value with addr set is ready to use.
 type ctlConn struct {
-	mu     sync.Mutex
-	addr   string
-	conn   net.Conn
-	r      *bufio.Reader
-	closed bool
+	addr string
+	met  *wireMetrics // nil on the one-shot connections, which report nothing
+
+	mu      sync.Mutex // guards cur and closed; never held across I/O
+	cur     *ctlPipe
+	closed  bool
+	readers sync.WaitGroup // the reader goroutines close() waits for
 }
 
-// roundTrip sends one control frame and reads the reply. Any failure
-// closes the connection so the next call redials (reaching the daemon's
-// current incarnation after a restart) — except an explicit close(),
-// which is terminal: a round trip racing or following Close must fail,
-// not resurrect the connection.
+// ctlReply is what a waiting caller receives: the reply frame's
+// undecoded body in a pooled buffer, or why there will be none.
+type ctlReply struct {
+	body *[]byte
+	err  error
+}
+
+// ctlPipe is one live connection of a ctlConn.
+type ctlPipe struct {
+	conn net.Conn
+	// wmu makes "join the FIFO, then write" one step, so the FIFO's order
+	// is the order the requests reach the daemon.
+	wmu sync.Mutex
+	// pmu guards the FIFO separately, so the reader never waits behind a
+	// writer stalled on a full socket.
+	pmu  sync.Mutex
+	fifo []chan ctlReply // callers awaiting a reply, oldest first
+	dead error           // why the pipe was torn down; once set the FIFO stays empty
+}
+
+var errCtlClosed = errors.New("control connection is closed")
+
+// roundTrip sends one control frame and returns its reply, or fails
+// within about timeout (a dial, when one is needed, is given the same
+// allowance first).
 func (c *ctlConn) roundTrip(env *envelope, timeout time.Duration) (*envelope, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, fmt.Errorf("wire: control connection to %s is closed", c.addr)
-	}
-	if c.conn == nil {
-		//lint:ignore lockorder c.mu exists to serialize whole round trips on this one connection, dial included; every wait under it is deadline-bounded, and a contender stalls only on its own daemon's control channel.
-		conn, err := net.DialTimeout("tcp", c.addr, timeout)
-		if err != nil {
-			return nil, err
-		}
-		c.conn = conn
-		c.r = bufio.NewReader(conn)
-	}
-	fail := func(err error) (*envelope, error) {
-		c.conn.Close()
-		c.conn, c.r = nil, nil
-		return nil, err
-	}
 	f, err := encodeFrame(env)
 	if err != nil {
 		return nil, err
 	}
 	defer f.release()
-	deadline := time.Now().Add(timeout)
-	if err := c.conn.SetDeadline(deadline); err != nil {
-		return fail(err)
+	if c.met != nil {
+		start := time.Now()
+		c.met.ctlInflight.Add(1)
+		defer func() {
+			c.met.ctlInflight.Add(-1)
+			c.met.ctlRoundTrip.Observe(time.Since(start).Microseconds())
+		}()
 	}
-	//lint:ignore lockorder the write-then-read round trip must be atomic per connection or replies interleave across callers; SetDeadline above bounds both waits.
-	if _, err := c.conn.Write(f.bytes()); err != nil {
-		return fail(err)
-	}
-	//lint:ignore lockorder second half of the serialized round trip; deadline-bounded like the write.
-	reply, err := readFrame(c.r)
+	p, err := c.pipe(timeout)
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	c.conn.SetDeadline(time.Time{})
-	return reply, nil
+	deadline := time.Now().Add(timeout)
+	ch := make(chan ctlReply, 1)
+	if err := p.send(f.bytes(), ch, deadline); err != nil {
+		c.drop(p, err)
+		return nil, err
+	}
+	timer := time.NewTimer(time.Until(deadline))
+	defer timer.Stop()
+	select {
+	case r := <-ch:
+		if r.err != nil {
+			return nil, r.err
+		}
+		reply, err := decodeBody(*r.body)
+		putBodyBuf(r.body)
+		if err != nil {
+			c.drop(p, err)
+		}
+		return reply, err
+	case <-timer.C:
+		err := fmt.Errorf("wire: no reply from %s within %v", c.addr, timeout)
+		c.drop(p, err)
+		return nil, err
+	}
 }
 
-func (c *ctlConn) close() {
+// pipe returns the live connection, dialing when there is none. The dial
+// happens outside c.mu (as in daemon.link): concurrent callers may both
+// dial, and the loser closes its connection and adopts the winner's.
+func (c *ctlConn) pipe(timeout time.Duration) (*ctlPipe, error) {
+	c.mu.Lock()
+	p, closed := c.cur, c.closed
+	c.mu.Unlock()
+	if closed {
+		return nil, fmt.Errorf("wire: %s: %w", c.addr, errCtlClosed)
+	}
+	if p != nil {
+		return p, nil
+	}
+	conn, err := net.DialTimeout("tcp", c.addr, timeout)
+	if err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.closed = true
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
+	if c.closed {
+		conn.Close()
+		return nil, fmt.Errorf("wire: %s: %w", c.addr, errCtlClosed)
 	}
+	if c.cur != nil {
+		conn.Close()
+		return c.cur, nil
+	}
+	p = &ctlPipe{conn: conn}
+	c.cur = p
+	// Registered under the lock that close() sets closed under, so its
+	// Wait cannot miss this reader.
+	c.readers.Add(1)
+	go c.read(p)
+	return p, nil
+}
+
+// send queues ch for the next unclaimed reply and writes the request.
+func (p *ctlPipe) send(frame []byte, ch chan ctlReply, deadline time.Time) error {
+	p.wmu.Lock()
+	defer p.wmu.Unlock()
+	p.pmu.Lock()
+	if err := p.dead; err != nil {
+		p.pmu.Unlock()
+		return err
+	}
+	p.fifo = append(p.fifo, ch)
+	p.pmu.Unlock()
+	if err := p.conn.SetWriteDeadline(deadline); err != nil {
+		return err
+	}
+	//lint:ignore lockorder wmu exists so that FIFO order is wire order, which holding it across the write IS (the link.writeFrame invariant); the write is deadline-bounded, and a contender stalls only on its own daemon's control channel.
+	_, err := p.conn.Write(frame)
+	return err
+}
+
+// read is the pipe's reader goroutine: every frame goes to the oldest
+// waiting caller, undecoded, so the reader is back on the socket while
+// the caller decodes. It exits when the connection fails or is closed.
+func (c *ctlConn) read(p *ctlPipe) {
+	defer c.readers.Done()
+	r := bufio.NewReader(p.conn)
+	for {
+		body, err := readFrameBody(r)
+		if err != nil {
+			c.drop(p, err)
+			return
+		}
+		p.pmu.Lock()
+		var ch chan ctlReply
+		if len(p.fifo) > 0 {
+			ch, p.fifo = p.fifo[0], p.fifo[1:]
+		}
+		p.pmu.Unlock()
+		if ch == nil {
+			putBodyBuf(body)
+			c.drop(p, fmt.Errorf("wire: unsolicited frame from %s", c.addr))
+			return
+		}
+		ch <- ctlReply{body: body} // buffered, and handed to exactly once
+	}
+}
+
+// drop retires p as the live connection (the next round trip redials)
+// and fails every caller in flight on it. It is idempotent.
+func (c *ctlConn) drop(p *ctlPipe, err error) {
+	c.mu.Lock()
+	if c.cur == p {
+		c.cur = nil
+	}
+	c.mu.Unlock()
+	p.pmu.Lock()
+	if p.dead != nil {
+		p.pmu.Unlock()
+		return
+	}
+	dead := fmt.Errorf("wire: control connection to %s torn down: %w", c.addr, err)
+	waiting := p.fifo
+	p.dead, p.fifo = dead, nil
+	p.pmu.Unlock()
+	p.conn.Close() // unblocks the reader
+	for _, ch := range waiting {
+		ch <- ctlReply{err: dead}
+	}
+}
+
+// close tears the connection down for good and returns once its reader
+// goroutine (and any retired connection's) has exited.
+func (c *ctlConn) close() {
+	c.mu.Lock()
+	c.closed = true
+	p := c.cur
+	c.mu.Unlock()
+	if p != nil {
+		c.drop(p, errCtlClosed)
+	}
+	c.readers.Wait()
 }
 
 // NewCluster starts n daemons listening on ephemeral loopback ports — a

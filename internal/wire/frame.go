@@ -258,6 +258,21 @@ func putBodyBuf(bp *[]byte) {
 // (and GobDecode implementations must not retain their input), so the
 // buffer is safe to recycle as soon as decoding finishes.
 func readFrame(r *bufio.Reader) (*envelope, error) {
+	bp, err := readFrameBody(r)
+	if err != nil {
+		return nil, err
+	}
+	defer putBodyBuf(bp)
+	return decodeBody(*bp)
+}
+
+// readFrameBody reads one frame's undecoded body into a pooled buffer,
+// which the caller returns with putBodyBuf once it has decoded it. It is
+// readFrame's first half, split out for the control connection's reader
+// goroutine: that one hands the bytes to the caller that owns the reply
+// and goes back to the socket, so a burst's replies are decoded by their
+// callers in parallel instead of one after another on the reader.
+func readFrameBody(r *bufio.Reader) (*[]byte, error) {
 	size, err := binary.ReadUvarint(r)
 	if err != nil {
 		return nil, err
@@ -266,14 +281,14 @@ func readFrame(r *bufio.Reader) (*envelope, error) {
 		return nil, errFrameTooLarge
 	}
 	bp := getBodyBuf(int(size))
-	defer putBodyBuf(bp)
 	if _, err := io.ReadFull(r, *bp); err != nil {
+		putBodyBuf(bp)
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, err
 	}
-	return decodeBody(*bp)
+	return bp, nil
 }
 
 // decodeFrame decodes one complete frame from a byte slice. It is the

@@ -58,6 +58,14 @@ const (
 	MetricPersistLogBytes    = "wire.persist.log_bytes"
 	MetricPersistCompactions = "wire.persist.compactions"
 	MetricPersistReplayed    = "wire.persist.replayed_batches"
+	// The coordinator's control plane (DESIGN.md §13.3; client side):
+	// wall-clock microseconds of each control round trip from enqueue
+	// (dial included, when one was needed) to reply or failure, round
+	// trips in flight on this client's pipelined connections, and complete
+	// snapshot rounds made by the termination detector.
+	MetricCtlRoundTripUS = "wire.ctl.roundtrip_us"
+	MetricCtlInflight    = "wire.ctl.inflight"
+	MetricWaitRounds     = "wire.wait.rounds"
 )
 
 // wireMetrics holds the pre-resolved metric handles shared by every
@@ -91,6 +99,10 @@ type wireMetrics struct {
 	persistLogBytes    *metrics.Gauge
 	persistCompactions *metrics.Counter
 	persistReplayed    *metrics.Counter
+
+	ctlRoundTrip *metrics.Histogram
+	ctlInflight  *metrics.Gauge
+	waitRounds   *metrics.Counter
 }
 
 // ackLatencyBounds ladders from 50µs to ~1.6s; loopback acks land in
@@ -132,5 +144,11 @@ func newWireMetrics(r *metrics.Registry) *wireMetrics {
 		persistLogBytes:    r.Gauge(MetricPersistLogBytes),
 		persistCompactions: r.Counter(MetricPersistCompactions),
 		persistReplayed:    r.Counter(MetricPersistReplayed),
+
+		// A control round trip shares the hop ack's range: loopback ones
+		// land in the first buckets, a 2 s timeout at the top.
+		ctlRoundTrip: r.Histogram(MetricCtlRoundTripUS, ackLatencyBounds),
+		ctlInflight:  r.Gauge(MetricCtlInflight),
+		waitRounds:   r.Counter(MetricWaitRounds),
 	}
 }

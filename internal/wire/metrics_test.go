@@ -103,6 +103,18 @@ func TestClusterMetricsSnapshot(t *testing.T) {
 	if h, ok := s.Histograms[MetricAckLatencyUS]; !ok || h.Count < 5 {
 		t.Fatalf("ack latency histogram missing or short: %+v", h)
 	}
+	// The client side of the same registry: the inject and at least two
+	// snapshot rounds of three members each went over the control
+	// connections, and none is still in flight.
+	if h, ok := s.Histograms[MetricCtlRoundTripUS]; !ok || h.Count < 7 {
+		t.Fatalf("control round-trip histogram missing or short: %+v", h)
+	}
+	if got := s.Gauge(MetricCtlInflight); got != 0 {
+		t.Fatalf("control round trips in flight = %d after Wait, want 0", got)
+	}
+	if got := s.Counter(MetricWaitRounds); got < 2 {
+		t.Fatalf("complete snapshot rounds = %d, want ≥ 2 (the verdict needs two)", got)
+	}
 }
 
 // TestDebugEndpoint serves the debug mux and fetches a live metrics

@@ -1,14 +1,17 @@
 package wire
 
-import "strconv"
+import (
+	"strconv"
+	"sync"
+)
 
 // Exported entry points for the BENCH_wire.json regression harness
 // (internal/bench). The frame and checkpoint codecs are unexported by
 // design — nothing outside this package should touch wire framing — so
 // these thin wrappers expose exactly the operations the harness times:
 // frame encode (pooled fast path), frame decode, the checkpoint state
-// snapshot both ways, and one sync of a plateau-shaped node. They are
-// also usable from external tests that need a wire-identical byte image
+// snapshot both ways, one sync of a plateau-shaped node, and control
+// round trips on a client's pipelined connection. They are also usable from external tests that need a wire-identical byte image
 // of a frame.
 
 // benchEnvelope wraps state in the canonical agent envelope the codec
@@ -107,4 +110,48 @@ func BenchSyncNode(dir string, ballast int) (step func() error, closeNode func()
 		return ns.sync()
 	}
 	return step, p.close, nil
+}
+
+// BenchControlRoundTrip starts one in-process host holding an 8-byte
+// variable and a client connected to it. run performs n GetVar round
+// trips of that variable, shared between callers concurrent callers on
+// the client's one control connection to the host, and returns when the
+// last has its reply: callers = 1 is what a coordinator that takes turns
+// pays per call, callers = 16 what one that overlaps a job's sixteen
+// calls pays. BenchmarkControlRoundTrip times both, and BENCH_wire.json
+// gates the pair.
+func BenchControlRoundTrip() (run func(callers, n int) error, closeCluster func(), err error) {
+	cl, err := NewCluster(1)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := cl.SetVar(0, "probe", int64(7)); err != nil {
+		cl.Close()
+		return nil, nil, err
+	}
+	run = func(callers, n int) error {
+		errs := make([]error, callers)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			share := n / callers
+			if c < n%callers {
+				share++
+			}
+			wg.Add(1)
+			go func(c, share int) {
+				defer wg.Done()
+				for i := 0; i < share && errs[c] == nil; i++ {
+					_, errs[c] = cl.GetVar(0, "probe")
+				}
+			}(c, share)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return run, cl.Close, nil
 }

@@ -21,9 +21,9 @@ var ErrJobFrozen = errors.New("wire: job is frozen")
 var errClosed = errors.New("wire: remote cluster is closed")
 
 // remoteMember is the client's view of one cluster node: its address,
-// a control connection (serialized round trips), a dedicated heartbeat
-// probe connection (so a slow control round trip cannot starve
-// liveness), and the liveness / departure flags.
+// a pipelined control connection every caller's round trips share (see
+// ctlConn), a dedicated heartbeat probe connection (so a deep control
+// queue cannot starve liveness), and the liveness / departure flags.
 type remoteMember struct {
 	addr  string
 	ctl   *ctlConn
@@ -82,6 +82,7 @@ func (m *remoteMember) settle(timeout time.Duration) {
 // daemons' membership table has.
 type RemoteCluster struct {
 	opts Options
+	met  *wireMetrics // client-side handles (wire.ctl.*, wire.wait.*), resolved once
 
 	mu        sync.Mutex
 	members   []*remoteMember
@@ -156,11 +157,12 @@ func StaticCluster(members []string, ropts RemoteOptions) (*RemoteCluster, error
 	ropts = ropts.withDefaults()
 	rc := &RemoteCluster{
 		opts:      Options{Metrics: ropts.Metrics, AckTimeout: ropts.Timeout},
+		met:       newWireMetrics(ropts.Metrics),
 		cancelled: map[uint64]bool{},
 		frozen:    map[uint64]bool{},
 	}
 	for _, addr := range members {
-		rc.members = append(rc.members, newRemoteMember(addr))
+		rc.members = append(rc.members, newRemoteMember(addr, rc.met))
 	}
 	if ropts.Heartbeat {
 		rc.hbStop = make(chan struct{})
@@ -170,8 +172,8 @@ func StaticCluster(members []string, ropts RemoteOptions) (*RemoteCluster, error
 	return rc, nil
 }
 
-func newRemoteMember(addr string) *remoteMember {
-	m := &remoteMember{addr: addr, ctl: &ctlConn{addr: addr}, probe: &ctlConn{addr: addr}}
+func newRemoteMember(addr string, met *wireMetrics) *remoteMember {
+	m := &remoteMember{addr: addr, ctl: &ctlConn{addr: addr, met: met}, probe: &ctlConn{addr: addr}}
 	m.alive.Store(true) // optimistic until the prober says otherwise
 	return m
 }
@@ -276,7 +278,7 @@ func (rc *RemoteCluster) Refresh() error {
 		}
 	}
 	for i := len(rc.members); i < len(reply.Members); i++ {
-		rc.members = append(rc.members, newRemoteMember(reply.Members[i]))
+		rc.members = append(rc.members, newRemoteMember(reply.Members[i], rc.met))
 	}
 	return nil
 }
@@ -326,20 +328,48 @@ func (rc *RemoteCluster) control(i int, env *envelope) error {
 	return nil
 }
 
-// broadcast sends env to every member that has not departed, one round
-// trip each, and returns the first failure; the members after a failed
-// one are still tried.
-func (rc *RemoteCluster) broadcast(env *envelope) error {
-	var firstErr error
-	for i, m := range rc.snapshotMembers() {
-		if m.left.Load() {
-			continue
-		}
-		if err := rc.control(i, env); err != nil && firstErr == nil {
-			firstErr = err
+// eachMember runs fn once for every one of members that has not
+// departed, all at the same time — each member has its own connection, so
+// a round costs its slowest member rather than their sum — and returns
+// when every call has. One goroutine per member needs no bound: a
+// cluster is a handful of daemons. The last call runs on the caller's
+// goroutine, so a one-daemon cluster starts none.
+func eachMember(members []*remoteMember, fn func(i int, m *remoteMember)) {
+	var live []int
+	for i, m := range members {
+		if !m.left.Load() {
+			live = append(live, i)
 		}
 	}
-	return firstErr
+	if len(live) == 0 {
+		return
+	}
+	var wg sync.WaitGroup
+	for _, i := range live[:len(live)-1] {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn(i, members[i])
+		}(i)
+	}
+	last := live[len(live)-1]
+	fn(last, members[last])
+	wg.Wait()
+}
+
+// broadcast sends env to every member that has not departed, one round
+// trip each, and returns the first failure in member order; a failed
+// member does not stop the others being told.
+func (rc *RemoteCluster) broadcast(env *envelope) error {
+	members := rc.snapshotMembers()
+	errs := make([]error, len(members))
+	eachMember(members, func(i int, _ *remoteMember) { errs[i] = rc.control(i, env) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // reclaim broadcasts a reclamation frame. A member that cannot be reached
@@ -348,16 +378,13 @@ func (rc *RemoteCluster) broadcast(env *envelope) error {
 // released would hold that job's counter slice and variables, in memory
 // and in every snapshot it writes, for good.
 func (rc *RemoteCluster) reclaim(env *envelope) {
-	for i, m := range rc.snapshotMembers() {
-		if m.left.Load() {
-			continue
-		}
+	eachMember(rc.snapshotMembers(), func(i int, m *remoteMember) {
 		if rc.control(i, env) != nil && rc.hbStop != nil {
 			m.owedMu.Lock()
 			m.owed = append(m.owed, env)
 			m.owedMu.Unlock()
 		}
-	}
+	})
 }
 
 // roundTrip performs one control round trip to node i. A closed client
@@ -498,7 +525,14 @@ func (rc *RemoteCluster) DrainNode(node int, timeout time.Duration) error {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	reply, err := m.ctl.roundTrip(&envelope{Kind: msgDrain, Count: int(timeout / time.Millisecond)}, timeout+rc.opts.AckTimeout)
+	// A connection of its own, not m.ctl: the daemon answers a drain only
+	// when the evacuation ends, and on the shared connection every other
+	// job's round trip to this member would sit behind that reply — until
+	// one timed out, tore the connection down and took the drain's own
+	// reply with it.
+	c := &ctlConn{addr: m.addr}
+	defer c.close()
+	reply, err := c.roundTrip(&envelope{Kind: msgDrain, Count: int(timeout / time.Millisecond)}, timeout+rc.opts.AckTimeout)
 	if err != nil {
 		return fmt.Errorf("wire: drain node %d (%s): %w", node, m.addr, err)
 	}
@@ -571,27 +605,72 @@ func (rc *RemoteCluster) WaitJob(job uint64, timeout time.Duration) error {
 // namespace finished and no migration in flight.
 func (rc *RemoteCluster) Wait(timeout time.Duration) error { return rc.wait(0, timeout) }
 
+// waveState is what the termination detector remembers between snapshot
+// waves: the last complete wave's totals, if the last wave was complete.
+type waveState struct {
+	prev     counters
+	havePrev bool
+}
+
+func (c counters) balanced() bool { return c.Created == c.Finished && c.Sent == c.Received }
+
+// waveVerdict folds one snapshot wave into the detector's state. done is
+// declared in exactly one case — a complete, balanced wave identical to
+// the complete wave before it — and an incomplete wave (a member did not
+// answer) forgets the previous one, so the two confirming waves are
+// always consecutive. pollNow asks for the next wave without a sleep: on
+// a balanced edge, a balanced wave whose predecessor was not (or was
+// forgotten), the only thing left to do is confirm it, and Mattern's
+// argument needs the confirming wave to start after this one ended, not
+// some delay later. A balanced wave that follows a different balanced
+// one sleeps like an unbalanced one: a job whose counters keep moving
+// through balanced states gets one immediate re-poll per edge, never a
+// spin.
+func waveVerdict(s waveState, cur counters, complete bool) (next waveState, done, pollNow bool) {
+	if !complete {
+		return waveState{}, false, false
+	}
+	if cur.balanced() && s.havePrev && cur == s.prev {
+		return s, true, false
+	}
+	onEdge := cur.balanced() && !(s.havePrev && s.prev.balanced())
+	return waveState{prev: cur, havePrev: true}, false, onEdge
+}
+
+// The detector's sleep between waves that gave it nothing to confirm
+// starts at waitBackoffMin, because a serving job is often done within a
+// millisecond or two of the wait starting and a wave costs one small
+// round trip per member, and doubles to waitBackoffMax — the fixed period
+// the detector used to poll at, so a long job is polled no more often
+// than it ever was.
+const (
+	waitBackoffMin = 250 * time.Microsecond
+	waitBackoffMax = 5 * time.Millisecond
+)
+
 // wait is the termination detector (job 0 = the cluster-wide totals):
 // Mattern's four-counter method over remote snapshots, declaring
 // quiescence on two consecutive identical complete snapshots with
-// created == finished and sent == received. Because a daemon counts a
-// migration sent only when the receiver acknowledged checkpointing it,
-// and counts received only for deduplicated accepts, the detection stays
-// correct under dropped, duplicated, and replayed hops; and because an
-// unfinished agent always holds a checkpoint (created > finished), a
-// killed daemon holding agents keeps the snapshot unbalanced once it is
-// back. Until then its round is incomplete and discarded — the
-// checkpointed agents on a dead host keep the job alive until a
-// restarted daemon answers for them. Departed members are skipped: their
-// history lives on in the survivor that absorbed it. Each round also
-// re-delivers the job's cancellation mark (if any) to every member, so a
-// host that was down for the CancelJob broadcast still absorbs the job's
-// agents after it returns. It returns the first daemon error an
-// in-process host reported, or an error on timeout.
+// created == finished and sent == received (waveVerdict). A balanced
+// first wave is confirmed by a second one started as soon as the first
+// has ended; any other wave is followed by a doubling backoff. Because a
+// daemon counts a migration sent only when the receiver acknowledged
+// checkpointing it, and counts received only for deduplicated accepts,
+// the detection stays correct under dropped, duplicated, and replayed
+// hops; and because an unfinished agent always holds a checkpoint
+// (created > finished), a killed daemon holding agents keeps the snapshot
+// unbalanced once it is back. Until then its round is incomplete and
+// discarded — the checkpointed agents on a dead host keep the job alive
+// until a restarted daemon answers for them. Departed members are
+// skipped: their history lives on in the survivor that absorbed it. Each
+// round also re-delivers the job's cancellation mark (if any) to every
+// member, so a host that was down for the CancelJob broadcast still
+// absorbs the job's agents after it returns. It returns the first daemon
+// error an in-process host reported, or an error on timeout.
 func (rc *RemoteCluster) wait(job uint64, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	var prev counters
-	havePrev := false
+	var state waveState
+	backoff := waitBackoffMin
 	for {
 		select {
 		case err := <-rc.errs:
@@ -602,14 +681,9 @@ func (rc *RemoteCluster) wait(job uint64, timeout time.Duration) error {
 			return ErrJobFrozen
 		}
 		cur, complete := rc.snapshotJob(job)
-		if complete {
-			balanced := cur.Created == cur.Finished && cur.Sent == cur.Received
-			if balanced && havePrev && cur == prev {
-				return nil
-			}
-			prev, havePrev = cur, true
-		} else {
-			havePrev = false
+		var done, pollNow bool
+		if state, done, pollNow = waveVerdict(state, cur, complete); done {
+			return nil
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("wire: job %d termination timeout after %v (created %d, finished %d, sent %d, received %d, complete %v)",
@@ -618,7 +692,12 @@ func (rc *RemoteCluster) wait(job uint64, timeout time.Duration) error {
 		if rc.isCancelled(job) {
 			rc.broadcast(&envelope{Kind: msgCancel, Job: job})
 		}
-		time.Sleep(5 * time.Millisecond)
+		if !pollNow {
+			time.Sleep(backoff)
+			if backoff *= 2; backoff > waitBackoffMax {
+				backoff = waitBackoffMax
+			}
+		}
 		if rc.closed.Load() {
 			// Every member fails its round trip from here on, so no round
 			// can complete: say so instead of polling to the deadline.
@@ -627,27 +706,31 @@ func (rc *RemoteCluster) wait(job uint64, timeout time.Duration) error {
 	}
 }
 
-// snapshotJob polls every non-departed member's counter slice for job;
-// complete is false when any member did not answer.
+// snapshotJob polls every non-departed member's counter slice for job,
+// all members at once; complete is false when any member did not answer.
 func (rc *RemoteCluster) snapshotJob(job uint64) (total counters, complete bool) {
+	var mu sync.Mutex
 	complete = true
-	for _, m := range rc.snapshotMembers() {
-		if m.left.Load() {
-			continue
-		}
+	eachMember(rc.snapshotMembers(), func(_ int, m *remoteMember) {
 		reply, err := m.ctl.roundTrip(&envelope{Kind: msgSnapshot, Job: job}, rc.opts.AckTimeout)
+		mu.Lock()
+		defer mu.Unlock()
 		if err != nil || reply.Kind != msgCounters {
 			complete = false
-			continue
+			return
 		}
 		total.add(reply.Counters)
+	})
+	if complete {
+		rc.met.waitRounds.Inc()
 	}
 	return total, complete
 }
 
 // Close stops the prober and drops the control connections. It is
 // idempotent and safe to call concurrently; every call returns only
-// after the prober goroutine has exited and the connections are closed,
+// after the prober goroutine and every connection's reader goroutine
+// have exited and the connections are closed,
 // and any control round trip after (or racing) Close fails instead of
 // redialing a closed connection back open. The daemons keep running;
 // Shutdown stops them too.
