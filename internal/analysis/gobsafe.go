@@ -21,7 +21,7 @@ const (
 // way, a checkpoint replay restores less state than the agent carried,
 // which is a silent correctness bug in exactly the code paths fault
 // injection exercises. Node variables placed by a coordinator cross a
-// gob control frame and are persisted as gob the same way. gobsafe walks
+// control frame as a gob payload and are persisted as one. gobsafe walks
 // every type that flows into a wire state sink (wire.RegisterState,
 // Ctx.SetState, Ctx.Inject, the cluster driver's Inject, InjectJob and
 // SetVar, gob.Register, Encoder.Encode) and reports the fields gob would

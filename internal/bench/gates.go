@@ -39,8 +39,21 @@ package bench
 //     connection's reader goroutine that the serialized one did not:
 //     ~230 µs against ~140 µs on the 2-CPU host of BENCH_wire.json).
 //
-// Quick runs keep all four gates at 4× the slack: on a loaded CI runner
+// and the frame codec (DESIGN.md §10.2) to the cost of a hand-framed
+// header and a primed payload rather than a fresh gob stream per frame —
+//
+//   - decoding a small agent frame takes at most 40 allocations and
+//     8 µs (the gob envelope took 351 and 22–30 µs), encoding one at most
+//     10 allocations (it took 34);
+//   - a control round trip — two encodes, two decodes — takes at most
+//     120 allocations (it took 734);
+//   - a frame carrying a 256×256 block encodes and decodes at 1.4 GB/s
+//     or more each, which the gob envelope already held.
+//
+// Quick runs keep the time gates at 4× the slack: on a loaded CI runner
 // the append's microseconds are noisy, a re-encoded image's are not.
+// Allocation gates are not loosened — an allocation count does not
+// depend on the host — and quick runs measure no 256×256 block.
 
 import (
 	"fmt"
@@ -82,6 +95,18 @@ const (
 	gateCtlBurstRatio = 0.6
 	// gateCtlSerialNs caps BenchmarkControlRoundTrip/serial (full runs).
 	gateCtlSerialNs = 400e3
+	// gateCtlSerialAllocs caps BenchmarkControlRoundTrip/serial's
+	// allocations (all runs).
+	gateCtlSerialAllocs = 120
+	// gateDecodeSmallNs caps BenchmarkDecodeFrame/small (full runs).
+	gateDecodeSmallNs = 8e3
+	// gateDecodeSmallAllocs and gateEncodeSmallAllocs cap the small
+	// frame's decode and encode allocations (all runs).
+	gateDecodeSmallAllocs = 40
+	gateEncodeSmallAllocs = 10
+	// gateBlockMBPerSec is the floor under encoding and decoding a frame
+	// carrying a 256×256 block (full runs; quick runs measure none).
+	gateBlockMBPerSec = 1400
 	// gateQuickSyncSlack loosens the wire gates for -quick runs.
 	gateQuickSyncSlack = 4.0
 )
@@ -99,8 +124,9 @@ func (f *RegressFile) CheckGates() []error {
 }
 
 // checkWireGates holds the durability layer to a sync cost that is
-// small and flat in resident state size, and the control connection to
-// overlap that pays without a lone call paying much for it.
+// small and flat in resident state size, the control connection to
+// overlap that pays without a lone call paying much for it, and the
+// frame codec to a primed payload's allocations and throughput.
 func (f *RegressFile) checkWireGates() []error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -130,6 +156,33 @@ func (f *RegressFile) checkWireGates() []error {
 		}
 		if ratio, ratioCap := burst.NsPerOp/serial.NsPerOp, gateCtlBurstRatio*slack; ratio > ratioCap {
 			fail("a control round trip in a burst of 16 is %.2fx a lone one, above %.1fx — the connection is not overlapping its callers", ratio, ratioCap)
+		}
+		if serial.AllocsPerOp > gateCtlSerialAllocs {
+			fail("a control round trip makes %d allocations, above %d", serial.AllocsPerOp, gateCtlSerialAllocs)
+		}
+	}
+	enc, dec := f.Find("BenchmarkEncodeFrame/small"), f.Find("BenchmarkDecodeFrame/small")
+	if enc == nil || dec == nil || dec.NsPerOp <= 0 {
+		fail("no BenchmarkEncodeFrame/DecodeFrame small pair recorded")
+	} else {
+		if dec.AllocsPerOp > gateDecodeSmallAllocs {
+			fail("decoding a small frame makes %d allocations, above %d", dec.AllocsPerOp, gateDecodeSmallAllocs)
+		}
+		if ceiling := gateDecodeSmallNs * slack; dec.NsPerOp > ceiling {
+			fail("decoding a small frame takes %.1f µs, above the %.0f µs ceiling", dec.NsPerOp/1e3, ceiling/1e3)
+		}
+		if enc.AllocsPerOp > gateEncodeSmallAllocs {
+			fail("encoding a small frame makes %d allocations, above %d", enc.AllocsPerOp, gateEncodeSmallAllocs)
+		}
+	}
+	if !f.Quick {
+		for _, name := range []string{"BenchmarkEncodeFrame/block=256", "BenchmarkDecodeFrame/block=256"} {
+			switch r := f.Find(name); {
+			case r == nil:
+				fail("no %s recorded", name)
+			case r.MBPerSec < gateBlockMBPerSec:
+				fail("%s runs at %.0f MB/s, below the %d MB/s floor", name, r.MBPerSec, gateBlockMBPerSec)
+			}
 		}
 	}
 	return errs

@@ -141,14 +141,29 @@ func wireGateFile(quick bool, plateauNs, ballastNs float64) *RegressFile {
 }
 
 // ctlGateFile is wireGateFile with the control round-trip pair chosen
-// too.
+// too; its codec rows pass.
 func ctlGateFile(quick bool, serialNs, burstNs, plateauNs, ballastNs float64) *RegressFile {
 	return &RegressFile{Schema: 2, Suite: "wire", Quick: quick, Results: []RegressResult{
 		{Name: "BenchmarkSync/plateau", NsPerOp: plateauNs},
 		{Name: "BenchmarkSync/ballast=4MiB", NsPerOp: ballastNs},
-		{Name: "BenchmarkControlRoundTrip/serial", NsPerOp: serialNs},
-		{Name: "BenchmarkControlRoundTrip/burst=16", NsPerOp: burstNs},
+		{Name: "BenchmarkControlRoundTrip/serial", NsPerOp: serialNs, AllocsPerOp: 16},
+		{Name: "BenchmarkControlRoundTrip/burst=16", NsPerOp: burstNs, AllocsPerOp: 15},
+		{Name: "BenchmarkEncodeFrame/small", NsPerOp: 430, AllocsPerOp: 2},
+		{Name: "BenchmarkDecodeFrame/small", NsPerOp: 690, AllocsPerOp: 7},
+		{Name: "BenchmarkEncodeFrame/block=256", NsPerOp: 174e3, MBPerSec: 3016},
+		{Name: "BenchmarkDecodeFrame/block=256", NsPerOp: 288e3, MBPerSec: 1821},
 	}}
+}
+
+// withoutRows returns f's results minus those whose name has prefix.
+func withoutRows(f *RegressFile, prefix string) []RegressResult {
+	var out []RegressResult
+	for _, r := range f.Results {
+		if !strings.HasPrefix(r.Name, prefix) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // TestWireGates pins the durability gates: a sync that costs what
@@ -199,8 +214,66 @@ func TestGatesControlRoundTrip(t *testing.T) {
 	if errs := ctlGateFile(true, 2e6, 6e6, 3300, 3500).CheckGates(); len(errs) != 2 {
 		t.Fatalf("a slow, serialized quick run passed the control gates: %v", errs)
 	}
-	noCtl := &RegressFile{Schema: 2, Suite: "wire", Results: wireGateFile(false, 3300, 3500).Results[:2]}
+	noCtl := &RegressFile{Schema: 2, Suite: "wire", Results: withoutRows(wireGateFile(false, 3300, 3500), "BenchmarkControlRoundTrip/")}
 	if errs := noCtl.CheckGates(); len(errs) != 1 || !hasViolation(errs, "no BenchmarkControlRoundTrip") {
 		t.Fatalf("a wire file without the control round-trip rows passed: %v", errs)
+	}
+}
+
+// TestGatesFrameCodec pins the codec gates, one passing and one violating
+// file each: small-frame decode allocations and time, small-frame encode
+// allocations, control round-trip allocations, and block=256 throughput
+// both ways. -quick loosens the time gate only, and skips the block gate
+// (quick runs measure no 256×256 block); a file without the small-frame
+// rows fails.
+func TestGatesFrameCodec(t *testing.T) {
+	healthy := func(quick bool) *RegressFile { return ctlGateFile(quick, 18e3, 5e3, 3300, 3500) }
+	for _, quick := range []bool{false, true} {
+		if errs := healthy(quick).CheckGates(); len(errs) != 0 {
+			t.Fatalf("primed-codec numbers (quick %v) violated gates: %v", quick, errs)
+		}
+	}
+	for _, c := range []struct {
+		name  string
+		row   string
+		set   func(r *RegressResult)
+		quick bool
+		want  string // "" means the file passes
+	}{
+		{"gob-envelope decode allocations", "BenchmarkDecodeFrame/small", func(r *RegressResult) { r.AllocsPerOp = 351 }, false, "351 allocations, above 40"},
+		{"decode allocations at the bound", "BenchmarkDecodeFrame/small", func(r *RegressResult) { r.AllocsPerOp = 40 }, false, ""},
+		{"decode allocations are not loosened by -quick", "BenchmarkDecodeFrame/small", func(r *RegressResult) { r.AllocsPerOp = 41 }, true, "41 allocations, above 40"},
+		{"gob-envelope decode time", "BenchmarkDecodeFrame/small", func(r *RegressResult) { r.NsPerOp = 22e3 }, false, "above the 8 µs ceiling"},
+		{"decode time within the quick slack", "BenchmarkDecodeFrame/small", func(r *RegressResult) { r.NsPerOp = 22e3 }, true, ""},
+		{"decode time beyond the quick slack", "BenchmarkDecodeFrame/small", func(r *RegressResult) { r.NsPerOp = 40e3 }, true, "above the 32 µs ceiling"},
+		{"gob-envelope encode allocations", "BenchmarkEncodeFrame/small", func(r *RegressResult) { r.AllocsPerOp = 34 }, false, "34 allocations, above 10"},
+		{"encode allocations at the bound", "BenchmarkEncodeFrame/small", func(r *RegressResult) { r.AllocsPerOp = 10 }, true, ""},
+		{"gob-envelope round-trip allocations", "BenchmarkControlRoundTrip/serial", func(r *RegressResult) { r.AllocsPerOp = 734 }, false, "734 allocations, above 120"},
+		{"round-trip allocations are not loosened by -quick", "BenchmarkControlRoundTrip/serial", func(r *RegressResult) { r.AllocsPerOp = 121 }, true, "121 allocations, above 120"},
+		{"round-trip allocations at the bound", "BenchmarkControlRoundTrip/serial", func(r *RegressResult) { r.AllocsPerOp = 120 }, false, ""},
+		{"slow block encode", "BenchmarkEncodeFrame/block=256", func(r *RegressResult) { r.MBPerSec = 1300 }, false, "block=256 runs at 1300 MB/s"},
+		{"slow block decode", "BenchmarkDecodeFrame/block=256", func(r *RegressResult) { r.MBPerSec = 1300 }, false, "block=256 runs at 1300 MB/s"},
+		{"block floor held", "BenchmarkDecodeFrame/block=256", func(r *RegressResult) { r.MBPerSec = 1400 }, false, ""},
+		{"quick runs measure no block", "BenchmarkDecodeFrame/block=256", func(r *RegressResult) { r.MBPerSec = 0 }, true, ""},
+	} {
+		f := healthy(c.quick)
+		c.set(f.Find(c.row))
+		errs := f.CheckGates()
+		if c.want == "" {
+			if len(errs) != 0 {
+				t.Errorf("%s: violated gates: %v", c.name, errs)
+			}
+			continue
+		}
+		if len(errs) != 1 || !hasViolation(errs, c.want) {
+			t.Errorf("%s: gates said %v, want one violation mentioning %q", c.name, errs, c.want)
+		}
+	}
+	for _, prefix := range []string{"BenchmarkDecodeFrame/small", "BenchmarkEncodeFrame/block=256"} {
+		f := healthy(false)
+		f.Results = withoutRows(f, prefix)
+		if errs := f.CheckGates(); len(errs) != 1 || !hasViolation(errs, "no Benchmark") {
+			t.Errorf("a file without %s: gates said %v, want one missing-row violation", prefix, errs)
+		}
 	}
 }

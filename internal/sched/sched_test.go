@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -459,6 +460,32 @@ func TestStateMetricsBalance(t *testing.T) {
 	}
 	if snap.Histograms[MetricE2ELatencyUS].Count != 6 {
 		t.Fatalf("latency observations = %d, want 6", snap.Histograms[MetricE2ELatencyUS].Count)
+	}
+}
+
+// TestPayloadRoundTripSchedStates sends the scheduler's registered
+// states through the wire's payload codec — a SetVar frame in, a GetVar
+// reply out — and requires them back unchanged.
+func TestPayloadRoundTripSchedStates(t *testing.T) {
+	cl, err := wire.NewCluster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for name, v := range map[string]any{
+		"carrier": &rowCarrierState{Row: 2, Vals: []int64{-3, 0, 9}, Visited: 1, Ring: []int{2, 0, 1}},
+		"bpart":   &bPart{Off: 4, Cols: [][]int64{{1, -2}, {3, 4}}},
+	} {
+		if err := cl.SetVar(0, name, v); err != nil {
+			t.Fatal(err)
+		}
+		got, err := cl.GetVar(0, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, v) {
+			t.Fatalf("%s came back as %#v, want %#v", name, got, v)
+		}
 	}
 }
 

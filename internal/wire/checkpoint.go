@@ -1,10 +1,7 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -84,8 +81,8 @@ type nodeState struct {
 type dedupRetired struct{ id, hop uint64 }
 
 // checkpoint is one agent's state at its last completed hop boundary. The
-// state is stored as gob bytes — a true snapshot, immune to the running
-// step mutating the live value afterwards.
+// state is stored as payload bytes (payload.go) — a true snapshot, immune
+// to the running step mutating the live value afterwards.
 type checkpoint struct {
 	behavior string
 	hop      uint64
@@ -300,26 +297,6 @@ func (ns *nodeState) retireDedup(id, hop uint64) {
 	}
 }
 
-// stateBox wraps an agent's carried state so a nil or interface-typed
-// value round-trips through gob.
-type stateBox struct{ V any }
-
-func encodeState(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&stateBox{V: v}); err != nil {
-		return nil, fmt.Errorf("wire: checkpoint encode: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeState(b []byte) (any, error) {
-	var box stateBox
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&box); err != nil {
-		return nil, fmt.Errorf("wire: checkpoint decode: %w", err)
-	}
-	return box.V, nil
-}
-
 // newAgentID allocates a cluster-unique agent identity: origin node in
 // the high bits, a persistent per-node counter below, so IDs never repeat
 // even across daemon restarts.
@@ -337,7 +314,7 @@ func (ns *nodeState) newAgentID() uint64 {
 //
 //navplint:fact durable
 func (ns *nodeState) inject(msg *agentMsg) (arrivals int64, err error) {
-	snap, err := encodeState(msg.State)
+	snap, err := msg.snapshot()
 	if err != nil {
 		return 0, err
 	}
@@ -374,7 +351,7 @@ var errEvacuated = errors.New("wire: node evacuated; fresh frames refused")
 //
 //navplint:fact durable
 func (ns *nodeState) accept(msg *agentMsg) (dup bool, arrivals int64, err error) {
-	snap, err := encodeState(msg.State)
+	snap, err := msg.snapshot()
 	if err != nil {
 		return false, 0, err
 	}

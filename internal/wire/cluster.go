@@ -142,10 +142,18 @@ type ctlConn struct {
 	addr string
 	met  *wireMetrics // nil on the one-shot connections, which report nothing
 
-	mu      sync.Mutex // guards cur and closed; never held across I/O
+	mu      sync.Mutex // guards cur, dialing and closed; never held across I/O
 	cur     *ctlPipe
+	dialing *ctlDial // the dial in flight, which every caller that finds no pipe waits for
 	closed  bool
 	readers sync.WaitGroup // the reader goroutines close() waits for
+}
+
+// ctlDial is one dial of a ctlConn; done closes once p or err is set.
+type ctlDial struct {
+	done chan struct{}
+	p    *ctlPipe
+	err  error
 }
 
 // ctlReply is what a waiting caller receives: the reply frame's
@@ -217,40 +225,56 @@ func (c *ctlConn) roundTrip(env *envelope, timeout time.Duration) (*envelope, er
 	}
 }
 
-// pipe returns the live connection, dialing when there is none. The dial
-// happens outside c.mu (as in daemon.link): concurrent callers may both
-// dial, and the loser closes its connection and adopts the winner's.
+// pipe returns the live connection, dialing when there is none. One
+// caller dials, outside c.mu (as in daemon.link); callers arriving while
+// that dial is in flight wait for it, within their own timeout, and
+// adopt its pipe or fail with its error — so a cold connection under a
+// burst is dialed once, not once per caller.
 func (c *ctlConn) pipe(timeout time.Duration) (*ctlPipe, error) {
 	c.mu.Lock()
-	p, closed := c.cur, c.closed
-	c.mu.Unlock()
-	if closed {
+	if c.closed {
+		c.mu.Unlock()
 		return nil, fmt.Errorf("wire: %s: %w", c.addr, errCtlClosed)
 	}
-	if p != nil {
+	if p := c.cur; p != nil {
+		c.mu.Unlock()
 		return p, nil
 	}
-	conn, err := net.DialTimeout("tcp", c.addr, timeout)
-	if err != nil {
-		return nil, err
+	if d := c.dialing; d != nil {
+		c.mu.Unlock()
+		timer := time.NewTimer(timeout)
+		defer timer.Stop()
+		select {
+		case <-d.done:
+			return d.p, d.err
+		case <-timer.C:
+			return nil, fmt.Errorf("wire: dial %s: no connection within %v", c.addr, timeout)
+		}
 	}
+	d := &ctlDial{done: make(chan struct{})}
+	c.dialing = d
+	c.mu.Unlock()
+
+	conn, err := net.DialTimeout("tcp", c.addr, timeout)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
+	defer close(d.done)
+	c.dialing = nil
+	switch {
+	case err != nil:
+		d.err = err
+	case c.closed:
 		conn.Close()
-		return nil, fmt.Errorf("wire: %s: %w", c.addr, errCtlClosed)
+		d.err = fmt.Errorf("wire: %s: %w", c.addr, errCtlClosed)
+	default:
+		d.p = &ctlPipe{conn: conn}
+		c.cur = d.p
+		// Registered under the lock that close() sets closed under, so its
+		// Wait cannot miss this reader.
+		c.readers.Add(1)
+		go c.read(d.p)
 	}
-	if c.cur != nil {
-		conn.Close()
-		return c.cur, nil
-	}
-	p = &ctlPipe{conn: conn}
-	c.cur = p
-	// Registered under the lock that close() sets closed under, so its
-	// Wait cannot miss this reader.
-	c.readers.Add(1)
-	go c.read(p)
-	return p, nil
+	return d.p, d.err
 }
 
 // send queues ch for the next unclaimed reply and writes the request.

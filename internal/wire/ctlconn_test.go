@@ -93,9 +93,7 @@ func echoAll(conn net.Conn, r *bufio.Reader) {
 // echoOne answers the connection's next request and reports whether it
 // could. The scripts that misbehave do it after one honest answer: the
 // test's warmUp call, which makes the misbehaving connection the client's
-// live one before the burst starts — concurrent callers on a cold client
-// would each dial, and all but one of those connections are dropped
-// unused.
+// live one before the burst starts.
 func echoOne(conn net.Conn, r *bufio.Reader) bool {
 	req, err := readFrame(r)
 	return err == nil && echo(conn, req) == nil
@@ -159,6 +157,81 @@ func TestCtlConnConcurrentCallersGetTheirOwnReplies(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+}
+
+// TestCtlConnColdDial: a burst of callers on a connection that has no
+// pipe yet dials once — the first caller dials, the rest wait for that
+// dial and share its pipe. Accepts are counted through a sentinel
+// connection dialed afterwards: the listener accepts in arrival order,
+// so by the time the sentinel is accepted every earlier dial has been.
+func TestCtlConnColdDial(t *testing.T) {
+	sentinel := make(chan int, 1)
+	peer := newScriptedPeer(t, func(idx int, conn net.Conn, r *bufio.Reader) {
+		if idx > 0 {
+			if _, err := r.ReadByte(); err == nil {
+				sentinel <- idx
+			}
+			return
+		}
+		echoAll(conn, r)
+	})
+	c := &ctlConn{addr: peer.addr}
+	defer c.close()
+	const burst = 16
+	out := make(chan call, burst)
+	for i := 0; i < burst; i++ {
+		goCall(c, fmt.Sprintf("cold-%d", i), patience, out)
+	}
+	for i := 0; i < burst; i++ {
+		r := awaitEvent(t, out, "a caller of the cold burst to return")
+		if r.err != nil {
+			t.Fatalf("%s: %v", r.name, r.err)
+		}
+		if r.reply.Name != r.name {
+			t.Fatalf("%s received the reply to %q", r.name, r.reply.Name)
+		}
+	}
+	probe, err := net.Dial("tcp", peer.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	if _, err := probe.Write([]byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	if idx := awaitEvent(t, sentinel, "the sentinel connection to be accepted"); idx != 1 {
+		t.Fatalf("the sentinel was accept number %d: a cold burst of %d callers dialed %d times, want 1", idx+1, burst, idx)
+	}
+}
+
+// TestCtlConnColdDialFailureFailsEveryWaiter: when the one dial fails,
+// every caller waiting on it fails with it, and the next call dials
+// again.
+func TestCtlConnColdDialFailureFailsEveryWaiter(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // nothing listens: the dial is refused
+	c := &ctlConn{addr: addr}
+	defer c.close()
+	const burst = 8
+	out := make(chan call, burst)
+	for i := 0; i < burst; i++ {
+		goCall(c, fmt.Sprintf("refused-%d", i), patience, out)
+	}
+	for i := 0; i < burst; i++ {
+		if r := awaitEvent(t, out, "a caller of the refused burst to return"); r.err == nil {
+			t.Fatalf("%s succeeded against a closed port", r.name)
+		}
+	}
+	c.mu.Lock()
+	dialing := c.dialing
+	c.mu.Unlock()
+	if dialing != nil {
+		t.Fatal("a failed dial is still recorded as in flight")
+	}
 }
 
 func TestCtlConnPeerCloseFailsEveryCallerInFlight(t *testing.T) {

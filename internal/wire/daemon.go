@@ -285,8 +285,9 @@ func (d *daemon) handleControl(env *envelope, rp *replier) bool {
 		return ok(nil)
 	case msgInject:
 		// injectLocal persists before dispatch, so the ok reply implies
-		// the injection is durable.
-		return ok(d.injectLocal(env.Job, env.Agent.Behavior, env.Agent.State))
+		// the injection is durable. The frame's payload is the checkpoint.
+		a := env.Agent
+		return ok(d.injectLocal(&agentMsg{Job: env.Job, Behavior: a.Behavior, State: a.State, payload: a.payload}))
 	case msgSetVar:
 		var v any
 		if env.Value != nil {
@@ -532,12 +533,13 @@ func (d *daemon) broadcastLeave() {
 // injectLocal starts a new agent on this daemon — injection is local, as
 // in MESSENGERS. The agent is checkpointed (and, on a persistent host,
 // synced to disk) before dispatch, so injection into a dying daemon is
-// not lost: the restart replays it. job is the namespace the agent (and
-// everything it injects) is accounted to. The returned error reports
+// not lost: the restart replays it. msg carries the behavior, the state
+// and the namespace the agent (and everything it injects) is accounted
+// to; injectLocal gives it its identity. The returned error reports
 // encode or persistence failures; in-process callers forward it to
 // d.fail, remote injection returns it to the coordinator.
-func (d *daemon) injectLocal(job uint64, behaviorName string, state any) error {
-	msg := &agentMsg{ID: d.node.newAgentID(), Job: job, Behavior: behaviorName, State: state}
+func (d *daemon) injectLocal(msg *agentMsg) error {
+	msg.ID = d.node.newAgentID()
 	// Sync unconditionally, even when inject failed: a failed injection
 	// can still have advanced durable counters before erroring, and the
 	// coordinator's error reply is an acknowledgement like any other —
@@ -641,6 +643,7 @@ func (d *daemon) startStep(msg *agentMsg, replay bool) {
 			d.fail(err)
 			return
 		}
+		msg.payload = nil // the step may change State; the arrival payload is the checkpoint's alone now
 		v := b(&Ctx{daemon: d, agent: msg})
 		if d.dead.Load() {
 			return // zombie step of a killed incarnation; replay supersedes it

@@ -286,17 +286,6 @@ func appendOp(buf []byte, dom byte, del bool, id uint64) []byte {
 	return binary.AppendUvarint(append(buf, tag), id)
 }
 
-func appendBytes(buf, b []byte) []byte {
-	return append(binary.AppendUvarint(buf, uint64(len(b))), b...)
-}
-
-func appendCounters(buf []byte, c counters) []byte {
-	buf = binary.AppendVarint(buf, c.Created)
-	buf = binary.AppendVarint(buf, c.Finished)
-	buf = binary.AppendVarint(buf, c.Sent)
-	return binary.AppendVarint(buf, c.Received)
-}
-
 // Drain flag bits of the meta key.
 const (
 	flagDraining = 1 << iota
@@ -312,7 +301,7 @@ func (ns *nodeState) appendKey(buf []byte, k recKey) []byte {
 		c, ok := ns.ckpt[k.id]
 		buf = appendOp(buf, k.dom, !ok, k.id)
 		if ok {
-			buf = appendBytes(buf, []byte(c.behavior))
+			buf = appendString(buf, c.behavior)
 			buf = binary.AppendUvarint(buf, c.hop)
 			buf = binary.AppendUvarint(buf, c.job)
 			buf = appendBytes(buf, c.state)
@@ -443,7 +432,8 @@ func (ns *nodeState) capture(buf []byte, full bool) ([]byte, error) {
 }
 
 // capture appends the store's dirty variables (all of them when full)
-// as name → gob(stateBox) puts, or deletes for names no longer set.
+// as name → payload (see payload.go) puts, or deletes for names no
+// longer set.
 func (s *store) capture(buf []byte, full bool) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -458,7 +448,7 @@ func (s *store) capture(buf []byte, full bool) ([]byte, error) {
 		if !ok {
 			tag |= 1
 		}
-		buf = appendBytes(append(buf, tag), []byte(name))
+		buf = appendString(append(buf, tag), name)
 		if ok {
 			b, err := encodeState(v)
 			if err != nil {
@@ -765,62 +755,6 @@ func (ld *loader) replay(path string, data []byte, snapshot bool) (valid int64, 
 		off = end
 	}
 	return int64(off), n, nil
-}
-
-// recReader decodes a record payload with a sticky error, so hostile or
-// damaged bytes yield an error from apply, never an index panic.
-type recReader struct {
-	b   []byte
-	err error
-}
-
-var errShortRecord = errors.New("malformed batch: truncated operation")
-
-func (r *recReader) fail() { r.err, r.b = errShortRecord, nil }
-
-func (r *recReader) byte() byte {
-	if len(r.b) == 0 {
-		r.fail()
-		return 0
-	}
-	c := r.b[0]
-	r.b = r.b[1:]
-	return c
-}
-
-func (r *recReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *recReader) varint() int64 {
-	v, n := binary.Varint(r.b)
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-func (r *recReader) bytes() []byte {
-	n := r.uvarint()
-	if n > uint64(len(r.b)) {
-		r.fail()
-		return nil
-	}
-	out := r.b[:n]
-	r.b = r.b[n:]
-	return out
-}
-
-func (r *recReader) counters() counters {
-	return counters{Created: r.varint(), Finished: r.varint(), Sent: r.varint(), Received: r.varint()}
 }
 
 // apply installs one batch's operations. The nodeState is not served

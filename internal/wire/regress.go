@@ -6,13 +6,13 @@ import (
 )
 
 // Exported entry points for the BENCH_wire.json regression harness
-// (internal/bench). The frame and checkpoint codecs are unexported by
+// (internal/bench). The frame and payload codecs are unexported by
 // design — nothing outside this package should touch wire framing — so
 // these thin wrappers expose exactly the operations the harness times:
 // frame encode (pooled fast path), frame decode, the checkpoint state
 // snapshot both ways, one sync of a plateau-shaped node, and control
-// round trips on a client's pipelined connection. They are also usable from external tests that need a wire-identical byte image
-// of a frame.
+// round trips on a client's pipelined connection. They are also usable
+// from external tests that need a wire-identical byte image of a frame.
 
 // benchEnvelope wraps state in the canonical agent envelope the codec
 // benchmarks measure — the frame shape that dominates hop traffic.
@@ -113,13 +113,13 @@ func BenchSyncNode(dir string, ballast int) (step func() error, closeNode func()
 }
 
 // BenchControlRoundTrip starts one in-process host holding an 8-byte
-// variable and a client connected to it. run performs n GetVar round
-// trips of that variable, shared between callers concurrent callers on
-// the client's one control connection to the host, and returns when the
-// last has its reply: callers = 1 is what a coordinator that takes turns
-// pays per call, callers = 16 what one that overlaps a job's sixteen
-// calls pays. BenchmarkControlRoundTrip times both, and BENCH_wire.json
-// gates the pair.
+// variable and a client connected to it. run(callers, n) performs n
+// GetVar round trips of that variable, split among callers goroutines
+// calling at once on the client's one control connection to the host,
+// and returns when the last has its reply: callers = 1 is what a
+// coordinator that takes turns pays per call, callers = 16 what one that
+// overlaps a job's sixteen calls pays. BenchmarkControlRoundTrip times
+// both, and BENCH_wire.json gates the pair.
 func BenchControlRoundTrip() (run func(callers, n int) error, closeCluster func(), err error) {
 	cl, err := NewCluster(1)
 	if err != nil {

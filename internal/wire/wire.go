@@ -153,7 +153,7 @@ func (c *Ctx) Signal(event string) { c.daemon.node.events.signal(event) }
 // this agent's job namespace, so a job's termination detection covers
 // its whole injection tree.
 func (c *Ctx) Inject(behavior string, state any) {
-	c.daemon.injectLocal(c.agent.Job, behavior, state)
+	c.daemon.injectLocal(&agentMsg{Job: c.agent.Job, Behavior: behavior, State: state})
 }
 
 // HopTo ends the step with a migration to node dst.
