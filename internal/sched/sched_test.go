@@ -136,10 +136,15 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	gate := make(chan struct{})
+	started := make(chan struct{})
 	blocker, _ := s.Submit(Spec{Work: WorkFunc{Name: "blocker", Fn: func(rt *Runtime) (any, error) {
+		close(started)
 		<-gate
 		return nil, nil
 	}}})
+	// The blocker has the default priority, PriorityLow: until the single
+	// worker has claimed it, a queued mid or high outranks it and runs first.
+	<-started
 	record := func(name string) Work {
 		return WorkFunc{Name: name, Fn: func(rt *Runtime) (any, error) {
 			mu.Lock()

@@ -119,17 +119,20 @@ type Cluster struct {
 	monitorDone chan struct{}
 }
 
-// ctlConn is a lazily redialed, pipelined control connection to one
-// daemon: any number of callers have a round trip in flight on it at
-// once. A caller writes its request frame and then waits for the reply
-// on a channel of its own; one reader goroutine per live connection
-// hands each frame it reads to the oldest caller still waiting.
+// ctlConn is a lazily redialed, pipelined connection to one daemon: any
+// number of callers have a round trip in flight on it at once. It carries
+// the coordinator's control frames and, between daemons, every frame one
+// daemon sends another — hops and control alike (daemon.peer). A caller
+// writes its request frame and then waits for the reply on a channel of
+// its own; one reader goroutine per live connection hands each frame it
+// reads to the oldest caller still waiting.
 //
 // Matching replies to requests by position needs no request id because
 // of the daemon's side of the contract: daemon.handle serves one inbound
 // connection with a sequential loop that writes exactly one reply per
-// request, in arrival order. (msgShutdown is answered by closing the
-// connection, which is the failure path below and ends the sequence.)
+// request, in arrival order — a hop's ack included. (msgShutdown is
+// answered by closing the connection, which is the failure path below and
+// ends the sequence.)
 //
 // Any read or write error, an undecodable reply, or one caller's timeout
 // tears the connection down and fails every round trip in flight on it —
@@ -139,8 +142,9 @@ type Cluster struct {
 // terminal instead: a round trip racing or following it fails and never
 // redials. The zero value with addr set is ready to use.
 type ctlConn struct {
-	addr string
-	met  *wireMetrics // nil on the one-shot connections, which report nothing
+	addr  string
+	met   *wireMetrics     // nil on the one-shot and peer connections, which report no control metrics
+	dials *metrics.Counter // counts every dial when set (a daemon's peer connections: wire.links.dials)
 
 	mu      sync.Mutex // guards cur, dialing and closed; never held across I/O
 	cur     *ctlPipe
@@ -171,12 +175,23 @@ type ctlPipe struct {
 	wmu sync.Mutex
 	// pmu guards the FIFO separately, so the reader never waits behind a
 	// writer stalled on a full socket.
-	pmu  sync.Mutex
-	fifo []chan ctlReply // callers awaiting a reply, oldest first
-	dead error           // why the pipe was torn down; once set the FIFO stays empty
+	pmu sync.Mutex
+	// fifo holds the callers awaiting a reply, oldest first; a nil entry
+	// is a duplicate copy's slot, whose reply is read and discarded.
+	fifo []chan ctlReply
+	dead error // why the pipe was torn down; once set the FIFO stays empty
 }
 
-var errCtlClosed = errors.New("control connection is closed")
+// A failed round trip's error tells its caller what happened, through
+// errors.Is: errCtlTimeout, its own reply did not come in time;
+// errCtlTornDown, the connection failed under it (a neighbour's timeout,
+// a read error, an undecodable reply, close); errCtlClosed, close() came
+// first. Any other error is a failed dial or write.
+var (
+	errCtlClosed   = errors.New("control connection is closed")
+	errCtlTimeout  = errors.New("no reply in time")
+	errCtlTornDown = errors.New("torn down")
+)
 
 // roundTrip sends one control frame and returns its reply, or fails
 // within about timeout (a dial, when one is needed, is given the same
@@ -187,6 +202,14 @@ func (c *ctlConn) roundTrip(env *envelope, timeout time.Duration) (*envelope, er
 		return nil, err
 	}
 	defer f.release()
+	return c.roundTripFrame(f.bytes(), 0, timeout)
+}
+
+// roundTripFrame is roundTrip on an already-encoded frame, which a hop's
+// sender keeps across its retries. extra duplicate copies of the frame —
+// the fault plan's Dup — follow it back to back, each taking a FIFO slot
+// whose reply is discarded; the caller gets the first copy's reply.
+func (c *ctlConn) roundTripFrame(frame []byte, extra int, timeout time.Duration) (*envelope, error) {
 	if c.met != nil {
 		start := time.Now()
 		c.met.ctlInflight.Add(1)
@@ -201,7 +224,7 @@ func (c *ctlConn) roundTrip(env *envelope, timeout time.Duration) (*envelope, er
 	}
 	deadline := time.Now().Add(timeout)
 	ch := make(chan ctlReply, 1)
-	if err := p.send(f.bytes(), ch, deadline); err != nil {
+	if err := p.send(frame, extra, ch, deadline); err != nil {
 		c.drop(p, err)
 		return nil, err
 	}
@@ -215,21 +238,21 @@ func (c *ctlConn) roundTrip(env *envelope, timeout time.Duration) (*envelope, er
 		reply, err := decodeBody(*r.body)
 		putBodyBuf(r.body)
 		if err != nil {
-			c.drop(p, err)
+			return nil, c.drop(p, err)
 		}
-		return reply, err
+		return reply, nil
 	case <-timer.C:
-		err := fmt.Errorf("wire: no reply from %s within %v", c.addr, timeout)
-		c.drop(p, err)
-		return nil, err
+		// The neighbours fail with the teardown, not with this timeout.
+		c.drop(p, fmt.Errorf("a caller waited %v for its reply", timeout))
+		return nil, fmt.Errorf("wire: no reply from %s within %v: %w", c.addr, timeout, errCtlTimeout)
 	}
 }
 
 // pipe returns the live connection, dialing when there is none. One
-// caller dials, outside c.mu (as in daemon.link); callers arriving while
-// that dial is in flight wait for it, within their own timeout, and
-// adopt its pipe or fail with its error — so a cold connection under a
-// burst is dialed once, not once per caller.
+// caller dials, outside c.mu; callers arriving while that dial is in
+// flight wait for it, within their own timeout, and adopt its pipe or
+// fail with its error — so a cold connection under a burst is dialed
+// once, not once per caller.
 func (c *ctlConn) pipe(timeout time.Duration) (*ctlPipe, error) {
 	c.mu.Lock()
 	if c.closed {
@@ -255,6 +278,9 @@ func (c *ctlConn) pipe(timeout time.Duration) (*ctlPipe, error) {
 	c.dialing = d
 	c.mu.Unlock()
 
+	if c.dials != nil {
+		c.dials.Inc()
+	}
 	conn, err := net.DialTimeout("tcp", c.addr, timeout)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -277,8 +303,9 @@ func (c *ctlConn) pipe(timeout time.Duration) (*ctlPipe, error) {
 	return d.p, d.err
 }
 
-// send queues ch for the next unclaimed reply and writes the request.
-func (p *ctlPipe) send(frame []byte, ch chan ctlReply, deadline time.Time) error {
+// send queues ch for the next unclaimed reply, and a discard slot for
+// each of the extra copies, and writes the request 1+extra times.
+func (p *ctlPipe) send(frame []byte, extra int, ch chan ctlReply, deadline time.Time) error {
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
 	p.pmu.Lock()
@@ -287,13 +314,20 @@ func (p *ctlPipe) send(frame []byte, ch chan ctlReply, deadline time.Time) error
 		return err
 	}
 	p.fifo = append(p.fifo, ch)
+	for i := 0; i < extra; i++ {
+		p.fifo = append(p.fifo, nil)
+	}
 	p.pmu.Unlock()
 	if err := p.conn.SetWriteDeadline(deadline); err != nil {
 		return err
 	}
-	//lint:ignore lockorder wmu exists so that FIFO order is wire order, which holding it across the write IS (the link.writeFrame invariant); the write is deadline-bounded, and a contender stalls only on its own daemon's control channel.
-	_, err := p.conn.Write(frame)
-	return err
+	for i := 0; i <= extra; i++ {
+		//lint:ignore lockorder wmu exists so that FIFO order is wire order, which holding it across the write IS; the write is deadline-bounded, and a contender stalls only on its own peer's connection.
+		if _, err := p.conn.Write(frame); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // read is the pipe's reader goroutine: every frame goes to the oldest
@@ -309,23 +343,29 @@ func (c *ctlConn) read(p *ctlPipe) {
 			return
 		}
 		p.pmu.Lock()
+		waiting := len(p.fifo)
 		var ch chan ctlReply
-		if len(p.fifo) > 0 {
+		if waiting > 0 {
 			ch, p.fifo = p.fifo[0], p.fifo[1:]
 		}
 		p.pmu.Unlock()
-		if ch == nil {
+		switch {
+		case waiting == 0:
 			putBodyBuf(body)
 			c.drop(p, fmt.Errorf("wire: unsolicited frame from %s", c.addr))
 			return
+		case ch == nil: // a duplicate copy's reply
+			putBodyBuf(body)
+		default:
+			ch <- ctlReply{body: body} // buffered, and handed to exactly once
 		}
-		ch <- ctlReply{body: body} // buffered, and handed to exactly once
 	}
 }
 
 // drop retires p as the live connection (the next round trip redials)
-// and fails every caller in flight on it. It is idempotent.
-func (c *ctlConn) drop(p *ctlPipe, err error) {
+// and fails every caller in flight on it. It is idempotent, and returns
+// the error those callers were failed with.
+func (c *ctlConn) drop(p *ctlPipe, err error) error {
 	c.mu.Lock()
 	if c.cur == p {
 		c.cur = nil
@@ -334,16 +374,19 @@ func (c *ctlConn) drop(p *ctlPipe, err error) {
 	p.pmu.Lock()
 	if p.dead != nil {
 		p.pmu.Unlock()
-		return
+		return p.dead
 	}
-	dead := fmt.Errorf("wire: control connection to %s torn down: %w", c.addr, err)
+	dead := fmt.Errorf("wire: control connection to %s %w: %w", c.addr, errCtlTornDown, err)
 	waiting := p.fifo
 	p.dead, p.fifo = dead, nil
 	p.pmu.Unlock()
 	p.conn.Close() // unblocks the reader
 	for _, ch := range waiting {
-		ch <- ctlReply{err: dead}
+		if ch != nil {
+			ch <- ctlReply{err: dead}
+		}
 	}
+	return dead
 }
 
 // close tears the connection down for good and returns once its reader

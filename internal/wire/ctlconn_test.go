@@ -316,12 +316,14 @@ func TestCtlConnTimeoutTearsDownAndRecovers(t *testing.T) {
 	awaitEvent(t, got, "the peer to read the first patient request")
 	awaitEvent(t, got, "the peer to read the second patient request")
 	// Both neighbours are in flight; now the caller that gives up.
-	if _, err := c.roundTrip(&envelope{Kind: msgGetVar, Name: "hasty"}, 20*time.Millisecond); err == nil {
-		t.Fatal("a round trip to a silent peer succeeded")
+	_, err := c.roundTrip(&envelope{Kind: msgGetVar, Name: "hasty"}, 20*time.Millisecond)
+	if !errors.Is(err, errCtlTimeout) || errors.Is(err, errCtlTornDown) {
+		t.Fatalf("the timed-out caller's error = %v, want its own timeout", err)
 	}
 	for i := 0; i < 2; i++ {
-		if r := awaitEvent(t, out, "a neighbour of the timed-out caller to fail"); r.err == nil {
-			t.Fatalf("%s got a reply from a peer that sent none", r.name)
+		r := awaitEvent(t, out, "a neighbour of the timed-out caller to fail")
+		if !errors.Is(r.err, errCtlTornDown) || errors.Is(r.err, errCtlTimeout) {
+			t.Fatalf("%s's error = %v, want the torn-down error", r.name, r.err)
 		}
 	}
 	awaitEvent(t, hungUp, "the silent connection to be torn down")
@@ -331,6 +333,102 @@ func TestCtlConnTimeoutTearsDownAndRecovers(t *testing.T) {
 	}
 	if reply.Name != "later" {
 		t.Fatalf("recovered call received the reply to %q", reply.Name)
+	}
+}
+
+// getVarFrame encodes the request goCall sends, for roundTripFrame.
+func getVarFrame(t *testing.T, name string) []byte {
+	t.Helper()
+	f, err := encodeFrame(&envelope{Kind: msgGetVar, Name: name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.release)
+	return f.bytes()
+}
+
+// TestCtlConnDuplicateRepliesAreDiscarded: a frame sent with two extra
+// copies is answered three times; its caller gets the first reply, the
+// other two are read and dropped — not taken for unsolicited frames that
+// tear the connection down — and the next caller, on the same
+// connection, gets its own reply rather than a stale duplicate.
+func TestCtlConnDuplicateRepliesAreDiscarded(t *testing.T) {
+	got := make(chan string, 8)
+	peer := newScriptedPeer(t, func(idx int, conn net.Conn, r *bufio.Reader) {
+		for {
+			req, err := readFrame(r)
+			if err != nil || echo(conn, req) != nil {
+				return
+			}
+			got <- fmt.Sprintf("%s on connection %d", req.Name, idx)
+		}
+	})
+	c := &ctlConn{addr: peer.addr}
+	defer c.close()
+	reply, err := c.roundTripFrame(getVarFrame(t, "tripled"), 2, patience)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Name != "tripled" {
+		t.Fatalf("the duplicated call received the reply to %q", reply.Name)
+	}
+	for i := 0; i < 3; i++ {
+		if s := awaitEvent(t, got, "the peer to answer a copy"); s != "tripled on connection 0" {
+			t.Fatalf("copy %d was answered as %q", i, s)
+		}
+	}
+	reply, err = c.roundTrip(&envelope{Kind: msgGetVar, Name: "next"}, patience)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reply.Name != "next" {
+		t.Fatalf("the next caller received the reply to %q", reply.Name)
+	}
+	if s := awaitEvent(t, got, "the peer to answer the next call"); s != "next on connection 0" {
+		t.Fatalf("the next call was answered as %q: a duplicate's reply tore the connection down", s)
+	}
+}
+
+// TestCtlConnTeardownSkipsDiscardSlots: a teardown while duplicate slots
+// are queued fails the real callers — and only them; a discard slot has
+// nobody to tell.
+func TestCtlConnTeardownSkipsDiscardSlots(t *testing.T) {
+	const frames = 4 // the duplicated call's three copies and one neighbour
+	peer := newScriptedPeer(t, func(idx int, conn net.Conn, r *bufio.Reader) {
+		if idx > 0 || !echoOne(conn, r) {
+			echoAll(conn, r)
+			return
+		}
+		// The first connection, once warm, takes every frame in and
+		// hangs up without answering.
+		for i := 0; i < frames; i++ {
+			if _, err := readFrame(r); err != nil {
+				return
+			}
+		}
+	})
+	c := &ctlConn{addr: peer.addr}
+	defer c.close()
+	warmUp(t, c)
+	out := make(chan call, 2)
+	tripled := getVarFrame(t, "tripled")
+	go func() {
+		reply, err := c.roundTripFrame(tripled, 2, 10*patience)
+		out <- call{"tripled", reply, err}
+	}()
+	goCall(c, "neighbour", 10*patience, out)
+	for i := 0; i < 2; i++ {
+		r := awaitEvent(t, out, "a caller of the hung-up connection to fail")
+		if !errors.Is(r.err, errCtlTornDown) {
+			t.Fatalf("%s's error = %v, want the torn-down error", r.name, r.err)
+		}
+	}
+	reply, err := c.roundTrip(&envelope{Kind: msgGetVar, Name: "after"}, patience)
+	if err != nil {
+		t.Fatalf("the call after the teardown did not redial: %v", err)
+	}
+	if reply.Name != "after" {
+		t.Fatalf("redialed call received the reply to %q", reply.Name)
 	}
 }
 

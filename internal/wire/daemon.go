@@ -20,10 +20,11 @@ import (
 var errKilled = errors.New("wire: daemon incarnation killed")
 
 // daemon is one incarnation of a node's MESSENGERS daemon: a TCP
-// listener, cached peer links, and a pool of running agent steps. The
-// durable node identity — variables, events, checkpoints, counters —
-// lives in the shared nodeState; a daemon incarnation is disposable and
-// a kill discards only what the checkpoint protocol can reconstruct.
+// listener, one cached connection per peer, and a pool of running agent
+// steps. The durable node identity — variables, events, checkpoints,
+// counters — lives in the shared nodeState; a daemon incarnation is
+// disposable and a kill discards only what the checkpoint protocol can
+// reconstruct.
 type daemon struct {
 	id      int
 	members *membership // node id → address, shared across incarnations
@@ -35,7 +36,7 @@ type daemon struct {
 
 	dead     atomic.Bool
 	linkMu   sync.Mutex
-	links    map[int]*link
+	links    map[int]*ctlConn // by peer id; see peer
 	inbound  map[net.Conn]struct{}
 	wg       sync.WaitGroup // running agent steps
 	stopped  chan struct{}
@@ -46,7 +47,7 @@ func newDaemon(id int, members *membership, ln net.Listener, node *nodeState, op
 	return &daemon{
 		id: id, members: members, ln: ln, node: node, opts: opts,
 		errs: errs, sink: sink,
-		links: map[int]*link{}, inbound: map[net.Conn]struct{}{},
+		links: map[int]*ctlConn{}, inbound: map[net.Conn]struct{}{},
 		stopped: make(chan struct{}),
 	}
 }
@@ -269,8 +270,10 @@ func (d *daemon) handleControl(env *envelope, rp *replier) bool {
 		if err != nil {
 			return ok(err)
 		}
+		// Best-effort: a member that misses the grown list learns it when
+		// the joiner's first hop dials it, or on the next join.
 		members := d.members.list()
-		d.broadcastMembers(members)
+		d.broadcast(&envelope{Kind: msgMembers, Members: members, You: -1})
 		return rp.send(&envelope{Kind: msgMembers, Members: members, You: id})
 	case msgMembers:
 		if err := d.members.update(env.Members); err != nil {
@@ -364,12 +367,13 @@ func (d *daemon) handleControl(env *envelope, rp *replier) bool {
 // down (hops, control traffic, and static-seed starts are unaffected),
 // which is the price of never handing two joiners the same index.
 func (d *daemon) forwardJoin(joinAddr string) (*envelope, error) {
-	addr0, err := d.members.addr(0)
+	if _, err := d.members.addr(0); err != nil {
+		return nil, err // out of range, or node 0 has left
+	}
+	c, err := d.peer(0)
 	if err != nil {
 		return nil, err
 	}
-	c := &ctlConn{addr: addr0}
-	defer c.close()
 	rep, err := c.roundTrip(&envelope{Kind: msgJoin, Addr: joinAddr}, d.opts.AckTimeout)
 	if err != nil {
 		return nil, err
@@ -382,20 +386,18 @@ func (d *daemon) forwardJoin(joinAddr string) (*envelope, error) {
 	return rep, nil
 }
 
-// broadcastMembers pushes an updated membership list to every other
-// member, best-effort and asynchronous: a member that misses the
-// broadcast learns the list when the joiner's first hop dials it, or on
-// the next join. The joiner itself gets the list in its join reply.
-func (d *daemon) broadcastMembers(members []string) {
-	for i, addr := range members {
-		if i == d.id || addr == "" {
+// broadcast sends env to every other member, best-effort and
+// asynchronous: nobody waits for the replies, and a member that misses
+// the frame learns its news another way (see the call sites).
+func (d *daemon) broadcast(env *envelope) {
+	for i := range d.members.size() {
+		if i == d.id {
 			continue
 		}
-		addr := addr
 		go func() {
-			c := &ctlConn{addr: addr}
-			defer c.close()
-			c.roundTrip(&envelope{Kind: msgMembers, Members: members, You: -1}, d.opts.AckTimeout)
+			if c, err := d.peer(i); err == nil {
+				c.roundTrip(env, d.opts.AckTimeout)
+			}
 		}()
 	}
 }
@@ -411,8 +413,11 @@ func (d *daemon) broadcastMembers(members []string) {
 // keeps serving as a tombstone shell (see the msgAgent refusal path)
 // until it receives msgShutdown.
 func (d *daemon) drain(timeout time.Duration) error {
+	// A member that misses the leave notice learns on its next dial here
+	// (refused frames) or from a peer's tombstone.
+	leave := &envelope{Kind: msgLeave, Node: d.id}
 	if d.node.isDrained() {
-		d.broadcastLeave() // the crash may have eaten the first broadcast
+		d.broadcast(leave) // the crash may have eaten the first broadcast
 		return nil
 	}
 	d.node.setDraining(true)
@@ -486,19 +491,17 @@ func (d *daemon) drain(timeout time.Duration) error {
 		return err
 	}
 	d.node.met.drains.Inc()
-	d.broadcastLeave()
+	d.broadcast(leave)
 	return nil
 }
 
 // absorbInto performs one msgAbsorb round trip against the pinned
 // survivor.
 func (d *daemon) absorbInto(target int, total counters, perJob map[uint64]counters) error {
-	addr, err := d.members.addrAny(target)
+	c, err := d.peer(target)
 	if err != nil {
 		return err
 	}
-	c := &ctlConn{addr: addr}
-	defer c.close()
 	rep, err := c.roundTrip(&envelope{Kind: msgAbsorb, Node: d.id, Counters: total, PerJob: perJob}, d.opts.AckTimeout)
 	if err != nil {
 		return err
@@ -510,24 +513,6 @@ func (d *daemon) absorbInto(target int, total counters, perJob map[uint64]counte
 		return errors.New(rep.Err)
 	}
 	return nil
-}
-
-// broadcastLeave announces this node's departure to every other member,
-// best-effort and asynchronous like broadcastMembers: a member that
-// misses it learns on its next dial here (refused frames) or from a
-// peer's tombstone.
-func (d *daemon) broadcastLeave() {
-	for i, addr := range d.members.list() {
-		if i == d.id || addr == "" {
-			continue
-		}
-		addr := addr
-		go func() {
-			c := &ctlConn{addr: addr}
-			defer c.close()
-			c.roundTrip(&envelope{Kind: msgLeave, Node: d.id}, d.opts.AckTimeout)
-		}()
-	}
 }
 
 // injectLocal starts a new agent on this daemon — injection is local, as
@@ -706,12 +691,19 @@ func (d *daemon) migrateOut(msg *agentMsg, dst int, note string) {
 // it, delays precede it — so every chaos scenario exercises the same
 // code path real network trouble would.
 //
-// Two acknowledgement outcomes divert the hop instead of settling it: a
-// Refused ack (the destination is an evacuated tombstone shell that
-// provably did not accept), and a dial failure to a member that has
-// announced its departure. Both reroute the frame to the next live
-// member — after pinning that choice in the persisted image, so a
-// crashed-and-replayed sender re-ships to the same stand-in.
+// The frame rides the peer's connection like any request, and its ack is
+// the reply in its position. A connection torn down under the wait (a
+// peer reset, or a neighbour's timeout) means no ack is coming on it: the
+// frame is resent at once over a fresh dial, and the receiver's dedup
+// answers Dup if the first copy got in. The wait's own timeout backs off
+// and resends; it proves nothing about the destination.
+//
+// Two outcomes divert the hop instead of settling it: a Refused ack (the
+// destination is an evacuated tombstone shell that provably did not
+// accept), and a failed dial or write to a member that has announced its
+// departure. Both reroute the frame to the next live member — after
+// pinning that choice in the persisted image, so a crashed-and-replayed
+// sender re-ships to the same stand-in.
 func (d *daemon) deliver(dst int, msg *agentMsg, prevHop uint64) bool {
 	if rr, ok := d.node.rerouteFor(msg.ID); ok {
 		// A pinned reroute governs every (re)send of the in-flight hop,
@@ -742,54 +734,33 @@ func (d *daemon) deliver(dst int, msg *agentMsg, prevHop uint64) bool {
 				return false
 			}
 		}
-		var ackCh chan ackMsg
-		var l *link
-		var sentAt time.Time
-		var sendErr error
+		var reply *envelope
+		var err error
+		sentAt := time.Now()
 		if dec.Drop {
 			met.framesDropped.Inc()
 			d.sink.record(navp.TraceDrop, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)), "")
 		} else {
-			if l, sendErr = d.link(dst); sendErr == nil {
-				ackCh = l.expect(msg.ID, msg.Hop)
-				sentAt = time.Now()
-				sendErr = l.writeFrame(frame)
-				if sendErr == nil {
-					met.framesSent.Inc()
-					met.bytesSent.Add(int64(len(frame)))
-				}
-				for i := 0; sendErr == nil && i < dec.Dup; i++ {
-					sendErr = l.writeFrame(frame)
-					if sendErr == nil {
-						met.framesSent.Inc()
-						met.bytesSent.Add(int64(len(frame)))
-					}
-				}
+			var c *ctlConn
+			if c, err = d.peer(dst); err == nil {
+				reply, err = c.roundTripFrame(frame, dec.Dup, d.opts.AckTimeout)
 			}
-			if sendErr != nil {
-				if l != nil {
-					l.cancel(msg.ID, msg.Hop)
-					d.dropLink(dst, l)
-				}
-				ackCh = nil
+			if err == nil || errors.Is(err, errCtlTimeout) || errors.Is(err, errCtlTornDown) {
+				copies := int64(1 + dec.Dup)
+				met.framesSent.Add(copies)
+				met.bytesSent.Add(copies * int64(len(frame)))
 			}
 		}
-		if ackCh != nil {
-			var ack ackMsg
-			var acked, linkDown bool
-			select {
-			case ack = <-ackCh:
-				acked = true
-			case <-l.done:
-				// The link died under us (peer reset, redial elsewhere).
-				// There is no ack coming on this connection; waiting out
-				// the full AckTimeout would just stall the hop.
-				linkDown = true
-			case <-time.After(d.opts.AckTimeout):
-			case <-d.stopped:
+		if d.dead.Load() {
+			return false
+		}
+		if reply != nil {
+			if reply.Kind != msgAck || reply.Ack.ID != msg.ID || reply.Ack.Hop != msg.Hop {
+				d.fail(fmt.Errorf("wire: daemon %d: node %d answered hop (%d, %d) with %s (%d, %d)",
+					d.id, dst, msg.ID, msg.Hop, reply.Kind, reply.Ack.ID, reply.Ack.Hop))
+				return false
 			}
-			l.cancel(msg.ID, msg.Hop)
-			if acked && ack.Refused {
+			if reply.Ack.Refused {
 				// The destination is an evacuated shell that provably did
 				// not accept the frame; divert to a live stand-in.
 				if nd := d.reroute(msg, dst); nd >= 0 {
@@ -798,29 +769,21 @@ func (d *daemon) deliver(dst int, msg *agentMsg, prevHop uint64) bool {
 				}
 				return false
 			}
-			if acked {
-				met.framesAcked.Inc()
-				met.ackLatency.Observe(time.Since(sentAt).Microseconds())
-				if d.node.ackDelivered(msg.ID, prevHop) {
-					d.syncLazily()
-				}
-				d.sink.record(navp.TraceHop, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)), "")
-				return true
+			met.framesAcked.Inc()
+			met.ackLatency.Observe(time.Since(sentAt).Microseconds())
+			if d.node.ackDelivered(msg.ID, prevHop) {
+				d.syncLazily()
 			}
-			select {
-			case <-d.stopped:
-				return false
-			default:
-			}
-			if linkDown {
-				d.dropLink(dst, l)
-				met.framesRetried.Inc()
-				d.sink.record(navp.TraceRetry, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)),
-					fmt.Sprintf("attempt %d", attempt+2))
-				continue // retry immediately over a fresh dial
-			}
+			d.sink.record(navp.TraceHop, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)), "")
+			return true
 		}
-		if sendErr != nil && d.members.left(dst) {
+		if errors.Is(err, errCtlTornDown) {
+			met.framesRetried.Inc()
+			d.sink.record(navp.TraceRetry, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)),
+				fmt.Sprintf("attempt %d", attempt+2))
+			continue // resend at once over a fresh dial
+		}
+		if err != nil && !errors.Is(err, errCtlTimeout) && d.members.left(dst) {
 			// The destination announced its departure and no longer even
 			// dials. Its drain evacuated every resident agent before the
 			// leave broadcast, so this frame cannot have been accepted
@@ -898,24 +861,22 @@ func secondsToDuration(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second))
 }
 
-// link returns the cached outbound link to peer dst, dialing if needed.
-// The dial happens OUTSIDE linkMu: holding the lock across a dial to one
-// slow or dead peer would stall every sender to every other peer (and
-// serve's inbound registration, and terminate) for up to AckTimeout.
-// Concurrent callers may both dial; the loser closes its connection and
-// adopts the winner's link, so the cache still holds one link per peer.
-func (d *daemon) link(dst int) (*link, error) {
+// peer returns this incarnation's connection to member dst, which carries
+// every frame sent there — hops and daemon-to-daemon control alike. The
+// connection is cached for the incarnation's life and redials itself after
+// a failure; creating one dials nothing, and the ctlConn dials outside any
+// lock, once however many callers arrive together, so a slow or dead peer
+// never stalls linkMu (and with it every sender to every other peer,
+// serve's inbound registration and terminate).
+func (d *daemon) peer(dst int) (*ctlConn, error) {
 	d.linkMu.Lock()
+	defer d.linkMu.Unlock()
 	if d.dead.Load() {
-		d.linkMu.Unlock()
 		return nil, errKilled
 	}
-	if l, ok := d.links[dst]; ok {
-		d.linkMu.Unlock()
-		return l, nil
+	if c, ok := d.links[dst]; ok {
+		return c, nil
 	}
-	d.linkMu.Unlock()
-
 	// addrAny, not addr: departed members are dialed on purpose — their
 	// tombstone shells settle duplicate acks and refuse fresh frames,
 	// and only a refusal or a failed dial licenses a reroute.
@@ -923,40 +884,9 @@ func (d *daemon) link(dst int) (*link, error) {
 	if err != nil {
 		return nil, err
 	}
-	conn, err := net.DialTimeout("tcp", addr, d.opts.AckTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("wire: daemon %d dial %d: %w", d.id, dst, err)
-	}
-
-	d.linkMu.Lock()
-	if d.dead.Load() {
-		d.linkMu.Unlock()
-		conn.Close()
-		return nil, errKilled
-	}
-	if l, ok := d.links[dst]; ok {
-		// Lost the dial race; the first link in wins so that expect/ack
-		// routing stays on one connection per peer.
-		d.linkMu.Unlock()
-		conn.Close()
-		return l, nil
-	}
-	l := newLink(conn)
-	d.links[dst] = l
-	d.linkMu.Unlock()
-	d.node.met.linkDials.Inc()
-	go l.readAcks()
-	return l, nil
-}
-
-// dropLink discards a failed link so the next attempt redials.
-func (d *daemon) dropLink(dst int, l *link) {
-	d.linkMu.Lock()
-	if d.links[dst] == l {
-		delete(d.links, dst)
-	}
-	d.linkMu.Unlock()
-	l.close()
+	c := &ctlConn{addr: addr, dials: d.node.met.linkDials}
+	d.links[dst] = c
+	return c, nil
 }
 
 // kill terminates this incarnation abruptly — the fault injector's
@@ -980,13 +910,19 @@ func (d *daemon) terminate() {
 		close(d.stopped)
 		d.ln.Close()
 		d.linkMu.Lock()
-		for _, l := range d.links {
-			l.close()
+		peers := make([]*ctlConn, 0, len(d.links))
+		for _, c := range d.links {
+			peers = append(peers, c)
 		}
 		for conn := range d.inbound {
 			conn.Close()
 		}
 		d.linkMu.Unlock()
+		// Outside linkMu: close waits for each connection's reader. peer
+		// adds nothing once dead is set, so the list is complete.
+		for _, c := range peers {
+			c.close()
+		}
 		// Wake blocked Ctx.Wait calls; they unwind via errKilled.
 		d.node.events.interruptAll()
 	})
@@ -1003,87 +939,4 @@ func (d *daemon) fail(err error) {
 		// it so a silent failure at least leaves a fingerprint.
 		d.node.met.errorsDropped.Inc()
 	}
-}
-
-// link is one cached outbound connection: a serialized frame writer plus
-// a reader goroutine that routes acknowledgement frames back to the
-// sender goroutines waiting on them.
-type link struct {
-	conn net.Conn
-	wmu  sync.Mutex
-
-	pmu     sync.Mutex
-	pending map[ackKey]chan ackMsg
-
-	// done is closed when the link dies, releasing senders parked in
-	// deliver's ack wait so they redial immediately instead of burning
-	// the full AckTimeout on a connection that can never answer.
-	done      chan struct{}
-	closeOnce sync.Once
-}
-
-type ackKey struct{ id, hop uint64 }
-
-func newLink(conn net.Conn) *link {
-	return &link{conn: conn, pending: map[ackKey]chan ackMsg{}, done: make(chan struct{})}
-}
-
-func (l *link) writeFrame(frame []byte) error {
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	//lint:ignore lockorder wmu exists to keep concurrent senders' frames from interleaving on the shared connection, so holding it across the write IS the invariant; a stalled peer already stalls every sender to it by definition, and deliver's ack timeout recovers.
-	_, err := l.conn.Write(frame)
-	return err
-}
-
-// expect registers interest in the ack for (id, hop) and returns the
-// channel it will arrive on. Re-registering (a retry) reuses the pending
-// channel, so an ack for an earlier attempt satisfies a later one.
-func (l *link) expect(id, hop uint64) chan ackMsg {
-	key := ackKey{id, hop}
-	l.pmu.Lock()
-	defer l.pmu.Unlock()
-	ch, ok := l.pending[key]
-	if !ok {
-		ch = make(chan ackMsg, 1)
-		l.pending[key] = ch
-	}
-	return ch
-}
-
-func (l *link) cancel(id, hop uint64) {
-	l.pmu.Lock()
-	delete(l.pending, ackKey{id, hop})
-	l.pmu.Unlock()
-}
-
-// readAcks drains the link's inbound side, delivering acks to waiting
-// senders. Any error ends the loop and marks the link dead, so parked
-// senders wake and redial instead of waiting out their ack timeout.
-func (l *link) readAcks() {
-	defer l.close()
-	r := bufio.NewReader(l.conn)
-	for {
-		env, err := readFrame(r)
-		if err != nil {
-			return
-		}
-		if env.Kind != msgAck {
-			continue
-		}
-		l.pmu.Lock()
-		ch := l.pending[ackKey{env.Ack.ID, env.Ack.Hop}]
-		l.pmu.Unlock()
-		if ch != nil {
-			select {
-			case ch <- env.Ack:
-			default:
-			}
-		}
-	}
-}
-
-func (l *link) close() {
-	l.closeOnce.Do(func() { close(l.done) })
-	l.conn.Close()
 }

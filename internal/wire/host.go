@@ -172,7 +172,7 @@ func (h *Host) serve(ln net.Listener) (int, error) {
 			}
 		}()
 	} else if h.node.isDrained() {
-		d.broadcastLeave()
+		d.broadcast(&envelope{Kind: msgLeave, Node: d.id})
 	}
 	return len(msgs), nil
 }

@@ -6,7 +6,7 @@ import "repro/internal/metrics"
 // values are cluster-wide aggregates over every node and daemon
 // incarnation.
 const (
-	// Frames written to peer links, including fault-injected duplicate
+	// Hop frames written to peers, including fault-injected duplicate
 	// copies and retransmissions; and their payload bytes.
 	MetricFramesSent = "wire.frames.sent"
 	MetricBytesSent  = "wire.bytes.sent"
@@ -20,8 +20,8 @@ const (
 	MetricAckLatencyUS = "wire.ack.latency_us"
 	// Times the exponential resend backoff was clamped at MaxRetryBackoff.
 	MetricBackoffCeiling = "wire.backoff.ceiling_hits"
-	// Outbound link dials (the first dial and every redial after a
-	// link failure).
+	// Dials of the daemons' peer connections (the first dial and every
+	// redial after a failure).
 	MetricLinkDials = "wire.links.dials"
 	// Daemon errors discarded because the cluster error channel was full.
 	MetricErrorsDropped = "wire.errors.dropped"
