@@ -11,8 +11,7 @@
 // a job lifecycle whose results are retrievable exactly once, and
 // retry-with-budget on top of the wire checkpoint/recovery subsystem.
 // An HTTP API (Server) exposes submit/status/result/cancel beside the
-// cluster's /metrics, and LoadGen drives the whole stack closed-loop
-// for the BENCH_sched.json regression numbers.
+// cluster's /metrics; navpbench (./benchmark) is the serving benchmark.
 package sched
 
 import (

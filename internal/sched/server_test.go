@@ -71,54 +71,82 @@ func getStatus(t *testing.T, base string, id uint64) (int, map[string]any) {
 	return resp.StatusCode, out
 }
 
+// TestHTTPSubmitStatusResult drives the serving path through the HTTP
+// surface with concurrent submitters: no job is lost, each result is
+// handed out exactly once, and the list endpoint sees every job.
 func TestHTTPSubmitStatusResult(t *testing.T) {
+	const jobs = 16
 	ts, _, _ := newTestServer(t, 2, Config{Workers: 2})
-	resp, sub := postJSON(t, ts.URL+"/jobs", SubmitRequest{Kind: "wirematmul", N: 6, Seed: 3})
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status = %d, want 202", resp.StatusCode)
+	ids := make([]uint64, jobs)
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			b, _ := json.Marshal(SubmitRequest{Kind: "wirematmul", N: 6, Seed: int64(i)})
+			resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Errorf("submit %d: %v", i, err)
+				return
+			}
+			defer resp.Body.Close()
+			var sub SubmitResponse
+			if err := json.NewDecoder(resp.Body).Decode(&sub); err != nil || resp.StatusCode != http.StatusAccepted {
+				t.Errorf("submit %d: status %d, decode err %v", i, resp.StatusCode, err)
+				return
+			}
+			ids[i] = sub.ID
+		}(i)
 	}
-	id := uint64(sub["id"].(float64))
-	deadline := time.Now().Add(testTimeout)
-	var state string
-	for {
-		code, st := getStatus(t, ts.URL, id)
-		if code != http.StatusOK {
-			t.Fatalf("status code = %d", code)
-		}
-		state, _ = st["state"].(string)
-		if state == "done" || state == "failed" || state == "evicted" {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job stuck in %q", state)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if state != "done" {
-		t.Fatalf("terminal state = %q, want done", state)
-	}
-
-	// Result: 200 once, 410 forever after.
-	resp1, err := http.Get(fmt.Sprintf("%s/jobs/%d/result", ts.URL, id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var body map[string]any
-	json.NewDecoder(resp1.Body).Decode(&body)
-	resp1.Body.Close()
-	if resp1.StatusCode != http.StatusOK || body["result"] == nil {
-		t.Fatalf("first result fetch: code %d body %v", resp1.StatusCode, body)
-	}
-	resp2, err := http.Get(fmt.Sprintf("%s/jobs/%d/result", ts.URL, id))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusGone {
-		t.Fatalf("second result fetch = %d, want 410 (exactly-once)", resp2.StatusCode)
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
 
-	// The list endpoint knows the job; /metrics serves the shared registry.
+	for _, id := range ids {
+		deadline := time.Now().Add(testTimeout)
+		var state string
+		for {
+			code, st := getStatus(t, ts.URL, id)
+			if code != http.StatusOK {
+				t.Fatalf("job %d: status code = %d", id, code)
+			}
+			state, _ = st["state"].(string)
+			if state == "done" || state == "failed" || state == "evicted" {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d stuck in %q", id, state)
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if state != "done" {
+			t.Fatalf("job %d: terminal state = %q, want done", id, state)
+		}
+
+		// Result: 200 once, 410 forever after.
+		resp1, err := http.Get(fmt.Sprintf("%s/jobs/%d/result", ts.URL, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		json.NewDecoder(resp1.Body).Decode(&body)
+		resp1.Body.Close()
+		if resp1.StatusCode != http.StatusOK || body["result"] == nil {
+			t.Fatalf("job %d: first result fetch: code %d body %v", id, resp1.StatusCode, body)
+		}
+		resp2, err := http.Get(fmt.Sprintf("%s/jobs/%d/result", ts.URL, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp2.Body.Close()
+		if resp2.StatusCode != http.StatusGone {
+			t.Fatalf("job %d: second result fetch = %d, want 410 (exactly-once)", id, resp2.StatusCode)
+		}
+	}
+
+	// The list endpoint knows every job; /metrics serves the shared
+	// registry.
 	respList, err := http.Get(ts.URL + "/jobs")
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +154,17 @@ func TestHTTPSubmitStatusResult(t *testing.T) {
 	var list []Status
 	json.NewDecoder(respList.Body).Decode(&list)
 	respList.Body.Close()
-	if len(list) != 1 || list[0].ID != id {
-		t.Fatalf("job list = %+v", list)
+	listed := map[uint64]bool{}
+	for _, st := range list {
+		listed[st.ID] = true
+	}
+	for _, id := range ids {
+		if !listed[id] {
+			t.Fatalf("job %d missing from the job list %+v", id, list)
+		}
+	}
+	if len(list) != jobs {
+		t.Fatalf("job list holds %d jobs, want %d", len(list), jobs)
 	}
 	respMet, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

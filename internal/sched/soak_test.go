@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"sync"
 	"testing"
 	"time"
@@ -187,66 +186,5 @@ func TestSoakConcurrentJobsUnderChaos(t *testing.T) {
 				t.Fatalf("PE %d still holds job %d's B partition (%v, %v)", pe, o.id, v, err)
 			}
 		}
-	}
-}
-
-// TestSoakHTTPOpenLoop drives the same stack through the HTTP surface
-// with the open-loop Poisson load generator — the in-process twin of
-// `paperbench -serve`. No chaos here; the point is that the serving
-// path itself neither loses nor double-delivers under open-loop
-// concurrency, and that the SLO accounting adds up.
-func TestSoakHTTPOpenLoop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("soak test")
-	}
-	cl, err := wire.NewCluster(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	s, err := New(Config{Cluster: cl, Workers: 6, QueueDepth: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	mux := wire.DebugHandler(cl.Metrics())
-	NewServer(s).Register(mux)
-	ts := httptest.NewServer(mux)
-	defer ts.Close()
-
-	res, err := RunOpenLoop(OpenLoopConfig{
-		BaseURL:     ts.URL,
-		Rate:        20,
-		Duration:    2 * time.Second,
-		Seed:        7,
-		Request:     SubmitRequest{Kind: "wirematmul", N: 6, Retries: 2},
-		TargetP50MS: 2000,
-		TargetP99MS: 10000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Offered == 0 {
-		t.Fatalf("open loop offered nothing: %+v", res)
-	}
-	if res.Offered != res.Submitted+res.Rejected {
-		t.Fatalf("arrival accounting leaks: offered %d != submitted %d + rejected %d",
-			res.Offered, res.Submitted, res.Rejected)
-	}
-	if res.Done != res.Submitted || res.Failed != 0 || res.Evicted != 0 {
-		t.Fatalf("openloop: %+v — every admitted job should finish done on a faultless cluster", res)
-	}
-	if res.Done > 0 && (res.P50MS <= 0 || res.P99MS < res.P50MS) {
-		t.Fatalf("implausible latency percentiles: %+v", res)
-	}
-	if res.Throughput <= 0 {
-		t.Fatalf("no throughput measured: %+v", res)
-	}
-	// The SLO verdicts must be consistent with the percentiles they score.
-	if res.P50SLOMet != (res.P50MS <= res.TargetP50MS) || res.P99SLOMet != (res.P99MS <= res.TargetP99MS) {
-		t.Fatalf("SLO verdicts disagree with measured percentiles: %+v", res)
-	}
-	if res.SLOAttainment < 0 || res.SLOAttainment > 1 {
-		t.Fatalf("SLO attainment %v out of [0,1]", res.SLOAttainment)
 	}
 }
