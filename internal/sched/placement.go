@@ -142,7 +142,11 @@ func (p *ConsistentHash) PlaceKey(key uint64, n int) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	ring := p.ringFor(n)
-	h := splitmix64(key)
+	// Keys hash in their own domain. Node 0's virtual point k is
+	// splitmix64(k), so a plain splitmix64(key) would land every key
+	// below Replicas exactly on a node-0 point: small job ids would all
+	// place on node 0.
+	h := splitmix64(splitmix64(key))
 	idx := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= h })
 	if idx == len(ring) {
 		idx = 0

@@ -389,6 +389,26 @@ func TestConsistentHashWalksPastOverloadedNodes(t *testing.T) {
 	}
 }
 
+// TestConsistentHashSpreadsSmallKeys pins the key hash to its own
+// domain: job ids are small integers, and hashing them with the same
+// mixer as the virtual-node points node<<20|rep put every id below
+// Replicas exactly on one of node 0's points, so an unloaded ring sent
+// nearly every job to node 0.
+func TestConsistentHashSpreadsSmallKeys(t *testing.T) {
+	p, q := &ConsistentHash{}, &ConsistentHash{}
+	nodes := map[int]bool{}
+	for key := uint64(1); key <= 16; key++ {
+		got := p.PlaceKey(key, 8)
+		if again := q.PlaceKey(key, 8); again != got {
+			t.Fatalf("PlaceKey(%d) not deterministic: %d then %d", key, got, again)
+		}
+		nodes[got] = true
+	}
+	if len(nodes) < 6 {
+		t.Fatalf("job ids 1..16 placed on %d of 8 nodes (%v), want at least 6", len(nodes), nodes)
+	}
+}
+
 func TestLeastLoadedOnCluster(t *testing.T) {
 	cl, err := wire.NewCluster(3)
 	if err != nil {
@@ -478,7 +498,7 @@ func TestPayloadRoundTripSchedStates(t *testing.T) {
 	}
 	defer cl.Close()
 	for name, v := range map[string]any{
-		"carrier": &rowCarrierState{Row: 2, Vals: []int64{-3, 0, 9}, Visited: 1, Ring: []int{2, 0, 1}},
+		"carrier": &rowCarrierState{Row: 2, Vals: []int64{-3, 0, 9}, Visited: 1, Ring: []int{2, 0, 1}, C: []int64{0, 0, -27}},
 		"bpart":   &bPart{Off: 4, Cols: [][]int64{{1, -2}, {3, 4}}},
 	} {
 		if err := cl.SetVar(0, name, v); err != nil {
@@ -527,6 +547,125 @@ func TestWireMatmulWorkOnCluster(t *testing.T) {
 	}
 	if v, err := cl.GetVar(0, fmt.Sprintf("j%d:B", id<<8|1)); err != nil || v != nil {
 		t.Fatalf("job-prefixed node variables survived cleanup (%v, %v)", v, err)
+	}
+}
+
+// countingBackend counts the control calls made through it and keeps
+// the ring of every carrier injected.
+type countingBackend struct {
+	Backend
+	mu    sync.Mutex
+	calls map[string]int
+	rings map[int][]int // row → the ring its carrier was injected with
+}
+
+func (c *countingBackend) count(op string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.calls[op]++
+}
+
+func (c *countingBackend) SetVar(node int, name string, v any) error {
+	c.count("SetVar")
+	return c.Backend.SetVar(node, name, v)
+}
+
+func (c *countingBackend) GetVar(node int, name string) (any, error) {
+	c.count("GetVar")
+	return c.Backend.GetVar(node, name)
+}
+
+func (c *countingBackend) InjectJob(node int, job uint64, behavior string, state any) error {
+	c.count("InjectJob")
+	if st, ok := state.(*rowCarrierState); ok {
+		c.mu.Lock()
+		c.rings[st.Row] = append([]int(nil), st.Ring...)
+		c.mu.Unlock()
+	}
+	return c.Backend.InjectJob(node, job, behavior, state)
+}
+
+func (c *countingBackend) WaitJob(job uint64, timeout time.Duration) error {
+	c.count("WaitJob")
+	return c.Backend.WaitJob(job, timeout)
+}
+
+// drainedBackend is a countingBackend whose placeable set excludes
+// some members, as an elastic cluster's does after a drain.
+type drainedBackend struct {
+	*countingBackend
+	live []int
+}
+
+func (d drainedBackend) LiveNodes() []int { return d.live }
+
+func (d drainedBackend) DrainNode(int, time.Duration) error {
+	return errors.New("drainedBackend: not supported")
+}
+
+// TestWireMatmulCallShape pins the control calls of one wirematmul
+// attempt: one SetVar per strip, one InjectJob per carrier, one WaitJob
+// and one GetVar per row, because each carrier deposits its whole row of
+// C once, on the last PE of its ring, and nowhere else.
+func TestWireMatmulCallShape(t *testing.T) {
+	cl, err := wire.NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for k, tc := range []struct {
+		name    string
+		n, base int
+		live    []int // nil: all four members
+		start0  int   // the node row 0's carrier starts on
+	}{
+		{"n16", 16, 1, nil, 1},
+		{"fewer rows than PEs", 2, 3, nil, 3},
+		// Base 2 has been drained: the rotation falls back to index
+		// 2 % 3 of the live set.
+		{"drained base", 6, 2, []int{0, 1, 3}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cb := &countingBackend{Backend: cl, calls: map[string]int{}, rings: map[int][]int{}}
+			var be Backend = cb
+			pes := 4
+			if tc.live != nil {
+				be, pes = drainedBackend{cb, tc.live}, len(tc.live)
+			}
+			rt := &Runtime{Cluster: be, Job: uint64(1000 + k), Base: tc.base, Timeout: testTimeout}
+			defer func() {
+				cl.ReleaseJob(rt.Job)
+				cl.ClearVarsPrefix(rt.Prefix())
+			}()
+			res, err := WireMatmul{N: tc.n, Seed: 5}.Run(rt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.([][]int64); len(got) != tc.n {
+				t.Fatalf("result has %d rows, want %d", len(got), tc.n)
+			}
+			want := map[string]int{"SetVar": pes, "InjectJob": tc.n, "WaitJob": 1, "GetVar": tc.n}
+			if !reflect.DeepEqual(cb.calls, want) {
+				t.Fatalf("control calls %v, want %v", cb.calls, want)
+			}
+			if r := cb.rings[0]; len(r) != pes || r[0] != tc.start0 {
+				t.Fatalf("row 0 injected with ring %v, want %d PEs starting at %d", r, pes, tc.start0)
+			}
+			for i := 0; i < tc.n; i++ {
+				ring := cb.rings[i]
+				end := ring[len(ring)-1]
+				key := fmt.Sprintf("%sC:%d", rt.Prefix(), i)
+				for node := 0; node < 4; node++ {
+					v, err := cl.GetVar(node, key)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (v != nil) != (node == end) {
+						t.Fatalf("%s on node %d is %v; want it only on %d, the end of ring %v", key, node, v, end, ring)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -80,10 +80,10 @@ func (w WorkFunc) Run(rt *Runtime) (any, error) { return w.Fn(rt) }
 // cluster — an integer matmul whose row carriers ride the PE ring, the
 // multi-tenant descendant of the chaos-suite program.
 
-// rowCarrierState is the agent state: one row of A riding the cycle.
-// Every value it writes is a pure function of the carried row and the
-// visited node's B columns, written idempotently, so replays after a
-// daemon kill recompute byte-identical results. Ring, when set, is the
+// rowCarrierState is the agent state: one row of A riding the cycle and
+// the row C of the product it fills in strip by strip. C is a pure
+// function of the row and the B strips visited, so a replay after a
+// daemon kill recomputes it byte-for-byte. Ring, when set, is the
 // explicit visit order (the live node set at injection, rotated to
 // start at the injection node) — on an elastic cluster the agent must
 // not ride 0..Nodes()-1, which would route it into drained members.
@@ -92,6 +92,7 @@ type rowCarrierState struct {
 	Vals    []int64
 	Visited int
 	Ring    []int
+	C       []int64
 }
 
 // bPart is a node's slice of B for one job: Cols[j] is column Off+j.
@@ -109,35 +110,39 @@ func init() {
 		st := ctx.State().(*rowCarrierState)
 		pre := jobPrefix(ctx.Job())
 		part := ctx.Get(pre + "B").(*bPart)
-		c := make([]int64, len(part.Cols))
-		for lj, col := range part.Cols {
-			for k, a := range st.Vals {
-				c[lj] += a * col[k]
-			}
+		if st.C == nil {
+			st.C = make([]int64, len(st.Vals))
 		}
-		ctx.Set(fmt.Sprintf("%sC:%d", pre, st.Row), c)
-		st.Visited++
-		if len(st.Ring) > 0 {
-			if st.Visited >= len(st.Ring) {
-				return ctx.Done()
+		for lj, col := range part.Cols {
+			var c int64
+			for k, a := range st.Vals {
+				c += a * col[k]
 			}
+			st.C[part.Off+lj] = c
+		}
+		st.Visited++
+		switch {
+		case len(st.Ring) == 0 && st.Visited < ctx.Nodes():
+			return ctx.HopTo((ctx.NodeID() + 1) % ctx.Nodes())
+		case st.Visited < len(st.Ring):
 			return ctx.HopTo(st.Ring[st.Visited])
 		}
-		if st.Visited >= ctx.Nodes() {
-			return ctx.Done()
-		}
-		return ctx.HopTo((ctx.NodeID() + 1) % ctx.Nodes())
+		// The end of the ring: deposit once and end in the same step, so
+		// nothing mutates C after the deposit.
+		ctx.Set(fmt.Sprintf("%sC:%d", pre, st.Row), st.C)
+		return ctx.Done()
 	})
 }
 
 // WireMatmul multiplies two deterministic n×n integer matrices on the
 // shared wire cluster: each PE holds a contiguous strip of B's columns
 // under the job's key prefix, and one carrier agent per row of A visits
-// every PE, depositing partial product rows as it goes. Injection
-// rotates from the job's base PE so concurrent jobs start their rings
-// at different points. The result is self-checked against a locally
-// computed reference before it is returned — under chaos, a wrong
-// product is an error, never a silently wrong answer.
+// every PE, filling in its row of C as it goes and depositing the whole
+// row once, on the last PE of its ring. Injection rotates from the
+// job's base PE so concurrent jobs start their rings at different
+// points. The result is self-checked against a locally computed
+// reference before it is returned — under chaos, a wrong product is an
+// error, never a silently wrong answer.
 type WireMatmul struct {
 	N    int
 	Seed int64
@@ -162,6 +167,18 @@ func liveRing(cl Backend) []int {
 		ring[i] = i
 	}
 	return ring
+}
+
+// ringStart returns the index in live of the job's base PE, where its
+// carriers' rings rotate from. A base that has since been drained
+// degrades to a deterministic index, not an error.
+func ringStart(live []int, base int) int {
+	for i, nd := range live {
+		if nd == base {
+			return i
+		}
+	}
+	return base % len(live)
 }
 
 // fanOutLimit bounds how many of a job's control calls are in flight at
@@ -244,15 +261,7 @@ func (w WireMatmul) Run(rt *Runtime) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The base PE anchors the rotation; a base that has since been
-	// drained degrades to a deterministic index, not an error.
-	b0 := rt.Base % pes
-	for i, nd := range live {
-		if nd == rt.Base {
-			b0 = i
-			break
-		}
-	}
+	b0 := ringStart(live, rt.Base)
 	err = fanOut(n, func(i int) error {
 		start := (b0 + i) % pes
 		ring := make([]int, pes)
@@ -285,9 +294,9 @@ func (w WireMatmul) Resume(rt *Runtime) (any, error) {
 	return w.await(rt, a, b, liveRing(rt.Cluster))
 }
 
-// await waits for the attempt's agents to drain, collects the product
-// from the column strips on the given nodes, and self-checks it
-// against a local reference.
+// await waits for the attempt's agents to drain, collects each row of
+// the product from the last PE of its carrier's ring, and self-checks
+// the product against a local reference.
 func (w WireMatmul) await(rt *Runtime, a, b [][]int64, live []int) (any, error) {
 	n := w.N
 	pes := len(live)
@@ -295,28 +304,19 @@ func (w WireMatmul) await(rt *Runtime, a, b [][]int64, live []int) (any, error) 
 	if err := rt.Cluster.WaitJob(rt.Job, rt.Timeout); err != nil {
 		return nil, err
 	}
+	b0 := ringStart(live, rt.Base)
 	got := make([][]int64, n)
-	for i := range got {
-		got[i] = make([]int64, n)
-	}
-	// One GetVar per (row, strip), strips innermost so the calls in flight
-	// spread over every member's connection; each writes its own columns
-	// of its own row, so the calls share nothing.
-	err := fanOut(n*pes, func(k int) error {
-		i, pe := k/pes, k%pes
-		lo, hi := colRange(n, pes, pe)
-		if lo == hi {
-			return nil
-		}
-		v, err := rt.Cluster.GetVar(live[pe], fmt.Sprintf("%sC:%d", pre, i))
+	err := fanOut(n, func(i int) error {
+		end := live[(b0+i+pes-1)%pes]
+		v, err := rt.Cluster.GetVar(end, fmt.Sprintf("%sC:%d", pre, i))
 		if err != nil {
 			return err
 		}
 		crow, ok := v.([]int64)
-		if !ok {
-			return fmt.Errorf("sched: wirematmul row %d missing on PE %d after quiescence", i, live[pe])
+		if !ok || len(crow) != n {
+			return fmt.Errorf("sched: wirematmul row %d missing on PE %d after quiescence", i, end)
 		}
-		copy(got[i][lo:hi], crow)
+		got[i] = crow
 		return nil
 	})
 	if err != nil {

@@ -21,6 +21,7 @@ type rowCarrierShape struct {
 	Vals    []int64
 	Visited int
 	Ring    []int
+	C       []int64
 }
 
 type bPartShape struct {
@@ -60,7 +61,7 @@ func payloadCases() []struct {
 		v      any
 		primed bool
 	}{
-		{"rowCarrierState", &rowCarrierShape{Row: 3, Vals: []int64{-8, 0, 7}, Visited: 1, Ring: []int{0, 1, 2, 3}}, true},
+		{"rowCarrierState", &rowCarrierShape{Row: 3, Vals: []int64{-8, 0, 7}, Visited: 1, Ring: []int{0, 1, 2, 3}, C: []int64{0, 42, 0}}, true},
 		{"bPart", &bPartShape{Off: 4, Cols: [][]int64{{1, 2}, {3, -4}}}, true},
 		{"benchState", &benchState{Remaining: 12}, true},
 		{"benchBlockState", &benchBlockState{Row: 9, Blk: blk}, true},
