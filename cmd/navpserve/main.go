@@ -5,7 +5,6 @@
 //
 //	navpserve                                  # 4 PEs, :8080
 //	navpserve -nodes 8 -workers 16 -queue 128
-//	navpserve -placement consistent-hash
 //	navpserve -fault 'seed=7,drop=0.02,kill=1@100'   # serve under chaos
 //
 // Daemon (-daemon): one node's MESSENGERS daemon as its own OS process,
@@ -72,7 +71,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 	workers := flag.Int("workers", 8, "concurrent jobs")
 	queue := flag.Int("queue", 64, "admission queue depth (backpressure beyond it)")
-	placement := flag.String("placement", "round-robin", "placement policy: round-robin, least-loaded, or consistent-hash")
 	chaos := flag.String("fault", "", "fault plan spec, e.g. 'seed=7,drop=0.02,dup=1,kill=1@100' (in-process mode)")
 	connect := flag.String("connect", "", "front-end mode: discover the cluster through one live daemon")
 
@@ -98,9 +96,9 @@ func main() {
 	case *daemon:
 		err = runDaemon(*listen, *advertise, *join, *seeds, *node, *state)
 	case *connect != "" || *seeds != "":
-		err = runFrontend(*connect, *seeds, *addr, *workers, *queue, *placement)
+		err = runFrontend(*connect, *seeds, *addr, *workers, *queue)
 	default:
-		err = runInProcess(*nodes, *addr, *workers, *queue, *placement, *chaos)
+		err = runInProcess(*nodes, *addr, *workers, *queue, *chaos)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -202,18 +200,18 @@ func runDrain(connect, seedSpec string, node int, timeout time.Duration, stop bo
 }
 
 // runFrontend serves HTTP over a cluster of remote daemon processes.
-func runFrontend(connect, seedSpec, addr string, workers, queue int, placement string) error {
+func runFrontend(connect, seedSpec, addr string, workers, queue int) error {
 	rc, err := dialRemote(connect, seedSpec, wire.RemoteOptions{Heartbeat: true})
 	if err != nil {
 		return err
 	}
 	fmt.Printf("navpserve: front-end over %d daemons (%s)\n", rc.Size(), strings.Join(rc.Members(), " "))
-	return serve(rc, rc.Close, addr, workers, queue, placement)
+	return serve(rc, rc.Close, addr, workers, queue)
 }
 
 // runInProcess is the single-process stack: the daemons are hosts in
 // this address space, driven through the same client as remote ones.
-func runInProcess(nodes int, addr string, workers, queue int, placement, chaos string) error {
+func runInProcess(nodes int, addr string, workers, queue int, chaos string) error {
 	var plan *fault.Plan
 	if chaos != "" {
 		var err error
@@ -229,27 +227,21 @@ func runInProcess(nodes int, addr string, workers, queue int, placement, chaos s
 	if plan != nil {
 		fmt.Printf("navpserve: serving under fault plan %v\n", plan)
 	}
-	return serve(cl, cl.Close, addr, workers, queue, placement)
+	return serve(cl, cl.Close, addr, workers, queue)
 }
 
 // serve is the front end of both modes: the scheduler and its HTTP API
 // over backend, beside the backend registry's /metrics and pprof.
 // closeBackend runs on every exit path, after the scheduler has stopped.
-func serve(backend sched.Backend, closeBackend func(), addr string, workers, queue int, placement string) error {
+func serve(backend sched.Backend, closeBackend func(), addr string, workers, queue int) error {
 	defer closeBackend()
-	pol, err := sched.NewPlacement(placement)
-	if err != nil {
-		return err
-	}
-	s, err := sched.New(sched.Config{
-		Cluster: backend, Workers: workers, QueueDepth: queue, Placement: pol,
-	})
+	s, err := sched.New(sched.Config{Cluster: backend, Workers: workers, QueueDepth: queue})
 	if err != nil {
 		return err
 	}
 	mux := wire.DebugHandler(backend.Metrics())
 	sched.NewServer(s).Register(mux)
-	fmt.Printf("navpserve: %d workers, queue %d, placement %s\n", workers, queue, pol.Name())
+	fmt.Printf("navpserve: %d workers, queue %d\n", workers, queue)
 	return serveHTTP(mux, addr, s.Close)
 }
 

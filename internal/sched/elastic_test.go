@@ -199,7 +199,7 @@ func TestRebalanceMovesAgentsOffHotNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	s, err := New(Config{Cluster: cl, Workers: 1, RebalanceThreshold: 2})
+	s, err := New(Config{Cluster: cl, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,12 +257,19 @@ type leakyBackend struct {
 	cleared   []string
 }
 
-func (f *leakyBackend) Size() int                                { return 1 }
-func (f *leakyBackend) SetVar(int, string, any) error            { return nil }
-func (f *leakyBackend) GetVar(int, string) (any, error)          { return nil, nil }
-func (f *leakyBackend) InjectJob(int, uint64, string, any) error { return nil }
-func (f *leakyBackend) CancelJob(uint64)                         {}
-func (f *leakyBackend) Metrics() *metrics.Registry               { return f.reg }
+func (f *leakyBackend) Size() int                                        { return 1 }
+func (f *leakyBackend) SetVar(int, string, any) error                    { return nil }
+func (f *leakyBackend) GetVar(int, string) (any, error)                  { return nil, nil }
+func (f *leakyBackend) InjectJob(int, uint64, string, any) error         { return nil }
+func (f *leakyBackend) CancelJob(uint64)                                 {}
+func (f *leakyBackend) Metrics() *metrics.Registry                       { return f.reg }
+func (f *leakyBackend) Alive(int) bool                                   { return true }
+func (f *leakyBackend) LiveNodes() []int                                 { return []int{0} }
+func (f *leakyBackend) DrainNode(int, time.Duration) error               { return nil }
+func (f *leakyBackend) MigrateAgents(int, int, uint64, int) (int, error) { return 0, nil }
+func (f *leakyBackend) FreezeJob(uint64) error                           { return nil }
+func (f *leakyBackend) ThawJob(uint64) error                             { return nil }
+func (f *leakyBackend) Refresh() error                                   { return nil }
 
 func (f *leakyBackend) WaitJob(ns uint64, _ time.Duration) error {
 	f.mu.Lock()

@@ -25,7 +25,7 @@ const (
 	// End-to-end latency, submission to terminal state, microseconds.
 	MetricE2ELatencyUS = "sched.job.e2e_latency_us"
 	// Per-node load: jobs whose base PE is node i, sched.node.load.<i>.
-	// The least-loaded placement policy reads these.
+	// The placement's load bound and Rebalance read these.
 	MetricNodeLoadPrefix = "sched.node.load."
 	// Jobs preempted to checkpoint (Suspend) and brought back (Resume).
 	MetricSuspends = "sched.suspends"
@@ -52,7 +52,7 @@ var e2eLatencyBounds = metrics.ExponentialBounds(1000, 2, 20)
 // schedMetrics holds the scheduler's pre-resolved handles, one atomic
 // op per event on the hot paths. The node-load table alone is guarded
 // by a mutex: an elastic cluster can grow mid-run (Refresh), and the
-// placement policies read the table while the grower appends to it.
+// placement reads the table while Refresh appends to it.
 type schedMetrics struct {
 	queueDepth     *metrics.Gauge
 	admitRejected  *metrics.Counter

@@ -1,70 +1,15 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// Placement chooses a base PE for a job about to run. The base anchors
-// the job's data distribution and injection points; wire works rotate
-// their agents from it ((base+i) mod n), so jobs with different bases
-// overlap on the cluster instead of all hammering PE 0.
-type Placement interface {
-	// Place returns the base PE for the next job on an n-node cluster.
-	Place(n int) int
-	// Name identifies the policy in status output.
-	Name() string
-}
-
-// RoundRobin cycles the base PE through the cluster in placement order.
-type RoundRobin struct {
-	next atomic.Uint64
-}
-
-// Place returns successive PEs modulo n.
-func (p *RoundRobin) Place(n int) int { return int((p.next.Add(1) - 1) % uint64(n)) }
-
-// Name implements Placement.
-func (p *RoundRobin) Name() string { return "round-robin" }
-
-// LeastLoaded picks the PE currently anchoring the fewest running jobs,
-// read from the scheduler's sched.node.load.<i> gauges; ties break to
-// the lowest id. The gauges move when jobs start and finish, so the
-// policy tracks live load, not placement history — a burst of short
-// jobs drains and frees its PE for the next placement.
-type LeastLoaded struct {
-	met *schedMetrics
-}
-
-// Place implements Placement.
-func (p *LeastLoaded) Place(n int) int {
-	best, bestLoad := 0, int64(1)<<62
-	loads := p.met.loads()
-	for i := 0; i < n && i < len(loads); i++ {
-		if loads[i] < bestLoad {
-			best, bestLoad = i, loads[i]
-		}
-	}
-	return best
-}
-
-// Name implements Placement.
-func (p *LeastLoaded) Name() string { return "least-loaded" }
-
-// KeyedPlacement is the optional Placement extension for policies that
-// place by job identity rather than arrival order: the same key maps to
-// the same base PE across submissions (modulo load bounds), so a
-// resubmitted job finds its data-affine node.
-type KeyedPlacement interface {
-	Placement
-	// PlaceKey returns the base PE for the job with the given key on an
-	// n-node cluster.
-	PlaceKey(key uint64, n int) int
-}
-
-// ConsistentHash places jobs by consistent hashing with bounded load
+// ConsistentHash is the scheduler's placement: it chooses the base PE
+// that anchors a job's data distribution and injection points (wire
+// works rotate their agents from it, (base+i) mod n, so jobs with
+// different bases overlap on the cluster instead of all hammering
+// PE 0). It places by consistent hashing with bounded load
 // (Mirrokni et al.): each PE owns Replicas points on a hash ring, a
 // job's key hashes to a ring position, and the job walks clockwise from
 // there taking the first PE whose live anchored-job count (the
@@ -80,8 +25,6 @@ type ConsistentHash struct {
 	LoadFactor float64
 
 	met *schedMetrics
-
-	seq atomic.Uint64 // keyless placements walk the keyspace deterministically
 
 	mu    sync.Mutex
 	ring  []ringPoint // cached ring, rebuilt when n changes
@@ -134,7 +77,10 @@ func (p *ConsistentHash) ringFor(n int) []ringPoint {
 	return ring
 }
 
-// PlaceKey implements KeyedPlacement.
+// PlaceKey returns the base PE for the job with the given key on an
+// n-node cluster: the same key maps to the same PE across submissions
+// (modulo the load bound), so a resubmitted job finds its data-affine
+// node.
 func (p *ConsistentHash) PlaceKey(key uint64, n int) int {
 	if n <= 1 {
 		return 0
@@ -192,30 +138,4 @@ func (p *ConsistentHash) PlaceKey(key uint64, n int) int {
 	// Every node is at the cap (a burst larger than the bound allows);
 	// fall back to the key's home node so placement stays deterministic.
 	return ring[idx].node
-}
-
-// Place implements Placement for keyless callers: successive placements
-// walk the keyspace deterministically, spreading like round-robin but
-// through the same ring (and the same load bound) as keyed placements.
-func (p *ConsistentHash) Place(n int) int {
-	return p.PlaceKey(p.seq.Add(1), n)
-}
-
-// Name implements Placement.
-func (p *ConsistentHash) Name() string { return "consistent-hash" }
-
-// NewPlacement builds a policy by name: "round-robin" (the default for
-// empty input), "least-loaded", or "consistent-hash". The scheduler
-// binds load-aware policies to its own load gauges at construction.
-func NewPlacement(name string) (Placement, error) {
-	switch name {
-	case "", "round-robin", "rr":
-		return &RoundRobin{}, nil
-	case "least-loaded", "ll":
-		return &LeastLoaded{}, nil
-	case "consistent-hash", "ch", "hash":
-		return &ConsistentHash{}, nil
-	default:
-		return nil, fmt.Errorf("sched: unknown placement policy %q (want round-robin, least-loaded, or consistent-hash)", name)
-	}
 }

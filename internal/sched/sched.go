@@ -49,47 +49,27 @@ type Backend interface {
 	ClearVarsPrefix(prefix string)
 	// Metrics exposes the backend's metric registry.
 	Metrics() *metrics.Registry
-}
 
-// Liveness is the optional Backend extension a remote cluster provides:
-// a heartbeat-fed verdict per node. Placement steers fresh jobs away
-// from dead hosts; correctness never depends on the verdict being
-// current (a job placed on a host that dies anyway is retried).
-type Liveness interface {
+	// Alive is the heartbeat-fed verdict on a node. Placement steers
+	// fresh jobs away from dead hosts; correctness never depends on the
+	// verdict being current (a job placed on a host that dies anyway is
+	// retried).
 	Alive(node int) bool
-}
-
-// Migrator is the optional Backend extension for live agent migration:
-// up to count of node's resident agents (job-scoped when job is
-// nonzero) ship to dst as synthetic hops at their next dispatch
-// boundary. Both wire backends implement it; the rebalancer requires
-// it.
-type Migrator interface {
+	// LiveNodes is the placeable node set: drained members excluded.
+	LiveNodes() []int
+	// DrainNode evacuates a member's agents and counter history into
+	// the survivors, then removes it from the membership.
+	DrainNode(node int, timeout time.Duration) error
+	// MigrateAgents ships up to count of node's resident agents
+	// (job-scoped when job is nonzero) to dst as synthetic hops at their
+	// next dispatch boundary.
 	MigrateAgents(node, dst int, job uint64, count int) (int, error)
-}
-
-// Freezer is the optional Backend extension for checkpoint-to-disk
-// preemption: a frozen namespace's agents park at their next dispatch
-// boundary, and the backend's WaitJob fails fast with the job-frozen
-// sentinel instead of timing out. Suspend/Resume require it.
-type Freezer interface {
+	// FreezeJob parks a namespace's agents at their next dispatch
+	// boundary; WaitJob then fails fast with wire.ErrJobFrozen instead
+	// of timing out. ThawJob re-dispatches them from their checkpoints.
 	FreezeJob(job uint64) error
 	ThawJob(job uint64) error
-}
-
-// Elastic is the optional Backend extension for cluster membership
-// changes: LiveNodes is the placeable set (drained members excluded),
-// and DrainNode evacuates a member's agents and counter history into
-// the survivors. The scheduler's DrainNode and the autoscaler require
-// it.
-type Elastic interface {
-	LiveNodes() []int
-	DrainNode(node int, timeout time.Duration) error
-}
-
-// Grower is the optional Backend extension for adopting members that
-// joined after the backend dialed in (wire.RemoteCluster.Refresh).
-type Grower interface {
+	// Refresh adopts members that joined after the backend dialed in.
 	Refresh() error
 }
 
@@ -101,7 +81,7 @@ type Grower interface {
 //
 // with two shortcuts: an admission reject never becomes a job at all,
 // and a cancel or deadline hit while still queued evicts directly. A
-// running job on a Freezer backend can be suspended — its agents
+// running job on a cluster can be suspended — its agents
 // checkpoint and park, the worker is released — and later resumed back
 // through the queue.
 type State int
@@ -196,8 +176,8 @@ var (
 	ErrNotDone        = errors.New("sched: job not finished")
 	ErrResultConsumed = errors.New("sched: result already retrieved")
 	ErrNoResult       = errors.New("sched: job produced no result")
-	// ErrNotSuspendable: Suspend needs a running job and a Freezer
-	// backend; ErrNotSuspended: Resume needs a suspended job.
-	ErrNotSuspendable = errors.New("sched: job not running or backend cannot freeze")
+	// ErrNotSuspendable: Suspend needs a running job and a cluster;
+	// ErrNotSuspended: Resume needs a suspended job.
+	ErrNotSuspendable = errors.New("sched: job not running or no cluster to freeze it on")
 	ErrNotSuspended   = errors.New("sched: job not suspended")
 )

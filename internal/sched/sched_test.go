@@ -316,8 +316,13 @@ func TestRetentionBoundsRecords(t *testing.T) {
 	if _, err := s.Status(last); err != nil {
 		t.Fatalf("newest record evicted: %v", err)
 	}
-	if got := len(s.Jobs()); got > 4 {
-		t.Fatalf("%d records retained, want ≤ 4", got)
+	// Jobs lists exactly the retained records, in submission order.
+	var ids []uint64
+	for _, st := range s.Jobs() {
+		ids = append(ids, st.ID)
+	}
+	if want := []uint64{last - 3, last - 2, last - 1, last}; !reflect.DeepEqual(ids, want) {
+		t.Fatalf("Jobs() ids %v, want the retained %v", ids, want)
 	}
 }
 
@@ -333,29 +338,66 @@ func TestSubmitAfterCloseFails(t *testing.T) {
 	s.Close() // idempotent
 }
 
-func TestPlacementRoundRobinRotates(t *testing.T) {
-	p := &RoundRobin{}
-	got := []int{p.Place(3), p.Place(3), p.Place(3), p.Place(3)}
-	want := []int{0, 1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("round-robin placements %v, want %v", got, want)
-		}
+// TestNoClusterRefusesClusterOps covers a scheduler that only runs
+// simulated work: each cluster operation returns its error (Refresh has
+// nothing to adopt and returns nil) instead of calling the missing
+// cluster.
+func TestNoClusterRefusesClusterOps(t *testing.T) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestPlacementLeastLoadedPicksIdle(t *testing.T) {
-	met := newSchedMetrics(metrics.NewRegistry(), 3)
-	p := &LeastLoaded{met: met}
-	met.nodeLoad[0].Set(2)
-	met.nodeLoad[1].Set(0)
-	met.nodeLoad[2].Set(1)
-	if got := p.Place(3); got != 1 {
-		t.Fatalf("least-loaded = %d, want 1 (the idle PE)", got)
+	defer s.Close()
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	unhold := func() { once.Do(func() { close(release) }) }
+	defer unhold() // before Close, so a failing call below cannot wedge it
+	held, err := s.Submit(Spec{Work: WorkFunc{Name: "hold", Fn: func(rt *Runtime) (any, error) {
+		close(started)
+		<-release
+		return nil, nil
+	}}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	met.nodeLoad[1].Set(5)
-	if got := p.Place(3); got != 2 {
-		t.Fatalf("least-loaded = %d, want 2 after load shifted", got)
+	<-started
+	if err := s.Suspend(held); !errors.Is(err, ErrNotSuspendable) {
+		t.Fatalf("Suspend of a running job without a cluster = %v, want ErrNotSuspendable", err)
+	}
+	unhold()
+	if st := waitTerminal(t, s, held); st.State != "done" {
+		t.Fatalf("held job %+v, want done", st)
+	}
+	// A work that reports a frozen namespace parks its job suspended
+	// even without a cluster; Resume must refuse it, not thaw nothing.
+	// The one worker runs jobs in order, so once the no-op after it is
+	// done, the frozen job has parked.
+	frozen, err := s.Submit(Spec{Work: WorkFunc{Name: "frozen", Fn: func(rt *Runtime) (any, error) {
+		return nil, wire.ErrJobFrozen
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := s.Submit(Spec{Work: WorkFunc{Name: "noop", Fn: func(rt *Runtime) (any, error) { return nil, nil }}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, s, after)
+	if st, _ := s.Status(frozen); st.State != "suspended" {
+		t.Fatalf("frozen job %+v, want suspended", st)
+	}
+	if err := s.Resume(frozen); !errors.Is(err, ErrNotSuspended) {
+		t.Fatalf("Resume without a cluster = %v, want ErrNotSuspended", err)
+	}
+	if err := s.DrainNode(0, time.Second); err == nil {
+		t.Fatal("DrainNode without a cluster succeeded")
+	}
+	if moved, err := s.Rebalance(); err == nil || moved != 0 {
+		t.Fatalf("Rebalance without a cluster = %d, %v; want 0 and an error", moved, err)
+	}
+	if err := s.Refresh(); err != nil {
+		t.Fatalf("Refresh without a cluster = %v, want nil", err)
 	}
 }
 
@@ -409,13 +451,16 @@ func TestConsistentHashSpreadsSmallKeys(t *testing.T) {
 	}
 }
 
-func TestLeastLoadedOnCluster(t *testing.T) {
+// TestPlacementSpreadsConcurrentJobs checks the default placement's
+// load bound: three jobs held running at once on three nodes anchor on
+// three different bases, whatever their keys' home nodes.
+func TestPlacementSpreadsConcurrentJobs(t *testing.T) {
 	cl, err := wire.NewCluster(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	s, err := New(Config{Cluster: cl, Workers: 3, Placement: &LeastLoaded{}})
+	s, err := New(Config{Cluster: cl, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,7 +492,7 @@ func TestLeastLoadedOnCluster(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("least-loaded concentrated 3 concurrent jobs on %d PEs: %v", n, bases)
+			t.Fatalf("placement concentrated 3 concurrent jobs on %d PEs: %v", n, bases)
 		}
 		time.Sleep(time.Millisecond)
 	}

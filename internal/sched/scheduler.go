@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -21,13 +22,9 @@ type Config struct {
 	// QueueDepth bounds the admission queue; submissions beyond it get
 	// ErrQueueFull (default 64).
 	QueueDepth int
-	// Placement chooses each job's base PE (default round-robin). A
-	// LeastLoaded policy is bound to this scheduler's load gauges.
-	Placement Placement
-	// Metrics receives the scheduler's instrumentation. Nil uses the
-	// cluster's registry, so wire.* and sched.* share one /metrics
-	// surface; with no cluster either, a private registry is created.
-	Metrics *metrics.Registry
+	// Placement chooses each job's base PE; nil means a default
+	// ConsistentHash. It is bound to this scheduler's load gauges.
+	Placement *ConsistentHash
 	// Retain bounds how many terminal job records are kept for Status
 	// and Result queries; beyond it the oldest are forgotten (default
 	// 256). This is what keeps a long-serving scheduler's memory flat.
@@ -43,14 +40,11 @@ type Config struct {
 	// until they drain and release (default 1s). Before the reaper, a
 	// timed-out drain leaked its namespace forever.
 	ReapInterval time.Duration
-	// RebalanceInterval, when positive, runs Rebalance on a timer
-	// (requires a Migrator backend; ignored otherwise).
-	RebalanceInterval time.Duration
-	// RebalanceThreshold is the load spread (hottest live node minus
-	// coldest, in anchored jobs) the rebalancer tolerates before moving
-	// agents (default 2).
-	RebalanceThreshold int
 }
+
+// rebalanceThreshold is the load spread (hottest live node minus
+// coldest, in anchored jobs) Rebalance tolerates before moving agents.
+const rebalanceThreshold = 2
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -60,14 +54,7 @@ func (c Config) withDefaults() Config {
 		c.QueueDepth = 64
 	}
 	if c.Placement == nil {
-		c.Placement = &RoundRobin{}
-	}
-	if c.Metrics == nil {
-		if c.Cluster != nil {
-			c.Metrics = c.Cluster.Metrics()
-		} else {
-			c.Metrics = metrics.NewRegistry()
-		}
+		c.Placement = &ConsistentHash{}
 	}
 	if c.Retain <= 0 {
 		c.Retain = 256
@@ -80,9 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReapInterval <= 0 {
 		c.ReapInterval = time.Second
-	}
-	if c.RebalanceThreshold <= 0 {
-		c.RebalanceThreshold = 2
 	}
 	return c
 }
@@ -123,30 +107,29 @@ type Scheduler struct {
 	reaps   []uint64 // namespaces whose drain timed out, pending re-reap
 	nextID  uint64
 	closed  bool
-	stop    chan struct{} // closes on Close; halts reaper and rebalancer
+	stop    chan struct{} // closes on Close; halts the reaper
 	wg      sync.WaitGroup
 }
 
-// New starts a scheduler and its workers.
+// New starts a scheduler and its workers. The scheduler's metrics go
+// to the cluster's registry, so wire.* and sched.* share one /metrics
+// surface; without a cluster they go to a private registry.
 func New(cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
-	nodes := 1
+	nodes, reg := 1, metrics.NewRegistry()
 	if cfg.Cluster != nil {
-		nodes = cfg.Cluster.Size()
+		nodes, reg = cfg.Cluster.Size(), cfg.Cluster.Metrics()
 	}
 	s := &Scheduler{
 		cfg:   cfg,
-		met:   newSchedMetrics(cfg.Metrics, nodes),
+		met:   newSchedMetrics(reg, nodes),
 		nodes: nodes,
 		jobs:  map[uint64]*job{},
 		stop:  make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	if ll, ok := cfg.Placement.(*LeastLoaded); ok && ll.met == nil {
-		ll.met = s.met
-	}
-	if ch, ok := cfg.Placement.(*ConsistentHash); ok && ch.met == nil {
-		ch.met = s.met
+	if cfg.Placement.met == nil {
+		cfg.Placement.met = s.met
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -155,10 +138,6 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.Cluster != nil {
 		s.wg.Add(1)
 		go s.reaper()
-	}
-	if _, ok := cfg.Cluster.(Migrator); ok && cfg.RebalanceInterval > 0 {
-		s.wg.Add(1)
-		go s.rebalancer()
 	}
 	return s, nil
 }
@@ -217,16 +196,17 @@ func (s *Scheduler) Status(id uint64) (Status, error) {
 	return s.statusLocked(j), nil
 }
 
-// Jobs lists every retained job's status, oldest submission first.
+// Jobs lists every retained job's status, oldest submission first. Its
+// cost, and how long it holds the lock against Submit and the workers,
+// is bounded by Config.Retain plus the live jobs.
 func (s *Scheduler) Jobs() []Status {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]Status, 0, len(s.jobs))
-	for id := uint64(1); id <= s.nextID; id++ {
-		if j, ok := s.jobs[id]; ok {
-			out = append(out, s.statusLocked(j))
-		}
+	for _, j := range s.jobs {
+		out = append(out, s.statusLocked(j))
 	}
+	s.mu.Unlock()
+	sort.Slice(out, func(a, b int) bool { return out[a].ID < out[b].ID })
 	return out
 }
 
@@ -329,7 +309,7 @@ func (s *Scheduler) Done(id uint64) (<-chan struct{}, error) {
 }
 
 // Metrics returns the scheduler's registry.
-func (s *Scheduler) Metrics() *metrics.Registry { return s.cfg.Metrics }
+func (s *Scheduler) Metrics() *metrics.Registry { return s.met.reg }
 
 // Close stops admission, evicts everything still queued or suspended,
 // and waits for running jobs to reach a terminal state. Idempotent.
@@ -418,30 +398,26 @@ func (s *Scheduler) worker() {
 		if j.resumeNS == 0 || j.base < 0 {
 			j.base = s.place(j)
 		}
+		// Count the load before the next worker places: the bounded-load
+		// cap only spreads concurrent jobs if it sees this one.
+		s.met.addLoad(j.base, 1)
 		s.met.transition(StateQueued, StatePlaced)
 		j.state = StatePlaced
 		s.mu.Unlock()
-		s.met.addLoad(j.base, 1)
 		s.run(j)
 		s.met.addLoad(j.base, -1)
 	}
 }
 
-// place chooses a job's base PE: by the policy's keyed form when it has
-// one (the job id is the key, so a resubmitted job lands on the same
-// base as long as loads allow), plainly otherwise — then steered off
+// place chooses a job's base PE: keyed by the job id, so a resubmitted
+// job lands on the same base as long as loads allow, then steered off
 // nodes the backend's liveness prober has declared dead. The steer is
 // advisory: a stale verdict costs one failed attempt, which the retry
 // budget absorbs.
 func (s *Scheduler) place(j *job) int {
-	var base int
-	if kp, ok := s.cfg.Placement.(KeyedPlacement); ok {
-		base = kp.PlaceKey(j.id, s.nodes)
-	} else {
-		base = s.cfg.Placement.Place(s.nodes)
-	}
-	if lv, ok := s.cfg.Cluster.(Liveness); ok {
-		for probe := 0; probe < s.nodes && !lv.Alive(base); probe++ {
+	base := s.cfg.Placement.PlaceKey(j.id, s.nodes)
+	if cl := s.cfg.Cluster; cl != nil {
+		for probe := 0; probe < s.nodes && !cl.Alive(base); probe++ {
 			base = (base + 1) % s.nodes
 		}
 	}
@@ -670,10 +646,9 @@ func (s *Scheduler) reaper() {
 // agent checkpoints and parks at its next hop boundary, the attempt's
 // WaitJob fails fast with the frozen sentinel, and the worker releases
 // the job in StateSuspended with the namespace intact on the cluster.
-// Requires a Freezer backend.
+// A scheduler without a cluster has nothing to freeze.
 func (s *Scheduler) Suspend(id uint64) error {
-	fz, ok := s.cfg.Cluster.(Freezer)
-	if !ok {
+	if s.cfg.Cluster == nil {
 		return ErrNotSuspendable
 	}
 	s.mu.Lock()
@@ -688,7 +663,7 @@ func (s *Scheduler) Suspend(id uint64) error {
 	}
 	ns := j.curNS
 	s.mu.Unlock()
-	return fz.FreezeJob(ns)
+	return s.cfg.Cluster.FreezeJob(ns)
 }
 
 // Resume requeues a suspended job: the frozen namespace thaws (parked
@@ -696,8 +671,7 @@ func (s *Scheduler) Suspend(id uint64) error {
 // through the queue to a worker, which continues the thawed attempt via
 // the work's Resumer extension when it has one.
 func (s *Scheduler) Resume(id uint64) error {
-	fz, ok := s.cfg.Cluster.(Freezer)
-	if !ok {
+	if s.cfg.Cluster == nil {
 		return ErrNotSuspended
 	}
 	s.mu.Lock()
@@ -712,7 +686,7 @@ func (s *Scheduler) Resume(id uint64) error {
 	}
 	ns := j.curNS
 	s.mu.Unlock()
-	if err := fz.ThawJob(ns); err != nil {
+	if err := s.cfg.Cluster.ThawJob(ns); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -735,16 +709,15 @@ func (s *Scheduler) Resume(id uint64) error {
 }
 
 // Rebalance moves agents from the hottest live node to the coldest when
-// the load spread exceeds Config.RebalanceThreshold, and reports how
-// many migrated. Load is the sched.node.load gauge (jobs anchored per
-// node); the move is live migration of half the spread, so repeated
-// calls converge without thrashing. Requires a Migrator backend.
+// the load spread exceeds rebalanceThreshold, and reports how many
+// migrated. Load is the sched.node.load gauge (jobs anchored per node);
+// the move is live migration of half the spread, so repeated calls
+// converge without thrashing.
 func (s *Scheduler) Rebalance() (int, error) {
-	mig, ok := s.cfg.Cluster.(Migrator)
-	if !ok {
-		return 0, fmt.Errorf("sched: backend cannot migrate agents")
+	if s.cfg.Cluster == nil {
+		return 0, errNoCluster
 	}
-	live := s.liveNodes()
+	live := s.cfg.Cluster.LiveNodes()
 	if len(live) < 2 {
 		return 0, nil
 	}
@@ -765,68 +738,40 @@ func (s *Scheduler) Rebalance() (int, error) {
 		}
 	}
 	spread := load(hot) - load(cold)
-	if spread <= int64(s.cfg.RebalanceThreshold) {
+	if spread <= rebalanceThreshold {
 		return 0, nil
 	}
-	want := int(spread / 2)
-	if want < 1 {
-		want = 1
-	}
-	moved, err := mig.MigrateAgents(hot, cold, 0, want)
+	moved, err := s.cfg.Cluster.MigrateAgents(hot, cold, 0, int(spread/2))
 	if moved > 0 {
 		s.met.rebalanceMoved.Add(int64(moved))
 	}
 	return moved, err
 }
 
-// rebalancer runs Rebalance on the configured timer.
-func (s *Scheduler) rebalancer() {
-	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.RebalanceInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-t.C:
-			s.Rebalance() //nolint:errcheck // periodic best-effort pass
-		}
-	}
-}
+// errNoCluster refuses the cluster operations of a scheduler that only
+// runs simulated work.
+var errNoCluster = errors.New("sched: no cluster")
 
-// liveNodes is the placeable node set: the Elastic backend's verdict
-// when it has one, every node otherwise (filtered through Liveness).
+// liveNodes is the placeable node set: the cluster's undrained members,
+// or the one local node of a scheduler without a cluster.
 func (s *Scheduler) liveNodes() []int {
-	if el, ok := s.cfg.Cluster.(Elastic); ok {
-		return el.LiveNodes()
+	if s.cfg.Cluster == nil {
+		return []int{0}
 	}
-	s.mu.Lock()
-	n := s.nodes
-	s.mu.Unlock()
-	live := make([]int, 0, n)
-	lv, hasLv := s.cfg.Cluster.(Liveness)
-	for i := 0; i < n; i++ {
-		if hasLv && !lv.Alive(i) {
-			continue
-		}
-		live = append(live, i)
-	}
-	return live
+	return s.cfg.Cluster.LiveNodes()
 }
 
 // DrainNode evacuates a cluster member through the backend: its resident
 // agents migrate to survivors, its counter history is absorbed, and the
 // node leaves the membership — future placements steer around it.
-// Requires an Elastic backend.
 func (s *Scheduler) DrainNode(node int, timeout time.Duration) error {
-	el, ok := s.cfg.Cluster.(Elastic)
-	if !ok {
-		return fmt.Errorf("sched: backend cannot drain nodes")
+	if s.cfg.Cluster == nil {
+		return errNoCluster
 	}
 	if timeout <= 0 {
 		timeout = s.cfg.DrainTimeout
 	}
-	return el.DrainNode(node, timeout)
+	return s.cfg.Cluster.DrainNode(node, timeout)
 }
 
 // Refresh adopts cluster growth: the backend re-reads its membership
@@ -837,10 +782,8 @@ func (s *Scheduler) Refresh() error {
 	if s.cfg.Cluster == nil {
 		return nil
 	}
-	if g, ok := s.cfg.Cluster.(Grower); ok {
-		if err := g.Refresh(); err != nil {
-			return err
-		}
+	if err := s.cfg.Cluster.Refresh(); err != nil {
+		return err
 	}
 	n := s.cfg.Cluster.Size()
 	s.met.ensureNodes(n)

@@ -37,10 +37,11 @@ func NewServer(s *Scheduler) *Server { return &Server{sched: s} }
 
 // SubmitRequest is the POST /jobs body. Kind selects the program:
 //
-//	"wirematmul"  {n, seed}            integer matmul on the shared cluster
+//	"wirematmul"  {n, seed}            integer matmul on the shared cluster (n ≤ 1024)
 //	"matmul"      {stage, n, bs, p}    a simulated paper stage (stage 0-6)
 //	"plan"        {rows, cols, pes, flops, variant}
-//	              a GridSweep core.Plan: variant dsc | pipeline | phase
+//	              a GridSweep core.Plan (rows, cols ≤ 256):
+//	              variant dsc | pipeline | phase
 type SubmitRequest struct {
 	Kind       string   `json:"kind"`
 	Priority   Priority `json:"priority,omitempty"`
@@ -66,6 +67,15 @@ type SubmitResponse struct {
 	ID uint64 `json:"id"`
 }
 
+// Bounds on the sizes a submission may ask for. A wirematmul job
+// builds both n×n operands in the front end before its first call, and
+// one node's B strip must fit in one frame: n = 1024 is an 8 MiB strip.
+// A plan allocates rows×cols items.
+const (
+	maxWireMatmulN = 1024
+	maxPlanSide    = 256
+)
+
 // work builds the Work a request describes.
 func (r *SubmitRequest) work() (Work, error) {
 	switch r.Kind {
@@ -73,6 +83,9 @@ func (r *SubmitRequest) work() (Work, error) {
 		n := r.N
 		if n <= 0 {
 			n = 8
+		}
+		if n > maxWireMatmulN {
+			return nil, fmt.Errorf("wirematmul order %d exceeds %d", n, maxWireMatmulN)
 		}
 		return WireMatmul{N: n, Seed: r.Seed}, nil
 	case "matmul":
@@ -92,6 +105,9 @@ func (r *SubmitRequest) work() (Work, error) {
 		}
 		if cols <= 0 {
 			cols = 4
+		}
+		if rows > maxPlanSide || cols > maxPlanSide {
+			return nil, fmt.Errorf("plan grid %d×%d exceeds %d on a side", rows, cols, maxPlanSide)
 		}
 		pes := r.PEs
 		if pes <= 0 || pes > cols {

@@ -264,6 +264,9 @@ func TestHTTPMalformedSpecs(t *testing.T) {
 		{"stage out of range", `{"kind":"matmul","stage":99}`, http.StatusUnprocessableEntity},
 		{"negative stage", `{"kind":"matmul","stage":-1}`, http.StatusUnprocessableEntity},
 		{"unknown plan variant", `{"kind":"plan","variant":"zigzag"}`, http.StatusUnprocessableEntity},
+		{"wirematmul order too large", `{"kind":"wirematmul","n":1025}`, http.StatusUnprocessableEntity},
+		{"plan rows too large", `{"kind":"plan","rows":257}`, http.StatusUnprocessableEntity},
+		{"plan cols too large", `{"kind":"plan","cols":257}`, http.StatusUnprocessableEntity},
 		{"valid wirematmul", `{"kind":"wirematmul","n":4}`, http.StatusAccepted},
 		{"valid plan", `{"kind":"plan","rows":2,"cols":2}`, http.StatusAccepted},
 	}

@@ -51,7 +51,6 @@ func TestSoakConcurrentJobsUnderChaos(t *testing.T) {
 		Cluster:    cl,
 		Workers:    8,
 		QueueDepth: 16, // small on purpose: submitters must absorb 429-style rejects
-		Placement:  &LeastLoaded{},
 	})
 	if err != nil {
 		t.Fatal(err)

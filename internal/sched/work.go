@@ -154,13 +154,11 @@ func (w WireMatmul) Kind() string { return "wirematmul" }
 // colRange returns the half-open column range owned by pe.
 func colRange(n, pes, pe int) (lo, hi int) { return pe * n / pes, (pe + 1) * n / pes }
 
-// liveRing returns the backend's placeable node list: its Elastic view
-// when it has one (drained members excluded), every node otherwise.
+// liveRing returns the backend's placeable node list (drained members
+// excluded), or every node when the backend reports none.
 func liveRing(cl Backend) []int {
-	if el, ok := cl.(Elastic); ok {
-		if live := el.LiveNodes(); len(live) > 0 {
-			return live
-		}
+	if live := cl.LiveNodes(); len(live) > 0 {
+		return live
 	}
 	ring := make([]int, cl.Size())
 	for i := range ring {
