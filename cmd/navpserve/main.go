@@ -91,6 +91,8 @@ func main() {
 
 	var err error
 	switch {
+	case *chaos != "" && (*drain >= 0 || *daemon || *connect != "" || *seeds != ""):
+		err = fmt.Errorf("navpserve: -fault applies only to in-process mode")
 	case *drain >= 0:
 		err = runDrain(*connect, *seeds, *drain, *drainTimeout, *drainStop)
 	case *daemon:

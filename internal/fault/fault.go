@@ -52,12 +52,14 @@ type Plan struct {
 	Delay float64
 	// MaxDelay bounds the injected delay, in seconds.
 	MaxDelay float64
-	// RetryTimeout is the resend timeout charged for a dropped frame on
-	// the sim backend, in virtual seconds (the wire runtime takes its
-	// wall-clock equivalent from wire.Options). Zero means DefaultRetryTimeout.
+	// RetryTimeout is the resend timeout charged for a dropped frame, in
+	// seconds: virtual on the sim backend, where zero means
+	// DefaultRetryTimeout, and wall-clock on the wire runtime, where it is
+	// the hop ack timeout and zero means the runtime's 500 ms.
 	RetryTimeout float64
 	// RestartDelay is how long a killed daemon stays down before its
-	// supervisor restarts it, in seconds. Zero means DefaultRestartDelay.
+	// supervisor restarts it, in seconds (virtual or wall-clock, as
+	// above). Zero means DefaultRestartDelay.
 	RestartDelay float64
 	// Kills lists the scheduled daemon deaths.
 	Kills []Kill

@@ -31,18 +31,16 @@ func TestSoakConcurrentJobsUnderChaos(t *testing.T) {
 		jobCount = 40
 	)
 	plan := &fault.Plan{
-		Seed: 1789,
-		Drop: 0.03,
-		Dup:  1,
+		Seed:         1789,
+		Drop:         0.03,
+		Dup:          1,
+		RetryTimeout: 0.1,
 		Kills: []fault.Kill{
 			{Node: 1, AfterArrivals: 30},
 			{Node: 3, AfterArrivals: 55},
 		},
 	}
-	cl, err := wire.NewClusterOpts(pes, wire.Options{
-		Fault:      plan,
-		AckTimeout: 100 * time.Millisecond,
-	})
+	cl, err := wire.NewClusterOpts(pes, wire.Options{Fault: plan})
 	if err != nil {
 		t.Fatal(err)
 	}

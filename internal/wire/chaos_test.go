@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/navp"
 	"repro/internal/trace"
 )
 
@@ -150,30 +152,28 @@ func TestChaosMatMul(t *testing.T) {
 	const n, pes = 8, 4
 	_, _, want := intMatrices(n, 41)
 
+	// Each plan's RetryTimeout is 100 ms, so dropped frames retry quickly.
 	cases := []struct {
 		name string
 		plan *fault.Plan
 	}{
 		{"baseline", nil},
-		{"drop-1pct", &fault.Plan{Seed: 101, Drop: 0.01}},
-		{"drop-heavy", &fault.Plan{Seed: 102, Drop: 0.25}},
-		{"dup-10x", &fault.Plan{Seed: 103, Dup: 10}},
-		{"delay-jitter", &fault.Plan{Seed: 104, Delay: 0.5, MaxDelay: 0.003}},
-		{"kill-each-daemon-once", &fault.Plan{Seed: 105, Kills: []fault.Kill{
+		{"drop-1pct", &fault.Plan{Seed: 101, Drop: 0.01, RetryTimeout: 0.1}},
+		{"drop-heavy", &fault.Plan{Seed: 102, Drop: 0.25, RetryTimeout: 0.1}},
+		{"dup-10x", &fault.Plan{Seed: 103, Dup: 10, RetryTimeout: 0.1}},
+		{"delay-jitter", &fault.Plan{Seed: 104, Delay: 0.5, MaxDelay: 0.003, RetryTimeout: 0.1}},
+		{"kill-each-daemon-once", &fault.Plan{Seed: 105, RetryTimeout: 0.1, Kills: []fault.Kill{
 			{Node: 0, AfterArrivals: 4}, {Node: 1, AfterArrivals: 5},
 			{Node: 2, AfterArrivals: 6}, {Node: 3, AfterArrivals: 7},
 		}}},
-		{"combined", &fault.Plan{Seed: 106, Drop: 0.05, Dup: 2, Delay: 0.2, MaxDelay: 0.002,
+		{"combined", &fault.Plan{Seed: 106, Drop: 0.05, Dup: 2, Delay: 0.2, MaxDelay: 0.002, RetryTimeout: 0.1,
 			Kills: []fault.Kill{{Node: 1, AfterArrivals: 5}, {Node: 3, AfterArrivals: 9}}}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			got := runChaosMatMul(t, n, pes, Options{
-				Fault:      tc.plan,
-				AckTimeout: 100 * time.Millisecond,
-			})
+			got := runChaosMatMul(t, n, pes, Options{Fault: tc.plan})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("product differs from reference under plan %v:\ngot  %v\nwant %v",
 					tc.plan, got, want)
@@ -215,14 +215,15 @@ func TestKillRecoveryBitIdentical(t *testing.T) {
 }
 
 // TestDropsAreRetriedAndTraced checks the retry path end to end: under a
-// heavy drop plan the run still completes, and the tracer observed both
-// the drops and the retransmissions that repaired them.
+// heavy drop plan the run still completes, the tracer observed both the
+// drops and the retransmissions that repaired them, and each dropped
+// frame was resent after the plan's RetryTimeout — the hop ack timeout —
+// not the runtime's 500 ms default.
 func TestDropsAreRetriedAndTraced(t *testing.T) {
 	rec := trace.New()
 	got := runChaosMatMul(t, 6, 3, Options{
-		Fault:      &fault.Plan{Seed: 11, Drop: 0.3},
-		AckTimeout: 100 * time.Millisecond,
-		Tracer:     rec,
+		Fault:  &fault.Plan{Seed: 11, Drop: 0.3, RetryTimeout: 0.1},
+		Tracer: rec,
 	})
 	_, _, want := intMatrices(6, 41)
 	if !reflect.DeepEqual(got, want) {
@@ -235,6 +236,42 @@ func TestDropsAreRetriedAndTraced(t *testing.T) {
 	if st.Hops == 0 {
 		t.Fatalf("no successful hops traced")
 	}
+	gaps := dropRetryGaps(rec.Events())
+	if len(gaps) == 0 {
+		t.Fatal("no drop was followed by a retry")
+	}
+	sort.Float64s(gaps)
+	if med := gaps[len(gaps)/2]; med < 0.09 || med >= 0.4 {
+		t.Fatalf("median drop → retry gap = %.0f ms over %d drops, want the plan's 100 ms RetryTimeout",
+			med*1e3, len(gaps))
+	}
+}
+
+// dropRetryGaps pairs each traced drop with its frame's first retry and
+// returns the gaps in seconds. Frames are told apart by their link: a
+// sender waits the same ack timeout after every drop, so on one link
+// drops and the retries they cause come in the same order.
+func dropRetryGaps(events []navp.TraceEvent) []float64 {
+	type link struct {
+		agent    string
+		from, to int
+	}
+	sort.SliceStable(events, func(i, j int) bool { return events[i].Start < events[j].Start })
+	pending := map[link][]float64{}
+	var gaps []float64
+	for _, ev := range events {
+		l := link{ev.Agent, ev.From, ev.To}
+		switch ev.Kind {
+		case navp.TraceDrop:
+			pending[l] = append(pending[l], float64(ev.Start))
+		case navp.TraceRetry:
+			if q := pending[l]; len(q) > 0 {
+				gaps = append(gaps, float64(ev.Start)-q[0])
+				pending[l] = q[1:]
+			}
+		}
+	}
+	return gaps
 }
 
 // TestDuplicatedHopsCountOnce drives tenfold duplication and checks the
@@ -315,8 +352,7 @@ func TestCheckpointsDrainAfterQuiescence(t *testing.T) {
 		}
 		return cl
 	}
-	cl := runChaosMatMulInto(Options{Fault: &fault.Plan{Seed: 31, Drop: 0.1, Dup: 1},
-		AckTimeout: 100 * time.Millisecond})
+	cl := runChaosMatMulInto(Options{Fault: &fault.Plan{Seed: 31, Drop: 0.1, Dup: 1, RetryTimeout: 0.1}})
 	defer cl.Close()
 	if err := cl.Wait(chaosTimeout); err != nil {
 		t.Fatal(err)

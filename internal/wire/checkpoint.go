@@ -24,7 +24,7 @@ type nodeState struct {
 	vars    *store
 	events  *events
 	met     *wireMetrics
-	retain  int        // dedup high-water mark (Options.DedupRetain)
+	retain  int        // dedup high-water mark (dedupRetain)
 	cancels *cancelSet // cancelled job namespaces
 	persist *persister // snapshot + log on disk; nil without a state directory
 

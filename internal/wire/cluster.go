@@ -13,76 +13,43 @@ import (
 	"repro/internal/navp"
 )
 
-// Options configures a cluster's fault-tolerance layer. The zero value
-// gives a plain, fault-free cluster with conservative timeouts — the
-// behavior of NewCluster.
+// Options configures an in-process cluster's chaos layer. The zero value
+// gives a plain, fault-free cluster — the behavior of NewCluster. Every
+// other runtime value is a constant (below); the plan carries the only
+// timings a chaos run tunes.
 type Options struct {
 	// Fault injects a deterministic chaos plan into every hop send:
-	// drops, duplicates, delays, and daemon kills. Nil injects nothing.
+	// drops, duplicates, delays, and daemon kills. Its RetryTimeout is the
+	// hop ack timeout, and its RestartDelay how long a killed daemon stays
+	// down. A plan that schedules kills also starts the supervisor, which
+	// restarts dead daemons from their checkpoints. Nil injects nothing.
 	Fault *fault.Plan
-	// Recover enables heartbeat failure detection and automatic daemon
-	// restart with checkpoint replay. It is implied when Fault schedules
-	// kills; without it a dead daemon stays dead.
-	Recover bool
-	// AckTimeout is how long a sender waits for a hop acknowledgement
-	// before retrying (default 500ms).
-	AckTimeout time.Duration
-	// RetryBackoff is the initial resend backoff, doubling per attempt up
-	// to MaxRetryBackoff (defaults 5ms and 250ms).
-	RetryBackoff, MaxRetryBackoff time.Duration
-	// HeartbeatInterval is the monitor's ping period (default 25ms).
-	HeartbeatInterval time.Duration
-	// RestartDelay is how long a dead daemon stays down before the
-	// monitor restarts it (default: the fault plan's RestartDelay, or
-	// 50ms without a plan).
-	RestartDelay time.Duration
 	// Tracer, if non-nil, receives hop/drop/retry/kill/recover events
 	// with wall-clock timestamps in seconds since cluster start (it
 	// must be safe for concurrent use; internal/trace.Recorder is).
 	Tracer navp.Tracer
-	// Metrics, if non-nil, receives the runtime's counters, gauges, and
-	// histograms (see metrics.go for the names). Nil creates a private
-	// registry, readable via Cluster.Metrics — instrumentation is always
-	// on; it costs one atomic op per event.
-	Metrics *metrics.Registry
-	// DedupRetain is the per-node high-water mark for retired dedup
-	// entries: how many (agent, hop) pairs a node keeps after their
-	// checkpoints retire before evicting the oldest (default 1024).
-	DedupRetain int
-	// DrainTimeout bounds a msgDrain evacuation: how long a draining
-	// daemon waits for its resident agents to ship out before giving up
-	// (default 10s; a msgDrain frame can override per request).
-	DrainTimeout time.Duration
 }
 
-func (o Options) withDefaults() Options {
-	def := func(d *time.Duration, v time.Duration) {
-		if *d <= 0 {
-			*d = v
-		}
+// The runtime's fixed timings, the ones process hosts and front-end
+// clients always run. A fault plan's RetryTimeout replaces
+// defaultAckTimeout on an in-process cluster.
+const (
+	defaultAckTimeout = 500 * time.Millisecond // a hop's ack, and a daemon's control reply to another daemon
+	retryBackoff      = 5 * time.Millisecond   // the first resend backoff, doubling per attempt ...
+	maxRetryBackoff   = 250 * time.Millisecond // ... up to this
+	heartbeatInterval = 100 * time.Millisecond // the liveness prober's period; a ping gets four to answer
+	controlTimeout    = 2 * time.Second        // a client's control round trip; generous, as a daemon syncs before replying
+	drainTimeout      = 10 * time.Second       // a msgDrain evacuation, unless the frame sets its own
+	dedupRetain       = 1024                   // retired dedup entries a node keeps before evicting the oldest
+)
+
+// ackTimeout is the hop ack timeout: the plan's RetryTimeout when it sets
+// one, defaultAckTimeout otherwise.
+func (o *Options) ackTimeout() time.Duration {
+	if o.Fault != nil && o.Fault.RetryTimeout > 0 {
+		return secondsToDuration(o.Fault.RetryTimeout)
 	}
-	def(&o.AckTimeout, 500*time.Millisecond)
-	def(&o.RetryBackoff, 5*time.Millisecond)
-	def(&o.MaxRetryBackoff, 250*time.Millisecond)
-	def(&o.HeartbeatInterval, 25*time.Millisecond)
-	def(&o.DrainTimeout, 10*time.Second)
-	if o.RestartDelay <= 0 {
-		if o.Fault != nil {
-			o.RestartDelay = secondsToDuration(o.Fault.RestartDelayOrDefault())
-		} else {
-			o.RestartDelay = 50 * time.Millisecond
-		}
-	}
-	if o.Fault != nil && len(o.Fault.Kills) > 0 {
-		o.Recover = true
-	}
-	if o.Metrics == nil {
-		o.Metrics = metrics.NewRegistry()
-	}
-	if o.DedupRetain <= 0 {
-		o.DedupRetain = 1024
-	}
-	return o
+	return defaultAckTimeout
 }
 
 // traceSink stamps wire runtime events with wall-clock seconds since
@@ -103,20 +70,18 @@ func (ts *traceSink) record(kind navp.TraceKind, job uint64, agent string, from,
 
 // Cluster is n Hosts in one address space on loopback TCP, driven through
 // the same RemoteCluster client — and therefore the same control frames,
-// the same termination detector, the same cancellation re-delivery — as a
-// cluster of daemon processes. What it adds is only what is genuinely
-// in-process: constructing the hosts on pre-bound ports, supervising them
-// under a fault plan (restart a killed daemon on its surviving node state,
-// the way an operator respawns a crashed process), and surfacing the
-// daemons' asynchronous errors to whoever is waiting on the cluster.
+// the same termination detector, the same cancellation re-delivery, the
+// same liveness prober — as a cluster of daemon processes. What it adds is
+// only what is genuinely in-process: constructing the hosts on pre-bound
+// ports, restarting a daemon the prober finds dead under a fault plan (on
+// its surviving node state, the way an operator respawns a crashed
+// process), and surfacing the daemons' asynchronous errors to whoever is
+// waiting on the cluster.
 type Cluster struct {
 	*RemoteCluster
-	opts  Options
 	hosts []*Host
 
-	closeOnce   sync.Once
-	monitorStop chan struct{}
-	monitorDone chan struct{}
+	closeOnce sync.Once
 }
 
 // ctlConn is a lazily redialed, pipelined connection to one daemon: any
@@ -406,13 +371,11 @@ func (c *ctlConn) close() {
 // plain cluster with no fault injection and no recovery.
 func NewCluster(n int) (*Cluster, error) { return NewClusterOpts(n, Options{}) }
 
-// NewClusterOpts starts a cluster with an explicit fault-tolerance
-// configuration.
+// NewClusterOpts starts a cluster with an explicit chaos configuration.
 func NewClusterOpts(n int, opts Options) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("wire: cluster size %d must be positive", n)
 	}
-	opts = opts.withDefaults()
 	if opts.Fault != nil {
 		for _, k := range opts.Fault.Kills {
 			if k.Node < 0 || k.Node >= n {
@@ -434,34 +397,29 @@ func NewClusterOpts(n int, opts Options) (*Cluster, error) {
 		}
 		listeners[i], peers[i] = ln, ln.Addr().String()
 	}
-	// The hosts share one error channel, one trace clock and one set of
-	// metric handles, so the cluster reports as a unit.
-	cl := &Cluster{opts: opts}
+	// The hosts and the client share one error channel, one trace clock
+	// and one metric registry, so the cluster reports as a unit.
+	cl := &Cluster{}
 	errs := make(chan error, n)
 	sink := &traceSink{tracer: opts.Tracer, epoch: time.Now()}
-	met := newWireMetrics(opts.Metrics)
+	reg := metrics.NewRegistry()
+	met := newWireMetrics(reg)
 	for i, ln := range listeners {
-		h := &Host{ID: i, Addr: peers[i], node: newNodeState(i, met, opts.DedupRetain),
-			members: newMembership(peers), opts: opts, errs: errs, sink: sink}
+		h := &Host{ID: i, Addr: peers[i], node: newNodeState(i, met, dedupRetain),
+			members: newMembership(peers), opts: opts, reg: reg, errs: errs, sink: sink}
 		h.serve(ln) // a fresh node has nothing to replay, so nothing to fail
 		cl.hosts = append(cl.hosts, h)
 	}
-	// The control round-trip timeout stays the client's generous default,
-	// not the hop AckTimeout a chaos test shortens: a killed daemon refuses
-	// the dial at once either way, and a loaded one deserves the patience.
-	rc, err := StaticCluster(peers, RemoteOptions{
-		Metrics: opts.Metrics, Heartbeat: opts.Recover, HeartbeatInterval: opts.HeartbeatInterval,
-	})
+	rc, err := newRemoteCluster(peers, reg)
 	if err != nil {
 		cl.Close()
 		return nil, err
 	}
 	rc.errs = errs
 	cl.RemoteCluster = rc
-	if opts.Recover {
-		cl.monitorStop = make(chan struct{})
-		cl.monitorDone = make(chan struct{})
-		go cl.monitor()
+	if opts.Fault != nil && len(opts.Fault.Kills) > 0 {
+		rc.down = cl.restart
+		rc.startProber()
 	}
 	return cl, nil
 }
@@ -476,57 +434,19 @@ func (cl *Cluster) JobsTracked() int {
 	return total
 }
 
-// monitor is the fault plan's supervisor: ping every daemon each
-// interval and restart the dead ones on their surviving node state.
-func (cl *Cluster) monitor() {
-	defer close(cl.monitorDone)
-	tick := time.NewTicker(cl.opts.HeartbeatInterval)
-	defer tick.Stop()
-	hb := make([]*ctlConn, len(cl.hosts))
-	for i, h := range cl.hosts {
-		hb[i] = &ctlConn{addr: h.Addr}
-	}
-	defer func() {
-		for _, c := range hb {
-			c.close()
-		}
-	}()
-	for {
-		select {
-		case <-cl.monitorStop:
-			return
-		case <-tick.C:
-		}
-		for i := range cl.hosts {
-			select {
-			case <-cl.monitorStop:
-				return
-			default:
-			}
-			d := cl.hosts[i].incarnation()
-			if !d.dead.Load() {
-				if reply, err := hb[i].roundTrip(&envelope{Kind: msgPing}, cl.opts.HeartbeatInterval*4); err == nil && reply.Kind == msgPong {
-					continue
-				}
-				// Unreachable: declare it dead. (terminate is idempotent,
-				// so racing an in-progress kill is harmless.)
-				d.terminate()
-			}
-			cl.restart(i)
-		}
-	}
-}
-
-// restart brings node i's daemon back after RestartDelay: rebind the
-// node's address and serve a fresh incarnation from the host's node
-// state, which replays every checkpointed agent.
+// restart is the prober's down hook: it terminates node i's daemon
+// incarnation (idempotent, so racing an injected kill is harmless), keeps
+// it down for the plan's restart delay, then rebinds the node's address
+// and serves a fresh incarnation from the host's node state, which
+// replays every checkpointed agent. Stopping the prober abandons the wait.
 func (cl *Cluster) restart(i int) {
+	h := cl.hosts[i]
+	h.incarnation().terminate()
 	select {
-	case <-time.After(cl.opts.RestartDelay):
-	case <-cl.monitorStop:
+	case <-time.After(secondsToDuration(h.opts.Fault.RestartDelayOrDefault())):
+	case <-cl.hbStop:
 		return
 	}
-	h := cl.hosts[i]
 	ln, err := listenReuse(h.Addr)
 	if err == nil {
 		var replayed int
@@ -548,12 +468,8 @@ func (cl *Cluster) restart(i int) {
 // caller returns after it has begun.
 func (cl *Cluster) Close() {
 	cl.closeOnce.Do(func() {
-		// The supervisor first, so no restart races the teardown.
-		if cl.monitorStop != nil {
-			close(cl.monitorStop)
-			<-cl.monitorDone
-		}
-		// Best-effort protocol shutdown over the control connections, then
+		// Best-effort protocol shutdown over the control connections (which
+		// stops the prober first, so no restart races the teardown), then
 		// terminate in-process (covers daemons with broken control links).
 		if cl.RemoteCluster != nil {
 			cl.Shutdown()

@@ -30,7 +30,7 @@ type daemon struct {
 	members *membership // node id → address, shared across incarnations
 	ln      net.Listener
 	node    *nodeState
-	opts    *Options // cluster-wide knobs, read-only
+	opts    *Options // the cluster's chaos layer, read-only
 	errs    chan error
 	sink    *traceSink
 
@@ -335,7 +335,7 @@ func (d *daemon) handleControl(env *envelope, rp *replier) bool {
 	case msgThaw:
 		return thaw(env.Job)
 	case msgDrain:
-		timeout := d.opts.DrainTimeout
+		timeout := drainTimeout
 		if env.Count > 0 {
 			timeout = time.Duration(env.Count) * time.Millisecond
 		}
@@ -374,7 +374,7 @@ func (d *daemon) forwardJoin(joinAddr string) (*envelope, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := c.roundTrip(&envelope{Kind: msgJoin, Addr: joinAddr}, d.opts.AckTimeout)
+	rep, err := c.roundTrip(&envelope{Kind: msgJoin, Addr: joinAddr}, d.opts.ackTimeout())
 	if err != nil {
 		return nil, err
 	}
@@ -396,7 +396,7 @@ func (d *daemon) broadcast(env *envelope) {
 		}
 		go func() {
 			if c, err := d.peer(i); err == nil {
-				c.roundTrip(env, d.opts.AckTimeout)
+				c.roundTrip(env, d.opts.ackTimeout())
 			}
 		}()
 	}
@@ -470,7 +470,7 @@ func (d *daemon) drain(timeout time.Duration) error {
 		return err
 	}
 	total, perJob := d.node.exportCounters()
-	backoff := d.opts.RetryBackoff
+	backoff := retryBackoff
 	for {
 		err := d.absorbInto(target, total, perJob)
 		if err == nil {
@@ -482,8 +482,8 @@ func (d *daemon) drain(timeout time.Duration) error {
 		if !d.sleep(backoff) {
 			return errKilled
 		}
-		if backoff *= 2; backoff > d.opts.MaxRetryBackoff {
-			backoff = d.opts.MaxRetryBackoff
+		if backoff *= 2; backoff > maxRetryBackoff {
+			backoff = maxRetryBackoff
 		}
 	}
 	d.node.setDrained()
@@ -502,7 +502,7 @@ func (d *daemon) absorbInto(target int, total counters, perJob map[uint64]counte
 	if err != nil {
 		return err
 	}
-	rep, err := c.roundTrip(&envelope{Kind: msgAbsorb, Node: d.id, Counters: total, PerJob: perJob}, d.opts.AckTimeout)
+	rep, err := c.roundTrip(&envelope{Kind: msgAbsorb, Node: d.id, Counters: total, PerJob: perJob}, d.opts.ackTimeout())
 	if err != nil {
 		return err
 	}
@@ -687,9 +687,9 @@ func (d *daemon) migrateOut(msg *agentMsg, dst int, note string) {
 // retry with exponential backoff until the destination acknowledges that
 // it has checkpointed the agent, then retire our own checkpoint exactly
 // once; it reports whether an acknowledgement arrived. The fault
-// injector sits right here — drops suppress the write, duplicates repeat
-// it, delays precede it — so every chaos scenario exercises the same
-// code path real network trouble would.
+// injector sits right here — drops suppress the write and wait out the
+// ack timeout, duplicates repeat it, delays precede it — so every chaos
+// scenario exercises the same code path real network trouble would.
 //
 // The frame rides the peer's connection like any request, and its ack is
 // the reply in its position. A connection torn down under the wait (a
@@ -723,7 +723,8 @@ func (d *daemon) deliver(dst int, msg *agentMsg, prevHop uint64) bool {
 	// a frame's fate is a pure function of what it carries.
 	seq := fault.Seq(msg.ID, msg.Hop)
 	met := d.node.met
-	backoff := d.opts.RetryBackoff
+	ackTimeout := d.opts.ackTimeout()
+	backoff := retryBackoff
 	for attempt := uint64(0); ; attempt++ {
 		if d.dead.Load() {
 			return false
@@ -740,10 +741,16 @@ func (d *daemon) deliver(dst int, msg *agentMsg, prevHop uint64) bool {
 		if dec.Drop {
 			met.framesDropped.Inc()
 			d.sink.record(navp.TraceDrop, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)), "")
+			// A lost frame's sender learns of the loss only when its ack
+			// fails to come: the drop costs the ack timeout, as it costs
+			// the plan's RetryTimeout on the sim backend.
+			if !d.sleep(ackTimeout) {
+				return false
+			}
 		} else {
 			var c *ctlConn
 			if c, err = d.peer(dst); err == nil {
-				reply, err = c.roundTripFrame(frame, dec.Dup, d.opts.AckTimeout)
+				reply, err = c.roundTripFrame(frame, dec.Dup, ackTimeout)
 			}
 			if err == nil || errors.Is(err, errCtlTimeout) || errors.Is(err, errCtlTornDown) {
 				copies := int64(1 + dec.Dup)
@@ -802,8 +809,8 @@ func (d *daemon) deliver(dst int, msg *agentMsg, prevHop uint64) bool {
 		if !d.sleep(backoff) {
 			return false
 		}
-		if backoff *= 2; backoff > d.opts.MaxRetryBackoff {
-			backoff = d.opts.MaxRetryBackoff
+		if backoff *= 2; backoff > maxRetryBackoff {
+			backoff = maxRetryBackoff
 			met.backoffCeiling.Inc()
 		}
 	}
@@ -892,7 +899,8 @@ func (d *daemon) peer(dst int) (*ctlConn, error) {
 // kill terminates this incarnation abruptly — the fault injector's
 // daemon crash. Running steps are abandoned mid-flight; everything they
 // would have contributed is reconstructed from the node's checkpoint
-// store when the cluster's monitor restarts the daemon.
+// store when the cluster's supervisor (the prober's down hook) restarts
+// the daemon.
 func (d *daemon) kill() {
 	alreadyDead := d.dead.Load()
 	d.terminate()

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"fmt"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -273,7 +274,7 @@ func TestWaitJobOnClosedClientFailsFast(t *testing.T) {
 func TestAliveTracksInjectedKill(t *testing.T) {
 	plan := &fault.Plan{Seed: 9, RestartDelay: 0.4,
 		Kills: []fault.Kill{{Node: 1, AfterArrivals: 1}}}
-	cl, err := NewClusterOpts(2, Options{Fault: plan, HeartbeatInterval: 10 * time.Millisecond})
+	cl, err := NewClusterOpts(2, Options{Fault: plan})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,6 +304,31 @@ func TestAliveTracksInjectedKill(t *testing.T) {
 	}
 }
 
+// TestSupervisorLeavesRetiredMemberDown: a drained member that is then
+// shut down has left the cluster for good, so the supervisor of a plan
+// that kills must not restart it — the prober skips departed members,
+// and restarting is only ever its answer to a failed ping.
+func TestSupervisorLeavesRetiredMemberDown(t *testing.T) {
+	plan := &fault.Plan{RestartDelay: 0.05, Kills: []fault.Kill{{Node: 0, AfterArrivals: 1 << 30}}}
+	cl, err := NewClusterOpts(3, Options{Fault: plan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.DrainNode(2, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.ShutdownNode(2); err != nil {
+		t.Fatal(err)
+	}
+	// Several prober periods and restart delays.
+	time.Sleep(600 * time.Millisecond)
+	if conn, err := net.DialTimeout("tcp", cl.Members()[2], time.Second); err == nil {
+		conn.Close()
+		t.Fatal("restarted member 2 after it drained and shut down")
+	}
+}
+
 // TestReclaimReachesReturningMember: a job released while one member is
 // down must not leave its counter slice and variables on that member
 // forever — the prober settles the owed frames when the member answers
@@ -312,7 +338,7 @@ func TestAliveTracksInjectedKill(t *testing.T) {
 func TestReclaimReachesReturningMember(t *testing.T) {
 	plan := &fault.Plan{Seed: 13, RestartDelay: 0.3,
 		Kills: []fault.Kill{{Node: 1, AfterArrivals: 2}}}
-	cl, err := NewClusterOpts(2, Options{Fault: plan, HeartbeatInterval: 10 * time.Millisecond})
+	cl, err := NewClusterOpts(2, Options{Fault: plan})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,7 +268,7 @@ func TestRemoteClusterCloseIdempotent(t *testing.T) {
 	}
 	defer h1.Close()
 
-	rc, err := DialCluster(h0.Addr, RemoteOptions{Heartbeat: true, HeartbeatInterval: 5 * time.Millisecond})
+	rc, err := DialCluster(h0.Addr, RemoteOptions{Heartbeat: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,9 +52,6 @@ type HostConfig struct {
 	// daemon per directory; a second is refused); empty disables
 	// persistence (a kill then loses the node, which only tests want).
 	StateDir string
-	// Options carries the wire runtime knobs (timeouts, metrics, fault
-	// plan). The zero value gets the same defaults as NewCluster.
-	Options Options
 }
 
 // Host is one node's handle: the durable node state plus the daemon
@@ -67,9 +64,10 @@ type Host struct {
 
 	node    *nodeState
 	members *membership
-	opts    Options
+	opts    Options // the chaos layer: zero on a process host
+	reg     *metrics.Registry
 	errs    chan error
-	sink    *traceSink
+	sink    *traceSink // nil on a process host, which traces nothing
 
 	mu     sync.Mutex
 	daemon *daemon // current incarnation
@@ -83,7 +81,6 @@ func StartHost(cfg HostConfig) (*Host, error) {
 	if cfg.Join != "" && len(cfg.Peers) > 0 {
 		return nil, fmt.Errorf("wire: host config has both a join target and a static peer list")
 	}
-	opts := cfg.Options.withDefaults()
 	ln, err := listenReuse(cfg.Listen)
 	if err != nil {
 		return nil, fmt.Errorf("wire: host listen %s: %w", cfg.Listen, err)
@@ -104,7 +101,7 @@ func StartHost(cfg HostConfig) (*Host, error) {
 	id := cfg.Node
 	switch {
 	case cfg.Join != "":
-		id, members, err = joinCluster(cfg.Join, addr, opts.AckTimeout)
+		id, members, err = joinCluster(cfg.Join, addr, defaultAckTimeout)
 		if err != nil {
 			return fail(err)
 		}
@@ -123,15 +120,15 @@ func StartHost(cfg HostConfig) (*Host, error) {
 		members = newMembership([]string{addr})
 	}
 
-	node := newNodeState(id, newWireMetrics(opts.Metrics), opts.DedupRetain)
+	reg := metrics.NewRegistry()
+	node := newNodeState(id, newWireMetrics(reg), dedupRetain)
 	if cfg.StateDir != "" {
 		if _, err := newPersister(cfg.StateDir, node); err != nil {
 			return fail(err)
 		}
 	}
 
-	h := &Host{ID: id, Addr: addr, node: node, members: members, opts: opts,
-		errs: make(chan error, 16), sink: &traceSink{tracer: opts.Tracer, epoch: time.Now()}}
+	h := &Host{ID: id, Addr: addr, node: node, members: members, reg: reg, errs: make(chan error, 16)}
 	if _, err := h.serve(ln); err != nil {
 		h.Close()
 		return nil, err
@@ -167,7 +164,7 @@ func (h *Host) serve(ln net.Listener) (int, error) {
 	// accept refuse) and just re-announces its departure.
 	if h.node.isDraining() && !h.node.isDrained() {
 		go func() {
-			if err := d.drain(h.opts.DrainTimeout); err != nil {
+			if err := d.drain(drainTimeout); err != nil {
 				d.fail(err)
 			}
 		}()
@@ -234,7 +231,7 @@ func (h *Host) WaitShutdown() error {
 }
 
 // Metrics exposes the host's metric registry.
-func (h *Host) Metrics() *metrics.Registry { return h.opts.Metrics }
+func (h *Host) Metrics() *metrics.Registry { return h.reg }
 
 // Close terminates the daemon incarnation and releases the state
 // directory (its log descriptor and lock), so the node's next

@@ -289,7 +289,7 @@ func TestRemoteClusterDetectsDeadHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := DialCluster(h0.Addr, RemoteOptions{Heartbeat: true, HeartbeatInterval: 20 * time.Millisecond})
+	rc, err := DialCluster(h0.Addr, RemoteOptions{Heartbeat: true})
 	if err != nil {
 		t.Fatal(err)
 	}

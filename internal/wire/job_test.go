@@ -137,11 +137,11 @@ func TestCancelledJobSurvivesDaemonKill(t *testing.T) {
 	// had already been delivered; the replay must instead re-send and
 	// let the duplicate-ack settle ownership. Symptom before the fix: a
 	// permanently imbalanced namespace that never drains.
-	plan := &fault.Plan{Seed: 271, Kills: []fault.Kill{
+	plan := &fault.Plan{Seed: 271, RetryTimeout: 0.1, Kills: []fault.Kill{
 		{Node: 0, AfterArrivals: 8},
 		{Node: 1, AfterArrivals: 12},
 	}}
-	cl, err := NewClusterOpts(2, Options{Fault: plan, AckTimeout: 100 * time.Millisecond})
+	cl, err := NewClusterOpts(2, Options{Fault: plan})
 	if err != nil {
 		t.Fatal(err)
 	}

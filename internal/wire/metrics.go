@@ -18,7 +18,7 @@ const (
 	MetricFramesDropped = "wire.frames.dropped"
 	// Wall-clock microseconds from frame write to acknowledgement.
 	MetricAckLatencyUS = "wire.ack.latency_us"
-	// Times the exponential resend backoff was clamped at MaxRetryBackoff.
+	// Times the exponential resend backoff was clamped at maxRetryBackoff.
 	MetricBackoffCeiling = "wire.backoff.ceiling_hits"
 	// Dials of the daemons' peer connections (the first dial and every
 	// redial after a failure).

@@ -67,8 +67,7 @@ func TestDedupEvictionSkipsRevisitedAgents(t *testing.T) {
 // TestClusterMetricsSnapshot runs a real workload and checks the core
 // counters and gauges land where the protocol says they must.
 func TestClusterMetricsSnapshot(t *testing.T) {
-	reg := metrics.NewRegistry()
-	cl, err := NewClusterOpts(3, Options{Metrics: reg})
+	cl, err := NewCluster(3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,9 +76,11 @@ func TestClusterMetricsSnapshot(t *testing.T) {
 	if err := cl.Wait(waitTimeout); err != nil {
 		t.Fatal(err)
 	}
-	s := reg.Snapshot()
-	if cl.Metrics() != reg {
-		t.Fatal("Cluster.Metrics did not return the supplied registry")
+	s := cl.Metrics().Snapshot()
+	for i, h := range cl.hosts {
+		if h.Metrics() != cl.Metrics() {
+			t.Fatalf("host %d does not share the cluster's registry", i)
+		}
 	}
 	// Two laps over three nodes = 6 hops, 5 of them remote (node 2 → 0
 	// wraps are remote too; only none are local here since successor ≠ self).
@@ -164,8 +165,7 @@ func TestDebugEndpoint(t *testing.T) {
 // TestDroppedErrorsCounted overflows the 1-slot error channel of a
 // single-node cluster and checks the overflow leaves a fingerprint.
 func TestDroppedErrorsCounted(t *testing.T) {
-	reg := metrics.NewRegistry()
-	cl, err := NewClusterOpts(1, Options{Metrics: reg})
+	cl, err := NewCluster(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestDroppedErrorsCounted(t *testing.T) {
 		d.fail(fmt.Errorf("synthetic error %d", i))
 	}
 	// Channel capacity is the cluster size (1): two of three must drop.
-	if got := reg.Snapshot().Counter(MetricErrorsDropped); got != 2 {
+	if got := cl.Metrics().Snapshot().Counter(MetricErrorsDropped); got != 2 {
 		t.Fatalf("dropped errors = %d, want 2", got)
 	}
 }

@@ -53,6 +53,8 @@ func TestMatternNeverDeclaresEarly(t *testing.T) {
 			Dup:      float64(rng.Intn(4)),
 			Delay:    []float64{0, 0.3}[rng.Intn(2)],
 			MaxDelay: 0.002,
+			// Dropped frames retry after 100 ms.
+			RetryTimeout: 0.1,
 		}
 		routes := make([][]int, agents)
 		starts := make([]int, agents)
@@ -66,10 +68,7 @@ func TestMatternNeverDeclaresEarly(t *testing.T) {
 			routes[a] = route
 		}
 		t.Run(fmt.Sprintf("iter%02d", iter), func(t *testing.T) {
-			cl, err := NewClusterOpts(nodes, Options{
-				Fault:      plan,
-				AckTimeout: 100 * time.Millisecond,
-			})
+			cl, err := NewClusterOpts(nodes, Options{Fault: plan})
 			if err != nil {
 				t.Fatal(err)
 			}

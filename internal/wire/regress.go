@@ -79,7 +79,7 @@ func BenchDecodeState(data []byte) error {
 // which is what a SetVar costs before its reply. A durability layer
 // that writes what changed makes step's cost independent of ballast.
 func BenchSyncNode(dir string, ballast int) (step func() error, closeNode func(), err error) {
-	ns := newNodeState(0, newWireMetrics(nil), Options{}.withDefaults().DedupRetain)
+	ns := newNodeState(0, newWireMetrics(nil), dedupRetain)
 	p, err := newPersister(dir, ns)
 	if err != nil {
 		return nil, nil, err

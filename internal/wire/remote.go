@@ -81,8 +81,8 @@ func (m *remoteMember) settle(timeout time.Duration) {
 // index, once assigned, is permanent — the same stability invariant the
 // daemons' membership table has.
 type RemoteCluster struct {
-	opts Options
-	met  *wireMetrics // client-side handles (wire.ctl.*, wire.wait.*), resolved once
+	reg *metrics.Registry
+	met *wireMetrics // client-side handles (wire.ctl.*, wire.wait.*), resolved once
 
 	mu        sync.Mutex
 	members   []*remoteMember
@@ -93,6 +93,11 @@ type RemoteCluster struct {
 	// when the hosts share this address space (Cluster sets it); nil for a
 	// client of remote processes, whose errors stay in their own logs.
 	errs chan error
+	// down, when set, is called by the prober with the index of a member
+	// that failed its ping: Cluster's restart of an in-process daemon. A
+	// client of remote processes leaves the restarting to an operator or
+	// a process supervisor.
+	down func(i int)
 
 	closed atomic.Bool
 	hbStop chan struct{}
@@ -103,39 +108,17 @@ type RemoteCluster struct {
 
 // RemoteOptions tunes the client; the zero value works.
 type RemoteOptions struct {
-	// Timeout bounds each control round trip (default 2s — generous,
-	// because a daemon syncs to disk before replying).
-	Timeout time.Duration
-	// HeartbeatInterval is the liveness prober's period (default 100ms);
-	// 0 < only with Heartbeat disabled.
-	HeartbeatInterval time.Duration
-	// Heartbeat enables the background liveness prober feeding Alive.
+	// Heartbeat enables the background liveness prober feeding Alive
+	// (a one-shot operator client wants none).
 	Heartbeat bool
-	// Metrics receives client-side metrics; nil creates a private
-	// registry.
-	Metrics *metrics.Registry
-}
-
-func (o RemoteOptions) withDefaults() RemoteOptions {
-	if o.Timeout <= 0 {
-		o.Timeout = 2 * time.Second
-	}
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 100 * time.Millisecond
-	}
-	if o.Metrics == nil {
-		o.Metrics = metrics.NewRegistry()
-	}
-	return o
 }
 
 // DialCluster discovers the membership through any live member (an
 // observer msgJoin) and returns a client for the whole cluster.
 func DialCluster(seed string, ropts RemoteOptions) (*RemoteCluster, error) {
-	ropts = ropts.withDefaults()
 	c := &ctlConn{addr: seed}
 	defer c.close()
-	reply, err := c.roundTrip(&envelope{Kind: msgJoin}, ropts.Timeout)
+	reply, err := c.roundTrip(&envelope{Kind: msgJoin}, controlTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial cluster via %s: %w", seed, err)
 	}
@@ -146,30 +129,44 @@ func DialCluster(seed string, ropts RemoteOptions) (*RemoteCluster, error) {
 }
 
 // StaticCluster returns a client for a known member list (the seed file
-// of a static deployment).
+// of a static deployment), reporting into a registry of its own.
 func StaticCluster(members []string, ropts RemoteOptions) (*RemoteCluster, error) {
+	rc, err := newRemoteCluster(members, metrics.NewRegistry())
+	if err != nil {
+		return nil, err
+	}
+	if ropts.Heartbeat {
+		rc.startProber()
+	}
+	return rc, nil
+}
+
+// newRemoteCluster builds a client, its prober not yet started.
+func newRemoteCluster(members []string, reg *metrics.Registry) (*RemoteCluster, error) {
 	if err := validateMembers(members); err != nil {
 		return nil, err
 	}
 	if len(members) == 0 {
 		return nil, fmt.Errorf("wire: empty member list")
 	}
-	ropts = ropts.withDefaults()
 	rc := &RemoteCluster{
-		opts:      Options{Metrics: ropts.Metrics, AckTimeout: ropts.Timeout},
-		met:       newWireMetrics(ropts.Metrics),
+		reg:       reg,
+		met:       newWireMetrics(reg),
 		cancelled: map[uint64]bool{},
 		frozen:    map[uint64]bool{},
 	}
 	for _, addr := range members {
 		rc.members = append(rc.members, newRemoteMember(addr, rc.met))
 	}
-	if ropts.Heartbeat {
-		rc.hbStop = make(chan struct{})
-		rc.hbDone = make(chan struct{})
-		go rc.heartbeat(ropts.HeartbeatInterval)
-	}
 	return rc, nil
+}
+
+// startProber starts the liveness prober; the down hook, if any, is set
+// before it.
+func (rc *RemoteCluster) startProber() {
+	rc.hbStop = make(chan struct{})
+	rc.hbDone = make(chan struct{})
+	go rc.heartbeat()
 }
 
 func newRemoteMember(addr string, met *wireMetrics) *remoteMember {
@@ -215,7 +212,7 @@ func (rc *RemoteCluster) Members() []string {
 }
 
 // Metrics returns the client-side metric registry.
-func (rc *RemoteCluster) Metrics() *metrics.Registry { return rc.opts.Metrics }
+func (rc *RemoteCluster) Metrics() *metrics.Registry { return rc.reg }
 
 // Alive reports the liveness prober's last verdict on node i (always
 // true when the prober is disabled, false for departed members).
@@ -258,7 +255,7 @@ func (rc *RemoteCluster) Refresh() error {
 		if m.left.Load() {
 			continue
 		}
-		reply, err = m.ctl.roundTrip(&envelope{Kind: msgJoin}, rc.opts.AckTimeout)
+		reply, err = m.ctl.roundTrip(&envelope{Kind: msgJoin}, controlTimeout)
 		if err == nil && reply.Kind == msgMembers {
 			break
 		}
@@ -283,18 +280,19 @@ func (rc *RemoteCluster) Refresh() error {
 	return nil
 }
 
-// heartbeat probes every member each interval. It only observes: an
-// operator, a process supervisor, or the in-process Cluster's monitor
-// does the restarting.
-func (rc *RemoteCluster) heartbeat(interval time.Duration) {
+// heartbeat probes every member each heartbeatInterval. A member that
+// fails its ping is marked dead and handed to the down hook, if there is
+// one; departed members are skipped, so a drained member is never
+// restarted.
+func (rc *RemoteCluster) heartbeat() {
 	defer close(rc.hbDone)
 	for {
 		select {
 		case <-rc.hbStop:
 			return
-		case <-time.After(interval):
+		case <-time.After(heartbeatInterval):
 		}
-		for _, m := range rc.snapshotMembers() {
+		for i, m := range rc.snapshotMembers() {
 			select {
 			case <-rc.hbStop:
 				return
@@ -303,11 +301,14 @@ func (rc *RemoteCluster) heartbeat(interval time.Duration) {
 			if m.left.Load() {
 				continue
 			}
-			reply, err := m.probe.roundTrip(&envelope{Kind: msgPing}, interval*4)
+			reply, err := m.probe.roundTrip(&envelope{Kind: msgPing}, 4*heartbeatInterval)
 			alive := err == nil && reply.Kind == msgPong
 			m.alive.Store(alive)
-			if alive {
-				m.settle(rc.opts.AckTimeout)
+			switch {
+			case alive:
+				m.settle(controlTimeout)
+			case rc.down != nil && !m.left.Load():
+				rc.down(i)
 			}
 		}
 	}
@@ -398,7 +399,7 @@ func (rc *RemoteCluster) roundTrip(i int, env *envelope) (*envelope, error) {
 	if m == nil {
 		return nil, fmt.Errorf("wire: no member %d in a cluster of %d", i, rc.Size())
 	}
-	reply, err := m.ctl.roundTrip(env, rc.opts.AckTimeout)
+	reply, err := m.ctl.roundTrip(env, controlTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("wire: %s to node %d (%s): %w", env.Kind, i, m.addr, err)
 	}
@@ -523,7 +524,7 @@ func (rc *RemoteCluster) DrainNode(node int, timeout time.Duration) error {
 		return nil
 	}
 	if timeout <= 0 {
-		timeout = 10 * time.Second
+		timeout = drainTimeout
 	}
 	// A connection of its own, not m.ctl: the daemon answers a drain only
 	// when the evacuation ends, and on the shared connection every other
@@ -532,7 +533,7 @@ func (rc *RemoteCluster) DrainNode(node int, timeout time.Duration) error {
 	// reply with it.
 	c := &ctlConn{addr: m.addr}
 	defer c.close()
-	reply, err := c.roundTrip(&envelope{Kind: msgDrain, Count: int(timeout / time.Millisecond)}, timeout+rc.opts.AckTimeout)
+	reply, err := c.roundTrip(&envelope{Kind: msgDrain, Count: int(timeout / time.Millisecond)}, timeout+controlTimeout)
 	if err != nil {
 		return fmt.Errorf("wire: drain node %d (%s): %w", node, m.addr, err)
 	}
@@ -712,7 +713,7 @@ func (rc *RemoteCluster) snapshotJob(job uint64) (total counters, complete bool)
 	var mu sync.Mutex
 	complete = true
 	eachMember(rc.snapshotMembers(), func(_ int, m *remoteMember) {
-		reply, err := m.ctl.roundTrip(&envelope{Kind: msgSnapshot, Job: job}, rc.opts.AckTimeout)
+		reply, err := m.ctl.roundTrip(&envelope{Kind: msgSnapshot, Job: job}, controlTimeout)
 		mu.Lock()
 		defer mu.Unlock()
 		if err != nil || reply.Kind != msgCounters {
@@ -734,27 +735,32 @@ func (rc *RemoteCluster) snapshotJob(job uint64) (total counters, complete bool)
 // and any control round trip after (or racing) Close fails instead of
 // redialing a closed connection back open. The daemons keep running;
 // Shutdown stops them too.
-func (rc *RemoteCluster) Close() {
+func (rc *RemoteCluster) Close() { rc.close(false) }
+
+// Shutdown asks every member daemon to stop serving (best-effort),
+// drained tombstone shells included, then closes the client. The prober
+// stops first, so no shutdown is read as a death. On a closed client it
+// does nothing: its connections are gone.
+func (rc *RemoteCluster) Shutdown() { rc.close(true) }
+
+func (rc *RemoteCluster) close(shutdown bool) {
 	rc.closeOnce.Do(func() {
 		rc.closed.Store(true)
 		if rc.hbStop != nil {
 			close(rc.hbStop)
 			<-rc.hbDone
 		}
-		for _, m := range rc.snapshotMembers() {
+		members := rc.snapshotMembers()
+		if shutdown {
+			for _, m := range members {
+				m.ctl.roundTrip(&envelope{Kind: msgShutdown}, controlTimeout)
+			}
+		}
+		for _, m := range members {
 			m.ctl.close()
 			m.probe.close()
 		}
 	})
-}
-
-// Shutdown asks every member daemon to stop serving (best-effort),
-// drained tombstone shells included, then closes the client.
-func (rc *RemoteCluster) Shutdown() {
-	for _, m := range rc.snapshotMembers() {
-		m.ctl.roundTrip(&envelope{Kind: msgShutdown}, rc.opts.AckTimeout)
-	}
-	rc.Close()
 }
 
 // ShutdownNode asks one member daemon to stop serving (best-effort) —
@@ -768,6 +774,6 @@ func (rc *RemoteCluster) ShutdownNode(node int) error {
 	if m == nil {
 		return fmt.Errorf("wire: no member %d in a cluster of %d", node, rc.Size())
 	}
-	m.ctl.roundTrip(&envelope{Kind: msgShutdown}, rc.opts.AckTimeout)
+	m.ctl.roundTrip(&envelope{Kind: msgShutdown}, controlTimeout)
 	return nil
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/metrics"
 )
 
 // TestSoakWireLeaks is the leak regression for the long-lived cluster:
@@ -26,17 +25,18 @@ func TestSoakWireLeaks(t *testing.T) {
 		agents = 40 // per wave
 		laps   = 4  // ring laps per agent → laps*nodes hops each
 	)
-	reg := metrics.NewRegistry()
 	cl, err := NewClusterOpts(nodes, Options{
-		Metrics:     reg,
-		DedupRetain: retain,
-		Fault:       &fault.Plan{Seed: 23, Drop: 0.02, Dup: 0.2},
-		AckTimeout:  200 * time.Millisecond,
+		Fault: &fault.Plan{Seed: 23, Drop: 0.02, Dup: 0.2, RetryTimeout: 0.2},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(cl.Close)
+	for _, ns := range states(cl) {
+		ns.mu.Lock()
+		ns.retain = retain
+		ns.mu.Unlock()
+	}
 
 	for wave := 0; wave < waves; wave++ {
 		for i := 0; i < agents; i++ {
@@ -47,7 +47,7 @@ func TestSoakWireLeaks(t *testing.T) {
 		}
 	}
 
-	s := reg.Snapshot()
+	s := cl.Metrics().Snapshot()
 	totalAgents := int64(waves * agents)
 	// Each ring agent runs laps*nodes steps and finishes on the last,
 	// so it crosses the wire laps*nodes-1 times.
@@ -74,7 +74,7 @@ func TestSoakWireLeaks(t *testing.T) {
 	}
 	// Quiescent cluster: no checkpoints, and only the long-lived daemon
 	// links (≤ one inbound conn per ordered node pair, plus the control
-	// and monitor connections) may remain registered.
+	// connections) may remain registered.
 	if got := s.Gauge(MetricCheckpoints); got != 0 {
 		t.Fatalf("checkpoint gauge = %d after quiescence, want 0", got)
 	}
