@@ -15,9 +15,18 @@ package bench
 //     slower than single-threaded (beyond NumCPU the points measure
 //     scheduling overhead and are held to a bounded cost instead).
 //
+//   - the block product at paper-fine's BS=16, which runs the
+//     micro-kernel in place on the unpacked blocks, must reach 0.35× the
+//     same file's largest-n KernelMul rate (the scalar loop it replaced
+//     read about 0.15×, the in-place path 0.68–0.76× on the 2-CPU
+//     navpbench host); the bound is relative to the host, so quick runs
+//     keep it;
+//   - every BlockMulAdd row allocates nothing (DESIGN.md §10.1).
+//
 // Quick (CI smoke) runs use loosened thresholds: at n=128 the kernel's
 // cache blocking barely engages and thread overhead dominates, so the
-// quick gates only catch catastrophic breakage, not drift.
+// quick gates only catch catastrophic breakage, not drift. The
+// allocation gate is not loosened.
 //
 // The wire suite gates the durability layer (DESIGN.md §13.2): a sync
 // must cost what changed, not what the node holds —
@@ -69,6 +78,9 @@ const (
 	// gateASMFloorGF is the absolute GFLOP/s floor at n=1024 when the
 	// assembly micro-kernel is the dispatched variant.
 	gateASMFloorGF = 22.2
+	// gateSmallBlockShare is the BS=16 BlockMulAdd floor as a fraction
+	// of the file's largest-n KernelMul GFLOP/s (all runs).
+	gateSmallBlockShare = 0.35
 	// gateThreadScale is the required t=4 over t=1 ratio on hosts with
 	// at least 4 CPUs.
 	gateThreadScale = 2.5
@@ -213,8 +225,47 @@ func (f *RegressFile) checkKernelGates() []error {
 		}
 	}
 
+	errs = append(errs, f.checkBlockGates()...)
 	errs = append(errs, f.checkThreadGates()...)
 	return errs
+}
+
+// checkBlockGates holds the BS=16 block product to a share of the
+// packed kernel's rate on the same host, and every block product to
+// zero allocations.
+func (f *RegressFile) checkBlockGates() []error {
+	var errs []error
+	fail := func(format string, args ...any) {
+		errs = append(errs, fmt.Errorf("gate: "+format, args...))
+	}
+	small := f.Find("BenchmarkBlockMulAdd/bs=16")
+	n, big := f.largestKernelMul()
+	switch {
+	case small == nil:
+		fail("no BlockMulAdd/bs=16 measurement recorded")
+	case big == nil:
+		fail("no KernelMul measurement to hold BlockMulAdd/bs=16 against")
+	case small.GFlops < gateSmallBlockShare*big.GFlops:
+		fail("BlockMulAdd/bs=16 at %.2f GFLOP/s is %.2fx KernelMul/n=%d, below the %.2fx floor",
+			small.GFlops, small.GFlops/big.GFlops, n, gateSmallBlockShare)
+	}
+	for _, r := range f.Results {
+		if strings.HasPrefix(r.Name, "BenchmarkBlockMulAdd/") && r.AllocsPerOp != 0 {
+			fail("%s makes %d allocations per op, want 0", r.Name, r.AllocsPerOp)
+		}
+	}
+	return errs
+}
+
+// largestKernelMul returns the KernelMul row with the largest n.
+func (f *RegressFile) largestKernelMul() (n int, r *RegressResult) {
+	for i := range f.Results {
+		var size int
+		if _, err := fmt.Sscanf(f.Results[i].Name, "BenchmarkKernelMul/n=%d", &size); err == nil && size > n {
+			n, r = size, &f.Results[i]
+		}
+	}
+	return n, r
 }
 
 // checkThreadGates applies the thread-scaling gates to whatever

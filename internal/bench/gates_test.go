@@ -32,6 +32,8 @@ func TestGatesPassOnHealthyFile(t *testing.T) {
 		{Name: "BenchmarkKernelMulThreads/t=2", GFlops: 52.0},
 		{Name: "BenchmarkKernelMulThreads/t=4", GFlops: 95.0},
 		{Name: "BenchmarkKernelMulThreads/t=8", GFlops: 150.0},
+		{Name: "BenchmarkBlockMulAdd/bs=128", GFlops: 25.0},
+		{Name: "BenchmarkBlockMulAdd/bs=16", GFlops: 14.0},
 	})
 	if errs := f.CheckGates(); len(errs) != 0 {
 		t.Fatalf("healthy file violated gates: %v", errs)
@@ -91,6 +93,7 @@ func TestGatesCatchRegressions(t *testing.T) {
 		{Name: "BenchmarkKernelMul/n=1024", GFlops: 28.0},
 		{Name: "BenchmarkKernelMulThreads/t=1", GFlops: 28.0},
 		{Name: "BenchmarkKernelMulThreads/t=4", GFlops: 25.0},
+		{Name: "BenchmarkBlockMulAdd/bs=16", GFlops: 14.0},
 	})
 	if errs := f.CheckGates(); len(errs) != 0 {
 		t.Fatalf("0.9x oversubscribed point failed on a 1-CPU host: %v", errs)
@@ -108,6 +111,7 @@ func TestGatesQuickMode(t *testing.T) {
 		{Name: "BenchmarkKernelMul/n=128", GFlops: 3.0}, // 1.5x: fails full, passes quick
 		{Name: "BenchmarkKernelMulThreads/t=1", GFlops: 3.0},
 		{Name: "BenchmarkKernelMulThreads/t=2", GFlops: 1.8}, // 0.6x: passes quick overhead
+		{Name: "BenchmarkBlockMulAdd/bs=16", GFlops: 1.5},
 	})
 	f.Quick = true
 	if errs := f.CheckGates(); len(errs) != 0 {
@@ -117,6 +121,45 @@ func TestGatesQuickMode(t *testing.T) {
 	f.Quick = false
 	if errs := f.CheckGates(); !hasViolation(errs, "below the 3.0x floor") {
 		t.Fatalf("full-mode thresholds not applied after clearing Quick: %v", errs)
+	}
+}
+
+// TestGatesSmallBlock pins the block-product gates: BS=16 at 0.35× the
+// file's largest-n KernelMul rate in full and quick runs alike, and
+// zero allocations on every BlockMulAdd row.
+func TestGatesSmallBlock(t *testing.T) {
+	file := func(quick bool, small float64, allocs int64) *RegressFile {
+		f := gateFile(1, "avx2-6x8", []RegressResult{
+			{Name: "BenchmarkNaiveMul/n=512", GFlops: 1.0},
+			{Name: "BenchmarkKernelMul/n=256", GFlops: 40.0}, // not the largest n
+			{Name: "BenchmarkNaiveMul/n=1024", GFlops: 1.0},
+			{Name: "BenchmarkKernelMul/n=1024", GFlops: 30.0},
+			{Name: "BenchmarkKernelMulThreads/t=1", GFlops: 30.0},
+			{Name: "BenchmarkBlockMulAdd/bs=128", GFlops: 25.0, AllocsPerOp: allocs},
+			{Name: "BenchmarkBlockMulAdd/bs=16", GFlops: small},
+		})
+		f.Quick = quick
+		return f
+	}
+	for _, quick := range []bool{false, true} {
+		// 11 GFLOP/s is 0.37x the n=1024 rate: passes.
+		if errs := file(quick, 11, 0).CheckGates(); len(errs) != 0 {
+			t.Fatalf("quick=%v: healthy block rows failed: %v", quick, errs)
+		}
+		// 4.5 GFLOP/s, the scalar loop's 0.15x, fails in both modes.
+		if errs := file(quick, 4.5, 0).CheckGates(); !hasViolation(errs, "BlockMulAdd/bs=16 at 4.50 GFLOP/s is 0.15x KernelMul/n=1024") {
+			t.Fatalf("quick=%v: 0.15x BS=16 block passed the 0.35x floor: %v", quick, errs)
+		}
+		// An allocating block product fails in both modes.
+		if errs := file(quick, 11, 16).CheckGates(); !hasViolation(errs, "BenchmarkBlockMulAdd/bs=128 makes 16 allocations per op") {
+			t.Fatalf("quick=%v: allocating block product passed: %v", quick, errs)
+		}
+	}
+	// A kernels file without the BS=16 row cannot pass.
+	f := file(false, 11, 0)
+	f.Results = f.Results[:len(f.Results)-1]
+	if errs := f.CheckGates(); !hasViolation(errs, "no BlockMulAdd/bs=16 measurement") {
+		t.Fatalf("missing BS=16 row passed: %v", errs)
 	}
 }
 

@@ -133,7 +133,8 @@ func regressPair(n int) (x, y *matrix.Dense) {
 
 // RegressKernels measures the GEMM data path: the paper's Figure 2
 // i-j-k baseline, the i-k-j saxpy intermediate, the packed kernel, the
-// worker-pool variants, and the Block MulAdd hot path. Quick mode
+// worker-pool variants, and the Block MulAdd hot path at a large block
+// and at paper-fine's BS=16. Quick mode
 // shrinks the problem sizes for CI smoke runs; full mode includes the
 // gated n=1024 pair.
 func RegressKernels(quick bool) *RegressFile {
@@ -176,21 +177,25 @@ func RegressKernels(quick bool) *RegressFile {
 		})
 		f.Results = append(f.Results, withGflops(res, threadN))
 	}
-	bs := 128
+	// bs=16 is paper-fine's block, measured in both modes because its
+	// gate is relative to this file's own KernelMul rate.
+	large := 128
 	if quick {
-		bs = 64
+		large = 64
 	}
-	rng := rand.New(rand.NewSource(1))
-	ab, bb, cb := matrix.NewBlock(0, 0, bs, bs), matrix.NewBlock(0, 1, bs, bs), matrix.NewBlock(0, 0, bs, bs)
-	for i := range ab.Data {
-		ab.Data[i], bb.Data[i] = rng.Float64(), rng.Float64()
-	}
-	res := benchmarked(fmt.Sprintf("BenchmarkBlockMulAdd/bs=%d", bs), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			matrix.MulAdd(cb, ab, bb)
+	for _, bs := range []int{large, 16} {
+		rng := rand.New(rand.NewSource(1))
+		ab, bb, cb := matrix.NewBlock(0, 0, bs, bs), matrix.NewBlock(0, 1, bs, bs), matrix.NewBlock(0, 0, bs, bs)
+		for i := range ab.Data {
+			ab.Data[i], bb.Data[i] = rng.Float64(), rng.Float64()
 		}
-	})
-	f.Results = append(f.Results, withGflops(res, bs))
+		res := benchmarked(fmt.Sprintf("BenchmarkBlockMulAdd/bs=%d", bs), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				matrix.MulAdd(cb, ab, bb)
+			}
+		})
+		f.Results = append(f.Results, withGflops(res, bs))
+	}
 	return f
 }
 

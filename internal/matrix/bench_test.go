@@ -20,7 +20,7 @@ func benchBlocks(bs int) (c, a, b *Block) {
 
 // BenchmarkMulAdd measures the block kernel at the paper's block sizes.
 func BenchmarkMulAdd(b *testing.B) {
-	for _, bs := range []int{32, 64, 128, 256} {
+	for _, bs := range []int{16, 32, 64, 128, 256} {
 		bs := bs
 		b.Run(itoa(bs), func(b *testing.B) {
 			cb, ab, bb := benchBlocks(bs)

@@ -85,7 +85,7 @@ func MulAdd(c, a, b *Block) {
 	if np != 0 {
 		panic("matrix: MulAdd mixes phantom and real blocks")
 	}
-	// The packed kernel has no data-dependent branch, so block timing is
+	// The kernel has no data-dependent branch, so block timing is
 	// uniform across inputs — a requirement of the §5 stagger
 	// comparisons, where a mispredicted per-element skip would make
 	// phase times depend on matrix content.

@@ -22,17 +22,26 @@ import (
 // over the packed panels, so the hot loop reads two sequential streams
 // and writes one small C tile — no strided access, no data-dependent
 // branches, edge tiles handled by zero padding.
+//
+// Products that fit one short k panel and span at least one tile
+// (paper-fine's 16×16 blocks) skip packing: gemmInPlace sweeps the same
+// micro-kernel over the unpacked operands, which the kernel's stride
+// arguments allow.
 
-// microKernel is one register-block variant: an mr×nr C tile accumulated
-// over the packed panels by kern. kern receives the packed A micro-panel
-// (kcc groups of mr values), the packed B micro-panel (kcc groups of nr
-// values), and the C tile at c with leading dimension ldc; it must
-// compute c[i*ldc+j] += Σ_p ap[p*mr+i]·bp[p*nr+j] for the full mr×nr
-// tile (callers pass a zeroed scratch tile for edges).
+// microKernel is one register-block variant: an mr×nr C tile
+// accumulated over kcc steps by its kern method (kernel_amd64.go,
+// kernel_noasm.go). kern reads A and B through strides, so one kernel
+// serves packed micro-panels and unpacked row-major operands alike: it
+// must compute
+//
+//	c[i*ldc+j] += Σ_p a[i*rsa+p*csa] · b[p*rsb+j]
+//
+// for the full mr×nr tile, accumulating from zero and adding to c once.
+// Packed panels are (rsa, csa, rsb) = (1, mr, nr); a row-major operand
+// is (lda, 1, ldb). Callers pass a zeroed scratch tile for edges.
 type microKernel struct {
 	name   string
 	mr, nr int
-	kern   func(kcc int, ap, bp, c []float64, ldc int)
 }
 
 // maxMR/maxNR bound the register-block shapes of every compiled variant;
@@ -45,7 +54,7 @@ const (
 // goKernel is the portable fallback variant — and the equivalence oracle
 // the assembly variant is tested against. Always compiled, selected when
 // the host lacks AVX2+FMA or NAVP_NOSIMD is set.
-var goKernel = &microKernel{name: "go-4x4", mr: 4, nr: 4, kern: kernGo4x4}
+var goKernel = &microKernel{name: "go-4x4", mr: 4, nr: 4}
 
 // defaults returns the untuned cache-blocking parameters for a variant.
 // kc×nr and mr×kc micro-panels are sized so a B panel slice and an A
@@ -58,10 +67,18 @@ func (v *microKernel) defaults() (mc, kc, nc int) {
 	return 256, 256, 2048
 }
 
-// smallGemmFlops is the problem size (m·n·k) below which packing
-// overhead exceeds its cache benefit and the kernel falls back to a
-// direct unpacked loop.
-const smallGemmFlops = 24 * 24 * 24
+// directMaxK and directMaxFlops bound the products gemm runs in place
+// on the unpacked operands (gemmInPlace, which also needs one full
+// tile): one k panel of at most 64 and at most 32³ multiply-adds, small
+// enough that A, B and C stay in cache while the tiles sweep them, so
+// packing would copy more than the kernel reuses. The flop bound is the
+// go-4x4 kernel's: measured against the packed path it breaks even at
+// 32³ and loses from 40³ (its 4-wide tiles use half of each B cache
+// line in place), while the AVX2 kernel still wins at 64³.
+const (
+	directMaxK     = 64
+	directMaxFlops = 32 * 32 * 32
+)
 
 // Kernel is a configurable GEMM driver. The zero value is the serial
 // fast path used by Mul, MulBlocked, and Block MulAdd: it runs the best
@@ -127,7 +144,7 @@ func ActiveBlocking() (mc, kc, nc int, source string) {
 	return mc, kc, nc, tunedSource(activeVariant())
 }
 
-// Mul returns a×b through the packed kernel.
+// Mul returns a×b through the GEMM kernel.
 func (k Kernel) Mul(a, b *Dense) *Dense {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("matrix: inner dimension mismatch %d vs %d", a.Cols, b.Rows))
@@ -137,7 +154,7 @@ func (k Kernel) Mul(a, b *Dense) *Dense {
 	return c
 }
 
-// MulAdd computes c += a×b through the packed kernel.
+// MulAdd computes c += a×b through the GEMM kernel.
 func (k Kernel) MulAdd(c, a, b *Dense) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: MulAdd shape mismatch: c %d×%d, a %d×%d, b %d×%d",
@@ -153,11 +170,11 @@ func (k Kernel) gemm(m, n, kk int, a []float64, lda int, b []float64, ldb int, c
 	if m == 0 || n == 0 || kk == 0 {
 		return
 	}
-	if m*n*kk <= smallGemmFlops {
-		gemmDirect(m, n, kk, a, lda, b, ldb, c, ldc)
+	v, mc, kc, nc := k.config()
+	if kk <= min(kc, directMaxK) && m*n*kk <= directMaxFlops && m >= v.mr && n >= v.nr {
+		gemmInPlace(v, m, n, kk, a, lda, b, ldb, c, ldc)
 		return
 	}
-	v, mc, kc, nc := k.config()
 	if k.Threads > 1 {
 		k.gemmParallel(v, mc, kc, nc, m, n, kk, a, lda, b, ldb, c, ldc)
 		return
@@ -180,6 +197,41 @@ func (k Kernel) gemm(m, n, kk int, a []float64, lda int, b []float64, ldb int, c
 	}
 }
 
+// gemmInPlace computes C += A·B (m×n, one k panel of kk, m ≥ mr and
+// n ≥ nr) by sweeping the micro-kernel over the row-major operands
+// where they lie: no packing, no pooled buffer. Full tiles accumulate
+// straight into C. An edge tile is shifted back inside the operands,
+// computed into a stack scratch tile, and only the rows and columns no
+// earlier tile covered are folded into C; each C element depends on its
+// own row of A and column of B alone, so the overlap changes nothing.
+// Every element is the FMA chain from zero the packed path runs, added
+// once, so the two paths agree bitwise. Products narrower than one tile
+// take the packed path, whose panels are zero padded.
+func gemmInPlace(v *microKernel, m, n, kk int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	mr, nr := v.mr, v.nr
+	var scratch [maxMR * maxNR]float64
+	for ir := 0; ir < m; ir += mr {
+		i0 := min(ir, m-mr)
+		for jr := 0; jr < n; jr += nr {
+			j0 := min(jr, n-nr)
+			at, bt := a[i0*lda:], b[j0:]
+			if ir == i0 && jr == j0 {
+				v.kern(kk, at, lda, 1, bt, ldb, c[ir*ldc+jr:], ldc)
+				continue
+			}
+			scratch = [maxMR * maxNR]float64{}
+			v.kern(kk, at, lda, 1, bt, ldb, scratch[:], nr)
+			for i := ir; i < i0+mr; i++ {
+				crow := c[i*ldc+jr : i*ldc+j0+nr]
+				srow := scratch[(i-i0)*nr+jr-j0:][:len(crow)]
+				for j := range crow {
+					crow[j] += srow[j]
+				}
+			}
+		}
+	}
+}
+
 // macroKernel sweeps the micro-kernel over one packed A panel (mcc×kcc)
 // and one packed B panel (kcc×ncc), updating the C tile at c (leading
 // dimension ldc).
@@ -192,14 +244,14 @@ func macroKernel(v *microKernel, mcc, ncc, kcc int, ap, bp []float64, c []float6
 			mrr := min(mr, mcc-ir)
 			apanel := ap[(ir/mr)*kcc*mr:]
 			if mrr == mr && nrr == nr {
-				v.kern(kcc, apanel, bpanel, c[ir*ldc+jr:], ldc)
+				v.kern(kcc, apanel, 1, mr, bpanel, nr, c[ir*ldc+jr:], ldc)
 				continue
 			}
 			// Edge tile: accumulate into a zeroed scratch tile (the
 			// packed panels are zero padded, so the extra lanes compute
 			// harmless zeros), then fold the valid region into C.
 			var scratch [maxMR * maxNR]float64
-			v.kern(kcc, apanel, bpanel, scratch[:], nr)
+			v.kern(kcc, apanel, 1, mr, bpanel, nr, scratch[:], nr)
 			for i := 0; i < mrr; i++ {
 				crow := c[(ir+i)*ldc+jr : (ir+i)*ldc+jr+nrr]
 				srow := scratch[i*nr : i*nr+nrr]
@@ -212,81 +264,85 @@ func macroKernel(v *microKernel, mcc, ncc, kcc int, ap, bp []float64, c []float6
 }
 
 // kernGo4x4 is the portable micro-kernel: a 4×4 C tile accumulated over
-// kcc steps of the packed panels, computed as two register-blocked 2×4
-// halves. Two halves rather than one 16-accumulator body because amd64
-// has 16 XMM registers without AVX: 8 accumulators plus operands stay
-// register resident, 16 spill to the stack every iteration (measured:
-// the split kernel is ~1.7× the monolithic one). The nr-wide B
-// micro-panel is only kc×nr×8 bytes, so the second pass reads it from
-// L1.
-func kernGo4x4(kcc int, ap, bp, c []float64, ldc int) {
-	half2x4(kcc, 0, ap, bp, c[0:], c[ldc:])
-	half2x4(kcc, 2, ap, bp, c[2*ldc:], c[3*ldc:])
+// kcc steps of the strided operands, computed as two register-blocked
+// 2×4 halves. Two halves rather than one 16-accumulator body because
+// amd64 has 16 XMM registers without AVX: 8 accumulators plus operands
+// stay register resident, 16 spill to the stack every iteration
+// (measured: the split kernel is ~1.7× the monolithic one). The B rows
+// are only kcc×4×8 bytes, so the second pass reads them from L1.
+func kernGo4x4(kcc int, a []float64, rsa, csa int, b []float64, rsb int, c []float64, ldc int) {
+	half2x4(kcc, a, rsa, csa, b, rsb, c[0:], c[ldc:])
+	half2x4(kcc, a[2*rsa:], rsa, csa, b, rsb, c[2*ldc:], c[3*ldc:])
 }
 
-// half2x4 accumulates rows off and off+1 of a 4×4 tile: a 2×4 register
-// block with the k-loop unrolled by four. ap holds kcc groups of mr
-// column values of A; bp holds kcc groups of nr row values of B; both
-// are read sequentially (A at stride 4 with offset off).
-func half2x4(kcc, off int, ap, bp []float64, c0, c1 []float64) {
-	const mr, nr = 4, 4
+// half2x4 accumulates rows 0 and 1 of a (at row stride rsa, k stride
+// csa) against the 4-wide rows of b (stride rsb) into c0 and c1: a 2×4
+// register block. Packed micro-panels take an unrolled loop whose loads
+// sit at constant offsets, so the compiler checks bounds once per four
+// k steps (under NAVP_NOSIMD the strided loop alone ran packed
+// multiplies about 1.4× slower); the strided loop finishes the tail and
+// serves unpacked operands. Both walk p in order, so the sums are
+// bitwise the same.
+func half2x4(kcc int, a []float64, rsa, csa int, b []float64, rsb int, c0, c1 []float64) {
 	var (
 		c00, c01, c02, c03 float64
 		c10, c11, c12, c13 float64
 	)
 	p := 0
-	for ; p+4 <= kcc; p += 4 {
-		a := ap[mr*p+off : mr*p+off+3*mr+2 : mr*p+off+3*mr+2]
-		b := bp[nr*p : nr*p+4*nr : nr*p+4*nr]
-		a0, a1 := a[0], a[1]
-		c00 += a0 * b[0]
-		c01 += a0 * b[1]
-		c02 += a0 * b[2]
-		c03 += a0 * b[3]
-		c10 += a1 * b[0]
-		c11 += a1 * b[1]
-		c12 += a1 * b[2]
-		c13 += a1 * b[3]
-		a0, a1 = a[4], a[5]
-		c00 += a0 * b[4]
-		c01 += a0 * b[5]
-		c02 += a0 * b[6]
-		c03 += a0 * b[7]
-		c10 += a1 * b[4]
-		c11 += a1 * b[5]
-		c12 += a1 * b[6]
-		c13 += a1 * b[7]
-		a0, a1 = a[8], a[9]
-		c00 += a0 * b[8]
-		c01 += a0 * b[9]
-		c02 += a0 * b[10]
-		c03 += a0 * b[11]
-		c10 += a1 * b[8]
-		c11 += a1 * b[9]
-		c12 += a1 * b[10]
-		c13 += a1 * b[11]
-		a0, a1 = a[12], a[13]
-		c00 += a0 * b[12]
-		c01 += a0 * b[13]
-		c02 += a0 * b[14]
-		c03 += a0 * b[15]
-		c10 += a1 * b[12]
-		c11 += a1 * b[13]
-		c12 += a1 * b[14]
-		c13 += a1 * b[15]
+	if rsa == 1 && csa == 4 && rsb == 4 {
+		for ; p+4 <= kcc; p += 4 {
+			x := a[4*p : 4*p+14 : 4*p+14]
+			y := b[4*p : 4*p+16 : 4*p+16]
+			a0, a1 := x[0], x[1]
+			c00 += a0 * y[0]
+			c01 += a0 * y[1]
+			c02 += a0 * y[2]
+			c03 += a0 * y[3]
+			c10 += a1 * y[0]
+			c11 += a1 * y[1]
+			c12 += a1 * y[2]
+			c13 += a1 * y[3]
+			a0, a1 = x[4], x[5]
+			c00 += a0 * y[4]
+			c01 += a0 * y[5]
+			c02 += a0 * y[6]
+			c03 += a0 * y[7]
+			c10 += a1 * y[4]
+			c11 += a1 * y[5]
+			c12 += a1 * y[6]
+			c13 += a1 * y[7]
+			a0, a1 = x[8], x[9]
+			c00 += a0 * y[8]
+			c01 += a0 * y[9]
+			c02 += a0 * y[10]
+			c03 += a0 * y[11]
+			c10 += a1 * y[8]
+			c11 += a1 * y[9]
+			c12 += a1 * y[10]
+			c13 += a1 * y[11]
+			a0, a1 = x[12], x[13]
+			c00 += a0 * y[12]
+			c01 += a0 * y[13]
+			c02 += a0 * y[14]
+			c03 += a0 * y[15]
+			c10 += a1 * y[12]
+			c11 += a1 * y[13]
+			c12 += a1 * y[14]
+			c13 += a1 * y[15]
+		}
 	}
-	for ; p < kcc; p++ {
-		a := ap[mr*p+off : mr*p+off+2 : mr*p+off+2]
-		b := bp[nr*p : nr*p+nr : nr*p+nr]
-		a0, a1 := a[0], a[1]
-		c00 += a0 * b[0]
-		c01 += a0 * b[1]
-		c02 += a0 * b[2]
-		c03 += a0 * b[3]
-		c10 += a1 * b[0]
-		c11 += a1 * b[1]
-		c12 += a1 * b[2]
-		c13 += a1 * b[3]
+	a0s, a1s := a, a[rsa:]
+	for ia, ib := p*csa, p*rsb; p < kcc; p, ia, ib = p+1, ia+csa, ib+rsb {
+		a0, a1 := a0s[ia], a1s[ia]
+		y := b[ib : ib+4 : ib+4]
+		c00 += a0 * y[0]
+		c01 += a0 * y[1]
+		c02 += a0 * y[2]
+		c03 += a0 * y[3]
+		c10 += a1 * y[0]
+		c11 += a1 * y[1]
+		c12 += a1 * y[2]
+		c13 += a1 * y[3]
 	}
 	c0[0] += c00
 	c0[1] += c01
@@ -335,22 +391,6 @@ func packB(dst []float64, kcc, ncc int, b []float64, ldb, nr int) {
 				dst[di+j] = 0
 			}
 			di += nr
-		}
-	}
-}
-
-// gemmDirect is the unpacked fallback for problems too small to repay
-// packing: the plain i-k-j saxpy order, with no data-dependent branch
-// so timing stays input independent.
-func gemmDirect(m, n, kk int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
-	for i := 0; i < m; i++ {
-		arow := a[i*lda : i*lda+kk]
-		crow := c[i*ldc : i*ldc+n]
-		for p, aik := range arow {
-			brow := b[p*ldb : p*ldb+n]
-			for j, bkj := range brow {
-				crow[j] += aik * bkj
-			}
 		}
 	}
 }

@@ -18,27 +18,38 @@ import (
 // kernavx2 is implemented in kernel_amd64.s.
 //
 //go:noescape
-func kernavx2(kc int64, ap, bp, c *float64, ldc int64)
+func kernavx2(kc int64, a *float64, rsa, csa int64, b *float64, rsb int64, c *float64, ldc int64)
 
-// avx2Kernel is the 6×8 AVX2+FMA register-block variant. Its packed-A
-// micro-panels are 6 tall and packed-B micro-panels 8 wide — the n
-// dimension rides the YMM vectors because C is row-major, so tile rows
-// load and store as two contiguous 32-byte vectors.
-var avx2Kernel = &microKernel{name: "avx2-6x8", mr: 6, nr: 8, kern: kernAVX2}
+// avx2Kernel is the 6×8 AVX2+FMA register-block variant. Its tiles are
+// 6 rows of A by 8 columns of B — the n dimension rides the YMM vectors
+// because C is row-major, so tile rows load and store as two contiguous
+// 32-byte vectors.
+var avx2Kernel = &microKernel{name: "avx2-6x8", mr: 6, nr: 8}
 
-// kernAVX2 adapts the assembly ABI to the microKernel contract. The
-// driver guarantees a full 6×8 tile: ap holds kcc groups of 6, bp kcc
-// groups of 8, and c at least (5·ldc + 8) elements.
-func kernAVX2(kcc int, ap, bp, c []float64, ldc int) {
+// kern runs the variant's micro-kernel on one full mr×nr tile (see
+// microKernel). It branches on the variant rather than calling through
+// a func value: an indirect call makes every argument escape, and the
+// callers' scratch tiles must stay on the stack.
+func (v *microKernel) kern(kcc int, a []float64, rsa, csa int, b []float64, rsb int, c []float64, ldc int) {
+	if v == avx2Kernel {
+		kernAVX2(kcc, a, rsa, csa, b, rsb, c, ldc)
+		return
+	}
+	kernGo4x4(kcc, a, rsa, csa, b, rsb, c, ldc)
+}
+
+// kernAVX2 adapts the assembly ABI to the microKernel contract for a
+// full 6×8 tile.
+func kernAVX2(kcc int, a []float64, rsa, csa int, b []float64, rsb int, c []float64, ldc int) {
 	if kcc == 0 {
 		return
 	}
 	// Explicit bounds assertions: the assembly reads/writes exactly
 	// these extents, so a driver bug faults here, not in the kernel.
-	_ = ap[6*kcc-1]
-	_ = bp[8*kcc-1]
+	_ = a[5*rsa+(kcc-1)*csa]
+	_ = b[(kcc-1)*rsb+7]
 	_ = c[5*ldc+7]
-	kernavx2(int64(kcc), &ap[0], &bp[0], &c[0], int64(ldc))
+	kernavx2(int64(kcc), &a[0], int64(rsa), int64(csa), &b[0], int64(rsb), &c[0], int64(ldc))
 }
 
 var (

@@ -3,9 +3,13 @@
 #include "textflag.h"
 
 // kernavx2 is the AVX2+FMA micro-kernel: a 6×8 tile of C accumulated
-// over kc steps of the packed panels (DESIGN.md §15 documents the ABI).
+// over kc steps of A and B given by their strides (DESIGN.md §15
+// documents the ABI).
 //
-//	C[i][j] += Σ_p ap[p*6+i] · bp[p*8+j]   for i in 0..5, j in 0..7
+//	C[i][j] += Σ_p a[i*rsa + p*csa] · b[p*rsb + j]   for i in 0..5, j in 0..7
+//
+// One kernel serves both layouts: packed micro-panels are strides
+// (rsa, csa, rsb) = (1, 6, 8), a row-major block is (lda, 1, ldb).
 //
 // Register plan (16 YMM registers, all live):
 //
@@ -15,21 +19,33 @@
 //	Y14,Y15  broadcast A values, double-buffered so the next broadcast
 //	         issues while two FMAs still read the previous one
 //
+// The six A rows are (SI), (SI)(R8*1), (SI)(R8*2), (SI)(R9*1),
+// (SI)(R8*4) and (SI)(R10*1), with R8 = rsa, R9 = 3·rsa and R10 = 5·rsa
+// in bytes; SI steps by csa and BX by rsb.
+//
 // Per k step: 2 vector loads + 6 broadcasts + 12 FMAs. The 12
 // independent accumulators cover the FMA latency×throughput product
 // (4-5 cycles × 2/cycle) so the loop sustains ~2 FMAs/cycle; the k loop
-// is unrolled ×2 to halve loop overhead. Panels are read sequentially
-// (A at 48 B/step, B at 64 B/step), so the hardware prefetchers track
-// them without explicit PREFETCH hints.
+// is unrolled ×2 to halve loop overhead and starts on a 64-byte
+// boundary, so its timing does not depend on where the linker places
+// the function.
 //
-// func kernavx2(kc int64, ap, bp, c *float64, ldc int64)
-TEXT ·kernavx2(SB), NOSPLIT, $0-40
+// func kernavx2(kc int64, a *float64, rsa, csa int64, b *float64, rsb int64, c *float64, ldc int64)
+TEXT ·kernavx2(SB), NOSPLIT, $0-64
 	MOVQ kc+0(FP), CX
-	MOVQ ap+8(FP), SI
-	MOVQ bp+16(FP), BX
-	MOVQ c+24(FP), DI
-	MOVQ ldc+32(FP), DX
-	SHLQ $3, DX            // ldc in bytes
+	MOVQ a+8(FP), SI
+	MOVQ rsa+16(FP), R8
+	MOVQ csa+24(FP), R11
+	MOVQ b+32(FP), BX
+	MOVQ rsb+40(FP), R12
+	MOVQ c+48(FP), DI
+	MOVQ ldc+56(FP), DX
+	SHLQ $3, R8            // strides in bytes
+	SHLQ $3, R11
+	SHLQ $3, R12
+	SHLQ $3, DX
+	LEAQ (R8)(R8*2), R9    // 3·rsa
+	LEAQ (R8)(R8*4), R10   // 5·rsa
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -48,53 +64,56 @@ TEXT ·kernavx2(SB), NOSPLIT, $0-40
 	SHRQ $1, AX
 	JZ   tail
 
+	PCALIGN $64
+
 loop2:
 	// k step 0
 	VMOVUPD      (BX), Y12
 	VMOVUPD      32(BX), Y13
 	VBROADCASTSD (SI), Y14
-	VBROADCASTSD 8(SI), Y15
+	VBROADCASTSD (SI)(R8*1), Y15
 	VFMADD231PD  Y12, Y14, Y0
 	VFMADD231PD  Y13, Y14, Y1
 	VFMADD231PD  Y12, Y15, Y2
 	VFMADD231PD  Y13, Y15, Y3
-	VBROADCASTSD 16(SI), Y14
-	VBROADCASTSD 24(SI), Y15
+	VBROADCASTSD (SI)(R8*2), Y14
+	VBROADCASTSD (SI)(R9*1), Y15
 	VFMADD231PD  Y12, Y14, Y4
 	VFMADD231PD  Y13, Y14, Y5
 	VFMADD231PD  Y12, Y15, Y6
 	VFMADD231PD  Y13, Y15, Y7
-	VBROADCASTSD 32(SI), Y14
-	VBROADCASTSD 40(SI), Y15
+	VBROADCASTSD (SI)(R8*4), Y14
+	VBROADCASTSD (SI)(R10*1), Y15
 	VFMADD231PD  Y12, Y14, Y8
 	VFMADD231PD  Y13, Y14, Y9
 	VFMADD231PD  Y12, Y15, Y10
 	VFMADD231PD  Y13, Y15, Y11
+	ADDQ         R11, SI
 
 	// k step 1
-	VMOVUPD      64(BX), Y12
-	VMOVUPD      96(BX), Y13
-	VBROADCASTSD 48(SI), Y14
-	VBROADCASTSD 56(SI), Y15
+	VMOVUPD      (BX)(R12*1), Y12
+	VMOVUPD      32(BX)(R12*1), Y13
+	VBROADCASTSD (SI), Y14
+	VBROADCASTSD (SI)(R8*1), Y15
 	VFMADD231PD  Y12, Y14, Y0
 	VFMADD231PD  Y13, Y14, Y1
 	VFMADD231PD  Y12, Y15, Y2
 	VFMADD231PD  Y13, Y15, Y3
-	VBROADCASTSD 64(SI), Y14
-	VBROADCASTSD 72(SI), Y15
+	VBROADCASTSD (SI)(R8*2), Y14
+	VBROADCASTSD (SI)(R9*1), Y15
 	VFMADD231PD  Y12, Y14, Y4
 	VFMADD231PD  Y13, Y14, Y5
 	VFMADD231PD  Y12, Y15, Y6
 	VFMADD231PD  Y13, Y15, Y7
-	VBROADCASTSD 80(SI), Y14
-	VBROADCASTSD 88(SI), Y15
+	VBROADCASTSD (SI)(R8*4), Y14
+	VBROADCASTSD (SI)(R10*1), Y15
 	VFMADD231PD  Y12, Y14, Y8
 	VFMADD231PD  Y13, Y14, Y9
 	VFMADD231PD  Y12, Y15, Y10
 	VFMADD231PD  Y13, Y15, Y11
+	ADDQ         R11, SI
 
-	ADDQ $96, SI
-	ADDQ $128, BX
+	LEAQ (BX)(R12*2), BX
 	DECQ AX
 	JNE  loop2
 
@@ -105,19 +124,19 @@ tail:
 	VMOVUPD      (BX), Y12
 	VMOVUPD      32(BX), Y13
 	VBROADCASTSD (SI), Y14
-	VBROADCASTSD 8(SI), Y15
+	VBROADCASTSD (SI)(R8*1), Y15
 	VFMADD231PD  Y12, Y14, Y0
 	VFMADD231PD  Y13, Y14, Y1
 	VFMADD231PD  Y12, Y15, Y2
 	VFMADD231PD  Y13, Y15, Y3
-	VBROADCASTSD 16(SI), Y14
-	VBROADCASTSD 24(SI), Y15
+	VBROADCASTSD (SI)(R8*2), Y14
+	VBROADCASTSD (SI)(R9*1), Y15
 	VFMADD231PD  Y12, Y14, Y4
 	VFMADD231PD  Y13, Y14, Y5
 	VFMADD231PD  Y12, Y15, Y6
 	VFMADD231PD  Y13, Y15, Y7
-	VBROADCASTSD 32(SI), Y14
-	VBROADCASTSD 40(SI), Y15
+	VBROADCASTSD (SI)(R8*4), Y14
+	VBROADCASTSD (SI)(R10*1), Y15
 	VFMADD231PD  Y12, Y14, Y8
 	VFMADD231PD  Y13, Y14, Y9
 	VFMADD231PD  Y12, Y15, Y10

@@ -220,3 +220,100 @@ func TestVariantsThreadedEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// packedOracle computes C += A·B (one k panel) the way the packed
+// path does — packA, packB, macroKernel over a single mc×nc panel —
+// without going through Kernel, so the direct path has an oracle that
+// cannot take the direct path itself.
+func packedOracle(v *microKernel, m, n, kk int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
+	ap := make([]float64, roundUp(m, v.mr)*kk)
+	bp := make([]float64, kk*roundUp(n, v.nr))
+	packA(ap, m, kk, a, lda, v.mr)
+	packB(bp, kk, n, b, ldb, v.nr)
+	macroKernel(v, m, n, kk, ap, bp, c, ldc)
+}
+
+// TestDirectMatchesPackedBitwise pins that products small enough for
+// the in-place path (gemmInPlace) give bitwise the result of the packed
+// path for every variant: full tiles, shifted edge tiles, strided
+// views, and kk at the directMaxK boundary. Slivers narrower than one
+// tile are in the list too; gemm sends them to the packed path. The
+// inputs are random non-integers, so any change in the order or fusion
+// of a single FMA chain shows.
+func TestDirectMatchesPackedBitwise(t *testing.T) {
+	shapes := []struct{ m, n, k, pad int }{
+		{16, 16, 16, 0}, // paper-fine's block
+		{1, 1, 5, 0},    // sliver in both dimensions
+		{5, 7, 9, 0},    // sliver rows for avx2, edges for go
+		{6, 8, 1, 0},    // exactly one avx2 tile, k=1
+		{7, 9, 16, 0},   // one tile + shifted edge row and column
+		{13, 17, 13, 0}, // several tiles + edges
+		{24, 24, 24, 0},
+		{32, 32, 32, 0}, // the directMaxFlops boundary
+		{16, 32, 64, 0}, // both boundaries: kk = directMaxK at 32³ flops
+		{10, 3, 64, 0},  // kk at the boundary, sliver columns
+		{11, 13, 9, 5},  // strided views: lda > k, ldb > n, ldc > n
+		{16, 16, 16, 3},
+	}
+	for _, v := range kernelVariants() {
+		for _, s := range shapes {
+			t.Run(fmt.Sprintf("%s/%dx%dx%d+%d", v.name, s.m, s.n, s.k, s.pad), func(t *testing.T) {
+				if s.k > directMaxK || s.m*s.n*s.k > directMaxFlops {
+					t.Fatalf("shape is not on the direct path")
+				}
+				rng := NewSeeded(int64(11*s.m + 7*s.n + 3*s.k + s.pad))
+				lda, ldb, ldc := s.k+s.pad, s.n+s.pad, s.n+s.pad
+				a, b := make([]float64, s.m*lda), make([]float64, s.k*ldb)
+				c := make([]float64, s.m*ldc)
+				for _, x := range [][]float64{a, b, c} {
+					for i := range x {
+						x[i] = rng.Float64()*2 - 1
+					}
+				}
+				want := append([]float64(nil), c...)
+				packedOracle(v, s.m, s.n, s.k, a, lda, b, ldb, want, ldc)
+				Kernel{variant: v, kc: directMaxK}.gemm(s.m, s.n, s.k, a, lda, b, ldb, c, ldc)
+				for i := range want {
+					if math.Float64bits(c[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("flat index %d (row %d, col %d): direct %v != packed %v",
+							i, i/ldc, i%ldc, c[i], want[i])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestGemmAllocatesNothing pins DESIGN.md §10.1's zero-allocation
+// claim: a block product allocates nothing at paper-fine's BS=16 (the
+// in-place path), nor at BS=64 and paper-coarse's BS=256 (the packed
+// path, whose edge tiles once escaped their scratch tile to the heap),
+// nor does an n=1024 multiply into an existing C. The race detector
+// makes sync.Pool drop items on purpose, so the pooled cases only run
+// without it.
+func TestGemmAllocatesNothing(t *testing.T) {
+	for _, bs := range []int{16, 64, 256} {
+		t.Run(fmt.Sprintf("MulAdd/bs=%d", bs), func(t *testing.T) {
+			if raceEnabled && bs*bs*bs > directMaxFlops {
+				t.Skip("sync.Pool drops items under the race detector")
+			}
+			c, a, b := benchBlocks(bs)
+			if got := testing.AllocsPerRun(20, func() { MulAdd(c, a, b) }); got != 0 {
+				t.Fatalf("MulAdd at BS=%d: %v allocs, want 0", bs, got)
+			}
+		})
+	}
+	t.Run("Kernel.MulAdd/n=1024", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("sync.Pool drops items under the race detector")
+		}
+		if testing.Short() {
+			t.Skip("an n=1024 multiply per run")
+		}
+		x, y := RandomPair(NewSeeded(4), 1024)
+		c := NewDense(1024, 1024)
+		if got := testing.AllocsPerRun(3, func() { Kernel{}.MulAdd(c, x, y) }); got != 0 {
+			t.Fatalf("Kernel{}.MulAdd at n=1024: %v allocs, want 0", got)
+		}
+	})
+}

@@ -16,7 +16,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -104,7 +104,8 @@ func SaveTune(f *TuneFile) (string, error) {
 	if err := os.Rename(tmp, path); err != nil {
 		return "", err
 	}
-	resetTunedCache() // make the new parameters visible in-process
+	t := loadTuned() // make the new parameters visible in-process
+	tuned.Store(&t)
 	return path, nil
 }
 
@@ -130,43 +131,44 @@ func LoadTune() (f *TuneFile, path string, ok bool) {
 	return &tf, path, true
 }
 
-// tuned is the lazily-loaded view of the cache Kernel.config consults.
-var tuned struct {
-	mu     sync.Mutex
-	loaded bool
-	best   map[string][3]int
-}
+// tuned is the per-variant blocking from the autotune cache, published
+// as an immutable snapshot: Kernel.config reads it on every multiply
+// (once per block product on the fine-grained paper stages, from every
+// PE at once), so a read is one atomic load, never a lock. nil means
+// not loaded yet; the first reader loads the file.
+var tuned atomic.Pointer[map[string][3]int]
 
-func resetTunedCache() {
-	tuned.mu.Lock()
-	tuned.loaded = false
-	tuned.best = nil
-	tuned.mu.Unlock()
-}
-
-func loadTunedLocked() {
-	if tuned.loaded {
-		return
-	}
-	tuned.loaded = true
-	tuned.best = map[string][3]int{}
+// loadTuned reads the per-host cache into a fresh table.
+func loadTuned() map[string][3]int {
+	best := map[string][3]int{}
 	if f, _, ok := LoadTune(); ok {
 		for _, b := range f.Best {
 			if b.MC > 0 && b.KC > 0 && b.NC > 0 {
-				tuned.best[b.Variant] = [3]int{b.MC, b.KC, b.NC}
+				best[b.Variant] = [3]int{b.MC, b.KC, b.NC}
 			}
 		}
 	}
+	return best
+}
+
+// tunedTable returns the current snapshot, loading it on first use.
+// A reader fills only an empty slot and SaveTune stores its table
+// unconditionally, so a reader that read the file before a SaveTune
+// cannot replace the table SaveTune published.
+func tunedTable() map[string][3]int {
+	if t := tuned.Load(); t != nil {
+		return *t
+	}
+	t := loadTuned()
+	tuned.CompareAndSwap(nil, &t)
+	return t
 }
 
 // tunedFor returns the cache-blocking parameters for a variant: the
 // per-host tuned values when the cache has them, the variant defaults
 // otherwise.
 func tunedFor(v *microKernel) (mc, kc, nc int) {
-	tuned.mu.Lock()
-	defer tuned.mu.Unlock()
-	loadTunedLocked()
-	if b, ok := tuned.best[v.name]; ok {
+	if b, ok := tunedTable()[v.name]; ok {
 		return b[0], b[1], b[2]
 	}
 	return v.defaults()
@@ -175,10 +177,7 @@ func tunedFor(v *microKernel) (mc, kc, nc int) {
 // tunedSource reports where a variant's parameters come from: "tuned"
 // (autotune cache) or "default".
 func tunedSource(v *microKernel) string {
-	tuned.mu.Lock()
-	defer tuned.mu.Unlock()
-	loadTunedLocked()
-	if _, ok := tuned.best[v.name]; ok {
+	if _, ok := tunedTable()[v.name]; ok {
 		return "tuned"
 	}
 	return "default"

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -18,6 +19,10 @@ func useTempTuneCache(t *testing.T) string {
 	t.Cleanup(resetTunedCache)
 	return dir
 }
+
+// resetTunedCache drops the tuned snapshot, so the next reader reloads
+// the cache file.
+func resetTunedCache() { tuned.Store(nil) }
 
 // TestTuneCacheRoundTrip pins the autotune cache contract end to end:
 // an untuned host resolves defaults, SaveTune makes the tuned
@@ -136,6 +141,60 @@ func TestTuneCacheCorruptionRecovers(t *testing.T) {
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("temp file left behind after SaveTune: %v", err)
+	}
+}
+
+// TestTunedSnapshotConcurrentReaders reads the tuned blocking from
+// several goroutines while SaveTune publishes a snapshot and
+// resetTunedCache drops it. Under -race it pins that Kernel.config's
+// lock-free read is synchronized; every reader must see the defaults or
+// the saved parameters, never anything else.
+func TestTunedSnapshotConcurrentReaders(t *testing.T) {
+	useTempTuneCache(t)
+	v := activeVariant()
+	dmc, dkc, dnc := v.defaults()
+	def := [3]int{dmc, dkc, dnc}
+	want := [3]int{roundUp(120, v.mr), 192, roundUp(1536, v.nr)}
+	f := &TuneFile{
+		Schema: tuneSchema, CPU: CPUModel(), GOARCH: runtime.GOARCH, N: 64,
+		Best: []TuneTrial{{Variant: v.name, MC: want[0], KC: want[1], NC: want[2], GFlops: 1}},
+	}
+	stop := make(chan struct{})
+	bad := make(chan [3]int, 4)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mc, kc, nc := tunedFor(v)
+				if got := [3]int{mc, kc, nc}; got != def && got != want {
+					bad <- got
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := SaveTune(f); err != nil {
+			t.Error(err)
+			break
+		}
+		resetTunedCache()
+	}
+	close(stop)
+	wg.Wait()
+	close(bad)
+	for got := range bad {
+		t.Fatalf("reader saw blocking %v, want defaults %v or tuned %v", got, def, want)
+	}
+	if mc, kc, nc := tunedFor(v); [3]int{mc, kc, nc} != want {
+		t.Fatalf("after the last SaveTune: %d/%d/%d, want %v", mc, kc, nc, want)
 	}
 }
 
