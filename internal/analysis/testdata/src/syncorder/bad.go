@@ -41,3 +41,21 @@ func closureUnsynced(n *node, b []byte) {
 	n.mutate()
 	reply() // want `externalizes the effect of a durable mutation`
 }
+
+// commitUnlessFailed syncs only when apply reported no error, so its
+// send can leave on a path that never synced.
+func (n *node) commitUnlessFailed(fx effects, failed bool) bool {
+	if !failed {
+		n.sync()
+	}
+	return n.send(fx.reply)
+}
+
+// applyThenConditionalCommit is the frame loop over that commit.
+func applyThenConditionalCommit(n *node, frames [][]byte) {
+	for _, b := range frames {
+		if !n.commitUnlessFailed(n.apply(b), len(b) == 0) { // want `externalizes the effect of a durable mutation`
+			return
+		}
+	}
+}

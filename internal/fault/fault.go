@@ -287,6 +287,12 @@ func (p *Plan) String() string {
 	if p.Delay > 0 {
 		add(fmt.Sprintf("delay=%g,maxdelay=%gs", p.Delay, p.MaxDelay))
 	}
+	if p.RetryTimeout > 0 {
+		add(fmt.Sprintf("retry=%gs", p.RetryTimeout))
+	}
+	if p.RestartDelay > 0 {
+		add(fmt.Sprintf("restart=%gs", p.RestartDelay))
+	}
 	kills := append([]Kill(nil), p.Kills...)
 	sort.Slice(kills, func(i, j int) bool {
 		if kills[i].Node != kills[j].Node {

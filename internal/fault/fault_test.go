@@ -2,6 +2,7 @@ package fault
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -127,9 +128,16 @@ func TestParseRoundTrip(t *testing.T) {
 	if len(p.Kills) != 2 || p.Kills[0] != (Kill{1, 3}) || p.Kills[1] != (Kill{2, 9}) {
 		t.Fatalf("parsed kills %+v", p.Kills)
 	}
-	want := "seed=7,drop=0.01,dup=10,delay=0.2,maxdelay=0.002s,kill=1@3,kill=2@9"
+	want := "seed=7,drop=0.01,dup=10,delay=0.2,maxdelay=0.002s,retry=0.05s,restart=0.1s,kill=1@3,kill=2@9"
 	if got := p.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
+	}
+	back, err := Parse(p.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, p) {
+		t.Errorf("Parse(String()) = %+v, want %+v", back, p)
 	}
 }
 

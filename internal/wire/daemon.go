@@ -78,36 +78,10 @@ func (d *daemon) serve() {
 	}
 }
 
-// replier writes reply envelopes back on one inbound connection. It is
-// the only path by which a daemon externalizes the outcome of inbound
-// traffic — hop acks, msgOK control replies, snapshots — so the
-// persist-before-acknowledge ordering (sync the node image, then send)
-// is a property of where send is called, and navplint's syncorder
-// analyzer checks exactly that: send on a path carrying an unsynced
-// durable mutation is a diagnostic.
-type replier struct {
-	conn net.Conn
-	d    *daemon
-}
-
-// send encodes env and writes it on the connection, reporting whether
-// the peer can still hear us. Encode failures are daemon-fatal (they
-// mean a malformed reply, not a broken peer); write failures just end
-// the connection — the peer redials and retries.
-func (rp *replier) send(env *envelope) bool {
-	f, err := encodeFrame(env)
-	if err != nil {
-		rp.d.fail(err)
-		return false
-	}
-	_, err = rp.conn.Write(f.bytes())
-	f.release()
-	return err == nil
-}
-
-// handle serves one inbound connection. Any read or decode error drops
-// the connection: the peer redials and the retry protocol re-delivers
-// whatever was in flight.
+// handle serves one inbound connection: every frame is applied to the
+// node, then committed. Any read or decode error drops the connection:
+// the peer redials and the retry protocol re-delivers whatever was in
+// flight.
 func (d *daemon) handle(conn net.Conn) {
 	// Deregister on exit: a long-lived daemon must not accumulate dead
 	// net.Conns in d.inbound. The delete races an in-progress terminate
@@ -121,134 +95,90 @@ func (d *daemon) handle(conn net.Conn) {
 		d.node.met.inboundConns.Add(-1)
 	}()
 	r := bufio.NewReader(conn)
-	rp := &replier{conn: conn, d: d}
 	for {
 		env, err := readFrame(r)
 		if err != nil {
 			return // peer closed, or a corrupt frame desynced the stream
 		}
-		switch env.Kind {
-		case msgAgent:
-			msg := env.Agent
-			dup, arrivals, err := d.node.accept(msg)
-			if errors.Is(err, errEvacuated) {
-				// Tombstone shell (DESIGN.md §16): an evacuated node keeps
-				// serving so senders can settle, but accepts nothing fresh.
-				// (Known duplicates fall through accept's dup guard above
-				// the evacuated check and get their normal Dup ack — the
-				// ack a sender may have lost before the drain, without
-				// which its retry loop never retires the checkpoint.) The
-				// Refused ack is the sender's proof that no copy of the
-				// agent exists here, which is what makes its reroute to a
-				// live member exactly-once safe. The refusal itself
-				// mutates nothing, so this sync finds the mutation
-				// sequence already covered and writes nothing (pinned by
-				// TestDuplicateAndRefusedFramesWriteNothing); it is here,
-				// like the dup-ack sync below, so the
-				// persist-before-acknowledge ordering holds on every
-				// path of this loop, not just the accepting ones.
-				d.node.met.framesRefused.Inc()
-				if err := d.node.sync(); err != nil {
-					d.fail(err)
-					return
-				}
-				if !rp.send(&envelope{Kind: msgAck, Ack: ackMsg{ID: msg.ID, Hop: msg.Hop, Refused: true}}) {
-					return
-				}
-				continue
-			}
-			if err != nil {
-				d.fail(err)
-				return
-			}
-			// Persist the acceptance BEFORE acknowledging it: once the
-			// ack is out, the sender retires its checkpoint and this
-			// node owns the only durable copy of the agent. The sync is
-			// unconditional so the persist-before-acknowledge ordering
-			// holds on every path, not just the ones that happen to
-			// correlate with !dup; a duplicate dirtied nothing, and a
-			// sync with nothing newer than the log's last batch returns
-			// without a write.
-			if err := d.node.sync(); err != nil {
-				d.fail(err)
-				return
-			}
-			acked := rp.send(&envelope{Kind: msgAck, Ack: ackMsg{ID: msg.ID, Hop: msg.Hop, Dup: dup}})
-			if dup {
-				// Already accepted earlier: the original acceptance
-				// dispatched the agent (or a checkpoint replay will), so a
-				// redelivery only needs the acknowledgement.
-				if !acked {
-					return
-				}
-				continue
-			}
-			if d.opts.Fault.KillNow(d.id, arrivals) {
-				d.kill()
-				return
-			}
-			// Dispatch even when the ack reply failed: a broken connection
-			// means the sender will retransmit and be told "duplicate" —
-			// but this daemon is alive and now owns the only dispatchable
-			// copy of the agent. Skipping dispatch here would orphan a
-			// checkpointed agent on a healthy node.
-			d.startStep(msg, false)
-			if !acked {
-				return
-			}
-		case msgSnapshot:
-			c := d.node.counters()
-			if env.Job != 0 {
-				c = d.node.countersForJob(env.Job)
-			}
-			if !rp.send(&envelope{Kind: msgCounters, Counters: c, Job: env.Job}) {
-				return
-			}
-		case msgPing:
-			if !rp.send(&envelope{Kind: msgPong}) {
-				return
-			}
-		case msgShutdown:
-			d.terminate()
+		if !d.commit(d.apply(env), conn) {
 			return
-		default:
-			if !d.handleControl(env, rp) {
-				return
-			}
 		}
 	}
 }
 
-// handleControl serves the membership and coordinator-control kinds on
-// an inbound connection. It reports whether the connection should keep
-// being served. Control mutations are persisted before the reply leaves
-// (same ordering contract as the hop ack).
-func (d *daemon) handleControl(env *envelope, rp *replier) bool {
-	ok := func(err error) bool {
-		out := &envelope{Kind: msgOK}
-		if err != nil {
-			out.Err = err.Error()
-		}
-		return rp.send(out)
+// effects is what one applied frame asks of the daemon once its change
+// is durable: the reply (nil ends the connection unanswered), the agents
+// to dispatch after it (a fresh arrival, or those a thaw or migration
+// mark released), whether the fault plan kills this incarnation on the
+// arrival, and a daemon-fatal error.
+type effects struct {
+	reply *envelope
+	run   []*parkedAgent
+	kill  bool
+	err   error
+}
+
+// replyOK is the msgOK reply carrying err, if any.
+func replyOK(err error) effects {
+	out := &envelope{Kind: msgOK}
+	if err != nil {
+		out.Err = err.Error()
 	}
-	synced := func() error { return d.node.sync() }
-	// thaw lifts job's freeze mark, persists that (and whatever mutation
-	// the caller made first), re-dispatches the agents the mark had
-	// parked, and acknowledges.
-	thaw := func(job uint64) bool {
-		thawed := d.node.thaw(job)
-		if err := synced(); err != nil {
-			return ok(err)
-		}
-		for _, p := range thawed {
-			d.startStep(p.msg, p.replay)
-		}
-		return ok(nil)
-	}
+	return effects{reply: out}
+}
+
+// apply changes the node as one inbound frame asks and returns the
+// frame's effects. It never writes to the connection and never syncs;
+// commit syncs, then replies.
+func (d *daemon) apply(env *envelope) effects {
 	switch env.Kind {
+	case msgAgent:
+		msg := env.Agent
+		dup, arrivals, err := d.node.accept(msg)
+		if errors.Is(err, errEvacuated) {
+			// Tombstone shell (DESIGN.md §16): an evacuated node keeps
+			// serving so senders can settle, but accepts nothing fresh.
+			// (Known duplicates fall through accept's dup guard above the
+			// evacuated check and get their normal Dup ack — the ack a
+			// sender may have lost before the drain, without which its
+			// retry loop never retires the checkpoint.) The Refused ack is
+			// the sender's proof that no copy of the agent exists here,
+			// which is what makes its reroute to a live member
+			// exactly-once safe. The refusal mutates nothing, so its
+			// commit writes nothing (pinned by
+			// TestDuplicateAndRefusedFramesWriteNothing).
+			d.node.met.framesRefused.Inc()
+			return effects{reply: &envelope{Kind: msgAck, Ack: ackMsg{ID: msg.ID, Hop: msg.Hop, Refused: true}}}
+		}
+		if err != nil {
+			return effects{err: err}
+		}
+		fx := effects{reply: &envelope{Kind: msgAck, Ack: ackMsg{ID: msg.ID, Hop: msg.Hop, Dup: dup}}}
+		if dup {
+			// Already accepted earlier: the original acceptance dispatched
+			// the agent (or a checkpoint replay will), so a redelivery
+			// only needs the acknowledgement.
+			return fx
+		}
+		// Once the ack is out the sender retires its checkpoint, and the
+		// copy this commit persists is the agent's only durable one.
+		fx.run = []*parkedAgent{{msg: msg}}
+		fx.kill = d.opts.Fault.KillNow(d.id, arrivals)
+		return fx
+	case msgSnapshot:
+		c := d.node.counters()
+		if env.Job != 0 {
+			c = d.node.countersForJob(env.Job)
+		}
+		return effects{reply: &envelope{Kind: msgCounters, Counters: c, Job: env.Job}}
+	case msgPing:
+		return effects{reply: &envelope{Kind: msgPong}}
+	case msgShutdown:
+		d.terminate()
+		return effects{} // unanswered: the connection is closed
 	case msgJoin:
 		if env.Addr == "" { // observer: just report the membership
-			return rp.send(&envelope{Kind: msgMembers, Members: d.members.list(), You: -1})
+			return effects{reply: &envelope{Kind: msgMembers, Members: d.members.list(), You: -1}}
 		}
 		// Id assignment is serialized through node 0. If every member
 		// handed out len(addrs) itself, two joins racing through
@@ -262,103 +192,166 @@ func (d *daemon) handleControl(env *envelope, rp *replier) bool {
 		if d.id != 0 {
 			fwd, err := d.forwardJoin(env.Addr)
 			if err != nil {
-				return ok(fmt.Errorf("wire: daemon %d forward join to node 0: %w", d.id, err))
+				return replyOK(fmt.Errorf("wire: daemon %d forward join to node 0: %w", d.id, err))
 			}
-			return rp.send(fwd)
+			return effects{reply: fwd}
 		}
 		id, err := d.members.add(env.Addr)
 		if err != nil {
-			return ok(err)
+			return replyOK(err)
 		}
 		// Best-effort: a member that misses the grown list learns it when
 		// the joiner's first hop dials it, or on the next join.
 		members := d.members.list()
 		d.broadcast(&envelope{Kind: msgMembers, Members: members, You: -1})
-		return rp.send(&envelope{Kind: msgMembers, Members: members, You: id})
+		return effects{reply: &envelope{Kind: msgMembers, Members: members, You: id}}
 	case msgMembers:
-		if err := d.members.update(env.Members); err != nil {
-			return ok(err)
-		}
-		return ok(nil)
+		return replyOK(d.members.update(env.Members))
 	case msgLeave:
 		if env.Node == d.id {
-			return ok(fmt.Errorf("wire: daemon %d refuses its own departure notice", d.id))
+			return replyOK(fmt.Errorf("wire: daemon %d refuses its own departure notice", d.id))
 		}
 		d.members.leave(env.Node)
-		return ok(nil)
+		return replyOK(nil)
 	case msgInject:
-		// injectLocal persists before dispatch, so the ok reply implies
-		// the injection is durable. The frame's payload is the checkpoint.
+		// The frame's payload is the checkpoint.
 		a := env.Agent
-		return ok(d.injectLocal(&agentMsg{Job: env.Job, Behavior: a.Behavior, State: a.State, payload: a.payload}))
+		return d.inject(&agentMsg{Job: env.Job, Behavior: a.Behavior, State: a.State, payload: a.payload})
 	case msgSetVar:
 		var v any
 		if env.Value != nil {
 			v = env.Value.V
 		}
 		d.node.vars.set(env.Name, v)
-		return ok(synced())
+		return replyOK(nil)
 	case msgGetVar:
-		return rp.send(&envelope{Kind: msgVar, Value: &stateBox{V: d.node.vars.get(env.Name)}})
+		return effects{reply: &envelope{Kind: msgVar, Value: &stateBox{V: d.node.vars.get(env.Name)}}}
 	case msgCancel:
-		d.node.cancels.cancel(env.Job)
 		// A cancelled job's parked agents would otherwise sleep through
 		// their own cancellation: thaw them so the dispatch prologue's
 		// cancel check absorbs each one and the namespace can quiesce.
-		return thaw(env.Job)
+		d.node.cancels.cancel(env.Job)
+		return d.thaw(env.Job)
 	case msgFree:
 		d.node.releaseJob(env.Job)
 		d.node.cancels.release(env.Job)
-		return thaw(env.Job)
+		return d.thaw(env.Job)
 	case msgClear:
 		d.node.vars.deletePrefix(env.Name)
-		return ok(synced())
+		return replyOK(nil)
 	case msgMigrate:
-		// Pin the marks and persist them BEFORE the reply: the count the
-		// coordinator sees is a durable promise, and a crashed daemon's
-		// replay honors the same destinations. Marked agents that are
-		// parked are nudged back through dispatch, where the prologue
-		// ships them.
+		// The marks are durable before the reply: the count the
+		// coordinator sees is a promise, and a crashed daemon's replay
+		// honors the same destinations. Marked agents that are parked
+		// are nudged back through dispatch, where the prologue ships them.
 		marked := d.node.markMigrations(env.Node, env.Job, env.Count)
-		if err := synced(); err != nil {
-			return ok(err)
-		}
+		fx := effects{reply: &envelope{Kind: msgMigrated, Count: len(marked)}}
 		for _, id := range marked {
 			if p, wasParked := d.node.takeParked(id); wasParked {
-				d.startStep(p.msg, p.replay)
+				fx.run = append(fx.run, p)
 			}
 		}
-		return rp.send(&envelope{Kind: msgMigrated, Count: len(marked)})
+		return fx
 	case msgFreeze:
 		d.node.freeze(env.Job)
-		return ok(synced())
+		return replyOK(nil)
 	case msgThaw:
-		return thaw(env.Job)
+		return d.thaw(env.Job)
 	case msgDrain:
 		timeout := drainTimeout
 		if env.Count > 0 {
 			timeout = time.Duration(env.Count) * time.Millisecond
 		}
 		// A failed drain can stop between its state-machine syncs (a
-		// timeout mid-evacuation, say); persist whatever point it
-		// reached before the reply externalizes the verdict, so a
-		// retried drain resumes from the durable truth.
-		err := d.drain(timeout)
-		if serr := d.node.sync(); err == nil {
-			err = serr
-		}
-		return ok(err)
+		// timeout mid-evacuation, say); the commit persists whatever
+		// point it reached before the reply externalizes the verdict, so
+		// a retried drain resumes from the durable truth.
+		return replyOK(d.drain(timeout))
 	case msgAbsorb:
 		// Absorb is dup-safe at the nodeState layer (the absorbed set),
 		// so a draining peer that crashed between our reply and its
 		// drained-flag sync can retry against the same pinned target.
 		d.node.absorb(env.Node, env.Counters, env.PerJob)
-		return ok(synced())
+		return replyOK(nil)
 	default:
 		// Reply kinds (msgAck et al.) arriving on an inbound connection
 		// are protocol noise; drop the connection.
+		return effects{}
+	}
+}
+
+// thaw lifts job's freeze mark and releases the agents it had parked.
+func (d *daemon) thaw(job uint64) effects {
+	fx := replyOK(nil)
+	fx.run = d.node.thaw(job)
+	return fx
+}
+
+// inject gives msg its identity and takes it into the node as a new
+// agent — injection is local, as in MESSENGERS. msg carries the
+// behavior, the state and the namespace the agent (and everything it
+// injects) is accounted to. Its commit persists the checkpoint before
+// the reply and the dispatch, so an injection into a dying daemon is not
+// lost: the restart replays it.
+func (d *daemon) inject(msg *agentMsg) effects {
+	msg.ID = d.node.newAgentID()
+	arrivals, err := d.node.inject(msg)
+	switch {
+	case errors.Is(err, errEvacuated):
+		// Not a daemon failure: the coordinator's inject path re-places
+		// the agent on a live member.
+		return replyOK(err)
+	case err != nil:
+		return effects{err: err}
+	case d.opts.Fault.KillNow(d.id, arrivals):
+		return effects{kill: true} // dies on arrival, unanswered; the restart replays it
+	}
+	fx := replyOK(nil)
+	fx.run = []*parkedAgent{{msg: msg}}
+	return fx
+}
+
+// commit is the daemon's one persist-before-acknowledge point: every
+// inbound frame's effects leave through it, and so does a step's local
+// injection (conn nil: nobody to answer). It syncs the node image first,
+// unconditionally — a frame that changed nothing finds its mutations
+// covered and writes nothing — so no reply ever acknowledges a change
+// the log lacks. A daemon-fatal error then ends the connection
+// unanswered; otherwise the reply is written, the fault plan's kill
+// fires, or the released agents are dispatched — even when the reply
+// write failed: the peer will retransmit and be told "duplicate", and
+// this live daemon owns the only dispatchable copy. It reports whether
+// the connection should keep being served.
+func (d *daemon) commit(fx effects, conn net.Conn) bool {
+	if err := d.node.sync(); err != nil && fx.err == nil {
+		fx.err = err
+	}
+	if fx.err != nil {
+		d.fail(fx.err)
 		return false
 	}
+	answered := fx.reply != nil
+	if answered && conn != nil {
+		f, err := encodeFrame(fx.reply)
+		if err != nil {
+			d.fail(err) // a malformed reply, not a broken peer
+			return false
+		}
+		_, err = conn.Write(f.bytes())
+		f.release()
+		answered = err == nil
+	}
+	if fx.kill {
+		d.kill()
+		return false
+	}
+	if d.dead.Load() {
+		return false // the checkpoints replay on the next incarnation
+	}
+	for _, p := range fx.run {
+		d.startStep(p.msg, p.replay)
+	}
+	return answered
 }
 
 // forwardJoin relays a join request to node 0, the cluster's single id
@@ -512,44 +505,6 @@ func (d *daemon) absorbInto(target int, total counters, perJob map[uint64]counte
 	if rep.Err != "" {
 		return errors.New(rep.Err)
 	}
-	return nil
-}
-
-// injectLocal starts a new agent on this daemon — injection is local, as
-// in MESSENGERS. The agent is checkpointed (and, on a persistent host,
-// synced to disk) before dispatch, so injection into a dying daemon is
-// not lost: the restart replays it. msg carries the behavior, the state
-// and the namespace the agent (and everything it injects) is accounted
-// to; injectLocal gives it its identity. The returned error reports
-// encode or persistence failures; in-process callers forward it to
-// d.fail, remote injection returns it to the coordinator.
-func (d *daemon) injectLocal(msg *agentMsg) error {
-	msg.ID = d.node.newAgentID()
-	// Sync unconditionally, even when inject failed: a failed injection
-	// can still have advanced durable counters before erroring, and the
-	// coordinator's error reply is an acknowledgement like any other —
-	// nothing is externalized before the image is safe on disk.
-	arrivals, err := d.node.inject(msg)
-	if serr := d.node.sync(); err == nil {
-		err = serr
-	}
-	if errors.Is(err, errEvacuated) {
-		// Not a daemon failure: the caller (the coordinator's inject
-		// path) re-places the agent on a live member.
-		return err
-	}
-	if err != nil {
-		d.fail(err)
-		return err
-	}
-	if d.opts.Fault.KillNow(d.id, arrivals) {
-		d.kill()
-		return nil
-	}
-	if d.dead.Load() {
-		return nil // the checkpoint replays on the next incarnation
-	}
-	d.startStep(msg, false)
 	return nil
 }
 

@@ -556,6 +556,18 @@ func TestDuplicateAndRefusedFramesWriteNothing(t *testing.T) {
 	if got := statLog(t, h); got != settled {
 		t.Fatalf("a duplicate frame wrote to the log: %+v → %+v", settled, got)
 	}
+	for _, read := range []*envelope{
+		{Kind: msgGetVar, Name: "absent"},
+		{Kind: msgSnapshot, Job: 5},
+		{Kind: msgPing},
+	} {
+		if _, err := c.roundTrip(read, waitTimeout); err != nil {
+			t.Fatalf("%s: %v", read.Kind, err)
+		}
+		if got := statLog(t, h); got != settled {
+			t.Fatalf("a %s frame wrote to the log: %+v → %+v", read.Kind, settled, got)
+		}
+	}
 
 	h.node.setEvacuated(true)
 	if err := h.node.sync(); err != nil {
@@ -567,6 +579,73 @@ func TestDuplicateAndRefusedFramesWriteNothing(t *testing.T) {
 	}
 	if got := statLog(t, h); got != settled {
 		t.Fatalf("a refused frame wrote to the log: %+v → %+v", settled, got)
+	}
+}
+
+// TestEveryReplyIsDurable: the reply to every mutating frame is an
+// acknowledgement, so a copy of the state directory taken the moment the
+// reply arrives — what a kill -9 right then would leave — must already
+// hold the frame's change.
+func TestEveryReplyIsDurable(t *testing.T) {
+	dir := t.TempDir()
+	h, err := StartHost(HostConfig{Listen: "127.0.0.1:0", StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	c := &ctlConn{addr: h.Addr}
+	defer c.close()
+	crash := filepath.Join(t.TempDir(), "crash")
+	const hopped = 9<<40 | 1
+	cases := []struct {
+		frame *envelope
+		reply string
+		holds func(img nodeImage) bool
+	}{
+		{&envelope{Kind: msgAgent, Agent: &agentMsg{ID: hopped, Hop: 1, Job: 5, Behavior: "persistDone"}}, msgAck,
+			func(img nodeImage) bool {
+				dedup := img.LastHop[hopped] == 1
+				for _, r := range img.Retired {
+					dedup = dedup || r == dedupRetired{hopped, 1}
+				}
+				return img.Totals.Received == 1 && dedup
+			}},
+		{&envelope{Kind: msgInject, Job: 6, Agent: &agentMsg{Behavior: "persistDone"}}, msgOK,
+			func(img nodeImage) bool { return img.Totals.Created == 1 && img.NextAgent == 1 }},
+		{&envelope{Kind: msgSetVar, Name: "v:a", Value: &stateBox{V: int64(42)}}, msgOK,
+			func(img nodeImage) bool { return img.Vars["v:a"] == int64(42) }},
+		{&envelope{Kind: msgClear, Name: "v:"}, msgOK,
+			func(img nodeImage) bool { _, ok := img.Vars["v:a"]; return !ok }},
+		{&envelope{Kind: msgFreeze, Job: 13}, msgOK,
+			func(img nodeImage) bool { _, ok := img.Frozen[13]; return ok }},
+		// The injected agent parks behind job 13's freeze mark, so the
+		// migration below has a resident agent to pin (to this node, so
+		// the pin moves nothing).
+		{&envelope{Kind: msgInject, Job: 13, Agent: &agentMsg{Behavior: "persistDone"}}, msgOK,
+			func(img nodeImage) bool { return img.Totals.Created == 2 }},
+		{&envelope{Kind: msgMigrate, Node: h.ID, Job: 13}, msgMigrated,
+			func(img nodeImage) bool { return len(img.Migrations) == 1 }},
+		{&envelope{Kind: msgThaw, Job: 13}, msgOK,
+			func(img nodeImage) bool { _, ok := img.Frozen[13]; return !ok }},
+		{&envelope{Kind: msgCancel, Job: 14}, msgOK,
+			func(img nodeImage) bool { _, ok := img.Cancelled[14]; return ok }},
+		{&envelope{Kind: msgFree, Job: 14}, msgOK,
+			func(img nodeImage) bool { _, ok := img.Cancelled[14]; return !ok }},
+		{&envelope{Kind: msgAbsorb, Node: 3, Counters: counters{Created: 4, Finished: 4}}, msgOK,
+			func(img nodeImage) bool { return img.Absorbed[3] && img.Totals.Created >= 2+4 }},
+	}
+	for _, tc := range cases {
+		if tc.frame.Kind == msgMigrate {
+			waitFor(t, "the injected agent to park", func() bool { return h.node.parkedCount() == 1 })
+		}
+		rep, err := c.roundTrip(tc.frame, waitTimeout)
+		if err != nil || rep.Kind != tc.reply || rep.Err != "" {
+			t.Fatalf("%s: reply (%+v, %v), want %s", tc.frame.Kind, rep, err, tc.reply)
+		}
+		copyDir(t, dir, crash)
+		if img := reloadImage(t, crash, h.ID, dedupRetain); !tc.holds(img) {
+			t.Fatalf("%s was acknowledged, but the image a kill -9 leaves lacks it: %+v", tc.frame.Kind, img)
+		}
 	}
 }
 

@@ -12,7 +12,7 @@
 // running to its next navigational decision:
 //
 //	wire.Register("RowCarrier", func(ctx *wire.Ctx) wire.Verdict {
-//	    ... read ctx.State, use ctx.Node(), ctx.Wait/Signal ...
+//	    ... read ctx.State, use ctx.NodeID(), ctx.Wait/Signal ...
 //	    return ctx.HopTo(next)   // or ctx.Done()
 //	})
 //
@@ -153,7 +153,7 @@ func (c *Ctx) Signal(event string) { c.daemon.node.events.signal(event) }
 // this agent's job namespace, so a job's termination detection covers
 // its whole injection tree.
 func (c *Ctx) Inject(behavior string, state any) {
-	c.daemon.injectLocal(&agentMsg{Job: c.agent.Job, Behavior: behavior, State: state})
+	c.daemon.commit(c.daemon.inject(&agentMsg{Job: c.agent.Job, Behavior: behavior, State: state}), nil)
 }
 
 // HopTo ends the step with a migration to node dst.
