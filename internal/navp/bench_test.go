@@ -61,6 +61,29 @@ func BenchmarkEventRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkEventRoundTripReal measures the same signal+wait pairs on the
+// goroutine backend, where each hand-off may park the waiter.
+func BenchmarkEventRoundTripReal(b *testing.B) {
+	s := NewReal(Config{}, 1)
+	n := b.N
+	s.Inject(0, "ping", func(ag *Agent) {
+		for i := 0; i < n; i++ {
+			ag.SignalEvent("ping")
+			ag.WaitEvent("pong")
+		}
+	})
+	s.Inject(0, "pong", func(ag *Agent) {
+		for i := 0; i < n; i++ {
+			ag.WaitEvent("ping")
+			ag.SignalEvent("pong")
+		}
+	})
+	b.ResetTimer()
+	if err := s.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkInjectSim measures agent creation throughput.
 func BenchmarkInjectSim(b *testing.B) {
 	s := NewSim(Config{}, machine.SunBlade100(), 1)

@@ -167,7 +167,7 @@ type backend interface {
 // named events.
 type Node struct {
 	id     int
-	mu     sync.Mutex // guards vars on the real backend; uncontended on sim
+	mu     sync.Mutex // guards vars, and events on the real backend; uncontended on sim
 	vars   map[string]any
 	events map[string]eventState
 }
@@ -299,7 +299,7 @@ func (s *System) Reset() error {
 	if !ok {
 		return fmt.Errorf("navp: Reset is not supported by the simulation backend; build a fresh system")
 	}
-	r.reset()
+	r.reset(s)
 	s.pending = nil
 	s.ran = false
 	return nil
@@ -309,7 +309,7 @@ func (s *System) Reset() error {
 // end of run (the real backend's wait-group does; the sim kernel's
 // event wheel does not).
 type resettableBackend interface {
-	reset()
+	reset(s *System)
 }
 
 // record reports ev to the tracer, if one is installed.

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -276,12 +278,152 @@ func TestRealSystemReset(t *testing.T) {
 		}
 	}
 	program()
+	if n := pendingEvents(s.Node(1)); n != 1 {
+		t.Fatalf("node 1 holds %d events after the run, want the pending done", n)
+	}
 	if err := s.Reset(); err != nil {
 		t.Fatal(err)
+	}
+	if n := pendingEvents(s.Node(1)); n != 0 {
+		t.Fatalf("node 1 holds %d events after Reset, want 0", n)
 	}
 	program()
 	if runs != 2 {
 		t.Fatalf("program ran %d times across Reset, want 2", runs)
+	}
+}
+
+// pendingEvents returns how many events nd's map holds.
+func pendingEvents(nd *Node) int {
+	nd.mu.Lock()
+	defer nd.mu.Unlock()
+	return len(nd.events)
+}
+
+// awaitParked yields until n agents are parked on nd's event name
+// (real backend), so the caller's next signal comes after their waits.
+func awaitParked(nd *Node, name string, n int) {
+	for {
+		nd.mu.Lock()
+		ev, _ := nd.events[name].(*realEvent)
+		parked := ev != nil && ev.waiting == n
+		nd.mu.Unlock()
+		if parked {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+func TestRealEventsLeaveNoResidue(t *testing.T) {
+	const names = 1000
+	for _, order := range []string{"signal-first", "wait-first"} {
+		t.Run(order, func(t *testing.T) {
+			s := NewReal(zeroCfg(), 2)
+			waiter := func(ag *Agent) {
+				for i := 0; i < names; i++ {
+					ag.WaitEvent(fmt.Sprintf("e%d", i))
+				}
+			}
+			for node := 0; node < 2; node++ {
+				if order == "wait-first" {
+					s.Inject(node, "waiter", waiter)
+				}
+				s.Inject(node, "signaler", func(ag *Agent) {
+					for i := 0; i < names; i++ {
+						e := fmt.Sprintf("e%d", i)
+						if order == "wait-first" {
+							awaitParked(ag.Node(), e, 1)
+						}
+						ag.SignalEvent(e)
+					}
+					if order == "signal-first" {
+						// Every signal is pending before the waiter starts.
+						ag.Inject("waiter", waiter)
+					}
+				})
+			}
+			if err := s.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for node := 0; node < 2; node++ {
+				if n := pendingEvents(s.Node(node)); n != 0 {
+					t.Fatalf("node %d holds %d events after a balanced program", node, n)
+				}
+			}
+		})
+	}
+}
+
+func TestRealEventCountsUnderParkedWaiters(t *testing.T) {
+	const waiters = 8
+	s := NewReal(zeroCfg(), 1)
+	var finished atomic.Int32
+	for i := 0; i < waiters; i++ {
+		s.Inject(0, fmt.Sprintf("w%d", i), func(ag *Agent) {
+			ag.WaitEvent("go")
+			finished.Add(1)
+		})
+	}
+	s.Inject(0, "signaler", func(ag *Agent) {
+		awaitParked(ag.Node(), "go", waiters)
+		// The first half one at a time, each consumed while the others
+		// stay parked; the second half in one burst.
+		for i := 1; i <= waiters; i++ {
+			ag.SignalEvent("go")
+			for i <= waiters/2 && finished.Load() < int32(i) {
+				runtime.Gosched()
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n := finished.Load(); n != waiters {
+		t.Fatalf("%d of %d waiters finished", n, waiters)
+	}
+	if n := pendingEvents(s.Node(0)); n != 0 {
+		t.Fatalf("node 0 holds %d events, want 0", n)
+	}
+}
+
+func TestRealTraceIntervals(t *testing.T) {
+	s := NewReal(zeroCfg(), 1)
+	var mu sync.Mutex
+	var events []TraceEvent
+	s.SetTracer(tracerFunc(func(ev TraceEvent) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}))
+	const nap = 2 * time.Millisecond
+	s.Inject(0, "worker", func(ag *Agent) {
+		ag.Compute(0, func() { time.Sleep(nap) })
+	})
+	s.Inject(0, "waiter", func(ag *Agent) { ag.WaitEvent("e") })
+	s.Inject(0, "signaler", func(ag *Agent) {
+		awaitParked(ag.Node(), "e", 1)
+		ag.SignalEvent("e")
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[TraceKind]int{}
+	for _, ev := range events {
+		kinds[ev.Kind]++
+		switch ev.Kind {
+		case TraceCompute:
+			if got := ev.End - ev.Start; got < nap.Seconds() {
+				t.Errorf("compute interval %.6fs, want >= %v held", got, nap)
+			}
+		case TraceWait:
+			if ev.End < ev.Start || ev.Label != "e" {
+				t.Errorf("wait event %+v", ev)
+			}
+		}
+	}
+	if kinds[TraceCompute] != 1 || kinds[TraceWait] != 1 {
+		t.Fatalf("recorded %d computes and %d waits, want 1 and 1", kinds[TraceCompute], kinds[TraceWait])
 	}
 }
 

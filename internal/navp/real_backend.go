@@ -5,7 +5,6 @@
 package navp
 
 import (
-	"strconv"
 	"sync"
 	"time"
 
@@ -15,16 +14,13 @@ import (
 // realBackend executes each agent as a real goroutine. PEs serialize
 // computation with a per-node mutex (one CPU per PE, like the testbed);
 // hops are bookkeeping (plus an optional caller-supplied delay); events
-// are condition-variable-backed counting semaphores. The backend makes no
-// timing promises — it exists to run the same NavP programs with genuine
-// concurrency, validating that they are free of races and deadlocks and
-// providing real testing.B numbers.
+// are counting semaphores kept in their node's events map under the
+// node's mu, as a MESSENGERS daemon keeps its node's events. The backend
+// makes no timing promises — it exists to run the same NavP programs with
+// genuine concurrency, validating that they are free of races and
+// deadlocks and providing real testing.B numbers.
 type realBackend struct {
-	cpus   []sync.Mutex // one per node
-	events struct {
-		mu sync.Mutex
-		m  map[string]*realEvent // key: "node/event"
-	}
+	cpus    []sync.Mutex // one per node
 	wg      sync.WaitGroup
 	started time.Time
 
@@ -33,16 +29,16 @@ type realBackend struct {
 	hopDelay func(bytes int64) time.Duration
 }
 
+// realEvent is one named event of a node: count pending signals and the
+// number of agents parked on wake, whose L is the node's mu.
 type realEvent struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	count int
+	count, waiting int
+	wake           sync.Cond
 }
 
 // NewReal builds a NavP system of n nodes executed by real goroutines.
 func NewReal(cfg Config, n int) *System {
 	b := &realBackend{cpus: make([]sync.Mutex, n)}
-	b.events.m = map[string]*realEvent{}
 	s := &System{cfg: cfg, backend: b, met: newNavpMetrics(nil)}
 	for i := 0; i < n; i++ {
 		s.nodes = append(s.nodes, newNode(i))
@@ -89,54 +85,74 @@ func (b *realBackend) hop(ag *Agent, dst int) {
 		}
 	}
 	ag.node = ag.sys.nodes[dst]
-	ag.sys.record(TraceEvent{Kind: TraceHop, Agent: ag.name, From: src, To: dst,
-		Bytes: bytes, Start: b.elapsed(), End: b.elapsed()})
+	if ag.sys.tracer != nil {
+		now := b.elapsed()
+		ag.sys.record(TraceEvent{Kind: TraceHop, Agent: ag.name, From: src, To: dst,
+			Bytes: bytes, Start: now, End: now})
+	}
 }
 
+// compute runs fn holding the PE's CPU; a traced interval is the time it
+// held it, so queueing for the CPU is not "computing".
 func (b *realBackend) compute(ag *Agent, flops float64, fn func()) {
 	id := ag.node.id
 	b.cpus[id].Lock()
+	start := b.stamp(ag.sys)
 	if fn != nil {
 		fn()
 	}
+	end := b.stamp(ag.sys)
 	b.cpus[id].Unlock()
-	ag.sys.record(TraceEvent{Kind: TraceCompute, Agent: ag.name, From: id, To: id,
-		Start: b.elapsed(), End: b.elapsed()})
+	if ag.sys.tracer != nil {
+		ag.sys.record(TraceEvent{Kind: TraceCompute, Agent: ag.name, From: id, To: id,
+			Start: start, End: end})
+	}
 }
 
-func (b *realBackend) realEvent(node int, name string) *realEvent {
-	key := nodeEventKey(node, name)
-	b.events.mu.Lock()
-	defer b.events.mu.Unlock()
-	ev, ok := b.events.m[key]
-	if !ok {
-		ev = &realEvent{}
-		ev.cond = sync.NewCond(&ev.mu)
-		b.events.m[key] = ev
+// realEvent fetches or creates the event name on nd. nd.mu must be held.
+func (b *realBackend) realEvent(nd *Node, name string) *realEvent {
+	if es, ok := nd.events[name]; ok {
+		return es.(*realEvent)
 	}
+	ev := &realEvent{}
+	ev.wake.L = &nd.mu
+	nd.events[name] = ev
 	return ev
 }
 
-func nodeEventKey(node int, name string) string {
-	return strconv.Itoa(node) + "/" + name
-}
-
+// wait consumes one signal of event, parking until one is pending. The
+// last consumer of a quiet event deletes it, so a node holds entries only
+// for events with pending signals or parked waiters.
 func (b *realBackend) wait(ag *Agent, event string) {
-	ev := b.realEvent(ag.node.id, event)
-	ev.mu.Lock()
+	nd := ag.node
+	start := b.stamp(ag.sys)
+	nd.mu.Lock()
+	ev := b.realEvent(nd, event)
 	for ev.count == 0 {
-		ev.cond.Wait()
+		ev.waiting++
+		ev.wake.Wait()
+		ev.waiting--
 	}
 	ev.count--
-	ev.mu.Unlock()
+	if ev.count == 0 && ev.waiting == 0 {
+		delete(nd.events, event)
+	}
+	nd.mu.Unlock()
+	if ag.sys.tracer != nil {
+		ag.sys.record(TraceEvent{Kind: TraceWait, Agent: ag.name, From: nd.id, To: nd.id,
+			Label: event, Start: start, End: b.elapsed()})
+	}
 }
 
 func (b *realBackend) signal(ag *Agent, event string) {
-	ev := b.realEvent(ag.node.id, event)
-	ev.mu.Lock()
+	nd := ag.node
+	nd.mu.Lock()
+	ev := b.realEvent(nd, event)
 	ev.count++
-	ev.mu.Unlock()
-	ev.cond.Signal()
+	if ev.waiting > 0 {
+		ev.wake.Signal()
+	}
+	nd.mu.Unlock()
 }
 
 func (b *realBackend) inject(parent *Agent, name string, fn func(*Agent)) {
@@ -150,15 +166,26 @@ func (b *realBackend) inject(parent *Agent, name string, fn func(*Agent)) {
 
 func (b *realBackend) touch(ag *Agent, key string, bytes int64) {}
 
-// reset clears pending event signals so a reused System starts its next
-// program without stale synchronization state. Run left no goroutines
-// behind (it waits on the group), so there is nothing else to unwind.
-func (b *realBackend) reset() {
-	b.events.mu.Lock()
-	b.events.m = map[string]*realEvent{}
-	b.events.mu.Unlock()
+// reset clears every node's pending event signals so a reused System
+// starts its next program without stale synchronization state. Run left
+// no goroutines behind (it waits on the group), so no agent is parked.
+func (b *realBackend) reset(s *System) {
+	for _, nd := range s.nodes {
+		nd.mu.Lock()
+		clear(nd.events)
+		nd.mu.Unlock()
+	}
 }
 
 func (b *realBackend) elapsed() sim.Time { return time.Since(b.started).Seconds() }
+
+// stamp reads the clock for a trace event, or returns 0 when s has no
+// tracer: untraced runs read no clock on the hot path.
+func (b *realBackend) stamp(s *System) sim.Time {
+	if s.tracer == nil {
+		return 0
+	}
+	return b.elapsed()
+}
 
 func (b *realBackend) now(ag *Agent) sim.Time { return b.elapsed() }
