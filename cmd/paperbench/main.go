@@ -37,12 +37,11 @@ func main() {
 	report := flag.Bool("report", false, "emit the full markdown reproduction report (tables, staggering, ablations)")
 	regress := flag.Bool("regress", false, "benchmark the fast data paths and write BENCH_kernels.json + BENCH_wire.json")
 	regressOut := flag.String("regress-out", ".", "directory the -regress JSON files are written to")
-	observe := flag.String("observe", "", "run a small deterministic chaos sim and write Perfetto + metrics artifacts into this directory")
 	tune := flag.Bool("tune", false, "search GEMM blocking parameters for this host and cache the winner")
 	modern := flag.Bool("modern", false, "re-run the paper's tables on a modern machine model fed by this host's measured kernel rate, plus a real-backend anchor run")
 	flag.Parse()
 
-	if *table == "" && !*stagger && !*ablations && !*report && !*regress && !*tune && !*modern && *observe == "" {
+	if *table == "" && !*stagger && !*ablations && !*report && !*regress && !*tune && !*modern {
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -67,15 +66,6 @@ func main() {
 		}
 	}
 
-	if *observe != "" {
-		if err := bench.Observe(*observe); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *table == "" && !*stagger && !*ablations && !*report && !*regress {
-			return
-		}
-	}
 	opt := bench.Options{Quick: *quick}
 
 	if *regress {

@@ -530,7 +530,7 @@ func (e *emitter) checkPlans() {
 
 // register emits the registry init: every variant becomes a
 // self-verifying genrun.Program, which is what makes generated code
-// servable as a scheduler job (sched.GenRun) and enumerable by tests.
+// runnable by name and enumerable by tests.
 func (e *emitter) register() {
 	n := e.n
 	var sizeNames []string

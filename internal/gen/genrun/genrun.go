@@ -8,8 +8,7 @@
 // cyclic owners and ranges over an arbitrary half-open loop range), the
 // phase-shift rotation (kept in lockstep with core.PhaseShift's default
 // stagger), seeded input generation, oracle comparison, and the program
-// registry through which generated programs become servable scheduler
-// jobs (sched.GenRun).
+// registry through which generated programs are run by name.
 package genrun
 
 import (
@@ -271,9 +270,9 @@ func elemEqual[T Elem](got, want T, tol float64) bool {
 
 // ---------------------------------------------------------------------
 // The program registry: generated sources self-register each variant in
-// an init function, which is what lets the scheduler serve a generated
-// program by name (sched.GenRun) and lets tests and examples enumerate
-// everything the generator produced without importing it by symbol.
+// an init function, which is what lets tests and examples run a
+// generated program by name and enumerate everything the generator
+// produced without importing it by symbol.
 
 // Program is one registered generated program variant, self-contained:
 // Run allocates its own seeded inputs, executes the variant on the

@@ -247,21 +247,20 @@ func (s *System) Simulated() bool {
 }
 
 // ErrSystemDone reports that a System has already executed its staged
-// program: Run was called, and the System was not Reset since. Inject
-// and Run return it (wrapped with context) rather than corrupting a
-// finished run. A scheduler multiplexing many programs over Systems
-// treats it as "allocate a fresh System or Reset this one".
+// program: Run was called. Inject and Run return it (wrapped with
+// context) rather than corrupting a finished run; a System runs one
+// program, so the next one needs a fresh System.
 var ErrSystemDone = errors.New("navp: system already ran")
 
 // Inject stages an initial computation named name at the given node, the
 // equivalent of injecting a Messenger from the command line. Staged
 // computations begin when Run is called, in injection order. After Run
 // it returns ErrSystemDone (use Agent.Inject from inside a running
-// program, or Reset the system first); the error may be ignored by
-// callers that stage strictly before running.
+// program); the error may be ignored by callers that stage strictly
+// before running.
 func (s *System) Inject(node int, name string, fn func(*Agent)) error {
 	if s.ran {
-		return fmt.Errorf("navp: Inject: %w (use Agent.Inject from inside the program, or Reset)", ErrSystemDone)
+		return fmt.Errorf("navp: Inject: %w (use Agent.Inject from inside the program)", ErrSystemDone)
 	}
 	if node < 0 || node >= len(s.nodes) {
 		panic(fmt.Sprintf("navp: Inject at node %d of %d", node, len(s.nodes)))
@@ -273,8 +272,7 @@ func (s *System) Inject(node int, name string, fn func(*Agent)) error {
 // Run executes all staged computations (and everything they inject) to
 // completion. On the sim backend it returns a *sim.DeadlockError if the
 // program deadlocks; on the real backend a deadlock blocks forever (run
-// under a test timeout). A second Run without an intervening Reset
-// returns ErrSystemDone.
+// under a test timeout). A second Run returns ErrSystemDone.
 func (s *System) Run() error {
 	if s.ran {
 		return fmt.Errorf("navp: Run: %w", ErrSystemDone)
@@ -284,32 +282,6 @@ func (s *System) Run() error {
 	// registry installed after staging still sees them.
 	s.met.injects.Add(int64(len(s.pending)))
 	return s.backend.run(s)
-}
-
-// Reset returns a finished real-backed System to the staged state so it
-// can Inject and Run again — the reuse path for a serving layer that
-// keeps a warm System per worker instead of rebuilding one per job.
-// Node variables persist across Reset (they are node-resident state, as
-// surviving a program is their point); pending event signals are
-// cleared. It fails on the sim backend, whose kernel shuts down its
-// virtual-time wheel at the end of Run — build a fresh NewSim system
-// per simulated program instead.
-func (s *System) Reset() error {
-	r, ok := s.backend.(resettableBackend)
-	if !ok {
-		return fmt.Errorf("navp: Reset is not supported by the simulation backend; build a fresh system")
-	}
-	r.reset(s)
-	s.pending = nil
-	s.ran = false
-	return nil
-}
-
-// resettableBackend is implemented by backends whose engines survive the
-// end of run (the real backend's wait-group does; the sim kernel's
-// event wheel does not).
-type resettableBackend interface {
-	reset(s *System)
 }
 
 // record reports ev to the tracer, if one is installed.

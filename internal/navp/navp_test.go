@@ -256,41 +256,6 @@ func TestInjectAfterRunReturnsErrSystemDone(t *testing.T) {
 	if err := s.Run(); !errors.Is(err, ErrSystemDone) {
 		t.Fatalf("second Run returned %v, want ErrSystemDone", err)
 	}
-	if err := s.Reset(); err == nil {
-		t.Fatal("Reset succeeded on the sim backend; its kernel cannot re-run")
-	}
-}
-
-func TestRealSystemReset(t *testing.T) {
-	s := NewReal(DefaultConfig(), 2)
-	runs := 0
-	program := func() {
-		if err := s.Inject(0, "a", func(ag *Agent) {
-			ag.Hop(1)
-			ag.SignalEvent("done")
-			runs++
-		}); err != nil {
-			t.Fatal(err)
-		}
-		// A signal left pending on node 1; Reset must clear it.
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	program()
-	if n := pendingEvents(s.Node(1)); n != 1 {
-		t.Fatalf("node 1 holds %d events after the run, want the pending done", n)
-	}
-	if err := s.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if n := pendingEvents(s.Node(1)); n != 0 {
-		t.Fatalf("node 1 holds %d events after Reset, want 0", n)
-	}
-	program()
-	if runs != 2 {
-		t.Fatalf("program ran %d times across Reset, want 2", runs)
-	}
 }
 
 // pendingEvents returns how many events nd's map holds.
@@ -542,24 +507,6 @@ func TestTracerReceivesEvents(t *testing.T) {
 type tracerFunc func(TraceEvent)
 
 func (f tracerFunc) Record(ev TraceEvent) { f(ev) }
-
-func TestRealBackendHopDelay(t *testing.T) {
-	s := NewReal(zeroCfg(), 2)
-	s.SetHopDelay(func(bytes int64) time.Duration {
-		return time.Duration(bytes) * time.Microsecond
-	})
-	start := time.Now()
-	s.Inject(0, "a", func(ag *Agent) {
-		ag.Set("x", nil, 2000) // 2 ms delay
-		ag.Hop(1)
-	})
-	if err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) < 2*time.Millisecond {
-		t.Fatal("hop delay not applied")
-	}
-}
 
 func TestRealBackendParallelAgentsNoRace(t *testing.T) {
 	// Many agents hopping, computing, and signaling concurrently; run with

@@ -13,20 +13,16 @@ import (
 
 // realBackend executes each agent as a real goroutine. PEs serialize
 // computation with a per-node mutex (one CPU per PE, like the testbed);
-// hops are bookkeeping (plus an optional caller-supplied delay); events
-// are counting semaphores kept in their node's events map under the
-// node's mu, as a MESSENGERS daemon keeps its node's events. The backend
-// makes no timing promises — it exists to run the same NavP programs with
-// genuine concurrency, validating that they are free of races and
-// deadlocks and providing real testing.B numbers.
+// hops are bookkeeping; events are counting semaphores kept in their
+// node's events map under the node's mu, as a MESSENGERS daemon keeps
+// its node's events. The backend makes no timing promises — it exists
+// to run the same NavP programs with genuine concurrency, validating
+// that they are free of races and deadlocks and providing real
+// testing.B numbers.
 type realBackend struct {
 	cpus    []sync.Mutex // one per node
 	wg      sync.WaitGroup
 	started time.Time
-
-	// HopDelay, if non-nil, is called with the hop payload size and the
-	// result slept, to emulate network transfer time in real runs.
-	hopDelay func(bytes int64) time.Duration
 }
 
 // realEvent is one named event of a node: count pending signals and the
@@ -44,17 +40,6 @@ func NewReal(cfg Config, n int) *System {
 		s.nodes = append(s.nodes, newNode(i))
 	}
 	return s
-}
-
-// SetHopDelay installs a per-hop delay function on a real-backed system,
-// emulating network transfer time (e.g. bytes over a modeled bandwidth).
-// It panics on a simulation-backed system, which models hops natively.
-func (s *System) SetHopDelay(fn func(bytes int64) time.Duration) {
-	b, ok := s.backend.(*realBackend)
-	if !ok {
-		panic("navp: SetHopDelay on a simulation-backed system")
-	}
-	b.hopDelay = fn
 }
 
 func (b *realBackend) run(s *System) error {
@@ -78,17 +63,11 @@ func (b *realBackend) hop(ag *Agent, dst int) {
 	if src == dst {
 		return
 	}
-	bytes := ag.PayloadBytes()
-	if b.hopDelay != nil {
-		if d := b.hopDelay(bytes); d > 0 {
-			time.Sleep(d)
-		}
-	}
 	ag.node = ag.sys.nodes[dst]
 	if ag.sys.tracer != nil {
 		now := b.elapsed()
 		ag.sys.record(TraceEvent{Kind: TraceHop, Agent: ag.name, From: src, To: dst,
-			Bytes: bytes, Start: now, End: now})
+			Bytes: ag.PayloadBytes(), Start: now, End: now})
 	}
 }
 
@@ -165,17 +144,6 @@ func (b *realBackend) inject(parent *Agent, name string, fn func(*Agent)) {
 }
 
 func (b *realBackend) touch(ag *Agent, key string, bytes int64) {}
-
-// reset clears every node's pending event signals so a reused System
-// starts its next program without stale synchronization state. Run left
-// no goroutines behind (it waits on the group), so no agent is parked.
-func (b *realBackend) reset(s *System) {
-	for _, nd := range s.nodes {
-		nd.mu.Lock()
-		clear(nd.events)
-		nd.mu.Unlock()
-	}
-}
 
 func (b *realBackend) elapsed() sim.Time { return time.Since(b.started).Seconds() }
 

@@ -11,13 +11,12 @@ import (
 	"repro/internal/wire"
 )
 
-// slowHopState drives the test behaviors below: an agent that hops (or
-// stays put) Hops times with a Pause per step, slow enough for Suspend
-// and Rebalance to catch it mid-flight.
+// slowHopState drives the test behaviors below: an agent that hops
+// Hops times around the ring with a Pause per step, slow enough for
+// Suspend to catch it mid-flight.
 type slowHopState struct {
 	Hops  int
 	Pause time.Duration
-	Stay  bool // re-dispatch on the same node instead of riding the ring
 }
 
 func init() {
@@ -31,11 +30,7 @@ func init() {
 		if st.Hops <= 0 {
 			return ctx.Done()
 		}
-		next := (ctx.NodeID() + 1) % ctx.Nodes()
-		if st.Stay {
-			next = ctx.NodeID()
-		}
-		return ctx.HopTo(next)
+		return ctx.HopTo((ctx.NodeID() + 1) % ctx.Nodes())
 	})
 }
 
@@ -65,25 +60,6 @@ func (w slowWork) Resume(rt *Runtime) (any, error) {
 		return nil, err
 	}
 	return "done", nil
-}
-
-// waitState polls until the job reports the wanted state.
-func waitState(t *testing.T, s *Scheduler, id uint64, want string) {
-	t.Helper()
-	deadline := time.Now().Add(testTimeout)
-	for {
-		st, err := s.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.State == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job %d state = %s, want %s", id, st.State, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 func TestSuspendResumeRoundTrip(t *testing.T) {
@@ -193,58 +169,6 @@ func TestCancelSuspendedJobReapsNamespace(t *testing.T) {
 	}
 }
 
-func TestRebalanceMovesAgentsOffHotNode(t *testing.T) {
-	cl, err := wire.NewCluster(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	s, err := New(Config{Cluster: cl, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// Three stay-put agents camp on node 0 under a raw wire namespace.
-	const ns = 77
-	for i := 0; i < 3; i++ {
-		st := &slowHopState{Hops: 6000, Pause: time.Millisecond, Stay: true}
-		if err := cl.InjectJob(0, ns, "sched.testSlowHop", st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Below the spread threshold nothing moves.
-	s.met.addLoad(0, 2)
-	if moved, err := s.Rebalance(); err != nil || moved != 0 {
-		t.Fatalf("Rebalance under threshold = %d, %v; want 0 moves", moved, err)
-	}
-	// Past it, half the spread migrates from the hot node to the cold.
-	s.met.addLoad(0, 3)
-	moved, err := s.Rebalance()
-	if err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	if moved < 1 || moved > 2 {
-		t.Fatalf("Rebalance moved %d agents, want 1..2 (half of spread 5, capped by residents)", moved)
-	}
-	if c := s.Metrics().Snapshot().Counter(MetricRebalanceMoved); c != int64(moved) {
-		t.Fatalf("%s = %d, want %d", MetricRebalanceMoved, c, moved)
-	}
-	deadline := time.Now().Add(testTimeout)
-	for cl.Metrics().Snapshot().Counter(wire.MetricAgentsMigrated) < int64(moved) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s = %d, want >= %d", wire.MetricAgentsMigrated,
-				cl.Metrics().Snapshot().Counter(wire.MetricAgentsMigrated), moved)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	cl.CancelJob(ns)
-	if err := cl.WaitJob(ns, testTimeout); err != nil {
-		t.Fatal(err)
-	}
-	cl.ReleaseJob(ns)
-}
-
 // leakyBackend fakes a cluster whose namespace drain stays stuck for a
 // configurable number of WaitJob calls — the shape of the bug where a
 // DrainTimeout hit leaked the namespace forever.
@@ -257,19 +181,18 @@ type leakyBackend struct {
 	cleared   []string
 }
 
-func (f *leakyBackend) Size() int                                        { return 1 }
-func (f *leakyBackend) SetVar(int, string, any) error                    { return nil }
-func (f *leakyBackend) GetVar(int, string) (any, error)                  { return nil, nil }
-func (f *leakyBackend) InjectJob(int, uint64, string, any) error         { return nil }
-func (f *leakyBackend) CancelJob(uint64)                                 {}
-func (f *leakyBackend) Metrics() *metrics.Registry                       { return f.reg }
-func (f *leakyBackend) Alive(int) bool                                   { return true }
-func (f *leakyBackend) LiveNodes() []int                                 { return []int{0} }
-func (f *leakyBackend) DrainNode(int, time.Duration) error               { return nil }
-func (f *leakyBackend) MigrateAgents(int, int, uint64, int) (int, error) { return 0, nil }
-func (f *leakyBackend) FreezeJob(uint64) error                           { return nil }
-func (f *leakyBackend) ThawJob(uint64) error                             { return nil }
-func (f *leakyBackend) Refresh() error                                   { return nil }
+func (f *leakyBackend) Size() int                                { return 1 }
+func (f *leakyBackend) SetVar(int, string, any) error            { return nil }
+func (f *leakyBackend) GetVar(int, string) (any, error)          { return nil, nil }
+func (f *leakyBackend) InjectJob(int, uint64, string, any) error { return nil }
+func (f *leakyBackend) CancelJob(uint64)                         {}
+func (f *leakyBackend) Metrics() *metrics.Registry               { return f.reg }
+func (f *leakyBackend) Alive(int) bool                           { return true }
+func (f *leakyBackend) LiveNodes() []int                         { return []int{0} }
+func (f *leakyBackend) DrainNode(int, time.Duration) error       { return nil }
+func (f *leakyBackend) FreezeJob(uint64) error                   { return nil }
+func (f *leakyBackend) ThawJob(uint64) error                     { return nil }
+func (f *leakyBackend) Refresh() error                           { return nil }
 
 func (f *leakyBackend) WaitJob(ns uint64, _ time.Duration) error {
 	f.mu.Lock()

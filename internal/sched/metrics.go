@@ -25,7 +25,7 @@ const (
 	// End-to-end latency, submission to terminal state, microseconds.
 	MetricE2ELatencyUS = "sched.job.e2e_latency_us"
 	// Per-node load: jobs whose base PE is node i, sched.node.load.<i>.
-	// The placement's load bound and Rebalance read these.
+	// The placement's load bound reads these.
 	MetricNodeLoadPrefix = "sched.node.load."
 	// Jobs preempted to checkpoint (Suspend) and brought back (Resume).
 	MetricSuspends = "sched.suspends"
@@ -35,8 +35,6 @@ const (
 	// — before the reaper existed these leaked forever.
 	MetricDrainReaped  = "sched.drain.reaped"
 	MetricDrainPending = "sched.drain.pending"
-	// Agents the rebalancer migrated off overloaded nodes.
-	MetricRebalanceMoved = "sched.rebalance.moved"
 )
 
 // MetricJobState returns the gauge name for one lifecycle state.
@@ -54,16 +52,15 @@ var e2eLatencyBounds = metrics.ExponentialBounds(1000, 2, 20)
 // by a mutex: an elastic cluster can grow mid-run (Refresh), and the
 // placement reads the table while Refresh appends to it.
 type schedMetrics struct {
-	queueDepth     *metrics.Gauge
-	admitRejected  *metrics.Counter
-	retries        *metrics.Counter
-	suspends       *metrics.Counter
-	resumes        *metrics.Counter
-	drainReaped    *metrics.Counter
-	drainPending   *metrics.Gauge
-	rebalanceMoved *metrics.Counter
-	e2eLatency     *metrics.Histogram
-	states         map[State]*metrics.Gauge
+	queueDepth    *metrics.Gauge
+	admitRejected *metrics.Counter
+	retries       *metrics.Counter
+	suspends      *metrics.Counter
+	resumes       *metrics.Counter
+	drainReaped   *metrics.Counter
+	drainPending  *metrics.Gauge
+	e2eLatency    *metrics.Histogram
+	states        map[State]*metrics.Gauge
 
 	reg      *metrics.Registry
 	mu       sync.Mutex
@@ -72,17 +69,16 @@ type schedMetrics struct {
 
 func newSchedMetrics(r *metrics.Registry, nodes int) *schedMetrics {
 	m := &schedMetrics{
-		queueDepth:     r.Gauge(MetricQueueDepth),
-		admitRejected:  r.Counter(MetricAdmitRejected),
-		retries:        r.Counter(MetricRetries),
-		suspends:       r.Counter(MetricSuspends),
-		resumes:        r.Counter(MetricResumes),
-		drainReaped:    r.Counter(MetricDrainReaped),
-		drainPending:   r.Gauge(MetricDrainPending),
-		rebalanceMoved: r.Counter(MetricRebalanceMoved),
-		e2eLatency:     r.Histogram(MetricE2ELatencyUS, e2eLatencyBounds),
-		states:         map[State]*metrics.Gauge{},
-		reg:            r,
+		queueDepth:    r.Gauge(MetricQueueDepth),
+		admitRejected: r.Counter(MetricAdmitRejected),
+		retries:       r.Counter(MetricRetries),
+		suspends:      r.Counter(MetricSuspends),
+		resumes:       r.Counter(MetricResumes),
+		drainReaped:   r.Counter(MetricDrainReaped),
+		drainPending:  r.Gauge(MetricDrainPending),
+		e2eLatency:    r.Histogram(MetricE2ELatencyUS, e2eLatencyBounds),
+		states:        map[State]*metrics.Gauge{},
+		reg:           r,
 	}
 	for _, s := range States {
 		m.states[s] = r.Gauge(MetricJobState(s))

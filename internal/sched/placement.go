@@ -10,20 +10,15 @@ import (
 // works rotate their agents from it, (base+i) mod n, so jobs with
 // different bases overlap on the cluster instead of all hammering
 // PE 0). It places by consistent hashing with bounded load
-// (Mirrokni et al.): each PE owns Replicas points on a hash ring, a
+// (Mirrokni et al.): each PE owns replicas points on a hash ring, a
 // job's key hashes to a ring position, and the job walks clockwise from
 // there taking the first PE whose live anchored-job count (the
-// sched.node.load gauges) is below ceil(LoadFactor × average+1). Keyed
+// sched.node.load gauges) is below ceil(loadFactor × average+1). Keyed
 // affinity gives resubmissions and related jobs a stable home; the load
 // bound keeps a hot key from melting its node; and adding a PE moves
 // only ~1/n of the keyspace, which is what makes the horizontal-scaling
 // curve (1→2→4→8 daemons) behave under a live workload.
 type ConsistentHash struct {
-	// Replicas is the virtual-node count per PE (default 64).
-	Replicas int
-	// LoadFactor is the bounded-load ceiling multiplier (default 1.25).
-	LoadFactor float64
-
 	met *schedMetrics
 
 	mu    sync.Mutex
@@ -45,19 +40,12 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-func (p *ConsistentHash) replicas() int {
-	if p.Replicas > 0 {
-		return p.Replicas
-	}
-	return 64
-}
-
-func (p *ConsistentHash) loadFactor() float64 {
-	if p.LoadFactor > 1 {
-		return p.LoadFactor
-	}
-	return 1.25
-}
+// replicas is the virtual-node count per PE, and loadFactor the
+// bounded-load ceiling multiplier.
+const (
+	replicas   = 64
+	loadFactor = 1.25
+)
 
 // ringFor returns the sorted ring for an n-node cluster, rebuilding the
 // cache when the cluster size changed.
@@ -65,10 +53,9 @@ func (p *ConsistentHash) ringFor(n int) []ringPoint {
 	if p.ringN == n {
 		return p.ring
 	}
-	r := p.replicas()
-	ring := make([]ringPoint, 0, n*r)
+	ring := make([]ringPoint, 0, n*replicas)
 	for node := 0; node < n; node++ {
-		for rep := 0; rep < r; rep++ {
+		for rep := 0; rep < replicas; rep++ {
 			ring = append(ring, ringPoint{hash: splitmix64(uint64(node)<<20 | uint64(rep)), node: node})
 		}
 	}
@@ -90,14 +77,14 @@ func (p *ConsistentHash) PlaceKey(key uint64, n int) int {
 	ring := p.ringFor(n)
 	// Keys hash in their own domain. Node 0's virtual point k is
 	// splitmix64(k), so a plain splitmix64(key) would land every key
-	// below Replicas exactly on a node-0 point: small job ids would all
+	// below replicas exactly on a node-0 point: small job ids would all
 	// place on node 0.
 	h := splitmix64(splitmix64(key))
 	idx := sort.Search(len(ring), func(i int) bool { return ring[i].hash >= h })
 	if idx == len(ring) {
 		idx = 0
 	}
-	// Bounded load: cap each PE at ceil(LoadFactor × (total+1)/n) live
+	// Bounded load: cap each PE at ceil(loadFactor × (total+1)/n) live
 	// jobs; walk clockwise past full PEs. The average counts the job
 	// being placed, so the cap is never zero and the walk always finds
 	// a PE with headroom.
@@ -109,7 +96,7 @@ func (p *ConsistentHash) PlaceKey(key uint64, n int) int {
 			total += loads[i]
 		}
 	}
-	cap64 := int64(p.loadFactor() * float64(total+1) / float64(n))
+	cap64 := int64(loadFactor * float64(total+1) / float64(n))
 	if cap64 < 1 {
 		cap64 = 1
 	}
@@ -117,7 +104,7 @@ func (p *ConsistentHash) PlaceKey(key uint64, n int) int {
 	// consecutive ring points often belong to few real nodes, so counting
 	// points would give up after n virtual nodes and dump the job on the
 	// overloaded ring[idx].node while other nodes still have headroom.
-	// Every node owns Replicas points, so one lap of the ring provably
+	// Every node owns replicas points, so one lap of the ring provably
 	// visits all n.
 	seen := make([]bool, n)
 	distinct := 0

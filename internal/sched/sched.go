@@ -60,10 +60,6 @@ type Backend interface {
 	// DrainNode evacuates a member's agents and counter history into
 	// the survivors, then removes it from the membership.
 	DrainNode(node int, timeout time.Duration) error
-	// MigrateAgents ships up to count of node's resident agents
-	// (job-scoped when job is nonzero) to dst as synthetic hops at their
-	// next dispatch boundary.
-	MigrateAgents(node, dst int, job uint64, count int) (int, error)
 	// FreezeJob parks a namespace's agents at their next dispatch
 	// boundary; WaitJob then fails fast with wire.ErrJobFrozen instead
 	// of timing out. ThawJob re-dispatches them from their checkpoints.
@@ -150,7 +146,8 @@ type Spec struct {
 	// job is marked failed — the retry budget spent on daemon kills and
 	// termination timeouts. Each retry runs in a fresh wire job
 	// namespace, so a half-finished prior attempt cannot collide with
-	// its successor.
+	// its successor. A job makes at most 255 attempts in its lifetime,
+	// retries and resumes together; past that it fails.
 	Retries int
 }
 
@@ -176,8 +173,8 @@ var (
 	ErrNotDone        = errors.New("sched: job not finished")
 	ErrResultConsumed = errors.New("sched: result already retrieved")
 	ErrNoResult       = errors.New("sched: job produced no result")
-	// ErrNotSuspendable: Suspend needs a running job and a cluster;
+	// ErrNotSuspendable: Suspend needs a running job;
 	// ErrNotSuspended: Resume needs a suspended job.
-	ErrNotSuspendable = errors.New("sched: job not running or no cluster to freeze it on")
+	ErrNotSuspendable = errors.New("sched: job not running")
 	ErrNotSuspended   = errors.New("sched: job not suspended")
 )

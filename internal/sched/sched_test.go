@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +15,25 @@ import (
 )
 
 const testTimeout = 30 * time.Second
+
+// newTestScheduler starts a scheduler on a one-member in-process wire
+// cluster, so even a test of pure scheduling runs the serving path. The
+// test's cleanup closes both.
+func newTestScheduler(t *testing.T, cfg Config) *Scheduler {
+	t.Helper()
+	cl, err := wire.NewCluster(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(cl.Close)
+	cfg.Cluster = cl
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
 
 // waitTerminal blocks until the job is terminal and returns its status.
 func waitTerminal(t *testing.T, s *Scheduler, id uint64) Status {
@@ -35,11 +56,7 @@ func waitTerminal(t *testing.T, s *Scheduler, id uint64) Status {
 }
 
 func TestJobLifecycleDone(t *testing.T) {
-	s, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newTestScheduler(t, Config{Workers: 1})
 	id, err := s.Submit(Spec{Work: WorkFunc{Name: "ok", Fn: func(rt *Runtime) (any, error) {
 		return 42, nil
 	}}})
@@ -60,11 +77,7 @@ func TestJobLifecycleDone(t *testing.T) {
 }
 
 func TestRetryBudget(t *testing.T) {
-	s, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newTestScheduler(t, Config{Workers: 1})
 	var calls int
 	flaky := WorkFunc{Name: "flaky", Fn: func(rt *Runtime) (any, error) {
 		calls++
@@ -98,11 +111,7 @@ func TestRetryBudget(t *testing.T) {
 // namespace so a half-finished attempt can never collide with its
 // successor's dedup or checkpoint state.
 func TestRetriesUseFreshNamespaces(t *testing.T) {
-	s, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newTestScheduler(t, Config{Workers: 1})
 	var seen []uint64
 	id, _ := s.Submit(Spec{Retries: 2, Work: WorkFunc{Name: "ns", Fn: func(rt *Runtime) (any, error) {
 		seen = append(seen, rt.Job)
@@ -127,12 +136,119 @@ func TestRetriesUseFreshNamespaces(t *testing.T) {
 	}
 }
 
-func TestPriorityOrdersQueue(t *testing.T) {
-	s, err := New(Config{Workers: 1, QueueDepth: 16})
+// TestLifetimeAttemptsStayInJobNamespace: every attempt a job ever
+// makes, across suspend/resume cycles, mints a namespace inside the
+// job's own, and a job past its lifetime attempt budget fails instead
+// of minting one that carries into the next job's id.
+func TestLifetimeAttemptsStayInJobNamespace(t *testing.T) {
+	s := newTestScheduler(t, Config{Workers: 1})
+	var (
+		mu   sync.Mutex
+		seen []uint64
+	)
+	id, err := s.Submit(Spec{Work: WorkFunc{Name: "freezes", Fn: func(rt *Runtime) (any, error) {
+		mu.Lock()
+		seen = append(seen, rt.Job)
+		mu.Unlock()
+		return nil, wire.ErrJobFrozen
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	// The work reports its namespace frozen, so each attempt parks the
+	// job suspended; Resume requeues it for the next attempt.
+	for resumes := 0; ; resumes++ {
+		st := waitState(t, s, id, "suspended", "failed")
+		if st.State == "failed" {
+			break
+		}
+		if resumes == 256 {
+			t.Fatalf("job still suspended after %d resumes: %+v", resumes, st)
+		}
+		if err := s.Resume(id); err != nil {
+			t.Fatalf("resume %d: %v", resumes+1, err)
+		}
+	}
+	st, _ := s.Status(id)
+	if !strings.Contains(st.Error, "attempt budget exhausted") {
+		t.Fatalf("job %+v, want failed with the attempt budget exhausted", st)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	uniq := map[uint64]bool{}
+	for _, ns := range seen {
+		if ns>>8 != id || ns&0xff == 0 {
+			t.Fatalf("attempt %d ran in namespace %#x, outside job %d's", len(uniq)+1, ns, id)
+		}
+		uniq[ns] = true
+	}
+	if len(seen) != maxAttempts || len(uniq) != maxAttempts {
+		t.Fatalf("%d attempts in %d namespaces, want %d distinct", len(seen), len(uniq), maxAttempts)
+	}
+}
+
+// waitState polls until the job is in one of states and returns its
+// status.
+func waitState(t *testing.T, s *Scheduler, id uint64, states ...string) Status {
+	t.Helper()
+	deadline := time.Now().Add(testTimeout)
+	for {
+		st, err := s.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range states {
+			if st.State == want {
+				return st
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %d in state %s after %v, want one of %v", id, st.State, testTimeout, states)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestNewRequiresCluster: a scheduler without a cluster is refused
+// before any of its goroutines starts.
+func TestNewRequiresCluster(t *testing.T) {
+	before := schedGoroutines()
+	s, err := New(Config{})
+	if err == nil {
+		s.Close()
+		t.Fatal("New without a cluster succeeded")
+	}
+	if s != nil {
+		t.Fatalf("New without a cluster returned a scheduler beside %v", err)
+	}
+	if after := schedGoroutines(); after > before {
+		t.Fatalf("%d scheduler goroutines after the refused New, %d before", after, before)
+	}
+}
+
+// schedGoroutines counts the goroutines running a scheduler's worker or
+// reaper.
+func schedGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	count := 0
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "sched.(*Scheduler).worker") || strings.Contains(g, "sched.(*Scheduler).reaper") {
+			count++
+		}
+	}
+	return count
+}
+
+func TestPriorityOrdersQueue(t *testing.T) {
+	s := newTestScheduler(t, Config{Workers: 1, QueueDepth: 16})
 	var mu sync.Mutex
 	var order []string
 	gate := make(chan struct{})
@@ -170,11 +286,7 @@ func TestPriorityOrdersQueue(t *testing.T) {
 }
 
 func TestQueueBackpressure(t *testing.T) {
-	s, err := New(Config{Workers: 1, QueueDepth: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newTestScheduler(t, Config{Workers: 1, QueueDepth: 2})
 	gate := make(chan struct{})
 	started := make(chan struct{}, 8)
 	block := WorkFunc{Name: "block", Fn: func(rt *Runtime) (any, error) {
@@ -214,11 +326,7 @@ func TestQueueBackpressure(t *testing.T) {
 }
 
 func TestCancelQueuedAndRunning(t *testing.T) {
-	s, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newTestScheduler(t, Config{Workers: 1})
 	started := make(chan struct{})
 	release := make(chan struct{})
 	runner, _ := s.Submit(Spec{Work: WorkFunc{Name: "runner", Fn: func(rt *Runtime) (any, error) {
@@ -255,11 +363,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 }
 
 func TestDeadlineEvictsQueuedJob(t *testing.T) {
-	s, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newTestScheduler(t, Config{Workers: 1})
 	gate := make(chan struct{})
 	blocker, _ := s.Submit(Spec{Work: WorkFunc{Name: "blocker", Fn: func(rt *Runtime) (any, error) {
 		<-gate
@@ -278,11 +382,7 @@ func TestDeadlineEvictsQueuedJob(t *testing.T) {
 }
 
 func TestAttemptBudgetFollowsDeadline(t *testing.T) {
-	s, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newTestScheduler(t, Config{Workers: 1})
 	var budget time.Duration
 	id, _ := s.Submit(Spec{Deadline: 500 * time.Millisecond, Work: WorkFunc{Name: "b", Fn: func(rt *Runtime) (any, error) {
 		budget = rt.Timeout
@@ -295,14 +395,10 @@ func TestAttemptBudgetFollowsDeadline(t *testing.T) {
 }
 
 func TestRetentionBoundsRecords(t *testing.T) {
-	s, err := New(Config{Workers: 2, Retain: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newTestScheduler(t, Config{Workers: 2})
 	noop := WorkFunc{Name: "noop", Fn: func(rt *Runtime) (any, error) { return nil, nil }}
 	var last uint64
-	for i := 0; i < 16; i++ {
+	for i := 0; i < retain+12; i++ {
 		id, err := s.Submit(Spec{Work: noop})
 		if err != nil {
 			t.Fatal(err)
@@ -321,84 +417,22 @@ func TestRetentionBoundsRecords(t *testing.T) {
 	for _, st := range s.Jobs() {
 		ids = append(ids, st.ID)
 	}
-	if want := []uint64{last - 3, last - 2, last - 1, last}; !reflect.DeepEqual(ids, want) {
+	var want []uint64
+	for id := last - retain + 1; id <= last; id++ {
+		want = append(want, id)
+	}
+	if !reflect.DeepEqual(ids, want) {
 		t.Fatalf("Jobs() ids %v, want the retained %v", ids, want)
 	}
 }
 
 func TestSubmitAfterCloseFails(t *testing.T) {
-	s, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newTestScheduler(t, Config{Workers: 1})
 	s.Close()
 	if _, err := s.Submit(Spec{Work: WorkFunc{Name: "x", Fn: func(rt *Runtime) (any, error) { return nil, nil }}}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close = %v, want ErrClosed", err)
 	}
 	s.Close() // idempotent
-}
-
-// TestNoClusterRefusesClusterOps covers a scheduler that only runs
-// simulated work: each cluster operation returns its error (Refresh has
-// nothing to adopt and returns nil) instead of calling the missing
-// cluster.
-func TestNoClusterRefusesClusterOps(t *testing.T) {
-	s, err := New(Config{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	unhold := func() { once.Do(func() { close(release) }) }
-	defer unhold() // before Close, so a failing call below cannot wedge it
-	held, err := s.Submit(Spec{Work: WorkFunc{Name: "hold", Fn: func(rt *Runtime) (any, error) {
-		close(started)
-		<-release
-		return nil, nil
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-started
-	if err := s.Suspend(held); !errors.Is(err, ErrNotSuspendable) {
-		t.Fatalf("Suspend of a running job without a cluster = %v, want ErrNotSuspendable", err)
-	}
-	unhold()
-	if st := waitTerminal(t, s, held); st.State != "done" {
-		t.Fatalf("held job %+v, want done", st)
-	}
-	// A work that reports a frozen namespace parks its job suspended
-	// even without a cluster; Resume must refuse it, not thaw nothing.
-	// The one worker runs jobs in order, so once the no-op after it is
-	// done, the frozen job has parked.
-	frozen, err := s.Submit(Spec{Work: WorkFunc{Name: "frozen", Fn: func(rt *Runtime) (any, error) {
-		return nil, wire.ErrJobFrozen
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.Submit(Spec{Work: WorkFunc{Name: "noop", Fn: func(rt *Runtime) (any, error) { return nil, nil }}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, s, after)
-	if st, _ := s.Status(frozen); st.State != "suspended" {
-		t.Fatalf("frozen job %+v, want suspended", st)
-	}
-	if err := s.Resume(frozen); !errors.Is(err, ErrNotSuspended) {
-		t.Fatalf("Resume without a cluster = %v, want ErrNotSuspended", err)
-	}
-	if err := s.DrainNode(0, time.Second); err == nil {
-		t.Fatal("DrainNode without a cluster succeeded")
-	}
-	if moved, err := s.Rebalance(); err == nil || moved != 0 {
-		t.Fatalf("Rebalance without a cluster = %d, %v; want 0 and an error", moved, err)
-	}
-	if err := s.Refresh(); err != nil {
-		t.Fatalf("Refresh without a cluster = %v, want nil", err)
-	}
 }
 
 // TestConsistentHashWalksPastOverloadedNodes pins the bounded-load walk
@@ -503,11 +537,7 @@ func TestPlacementSpreadsConcurrentJobs(t *testing.T) {
 }
 
 func TestStateMetricsBalance(t *testing.T) {
-	s, err := New(Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newTestScheduler(t, Config{Workers: 2})
 	noop := WorkFunc{Name: "noop", Fn: func(rt *Runtime) (any, error) { return nil, nil }}
 	boom := WorkFunc{Name: "boom", Fn: func(rt *Runtime) (any, error) { return nil, fmt.Errorf("x") }}
 	for i := 0; i < 5; i++ {
@@ -715,11 +745,7 @@ func TestWireMatmulCallShape(t *testing.T) {
 }
 
 func TestSimWorksServeLocally(t *testing.T) {
-	s, err := New(Config{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
+	s := newTestScheduler(t, Config{Workers: 2})
 	mm := SubmitRequest{Kind: "matmul", Stage: 2, N: 64, BS: 16, P: 2}
 	w1, err := mm.work()
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 type Config struct {
 	// Cluster is the shared cluster backend jobs run on — an in-process
 	// wire.Cluster or a wire.RemoteCluster over real daemon processes.
-	// Nil is allowed for schedulers serving only simulated (local) work.
+	// Required.
 	Cluster Backend
 	// Workers is the number of jobs run concurrently (default 4).
 	Workers int
@@ -25,10 +25,6 @@ type Config struct {
 	// Placement chooses each job's base PE; nil means a default
 	// ConsistentHash. It is bound to this scheduler's load gauges.
 	Placement *ConsistentHash
-	// Retain bounds how many terminal job records are kept for Status
-	// and Result queries; beyond it the oldest are forgotten (default
-	// 256). This is what keeps a long-serving scheduler's memory flat.
-	Retain int
 	// AttemptTimeout bounds one attempt of a job with no deadline of
 	// its own (default 30s).
 	AttemptTimeout time.Duration
@@ -42,9 +38,14 @@ type Config struct {
 	ReapInterval time.Duration
 }
 
-// rebalanceThreshold is the load spread (hottest live node minus
-// coldest, in anchored jobs) Rebalance tolerates before moving agents.
-const rebalanceThreshold = 2
+// retain bounds how many terminal job records are kept for Status and
+// Result queries; beyond it the oldest are forgotten. This is what
+// keeps a long-serving scheduler's memory flat.
+const retain = 256
+
+// maxAttempts is a job's lifetime attempt budget, retries and resumed
+// attempts together: namespace gives each attempt one byte, 1..255.
+const maxAttempts = 255
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -55,9 +56,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Placement == nil {
 		c.Placement = &ConsistentHash{}
-	}
-	if c.Retain <= 0 {
-		c.Retain = 256
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = 30 * time.Second
@@ -111,18 +109,18 @@ type Scheduler struct {
 	wg      sync.WaitGroup
 }
 
-// New starts a scheduler and its workers. The scheduler's metrics go
-// to the cluster's registry, so wire.* and sched.* share one /metrics
-// surface; without a cluster they go to a private registry.
+// New starts a scheduler, its workers and its reaper. The scheduler's
+// metrics go to the cluster's registry, so wire.* and sched.* share one
+// /metrics surface.
 func New(cfg Config) (*Scheduler, error) {
-	cfg = cfg.withDefaults()
-	nodes, reg := 1, metrics.NewRegistry()
-	if cfg.Cluster != nil {
-		nodes, reg = cfg.Cluster.Size(), cfg.Cluster.Metrics()
+	if cfg.Cluster == nil {
+		return nil, errors.New("sched: Config.Cluster is required")
 	}
+	cfg = cfg.withDefaults()
+	nodes := cfg.Cluster.Size()
 	s := &Scheduler{
 		cfg:   cfg,
-		met:   newSchedMetrics(reg, nodes),
+		met:   newSchedMetrics(cfg.Cluster.Metrics(), nodes),
 		nodes: nodes,
 		jobs:  map[uint64]*job{},
 		stop:  make(chan struct{}),
@@ -135,10 +133,8 @@ func New(cfg Config) (*Scheduler, error) {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if cfg.Cluster != nil {
-		s.wg.Add(1)
-		go s.reaper()
-	}
+	s.wg.Add(1)
+	go s.reaper()
 	return s, nil
 }
 
@@ -151,9 +147,6 @@ func (s *Scheduler) Submit(spec Spec) (uint64, error) {
 	}
 	if spec.Retries < 0 {
 		spec.Retries = 0
-	}
-	if spec.Retries > 255 {
-		spec.Retries = 255 // namespace encoding reserves a byte per attempt
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -185,7 +178,7 @@ func (s *Scheduler) Submit(spec Spec) (uint64, error) {
 }
 
 // Status reports a job's current snapshot. Records of terminal jobs
-// are retained up to Config.Retain; older ones return ErrUnknownJob.
+// are retained up to retain; older ones return ErrUnknownJob.
 func (s *Scheduler) Status(id uint64) (Status, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -198,7 +191,7 @@ func (s *Scheduler) Status(id uint64) (Status, error) {
 
 // Jobs lists every retained job's status, oldest submission first. Its
 // cost, and how long it holds the lock against Submit and the workers,
-// is bounded by Config.Retain plus the live jobs.
+// is bounded by retain plus the live jobs.
 func (s *Scheduler) Jobs() []Status {
 	s.mu.Lock()
 	out := make([]Status, 0, len(s.jobs))
@@ -287,7 +280,7 @@ func (s *Scheduler) Cancel(id uint64) error {
 		s.finishLocked(j, StateEvicted, "cancelled while suspended")
 	}
 	s.mu.Unlock()
-	if ns != 0 && s.cfg.Cluster != nil {
+	if ns != 0 {
 		s.cfg.Cluster.CancelJob(ns)
 		if orphaned {
 			s.enqueueReap(ns)
@@ -345,10 +338,8 @@ func (s *Scheduler) Close() {
 	s.met.queueDepth.Set(0)
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	if s.cfg.Cluster != nil {
-		for _, ns := range orphans {
-			s.cfg.Cluster.CancelJob(ns)
-		}
+	for _, ns := range orphans {
+		s.cfg.Cluster.CancelJob(ns)
 	}
 	close(s.stop)
 	s.wg.Wait()
@@ -363,7 +354,7 @@ func (s *Scheduler) finishLocked(j *job, st State, errMsg string) {
 	s.met.e2eLatency.Observe(time.Since(j.submitted).Microseconds())
 	close(j.done)
 	s.retired = append(s.retired, j.id)
-	for len(s.retired) > s.cfg.Retain {
+	for len(s.retired) > retain {
 		delete(s.jobs, s.retired[0])
 		s.retired = s.retired[1:]
 	}
@@ -416,10 +407,8 @@ func (s *Scheduler) worker() {
 // budget absorbs.
 func (s *Scheduler) place(j *job) int {
 	base := s.cfg.Placement.PlaceKey(j.id, s.nodes)
-	if cl := s.cfg.Cluster; cl != nil {
-		for probe := 0; probe < s.nodes && !cl.Alive(base); probe++ {
-			base = (base + 1) % s.nodes
-		}
+	for probe := 0; probe < s.nodes && !s.cfg.Cluster.Alive(base); probe++ {
+		base = (base + 1) % s.nodes
 	}
 	return base
 }
@@ -427,7 +416,8 @@ func (s *Scheduler) place(j *job) int {
 // namespace returns the wire job namespace of one attempt: the job id
 // shifted past an attempt byte, so every attempt of every job is
 // globally unique and a trace viewer can decode track "job N" as job
-// N>>8, attempt N&0xff.
+// N>>8, attempt N&0xff. attempt must be below maxAttempts: a larger one
+// would carry into the job id's bits.
 //
 // Minting a namespace obligates the caller to release it (ReleaseJob +
 // ClearVarsPrefix, via cleanup) on every exit path — navplint's
@@ -472,6 +462,11 @@ func (s *Scheduler) run(j *job) {
 		// resumed or re-resumed job has spent attempts this loop never
 		// saw, and a namespace collision would let a stale agent complete
 		// the wrong attempt.
+		if j.attempts >= maxAttempts {
+			s.finishLocked(j, StateFailed, fmt.Sprintf("attempt budget exhausted after %d attempts", j.attempts))
+			s.mu.Unlock()
+			return
+		}
 		ns := namespace(j.id, j.attempts)
 		s.mu.Unlock()
 		stop, err := s.attempt(j, ns, j.spec.Work.Run)
@@ -565,9 +560,6 @@ func (s *Scheduler) attempt(j *job, ns uint64, exec func(*Runtime) (any, error))
 // cancellation mark, node variables) forever.
 func (s *Scheduler) cleanup(ns uint64, failed bool) {
 	cl := s.cfg.Cluster
-	if cl == nil {
-		return
-	}
 	if failed {
 		cl.CancelJob(ns)
 		if cl.WaitJob(ns, s.cfg.DrainTimeout) != nil {
@@ -646,11 +638,7 @@ func (s *Scheduler) reaper() {
 // agent checkpoints and parks at its next hop boundary, the attempt's
 // WaitJob fails fast with the frozen sentinel, and the worker releases
 // the job in StateSuspended with the namespace intact on the cluster.
-// A scheduler without a cluster has nothing to freeze.
 func (s *Scheduler) Suspend(id uint64) error {
-	if s.cfg.Cluster == nil {
-		return ErrNotSuspendable
-	}
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
@@ -671,9 +659,6 @@ func (s *Scheduler) Suspend(id uint64) error {
 // through the queue to a worker, which continues the thawed attempt via
 // the work's Resumer extension when it has one.
 func (s *Scheduler) Resume(id uint64) error {
-	if s.cfg.Cluster == nil {
-		return ErrNotSuspended
-	}
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
@@ -708,66 +693,10 @@ func (s *Scheduler) Resume(id uint64) error {
 	return nil
 }
 
-// Rebalance moves agents from the hottest live node to the coldest when
-// the load spread exceeds rebalanceThreshold, and reports how many
-// migrated. Load is the sched.node.load gauge (jobs anchored per node);
-// the move is live migration of half the spread, so repeated calls
-// converge without thrashing.
-func (s *Scheduler) Rebalance() (int, error) {
-	if s.cfg.Cluster == nil {
-		return 0, errNoCluster
-	}
-	live := s.cfg.Cluster.LiveNodes()
-	if len(live) < 2 {
-		return 0, nil
-	}
-	loads := s.met.loads()
-	load := func(n int) int64 {
-		if n < len(loads) {
-			return loads[n]
-		}
-		return 0
-	}
-	hot, cold := live[0], live[0]
-	for _, n := range live[1:] {
-		if load(n) > load(hot) {
-			hot = n
-		}
-		if load(n) < load(cold) {
-			cold = n
-		}
-	}
-	spread := load(hot) - load(cold)
-	if spread <= rebalanceThreshold {
-		return 0, nil
-	}
-	moved, err := s.cfg.Cluster.MigrateAgents(hot, cold, 0, int(spread/2))
-	if moved > 0 {
-		s.met.rebalanceMoved.Add(int64(moved))
-	}
-	return moved, err
-}
-
-// errNoCluster refuses the cluster operations of a scheduler that only
-// runs simulated work.
-var errNoCluster = errors.New("sched: no cluster")
-
-// liveNodes is the placeable node set: the cluster's undrained members,
-// or the one local node of a scheduler without a cluster.
-func (s *Scheduler) liveNodes() []int {
-	if s.cfg.Cluster == nil {
-		return []int{0}
-	}
-	return s.cfg.Cluster.LiveNodes()
-}
-
 // DrainNode evacuates a cluster member through the backend: its resident
 // agents migrate to survivors, its counter history is absorbed, and the
 // node leaves the membership — future placements steer around it.
 func (s *Scheduler) DrainNode(node int, timeout time.Duration) error {
-	if s.cfg.Cluster == nil {
-		return errNoCluster
-	}
 	if timeout <= 0 {
 		timeout = s.cfg.DrainTimeout
 	}
@@ -779,9 +708,6 @@ func (s *Scheduler) DrainNode(node int, timeout time.Duration) error {
 // and the scheduler widens its placement range and load gauges to match.
 // Shrink is handled by drain, not here — gauges never contract.
 func (s *Scheduler) Refresh() error {
-	if s.cfg.Cluster == nil {
-		return nil
-	}
 	if err := s.cfg.Cluster.Refresh(); err != nil {
 		return err
 	}

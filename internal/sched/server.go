@@ -295,7 +295,7 @@ func (sv *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 }
 
 func (sv *Server) handleNodes(w http.ResponseWriter, r *http.Request) {
-	live := sv.sched.liveNodes()
+	live := sv.sched.cfg.Cluster.LiveNodes()
 	if live == nil {
 		live = []int{}
 	}
@@ -329,5 +329,5 @@ func (sv *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadGateway, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"nodes": sv.sched.liveNodes()})
+	writeJSON(w, http.StatusOK, map[string]any{"nodes": sv.sched.cfg.Cluster.LiveNodes()})
 }

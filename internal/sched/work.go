@@ -20,7 +20,7 @@ type Runtime struct {
 	// everything to Job: inject with InjectJob, wait with WaitJob, and
 	// prefix node-variable keys with Prefix(), so concurrent tenants
 	// (and this job's own earlier half-finished attempts) cannot
-	// collide. Nil for schedulers serving only local (simulated) work.
+	// collide.
 	Cluster Backend
 	// Job is this attempt's wire namespace — unique per attempt, not
 	// per job, which is what makes retry safe: a retried attempt never
@@ -233,9 +233,6 @@ func fanOut(n int, fn func(i int) error) error {
 // error, never a wrong answer), and the retry re-plans on the shrunk
 // cluster.
 func (w WireMatmul) Run(rt *Runtime) (any, error) {
-	if rt.Cluster == nil {
-		return nil, fmt.Errorf("sched: wirematmul needs a cluster")
-	}
 	n := w.N
 	if n <= 0 {
 		return nil, fmt.Errorf("sched: wirematmul order %d must be positive", n)
@@ -282,9 +279,6 @@ func (w WireMatmul) Run(rt *Runtime) (any, error) {
 // entirely. If the live set changed while the job was suspended, the
 // collection fails and the scheduler falls back to a fresh attempt.
 func (w WireMatmul) Resume(rt *Runtime) (any, error) {
-	if rt.Cluster == nil {
-		return nil, fmt.Errorf("sched: wirematmul needs a cluster")
-	}
 	if w.N <= 0 {
 		return nil, fmt.Errorf("sched: wirematmul order %d must be positive", w.N)
 	}
