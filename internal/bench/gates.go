@@ -76,8 +76,11 @@ const (
 	// gateQuickSpeedup is the loosened floor for -quick smoke runs.
 	gateQuickSpeedup = 1.2
 	// gateASMFloorGF is the absolute GFLOP/s floor at n=1024 when the
-	// assembly micro-kernel is the dispatched variant.
+	// AVX2 assembly micro-kernel is the dispatched variant.
 	gateASMFloorGF = 22.2
+	// gateAVX512FloorGF is the same floor for the AVX-512 micro-kernel
+	// (34–41 GFLOP/s measured on a 2-CPU 2.1 GHz Xeon).
+	gateAVX512FloorGF = 30.0
 	// gateSmallBlockShare is the BS=16 BlockMulAdd floor as a fraction
 	// of the file's largest-n KernelMul GFLOP/s (all runs).
 	gateSmallBlockShare = 0.35
@@ -216,12 +219,19 @@ func (f *RegressFile) checkKernelGates() []error {
 		fail("kernel vs naive at n=%d is %.2fx, below the %.1fx floor", n, ratio, floor)
 	}
 
-	if !f.Quick && strings.HasPrefix(f.Kernel, "avx2") {
+	asmFloor := 0.0
+	switch {
+	case strings.HasPrefix(f.Kernel, "avx512"):
+		asmFloor = gateAVX512FloorGF
+	case strings.HasPrefix(f.Kernel, "avx2"):
+		asmFloor = gateASMFloorGF
+	}
+	if !f.Quick && asmFloor > 0 {
 		r := f.Find("BenchmarkKernelMul/n=1024")
 		if r == nil {
 			fail("asm kernel dispatched but no n=1024 measurement recorded")
-		} else if r.GFlops < gateASMFloorGF {
-			fail("asm kernel at n=1024 is %.2f GFLOP/s, below the %.1f floor", r.GFlops, gateASMFloorGF)
+		} else if r.GFlops < asmFloor {
+			fail("%s kernel at n=1024 is %.2f GFLOP/s, below the %.1f floor", f.Kernel, r.GFlops, asmFloor)
 		}
 	}
 

@@ -62,6 +62,22 @@ func TestGatesCatchRegressions(t *testing.T) {
 		t.Fatalf("10 GFLOP/s asm run passed the floor gate: %v", errs)
 	}
 
+	// The AVX-512 kernel has its own, higher floor: 25 GFLOP/s passes
+	// the AVX2 floor but fails this one, 35 passes.
+	f = gateFile(1, "avx512-8x16", []RegressResult{
+		{Name: "BenchmarkNaiveMul/n=1024", GFlops: 2.0},
+		{Name: "BenchmarkKernelMul/n=1024", GFlops: 25.0},
+		{Name: "BenchmarkKernelMulThreads/t=1", GFlops: 25.0},
+		{Name: "BenchmarkBlockMulAdd/bs=16", GFlops: 20.0},
+	})
+	if errs := f.CheckGates(); !hasViolation(errs, "avx512-8x16 kernel at n=1024 is 25.00 GFLOP/s, below the 30.0 floor") {
+		t.Fatalf("25 GFLOP/s avx512 run passed the floor gate: %v", errs)
+	}
+	f.Results[1].GFlops, f.Results[2].GFlops = 35.0, 35.0
+	if errs := f.CheckGates(); len(errs) != 0 {
+		t.Fatalf("35 GFLOP/s avx512 run failed the gates: %v", errs)
+	}
+
 	// A threaded point within NumCPU slower than t=1 must FAIL the run,
 	// not merely be recorded.
 	f = gateFile(8, "avx2-6x8", []RegressResult{

@@ -20,6 +20,7 @@ type cpuInfo struct {
 	model    string
 	features []string
 	avx2fma  bool
+	avx512   bool
 }
 
 // detectCPU interrogates CPUID once at package init. Feature names
@@ -35,6 +36,7 @@ func detectCPU() cpuInfo {
 		bitOSXSAVE = 1 << 27 // leaf 1 ECX
 		bitAVX     = 1 << 28 // leaf 1 ECX
 		bitAVX2    = 1 << 5  // leaf 7 EBX
+		bitAVX512F = 1 << 16 // leaf 7 EBX
 	)
 	have := func(name string, ok bool) bool {
 		if ok {
@@ -45,20 +47,26 @@ func detectCPU() cpuInfo {
 	have("sse2", edx1&bitSSE2 != 0)
 	fma := have("fma", ecx1&bitFMA != 0)
 	avx := have("avx", ecx1&bitAVX != 0)
-	avx2 := false
+	avx2, avx512f := false, false
 	if maxLeaf >= 7 {
 		_, ebx7, _, _ := cpuidex(7, 0)
 		avx2 = have("avx2", ebx7&bitAVX2 != 0)
+		avx512f = ebx7&bitAVX512F != 0
 	}
 	// The OS must have enabled XMM+YMM state saving (XCR0 bits 1 and 2)
-	// for AVX register state to survive context switches.
-	ymmOS := false
+	// for AVX register state to survive context switches, and opmask +
+	// full ZMM state saving (bits 5, 6 and 7) for AVX-512 state.
+	ymmOS, zmmOS := false, false
 	if ecx1&bitOSXSAVE != 0 {
 		xa, _ := xgetbv0()
 		ymmOS = xa&0x6 == 0x6
+		zmmOS = xa&0xE6 == 0xE6
 		have("osxsave", true)
 	}
 	info.avx2fma = avx && avx2 && fma && ymmOS
+	// avx512f is listed only when usable: the ISA bit alone says nothing
+	// about whether the OS saves ZMM state.
+	info.avx512 = have("avx512f", info.avx2fma && avx512f && zmmOS)
 	info.model = cpuBrand()
 	return info
 }
@@ -108,3 +116,8 @@ func CPUFeatures() []string { return append([]string(nil), hostCPU.features...) 
 // cpuHasAVX2FMA reports whether the AVX2+FMA assembly micro-kernel can
 // run on this host (ISA present and YMM state OS-enabled).
 func cpuHasAVX2FMA() bool { return hostCPU.avx2fma }
+
+// cpuHasAVX512 reports whether the AVX-512F assembly micro-kernel can
+// run on this host (ISA present and opmask + ZMM state OS-enabled). It
+// implies cpuHasAVX2FMA.
+func cpuHasAVX512() bool { return hostCPU.avx512 }

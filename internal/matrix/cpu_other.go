@@ -19,3 +19,7 @@ func CPUFeatures() []string { return nil }
 // cpuHasAVX2FMA reports whether the AVX2+FMA assembly micro-kernel can
 // run on this host.
 func cpuHasAVX2FMA() bool { return false }
+
+// cpuHasAVX512 reports whether the AVX-512F assembly micro-kernel can
+// run on this host.
+func cpuHasAVX512() bool { return false }

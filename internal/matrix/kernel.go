@@ -8,11 +8,11 @@ import (
 // This file is the repository's GEMM fast path: a cache-aware, packed,
 // register-blocked multiply kernel in the BLIS/GotoBLAS style. The
 // driver and packing layer are pure Go; the innermost register block is
-// pluggable (a microKernel variant), so the same driver runs either the
-// portable 4×4 pure-Go micro-kernel or the AVX2+FMA 6×8 assembly
-// micro-kernel selected at runtime by CPU-feature detection
-// (kernel_amd64.go). See DESIGN.md §10 for the packing layout and §15
-// for the assembly ABI and dispatch rules.
+// pluggable (a microKernel variant), so the same driver runs the
+// portable 4×4 pure-Go micro-kernel, the AVX2+FMA 6×8 assembly
+// micro-kernel or the AVX-512F 8×16 one, selected at runtime by
+// CPU-feature detection (kernel_amd64.go). See DESIGN.md §10 for the
+// packing layout and §15 for the assembly ABI and dispatch rules.
 //
 // The driver walks three cache-blocking loops (jc over C columns, pc
 // over the inner dimension, ic over C rows). Each (pc, jc) iteration
@@ -39,33 +39,28 @@ import (
 // for the full mr×nr tile, accumulating from zero and adding to c once.
 // Packed panels are (rsa, csa, rsb) = (1, mr, nr); a row-major operand
 // is (lda, 1, ldb). Callers pass a zeroed scratch tile for edges.
+//
+// mc, kc and nc are the variant's untuned cache-blocking parameters:
+// kc×nr and mr×kc micro-panels are sized so a B panel slice and an A
+// panel slice sit in L1 together, and mc×kc A panels target L2. The
+// autotuner (tune.go) overrides them per host.
 type microKernel struct {
-	name   string
-	mr, nr int
+	name       string
+	mr, nr     int
+	mc, kc, nc int
 }
 
 // maxMR/maxNR bound the register-block shapes of every compiled variant;
 // edge-tile scratch buffers are sized by them.
 const (
 	maxMR = 8
-	maxNR = 8
+	maxNR = 16
 )
 
 // goKernel is the portable fallback variant — and the equivalence oracle
-// the assembly variant is tested against. Always compiled, selected when
+// the assembly variants are tested against. Always compiled, selected when
 // the host lacks AVX2+FMA or NAVP_NOSIMD is set.
-var goKernel = &microKernel{name: "go-4x4", mr: 4, nr: 4}
-
-// defaults returns the untuned cache-blocking parameters for a variant.
-// kc×nr and mr×kc micro-panels are sized so a B panel slice and an A
-// panel slice sit in L1 together; mc×kc A panels target L2. The
-// autotuner (tune.go) overrides these per host.
-func (v *microKernel) defaults() (mc, kc, nc int) {
-	if v.mr == 6 { // the AVX2 6×8 block wants taller A panels
-		return 180, 256, 4096
-	}
-	return 256, 256, 2048
-}
+var goKernel = &microKernel{name: "go-4x4", mr: 4, nr: 4, mc: 256, kc: 256, nc: 2048}
 
 // directMaxK and directMaxFlops bound the products gemm runs in place
 // on the unpacked operands (gemmInPlace, which also needs one full
@@ -132,8 +127,10 @@ func roundUp(v, q int) int { return (v + q - 1) / q * q }
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // ActiveKernel reports the micro-kernel variant the dispatcher selected
-// for this host ("avx2-6x8", or "go-4x4" when SIMD is unavailable or
-// NAVP_NOSIMD is set). Recorded in the BENCH_kernels.json header.
+// for this host: "avx512-8x16" when the CPU and OS support AVX-512F,
+// else "avx2-6x8" when they support AVX2+FMA, and "go-4x4" when
+// neither holds or NAVP_NOSIMD is set. Recorded in the
+// BENCH_kernels.json header.
 func ActiveKernel() string { return activeVariant().name }
 
 // ActiveBlocking reports the cache-blocking parameters a zero-value
@@ -204,12 +201,13 @@ func (k Kernel) gemm(m, n, kk int, a []float64, lda int, b []float64, ldb int, c
 // computed into a stack scratch tile, and only the rows and columns no
 // earlier tile covered are folded into C; each C element depends on its
 // own row of A and column of B alone, so the overlap changes nothing.
+// Only edge tiles touch the scratch tile, so a product made of full
+// tiles (paper-fine's 16×16 on the 8×16 kernel) never zeroes it.
 // Every element is the FMA chain from zero the packed path runs, added
 // once, so the two paths agree bitwise. Products narrower than one tile
 // take the packed path, whose panels are zero padded.
 func gemmInPlace(v *microKernel, m, n, kk int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	mr, nr := v.mr, v.nr
-	var scratch [maxMR * maxNR]float64
 	for ir := 0; ir < m; ir += mr {
 		i0 := min(ir, m-mr)
 		for jr := 0; jr < n; jr += nr {
@@ -219,7 +217,7 @@ func gemmInPlace(v *microKernel, m, n, kk int, a []float64, lda int, b []float64
 				v.kern(kk, at, lda, 1, bt, ldb, c[ir*ldc+jr:], ldc)
 				continue
 			}
-			scratch = [maxMR * maxNR]float64{}
+			var scratch [maxMR * maxNR]float64
 			v.kern(kk, at, lda, 1, bt, ldb, scratch[:], nr)
 			for i := ir; i < i0+mr; i++ {
 				crow := c[i*ldc+jr : i*ldc+j0+nr]

@@ -3,15 +3,69 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"os"
+	"slices"
 	"testing"
 )
 
 // Cross-variant equivalence suite: every micro-kernel this host can
 // execute (the pure-Go oracle and, on capable amd64 hosts, the
-// AVX2+FMA assembly variant) must agree with the naive triple loop on
+// AVX2+FMA and AVX-512F assembly variants) must agree with the naive triple loop on
 // adversarial shapes — tile edges, degenerate dimensions, strided
 // views, aliased operands, and non-finite values. The suite runs under
 // -race in CI, so the threaded driver is exercised for data races too.
+
+// logVariants names the variants a suite exercises, so a log from a
+// host without AVX-512 or AVX2 shows which kernels were skipped.
+func logVariants(t *testing.T, vs []*microKernel) {
+	t.Helper()
+	names := make([]string, len(vs))
+	for i, v := range vs {
+		names[i] = v.name
+	}
+	t.Logf("kernel variants on this host: %v", names)
+}
+
+// TestCPUDetectionIsConsistent pins the feature-detect contract: the
+// AVX-512F kernel runs only where the AVX2+FMA one does, "avx512f" is
+// listed in CPUFeatures exactly when it is usable, and kernelVariants
+// lists exactly the variants the detected features allow.
+func TestCPUDetectionIsConsistent(t *testing.T) {
+	if cpuHasAVX512() && !cpuHasAVX2FMA() {
+		t.Fatal("AVX-512F detected without AVX2+FMA")
+	}
+	if got := slices.Contains(CPUFeatures(), "avx512f"); got != cpuHasAVX512() {
+		t.Fatalf("avx512f listed = %v, detected = %v", got, cpuHasAVX512())
+	}
+	want := 1
+	if cpuHasAVX2FMA() {
+		want++
+	}
+	if cpuHasAVX512() {
+		want++
+	}
+	if vs := kernelVariants(); len(vs) != want || vs[0] != goKernel {
+		t.Fatalf("kernelVariants = %d variants starting %s, want %d starting %s",
+			len(vs), vs[0].name, want, goKernel.name)
+	}
+}
+
+// TestDispatchPicksWidestVariant pins the dispatch order avx512 → avx2
+// → go: without NAVP_NOSIMD the active kernel is the last, widest entry
+// of kernelVariants.
+func TestDispatchPicksWidestVariant(t *testing.T) {
+	if os.Getenv("NAVP_NOSIMD") != "" {
+		if ActiveKernel() != goKernel.name {
+			t.Fatalf("NAVP_NOSIMD set but ActiveKernel() = %s", ActiveKernel())
+		}
+		return
+	}
+	vs := kernelVariants()
+	logVariants(t, vs)
+	if got, want := ActiveKernel(), vs[len(vs)-1].name; got != want {
+		t.Fatalf("ActiveKernel() = %s, want the widest variant %s", got, want)
+	}
+}
 
 // equivKernels returns one Kernel per executable variant, each with
 // small blocking so multi-panel paths engage at test sizes.
@@ -55,7 +109,7 @@ func TestVariantsMatchNaiveAdversarialShapes(t *testing.T) {
 	}
 }
 
-// TestVariantsAgreeExactly pins that the assembly variant and the Go
+// TestVariantsAgreeExactly pins that the assembly variants and the Go
 // oracle produce *bitwise identical* results, not merely close ones:
 // both accumulate c[i][j] as an ordered sum over p of a[i][p]·b[p][j]
 // in float64, FMA contraction aside — and FMA only tightens each step.
@@ -66,10 +120,18 @@ func TestVariantsMatchNaiveAdversarialShapes(t *testing.T) {
 // so any divergence is a real layout or ordering bug.
 func TestVariantsAgreeExactly(t *testing.T) {
 	vs := kernelVariants()
+	logVariants(t, vs)
 	if len(vs) < 2 {
 		t.Skip("host has only the portable variant")
 	}
-	for _, s := range []struct{ m, n, k int }{{6, 8, 16}, {13, 19, 31}, {40, 40, 40}} {
+	shapes := []struct{ m, n, k int }{
+		{6, 8, 16},   // exactly one avx2 tile
+		{8, 16, 16},  // exactly one avx512 tile
+		{13, 19, 31}, // tiles + edges for every variant
+		{17, 33, 31}, // two avx512 tiles each way + one edge row and column
+		{40, 40, 40},
+	}
+	for _, s := range shapes {
 		a, b := NewDense(s.m, s.k), NewDense(s.k, s.n)
 		for i := range a.Data {
 			a.Data[i] = float64(i%5 - 2)
@@ -79,13 +141,15 @@ func TestVariantsAgreeExactly(t *testing.T) {
 		}
 		ref := (Kernel{variant: vs[0], mc: 12, kc: 8, nc: 16}).Mul(a, b)
 		for _, v := range vs[1:] {
-			got := (Kernel{variant: v, mc: 12, kc: 8, nc: 16}).Mul(a, b)
-			for i := range ref.Data {
-				if got.Data[i] != ref.Data[i] {
-					t.Fatalf("%s diverges from %s at %dx%dx%d flat index %d: %v != %v",
-						v.name, vs[0].name, s.m, s.n, s.k, i, got.Data[i], ref.Data[i])
+			t.Run(fmt.Sprintf("%s/%dx%dx%d", v.name, s.m, s.n, s.k), func(t *testing.T) {
+				got := (Kernel{variant: v, mc: 12, kc: 8, nc: 16}).Mul(a, b)
+				for i := range ref.Data {
+					if got.Data[i] != ref.Data[i] {
+						t.Fatalf("diverges from %s at flat index %d: %v != %v",
+							vs[0].name, i, got.Data[i], ref.Data[i])
+					}
 				}
-			}
+			})
 		}
 	}
 }
@@ -247,6 +311,8 @@ func TestDirectMatchesPackedBitwise(t *testing.T) {
 		{5, 7, 9, 0},    // sliver rows for avx2, edges for go
 		{6, 8, 1, 0},    // exactly one avx2 tile, k=1
 		{7, 9, 16, 0},   // one tile + shifted edge row and column
+		{8, 16, 1, 0},   // exactly one avx512 tile, k=1
+		{9, 17, 16, 0},  // one avx512 tile + shifted edge row and column
 		{13, 17, 13, 0}, // several tiles + edges
 		{24, 24, 24, 0},
 		{32, 32, 32, 0}, // the directMaxFlops boundary
@@ -255,7 +321,9 @@ func TestDirectMatchesPackedBitwise(t *testing.T) {
 		{11, 13, 9, 5},  // strided views: lda > k, ldb > n, ldc > n
 		{16, 16, 16, 3},
 	}
-	for _, v := range kernelVariants() {
+	vs := kernelVariants()
+	logVariants(t, vs)
+	for _, v := range vs {
 		for _, s := range shapes {
 			t.Run(fmt.Sprintf("%s/%dx%dx%d+%d", v.name, s.m, s.n, s.k, s.pad), func(t *testing.T) {
 				if s.k > directMaxK || s.m*s.n*s.k > directMaxFlops {

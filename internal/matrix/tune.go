@@ -171,7 +171,7 @@ func tunedFor(v *microKernel) (mc, kc, nc int) {
 	if b, ok := tunedTable()[v.name]; ok {
 		return b[0], b[1], b[2]
 	}
-	return v.defaults()
+	return v.mc, v.kc, v.nc
 }
 
 // tunedSource reports where a variant's parameters come from: "tuned"
@@ -253,7 +253,6 @@ func TuneSearch(opt TuneOptions) *TuneFile {
 		Features: CPUFeatures(), N: n,
 	}
 	for _, v := range kernelVariants() {
-		_, _, defNC := v.defaults()
 		try := func(mc, kc, nc int) TuneTrial {
 			mc, nc = roundUp(mc, v.mr), roundUp(nc, v.nr)
 			t := TuneTrial{Variant: v.name, MC: mc, KC: kc, NC: nc,
@@ -267,7 +266,7 @@ func TuneSearch(opt TuneOptions) *TuneFile {
 		best := TuneTrial{Variant: v.name}
 		for _, mc := range mcCands {
 			for _, kc := range kcCands {
-				if t := try(mc, kc, defNC); t.GFlops > best.GFlops {
+				if t := try(mc, kc, v.nc); t.GFlops > best.GFlops {
 					best = t
 				}
 			}

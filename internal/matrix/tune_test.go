@@ -33,7 +33,7 @@ func TestTuneCacheRoundTrip(t *testing.T) {
 	useTempTuneCache(t)
 
 	v := activeVariant()
-	dmc, dkc, dnc := v.defaults()
+	dmc, dkc, dnc := v.mc, v.kc, v.nc
 	if mc, kc, nc := tunedFor(v); mc != dmc || kc != dkc || nc != dnc {
 		t.Fatalf("untuned host: got %d/%d/%d want defaults %d/%d/%d", mc, kc, nc, dmc, dkc, dnc)
 	}
@@ -101,7 +101,7 @@ func TestTuneCacheRoundTrip(t *testing.T) {
 func TestTuneCacheCorruptionRecovers(t *testing.T) {
 	useTempTuneCache(t)
 	v := activeVariant()
-	dmc, dkc, dnc := v.defaults()
+	dmc, dkc, dnc := v.mc, v.kc, v.nc
 
 	path, err := TuneCachePath()
 	if err != nil {
@@ -152,7 +152,7 @@ func TestTuneCacheCorruptionRecovers(t *testing.T) {
 func TestTunedSnapshotConcurrentReaders(t *testing.T) {
 	useTempTuneCache(t)
 	v := activeVariant()
-	dmc, dkc, dnc := v.defaults()
+	dmc, dkc, dnc := v.mc, v.kc, v.nc
 	def := [3]int{dmc, dkc, dnc}
 	want := [3]int{roundUp(120, v.mr), 192, roundUp(1536, v.nr)}
 	f := &TuneFile{
