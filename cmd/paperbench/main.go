@@ -9,7 +9,7 @@
 //	paperbench -stagger            # §5(3) staggering phase counts
 //	paperbench -ablations          # pointer-swap / overlap / block-size
 //	paperbench -quick              # truncated tables (smoke test)
-//	paperbench -regress            # measure the fast data paths, write BENCH_*.json
+//	paperbench -regress            # measure the fast data paths and the NavP runtime, write BENCH_*.json
 //	paperbench -tune               # autotune GEMM blocking for this host, cache the winner
 package main
 
@@ -35,7 +35,7 @@ func main() {
 	stagger := flag.Bool("stagger", false, "run the §5(3) staggering phase-count analysis")
 	ablations := flag.Bool("ablations", false, "run the ablation experiments")
 	report := flag.Bool("report", false, "emit the full markdown reproduction report (tables, staggering, ablations)")
-	regress := flag.Bool("regress", false, "benchmark the fast data paths and write BENCH_kernels.json + BENCH_wire.json")
+	regress := flag.Bool("regress", false, "benchmark the fast data paths and the goroutine NavP runtime, write BENCH_kernels.json + BENCH_wire.json + BENCH_navp.json")
 	regressOut := flag.String("regress-out", ".", "directory the -regress JSON files are written to")
 	tune := flag.Bool("tune", false, "search GEMM blocking parameters for this host and cache the winner")
 	modern := flag.Bool("modern", false, "re-run the paper's tables on a modern machine model fed by this host's measured kernel rate, plus a real-backend anchor run")
@@ -207,8 +207,9 @@ func timedReal(stage matmul.Stage, n, bs, p int) (float64, error) {
 	return time.Since(start).Seconds(), nil
 }
 
-// runRegress measures the fast data paths (with -quick: shrunken sizes
-// for CI smoke runs) and writes the machine-readable regression files.
+// runRegress measures the fast data paths and the goroutine NavP runtime
+// (with -quick: shrunken sizes for CI smoke runs) and writes the
+// machine-readable regression files.
 func runRegress(dir string, quick bool) error {
 	kernels := bench.RegressKernels(quick)
 	if err := writeRegressFile(filepath.Join(dir, "BENCH_kernels.json"), kernels); err != nil {
@@ -226,9 +227,17 @@ func runRegress(dir string, quick bool) error {
 	if err := writeRegressFile(filepath.Join(dir, "BENCH_wire.json"), wireFile); err != nil {
 		return err
 	}
-	// Gates run after both files are written so a red run still leaves
+	navpFile, err := bench.RegressNavp(quick)
+	if err != nil {
+		return err
+	}
+	if err := writeRegressFile(filepath.Join(dir, "BENCH_navp.json"), navpFile); err != nil {
+		return err
+	}
+	// Gates run after every file is written so a red run still leaves
 	// the measurements on disk for diagnosis.
-	if violations := append(kernels.CheckGates(), wireFile.CheckGates()...); len(violations) > 0 {
+	violations := append(kernels.CheckGates(), wireFile.CheckGates()...)
+	if violations = append(violations, navpFile.CheckGates()...); len(violations) > 0 {
 		for _, v := range violations {
 			fmt.Fprintln(os.Stderr, v)
 		}

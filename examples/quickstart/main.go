@@ -32,8 +32,9 @@ func main() {
 	)
 
 	// A simulated cluster of three workstations (the paper's testbed
-	// model). navp.NewReal(cfg, pes) would run the same program with real
-	// goroutines instead of virtual time.
+	// model). navp.NewReal(cfg, pes) would run the same program on real
+	// cores instead of virtual time: one run loop per PE, each agent a
+	// coroutine on its PE's loop.
 	sys := navp.NewSim(navp.DefaultConfig(), machine.SunBlade100(), pes)
 
 	// Distribute the vectors: slice j lives on PE j as node variables

@@ -63,6 +63,18 @@ package bench
 // the append's microseconds are noisy, a re-encoded image's are not.
 // Allocation gates are not loosened — an allocation count does not
 // depend on the host — and quick runs measure no 256×256 block.
+//
+// The navp suite gates the goroutine NavP runtime (DESIGN.md §4), whose
+// control overhead decides whether the paper's best variant can beat
+// the program it parallelises on real cores —
+//
+//   - paper-fine's Phase2D solve takes at most 4.0× its Sequential twin
+//     on the same host, in every run with GOMAXPROCS ≥ 2 (a goroutine
+//     per agent, a CPU mutex per compute and a sync.Cond park per wait
+//     read 4.4–4.6×; one coroutine loop per PE reads 3.3–3.8×);
+//   - an event round trip on one PE makes at most 2 allocations, and a
+//     hop between PEs none (the waiter FIFO is intrusive, the run queue
+//     a ring and the inbox a swapped pair of buffers).
 
 import (
 	"fmt"
@@ -124,6 +136,14 @@ const (
 	gateBlockMBPerSec = 1400
 	// gateQuickSyncSlack loosens the wire gates for -quick runs.
 	gateQuickSyncSlack = 4.0
+
+	// gateFineRatio caps BenchmarkPhase2DFine over
+	// BenchmarkSequentialFine (runs with GOMAXPROCS ≥ 2).
+	gateFineRatio = 4.0
+	// gateEventRoundTripAllocs and gateHopAllocs cap the goroutine
+	// runtime's allocations per event round trip and per hop (all runs).
+	gateEventRoundTripAllocs = 2
+	gateHopAllocs            = 0
 )
 
 // CheckGates evaluates every regression gate of the file's suite and
@@ -134,8 +154,42 @@ func (f *RegressFile) CheckGates() []error {
 		return f.checkKernelGates()
 	case "wire":
 		return f.checkWireGates()
+	case "navp":
+		return f.checkNavpGates()
 	}
 	return nil
+}
+
+// checkNavpGates holds paper-fine's Phase2D to a multiple of its
+// Sequential twin, and the runtime's hop and event hand-off to their
+// allocation counts.
+func (f *RegressFile) checkNavpGates() []error {
+	var errs []error
+	fail := func(format string, args ...any) {
+		errs = append(errs, fmt.Errorf("gate: "+format, args...))
+	}
+	phase2d, seq := f.Find("BenchmarkPhase2DFine"), f.Find("BenchmarkSequentialFine")
+	switch {
+	case phase2d == nil || seq == nil || seq.NsPerOp <= 0:
+		fail("no BenchmarkPhase2DFine/SequentialFine pair recorded")
+	case f.GOMAXPROCS < 2:
+		// One CPU runs all four PEs' loops in turn: no parallelism to
+		// offset the runtime's cost, so the ratio measures nothing.
+	case phase2d.NsPerOp/seq.NsPerOp > gateFineRatio:
+		fail("Phase2DFine is %.2fx SequentialFine, above the %.1fx ceiling — the runtime's control overhead outweighs four PEs", phase2d.NsPerOp/seq.NsPerOp, gateFineRatio)
+	}
+	for _, c := range []struct {
+		name string
+		max  int64
+	}{{"BenchmarkEventRoundTripReal", gateEventRoundTripAllocs}, {"BenchmarkHopReal", gateHopAllocs}} {
+		switch r := f.Find(c.name); {
+		case r == nil:
+			fail("no %s recorded", c.name)
+		case r.AllocsPerOp > c.max:
+			fail("%s makes %d allocations per op, above %d", c.name, r.AllocsPerOp, c.max)
+		}
+	}
+	return errs
 }
 
 // checkWireGates holds the durability layer to a sync cost that is

@@ -337,3 +337,46 @@ func TestGatesFrameCodec(t *testing.T) {
 		}
 	}
 }
+
+// navpGateFile builds a synthetic navp RegressFile whose rows pass.
+func navpGateFile() *RegressFile {
+	return &RegressFile{Schema: 2, Suite: "navp", GOMAXPROCS: 2, Results: []RegressResult{
+		{Name: "BenchmarkHopReal", NsPerOp: 1050},
+		{Name: "BenchmarkEventRoundTripReal", NsPerOp: 830, AllocsPerOp: 2},
+		{Name: "BenchmarkPhase2DFine", NsPerOp: 100e6, AllocsPerOp: 314e3},
+		{Name: "BenchmarkSequentialFine", NsPerOp: 29e6, AllocsPerOp: 44e3},
+	}}
+}
+
+// TestNavpGates pins the runtime gates: one loop per PE passes; the
+// goroutine-per-agent backend's Phase2D ratio fails, as does an extra
+// allocation per event round trip or per hop. A one-CPU host skips the
+// ratio, never the allocation gates.
+func TestNavpGates(t *testing.T) {
+	if errs := navpGateFile().CheckGates(); len(errs) != 0 {
+		t.Fatalf("run-loop numbers violated gates: %v", errs)
+	}
+	f := navpGateFile()
+	f.Results[2].NsPerOp = 130e6 // 4.48x, as a goroutine per agent read
+	if errs := f.CheckGates(); !hasViolation(errs, "Phase2DFine is 4.48x SequentialFine, above the 4.0x ceiling") {
+		t.Fatalf("a 4.48x Phase2D ratio passed the gate: %v", errs)
+	}
+	f.GOMAXPROCS = 1
+	if errs := f.CheckGates(); len(errs) != 0 {
+		t.Fatalf("the ratio gate applied on one CPU: %v", errs)
+	}
+	f = navpGateFile()
+	f.Results[1].AllocsPerOp = 6
+	if errs := f.CheckGates(); !hasViolation(errs, "BenchmarkEventRoundTripReal makes 6 allocations per op, above 2") {
+		t.Fatalf("6 allocations per event round trip passed: %v", errs)
+	}
+	f = navpGateFile()
+	f.Results[0].AllocsPerOp = 1
+	if errs := f.CheckGates(); !hasViolation(errs, "BenchmarkHopReal makes 1 allocations per op, above 0") {
+		t.Fatalf("an allocation per hop passed: %v", errs)
+	}
+	missing := &RegressFile{Schema: 2, Suite: "navp", GOMAXPROCS: 2}
+	if errs := missing.CheckGates(); !hasViolation(errs, "no BenchmarkPhase2DFine/SequentialFine pair") || !hasViolation(errs, "no BenchmarkHopReal") {
+		t.Fatalf("a navp file without its rows passed: %v", errs)
+	}
+}

@@ -1,9 +1,10 @@
 package bench
 
 // The BENCH_*.json regression harness: real measured microbenchmarks of
-// the two fast data paths (the packed GEMM kernel, the wire frame
-// codec), rendered as machine-readable JSON so CI and later sessions
-// can diff performance against the recorded numbers at the repo root.
+// the fast data paths (the packed GEMM kernel, the wire frame codec, the
+// goroutine NavP runtime), rendered as machine-readable JSON so CI and
+// later runs can diff performance against the recorded numbers at the
+// repo root.
 //
 // All wall-clock timing happens inside testing.Benchmark — this file
 // itself stays simsafe (no direct clock reads), and the measurements
@@ -15,9 +16,12 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 
+	"repro/internal/matmul"
 	"repro/internal/matrix"
+	"repro/internal/navp"
 	"repro/internal/wire"
 )
 
@@ -34,7 +38,8 @@ type RegressResult struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 }
 
-// RegressFile is the schema of BENCH_kernels.json and BENCH_wire.json.
+// RegressFile is the schema of BENCH_kernels.json, BENCH_wire.json and
+// BENCH_navp.json.
 // Schema 2 adds the host identity block (CPU model, ISA features,
 // NumCPU) and the kernel dispatch state (active variant, blocking
 // parameters and whether they came from the autotune cache), so a
@@ -329,6 +334,54 @@ func RegressWire(quick bool) (*RegressFile, error) {
 		})
 		closeCluster()
 		f.Results = append(f.Results, res)
+	}
+	return f, nil
+}
+
+// RegressNavp measures the goroutine NavP runtime (navp.NewReal): a
+// cross-PE hop and a same-PE event round trip, then whole solves on it:
+// in full runs paper-coarse's Phase1D, which is sensitive to the run
+// loop's queue order, and always paper-fine's Phase2D beside its
+// Sequential twin (the ratio the navp gate reads). The rows carry the
+// names of the go-test benchmarks in internal/navp and internal/matmul.
+func RegressNavp(quick bool) (*RegressFile, error) {
+	f := newRegressFile("navp", quick)
+	for _, c := range []struct {
+		name string
+		run  func(n int) error
+	}{{"BenchmarkHopReal", navp.BenchHops}, {"BenchmarkEventRoundTripReal", navp.BenchEventRoundTrips}} {
+		f.Results = append(f.Results, benchmarked(c.name, func(b *testing.B) {
+			if err := c.run(b.N); err != nil {
+				b.Fatal(err)
+			}
+		}))
+	}
+	fine := matmul.Config{N: 512, BS: 16, P: 2, Real: true, Seed: 1}
+	var err error
+	solve := func(stage matmul.Stage, cfg matmul.Config) func(b *testing.B) {
+		return func(b *testing.B) {
+			for i := 0; i < b.N && err == nil; i++ {
+				_, err = matmul.Run(stage, cfg)
+			}
+		}
+	}
+	// The gated pair alternates over three rounds and each row keeps its
+	// median round, so drift on a shared host moves both rows alike.
+	var phase2d, seq []RegressResult
+	for round := 0; round < 3 && err == nil; round++ {
+		phase2d = append(phase2d, benchmarked("BenchmarkPhase2DFine", solve(matmul.Phase2D, fine)))
+		seq = append(seq, benchmarked("BenchmarkSequentialFine", solve(matmul.Sequential, fine)))
+	}
+	if !quick && err == nil {
+		coarse := matmul.Config{N: 1536, BS: 256, P: 2, Real: true, Seed: 1}
+		f.Results = append(f.Results, benchmarked("BenchmarkPhase1DCoarse", solve(matmul.Phase1D, coarse)))
+	}
+	if err != nil {
+		return nil, fmt.Errorf("bench: navp solve: %w", err)
+	}
+	for _, rounds := range [][]RegressResult{phase2d, seq} {
+		sort.Slice(rounds, func(i, j int) bool { return rounds[i].NsPerOp < rounds[j].NsPerOp })
+		f.Results = append(f.Results, rounds[len(rounds)/2])
 	}
 	return f, nil
 }

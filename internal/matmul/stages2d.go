@@ -190,11 +190,12 @@ func (pr *problem) bCarrier(bc *navp.Agent, mk, mj int, blk *matrix.Block, rowAt
 		bc.Hop(pr.pe2D(row, mj))
 		// The EC wait models the paper's single B buffer per cell: the
 		// predecessor's deposit must be consumed before the next one
-		// lands. Its liveness relies on FIFO carrier arrival, which the
-		// simulation backend guarantees (as does a real MESSENGERS
-		// network) but the goroutine backend does not; there, the per-k
-		// deposit keys already make deposits conflict-free, so the wait
-		// is skipped rather than risked as a deadlock.
+		// lands. Its liveness relies on FIFO carrier arrival, which both
+		// backends give on each link (as does a real MESSENGERS
+		// network), but it has been checked only under the simulation's
+		// schedule. On the goroutine backend the per-k deposit keys
+		// already make deposits conflict-free, so the wait is skipped
+		// there until a schedule explorer gives its verdict.
 		if sim {
 			bc.WaitEvent(ecKey(row, mj))
 		}

@@ -23,17 +23,11 @@ func BenchmarkHopSim(b *testing.B) {
 	}
 }
 
-// BenchmarkHopReal measures hop bookkeeping on the goroutine backend.
+// BenchmarkHopReal measures a cross-PE hop on the goroutine backend: a
+// yield to the PE's loop, an inbox hand-off and a wake of the other
+// PE's loop.
 func BenchmarkHopReal(b *testing.B) {
-	s := NewReal(DefaultConfig(), 2)
-	n := b.N
-	s.Inject(0, "hopper", func(ag *Agent) {
-		for i := 0; i < n; i++ {
-			ag.Hop((ag.Node().ID() + 1) % 2)
-		}
-	})
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
+	if err := BenchHops(b.N); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -62,24 +56,10 @@ func BenchmarkEventRoundTrip(b *testing.B) {
 }
 
 // BenchmarkEventRoundTripReal measures the same signal+wait pairs on the
-// goroutine backend, where each hand-off may park the waiter.
+// goroutine backend, where each hand-off parks the waiter on its event
+// and queues it on the signaler's loop.
 func BenchmarkEventRoundTripReal(b *testing.B) {
-	s := NewReal(Config{}, 1)
-	n := b.N
-	s.Inject(0, "ping", func(ag *Agent) {
-		for i := 0; i < n; i++ {
-			ag.SignalEvent("ping")
-			ag.WaitEvent("pong")
-		}
-	})
-	s.Inject(0, "pong", func(ag *Agent) {
-		for i := 0; i < n; i++ {
-			ag.WaitEvent("ping")
-			ag.SignalEvent("pong")
-		}
-	})
-	b.ResetTimer()
-	if err := s.Run(); err != nil {
+	if err := BenchEventRoundTrips(b.N); err != nil {
 		b.Fatal(err)
 	}
 }

@@ -17,10 +17,12 @@
 //     kernel and the internal/machine cluster model. Hops, computation,
 //     and events are charged calibrated costs, so the paper's performance
 //     tables can be regenerated exactly and reproducibly.
-//   - NewReal: a real-concurrency backend where each agent is a goroutine
-//     and each PE serializes computation with a mutex (one CPU per PE).
-//     It executes the same programs with genuine parallelism and is used
-//     to validate that the programs are race- and deadlock-free.
+//   - NewReal: a real-concurrency backend with one non-preemptive run
+//     loop per PE, the MESSENGERS daemon: each agent is a coroutine that
+//     its PE's loop runs until its next hop to another PE or its next
+//     wait with no pending signal, and the PEs run in parallel. It
+//     executes the same programs on real cores and is used to validate
+//     that the programs are race- and deadlock-free.
 package navp
 
 import (
@@ -125,8 +127,8 @@ type TraceEvent struct {
 
 // Tracer receives trace events. Implementations must be cheap; on the sim
 // backend they are called from the single running process, on the real
-// backend from many goroutines (the provided internal/trace recorder
-// locks internally).
+// backend from every PE's run loop at once (the provided internal/trace
+// recorder locks internally).
 type Tracer interface {
 	Record(TraceEvent)
 }
@@ -166,9 +168,11 @@ type backend interface {
 // Node is one PE of the NavP network: a holder of node variables and
 // named events.
 type Node struct {
-	id     int
-	mu     sync.Mutex // guards vars, and events on the real backend; uncontended on sim
-	vars   map[string]any
+	id   int
+	mu   sync.Mutex // guards vars; uncontended on sim
+	vars map[string]any
+	// events is unlocked: on sim one process runs at a time, and on the
+	// real backend only the node's run loop touches it.
 	events map[string]eventState
 }
 
@@ -237,10 +241,10 @@ func (s *System) Node(i int) *Node { return s.nodes[i] }
 func (s *System) SetTracer(t Tracer) { s.tracer = t }
 
 // Simulated reports whether the system runs on the deterministic
-// virtual-time backend (as opposed to real goroutines). Programs whose
-// synchronization relies on the FIFO message ordering of a real network —
-// which the simulation preserves and the goroutine backend does not — can
-// consult this to substitute an order-independent protocol.
+// virtual-time backend (as opposed to the real run loops). Both backends
+// deliver the agents on each link in the order they left, as a real
+// network does; a program can consult this to keep a protocol whose
+// liveness has been checked only under the simulation's schedule.
 func (s *System) Simulated() bool {
 	_, ok := s.backend.(*simBackend)
 	return ok
@@ -270,9 +274,10 @@ func (s *System) Inject(node int, name string, fn func(*Agent)) error {
 }
 
 // Run executes all staged computations (and everything they inject) to
-// completion. On the sim backend it returns a *sim.DeadlockError if the
-// program deadlocks; on the real backend a deadlock blocks forever (run
-// under a test timeout). A second Run returns ErrSystemDone.
+// completion. It returns a *sim.DeadlockError if the program deadlocks
+// — on the real backend, when every PE's loop is idle and the live
+// agents are all parked on events; their coroutines are unwound before
+// Run returns. A second Run returns ErrSystemDone.
 func (s *System) Run() error {
 	if s.ran {
 		return fmt.Errorf("navp: Run: %w", ErrSystemDone)
@@ -301,6 +306,13 @@ type Agent struct {
 	bytes int64 // cached sum of agent-variable sizes
 
 	proc *sim.Proc // sim backend only
+
+	// Real backend only: the agent's coroutine, and its link in the
+	// waiter FIFO of the event it is parked on.
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	link   *Agent
 }
 
 type agentVar struct {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -186,16 +185,17 @@ func TestEventsSynchronizeAcrossAgents(t *testing.T) {
 
 func TestEventsAreNodeLocal(t *testing.T) {
 	// A signal on node 0 must not satisfy a wait on node 1.
-	s := newSimSys(2)
-	s.Inject(0, "signaler", func(ag *Agent) { ag.SignalEvent("e") })
-	s.Inject(0, "waiter", func(ag *Agent) {
-		ag.Hop(1)
-		ag.WaitEvent("e")
+	eachBackend(t, 2, func(t *testing.T, s *System) {
+		s.Inject(0, "signaler", func(ag *Agent) { ag.SignalEvent("e") })
+		s.Inject(0, "waiter", func(ag *Agent) {
+			ag.Hop(1)
+			ag.WaitEvent("e")
+		})
+		err := s.Run()
+		if _, ok := err.(*sim.DeadlockError); !ok {
+			t.Fatalf("err = %v, want deadlock (events must be node-local)", err)
+		}
 	})
-	err := s.Run()
-	if _, ok := err.(*sim.DeadlockError); !ok {
-		t.Fatalf("err = %v, want deadlock (events must be node-local)", err)
-	}
 }
 
 func TestEventCountingAccumulates(t *testing.T) {
@@ -259,25 +259,19 @@ func TestInjectAfterRunReturnsErrSystemDone(t *testing.T) {
 }
 
 // pendingEvents returns how many events nd's map holds.
-func pendingEvents(nd *Node) int {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return len(nd.events)
-}
+func pendingEvents(nd *Node) int { return len(nd.events) }
 
-// awaitParked yields until n agents are parked on nd's event name
-// (real backend), so the caller's next signal comes after their waits.
-func awaitParked(nd *Node, name string, n int) {
-	for {
-		nd.mu.Lock()
-		ev, _ := nd.events[name].(*realEvent)
-		parked := ev != nil && ev.waiting == n
-		nd.mu.Unlock()
-		if parked {
-			return
+// parkedOn returns how many agents are parked on nd's event name (real
+// backend). While the system runs, only an agent on nd may call it: the
+// events belong to nd's loop.
+func parkedOn(nd *Node, name string) int {
+	n := 0
+	if ev, ok := nd.events[name].(*realEvent); ok {
+		for w := ev.head; w != nil; w = w.link {
+			n++
 		}
-		runtime.Gosched()
 	}
+	return n
 }
 
 func TestRealEventsLeaveNoResidue(t *testing.T) {
@@ -288,19 +282,30 @@ func TestRealEventsLeaveNoResidue(t *testing.T) {
 			waiter := func(ag *Agent) {
 				for i := 0; i < names; i++ {
 					ag.WaitEvent(fmt.Sprintf("e%d", i))
+					if order == "wait-first" {
+						ag.SignalEvent("ack")
+					}
 				}
 			}
 			for node := 0; node < 2; node++ {
 				if order == "wait-first" {
+					// Injected first, the waiter parks on e0 before the
+					// signaler's first step. Each ack hand-off then runs
+					// it until it parks on the next event.
 					s.Inject(node, "waiter", waiter)
 				}
 				s.Inject(node, "signaler", func(ag *Agent) {
 					for i := 0; i < names; i++ {
 						e := fmt.Sprintf("e%d", i)
-						if order == "wait-first" {
-							awaitParked(ag.Node(), e, 1)
+						if order == "signal-first" {
+							ag.SignalEvent(e)
+							continue
+						}
+						if n := parkedOn(ag.Node(), e); n != 1 {
+							t.Errorf("%d waiters parked on %s before its signal, want 1", n, e)
 						}
 						ag.SignalEvent(e)
+						ag.WaitEvent("ack")
 					}
 					if order == "signal-first" {
 						// Every signal is pending before the waiter starts.
@@ -323,29 +328,40 @@ func TestRealEventsLeaveNoResidue(t *testing.T) {
 func TestRealEventCountsUnderParkedWaiters(t *testing.T) {
 	const waiters = 8
 	s := NewReal(zeroCfg(), 1)
-	var finished atomic.Int32
+	finished := 0 // touched only by node 0's loop
 	for i := 0; i < waiters; i++ {
 		s.Inject(0, fmt.Sprintf("w%d", i), func(ag *Agent) {
 			ag.WaitEvent("go")
-			finished.Add(1)
+			finished++
+			ag.SignalEvent("ack")
 		})
 	}
+	// Injected last, the signaler runs after every waiter has parked.
 	s.Inject(0, "signaler", func(ag *Agent) {
-		awaitParked(ag.Node(), "go", waiters)
+		if n := parkedOn(ag.Node(), "go"); n != waiters {
+			t.Errorf("%d waiters parked before the first signal, want %d", n, waiters)
+		}
 		// The first half one at a time, each consumed while the others
 		// stay parked; the second half in one burst.
 		for i := 1; i <= waiters; i++ {
 			ag.SignalEvent("go")
-			for i <= waiters/2 && finished.Load() < int32(i) {
-				runtime.Gosched()
+			if i > waiters/2 {
+				continue
 			}
+			ag.WaitEvent("ack")
+			if n := parkedOn(ag.Node(), "go"); finished != i || n != waiters-i {
+				t.Errorf("after signal %d: %d finished and %d parked, want %d and %d", i, finished, n, i, waiters-i)
+			}
+		}
+		for i := waiters / 2; i < waiters; i++ {
+			ag.WaitEvent("ack")
 		}
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n := finished.Load(); n != waiters {
-		t.Fatalf("%d of %d waiters finished", n, waiters)
+	if finished != waiters {
+		t.Fatalf("%d of %d waiters finished", finished, waiters)
 	}
 	if n := pendingEvents(s.Node(0)); n != 0 {
 		t.Fatalf("node 0 holds %d events, want 0", n)
@@ -365,11 +381,9 @@ func TestRealTraceIntervals(t *testing.T) {
 	s.Inject(0, "worker", func(ag *Agent) {
 		ag.Compute(0, func() { time.Sleep(nap) })
 	})
+	// Injected before the signaler, the waiter parks before the signal.
 	s.Inject(0, "waiter", func(ag *Agent) { ag.WaitEvent("e") })
-	s.Inject(0, "signaler", func(ag *Agent) {
-		awaitParked(ag.Node(), "e", 1)
-		ag.SignalEvent("e")
-	})
+	s.Inject(0, "signaler", func(ag *Agent) { ag.SignalEvent("e") })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -389,6 +403,126 @@ func TestRealTraceIntervals(t *testing.T) {
 	}
 	if kinds[TraceCompute] != 1 || kinds[TraceWait] != 1 {
 		t.Fatalf("recorded %d computes and %d waits, want 1 and 1", kinds[TraceCompute], kinds[TraceWait])
+	}
+}
+
+// TestRealStepsDoNotInterleave: two agents on one PE share a plain int.
+// A read-modify-write with no scheduling point inside loses no update,
+// and is clean under -race, because a PE's loop runs one agent at a time.
+func TestRealStepsDoNotInterleave(t *testing.T) {
+	const rounds = 200
+	s := NewReal(zeroCfg(), 2)
+	shared := 0 // touched only on PE 0
+	for _, name := range []string{"a", "b"} {
+		s.Inject(0, name, func(ag *Agent) {
+			for i := 0; i < rounds; i++ {
+				v := shared
+				runtime.Gosched()
+				shared = v + 1
+				ag.Hop(1) // a scheduling point between steps
+				ag.Hop(0)
+			}
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if shared != 2*rounds {
+		t.Fatalf("shared = %d, want %d: steps on one PE interleaved", shared, 2*rounds)
+	}
+}
+
+// TestRealLinkDeliversInOrder: agents that leave PE 0 for PE 1 arrive in
+// the order they left, as on a FIFO network link.
+func TestRealLinkDeliversInOrder(t *testing.T) {
+	const agents = 32
+	s := NewReal(zeroCfg(), 3)
+	var left, arrived []string // touched only on PE 0 and PE 1
+	for i := 0; i < agents; i++ {
+		name := fmt.Sprintf("a%d", i)
+		s.Inject(0, name, func(ag *Agent) {
+			// Odd agents make a round trip through PE 2 first, so they
+			// do not leave PE 0 in injection order.
+			if i%2 == 1 {
+				ag.Hop(2)
+				ag.Hop(0)
+			}
+			left = append(left, name)
+			ag.Hop(1)
+			arrived = append(arrived, name)
+		})
+	}
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(arrived) != fmt.Sprint(left) {
+		t.Fatalf("left PE 0 as %v, arrived on PE 1 as %v", left, arrived)
+	}
+}
+
+// TestRealInjectedChildrenRunFirst: the children an agent injects in a
+// step run, in injection order, before agents that were already queued
+// on its PE — whether the step ends by returning or by parking.
+func TestRealInjectedChildrenRunFirst(t *testing.T) {
+	s := NewReal(zeroCfg(), 1)
+	var order []string // touched only on PE 0
+	push := func(v string) func(*Agent) {
+		return func(*Agent) { order = append(order, v) }
+	}
+	s.Inject(0, "parent", func(ag *Agent) {
+		ag.Inject("child1", push("child1"))
+		ag.Inject("child2", push("child2"))
+		order = append(order, "parent")
+		ag.WaitEvent("resume")
+		ag.Inject("child3", push("child3"))
+		order = append(order, "parent resumed")
+	})
+	s.Inject(0, "queued1", push("queued1"))
+	s.Inject(0, "queued2", func(ag *Agent) {
+		order = append(order, "queued2")
+		ag.SignalEvent("resume")
+	})
+	s.Inject(0, "queued3", push("queued3"))
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "[parent child1 child2 queued1 queued2 queued3 parent resumed child3]"
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("order %s, want %s", got, want)
+	}
+}
+
+// TestRealDeadlockIsReported: when every live agent is parked, Run
+// returns the same error type as the sim backend and unwinds the parked
+// agents, leaving no goroutine behind.
+func TestRealDeadlockIsReported(t *testing.T) {
+	base := runtime.NumGoroutine()
+	s := NewReal(zeroCfg(), 2)
+	unwound := 0 // touched only on PE 1
+	s.Inject(0, "signaler", func(ag *Agent) { ag.SignalEvent("e") })
+	for _, name := range []string{"w2", "w1"} {
+		s.Inject(0, name, func(ag *Agent) {
+			defer func() { unwound++ }()
+			ag.Hop(1)
+			ag.WaitEvent("e")
+			t.Errorf("%s passed a wait no signal can satisfy", name)
+		})
+	}
+	err := s.Run()
+	dl, ok := err.(*sim.DeadlockError)
+	if !ok {
+		t.Fatalf("err = %v, want *sim.DeadlockError", err)
+	}
+	if got, want := fmt.Sprint(dl.Blocked), "[w1 (waiting on e@1) w2 (waiting on e@1)]"; got != want {
+		t.Fatalf("blocked %s, want %s", got, want)
+	}
+	if unwound != 2 {
+		t.Fatalf("%d of 2 parked agents unwound", unwound)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Run, %d before", runtime.NumGoroutine(), base)
+		}
 	}
 }
 

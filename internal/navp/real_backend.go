@@ -5,39 +5,85 @@
 package navp
 
 import (
+	"errors"
+	"fmt"
+	"iter"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
 )
 
-// realBackend executes each agent as a real goroutine. PEs serialize
-// computation with a per-node mutex (one CPU per PE, like the testbed);
-// hops are bookkeeping; events are counting semaphores kept in their
-// node's events map under the node's mu, as a MESSENGERS daemon keeps
-// its node's events. The backend makes no timing promises — it exists
-// to run the same NavP programs with genuine concurrency, validating
-// that they are free of races and deadlocks and providing real
-// testing.B numbers.
+// realBackend runs each PE as one non-preemptive loop, the MESSENGERS
+// daemon of the paper's §2, and each agent as an iter.Pull coroutine
+// that the loop resumes. An agent runs until its next scheduling point:
+// a hop to another PE or a WaitEvent with no pending signal. Everything
+// else — compute, signal, inject, a hop between virtual cells on one
+// PE — runs inline, because the loop is the PE's CPU.
+//
+// A loop's run queue, and its node's events, are touched only by that
+// loop; the inbox is the one structure other loops write. The queue
+// order is:
+//
+//   - agents arriving from other PEs and waiters handed a signal join
+//     the tail, so each link delivers in the order agents left (one
+//     loop forwards in order);
+//   - children an agent injected during its step go ahead of the queue,
+//     in injection order, when the step ends (Go's runnext rule for a
+//     new goroutine), so a freshly distributed agent does not wait
+//     behind agents already queued on its PE.
+//
+// The backend makes no timing promises. It runs the same NavP programs
+// with genuine parallelism across PEs, validates that they are free of
+// races and deadlocks, and provides real testing.B numbers.
 type realBackend struct {
-	cpus    []sync.Mutex // one per node
-	wg      sync.WaitGroup
+	pes     []*peLoop
+	live    atomic.Int64  // agents created and not yet returned
+	done    chan struct{} // closed when live reaches 0, or on a deadlock
 	started time.Time
+
+	idleMu  sync.Mutex
+	idle    int  // loops waiting for work, under idleMu
+	stalled bool // every loop idle with live agents parked, under idleMu
 }
 
-// realEvent is one named event of a node: count pending signals and the
-// number of agents parked on wake, whose L is the node's mu.
+// peLoop is one PE's scheduler.
+type peLoop struct {
+	b    *realBackend
+	id   int
+	runq agentQueue
+	born []*Agent // children injected during the running step
+
+	mu      sync.Mutex
+	inbox   []*Agent // arrivals from other loops, under mu
+	spare   []*Agent // the drained inbox, swapped back in by drain
+	arrived atomic.Bool
+	wake    chan struct{} // one slot: work was delivered
+}
+
+// realEvent is one named event of a node: pending signals, or a FIFO
+// of parked waiters linked through Agent.link. A signal is handed
+// straight to a waiter, so count and waiters are never both non-zero.
 type realEvent struct {
-	count, waiting int
-	wake           sync.Cond
+	count      int
+	head, tail *Agent
 }
 
-// NewReal builds a NavP system of n nodes executed by real goroutines.
+// errUnwound is panicked out of a parked agent's yield when Run unwinds
+// it after a deadlock, so its coroutine returns.
+var errUnwound = errors.New("navp: agent unwound after a deadlock")
+
+// NewReal builds a NavP system of n nodes, each run by one goroutine
+// that schedules its resident agents as coroutines. Run returns a
+// *sim.DeadlockError when every live agent is parked on an event.
 func NewReal(cfg Config, n int) *System {
-	b := &realBackend{cpus: make([]sync.Mutex, n)}
+	b := &realBackend{done: make(chan struct{})}
 	s := &System{cfg: cfg, backend: b, met: newNavpMetrics(nil)}
 	for i := 0; i < n; i++ {
 		s.nodes = append(s.nodes, newNode(i))
+		b.pes = append(b.pes, &peLoop{b: b, id: i, wake: make(chan struct{}, 1)})
 	}
 	return s
 }
@@ -45,17 +91,174 @@ func NewReal(cfg Config, n int) *System {
 func (b *realBackend) run(s *System) error {
 	b.started = time.Now()
 	for _, pi := range s.pending {
-		pi := pi
-		ag := &Agent{name: pi.name, sys: s, node: s.nodes[pi.node], vars: map[string]agentVar{}}
-		b.wg.Add(1)
-		go func() {
-			defer b.wg.Done()
-			pi.fn(ag)
-		}()
+		b.pes[pi.node].runq.pushBack(b.spawn(s, pi.name, s.nodes[pi.node], pi.fn))
 	}
 	s.pending = nil
-	b.wg.Wait()
+	if b.live.Load() == 0 {
+		return nil
+	}
+	var loops sync.WaitGroup
+	for _, l := range b.pes {
+		loops.Add(1)
+		go func() {
+			defer loops.Done()
+			l.run()
+		}()
+	}
+	// Waiting for the loops, not just for done, orders every agent's
+	// writes before the caller's reads.
+	loops.Wait()
+	if b.stalled {
+		return b.unwind(s)
+	}
 	return nil
+}
+
+// spawn creates an agent on nd whose body is a suspended coroutine.
+func (b *realBackend) spawn(s *System, name string, nd *Node, fn func(*Agent)) *Agent {
+	ag := &Agent{name: name, sys: s, node: nd, vars: map[string]agentVar{}}
+	ag.resume, ag.stop = iter.Pull(func(yield func(struct{}) bool) {
+		ag.yield = yield
+		fn(ag)
+	})
+	b.live.Add(1)
+	return ag
+}
+
+// suspend returns control to the agent's loop until the loop resumes it.
+func (ag *Agent) suspend() {
+	if !ag.yield(struct{}{}) {
+		panic(errUnwound)
+	}
+}
+
+// run schedules the loop's agents until the run is over.
+func (l *peLoop) run() {
+	for {
+		if l.arrived.Load() {
+			l.drain()
+		}
+		ag := l.runq.popFront()
+		if ag == nil {
+			if !l.await() {
+				return
+			}
+			continue
+		}
+		l.step(ag)
+	}
+}
+
+// step runs ag to its next scheduling point, forwards it if it hopped
+// away, and queues the children it injected ahead of the queue.
+func (l *peLoop) step(ag *Agent) {
+	b := l.b
+	if _, ok := ag.resume(); !ok {
+		if b.live.Add(-1) == 0 {
+			close(b.done)
+		}
+	} else if dst := ag.node.id; dst != l.id {
+		b.pes[dst].deliver(ag)
+	}
+	for i := len(l.born) - 1; i >= 0; i-- {
+		l.runq.pushFront(l.born[i])
+		l.born[i] = nil
+	}
+	l.born = l.born[:0]
+}
+
+// deliver appends an agent arriving from another loop and wakes l.
+func (l *peLoop) deliver(ag *Agent) {
+	l.mu.Lock()
+	l.inbox = append(l.inbox, ag)
+	l.arrived.Store(true)
+	l.mu.Unlock()
+	select {
+	case l.wake <- struct{}{}:
+	default:
+	}
+}
+
+// drain moves every arrival to the tail of the run queue, swapping the
+// inbox with its spare so neither buffer is reallocated.
+func (l *peLoop) drain() {
+	l.mu.Lock()
+	in := l.inbox
+	l.inbox, l.spare = l.spare[:0], nil
+	l.arrived.Store(false)
+	l.mu.Unlock()
+	for i, ag := range in {
+		l.runq.pushBack(ag)
+		in[i] = nil
+	}
+	l.spare = in
+}
+
+// await blocks an idle loop until work is delivered (true) or the run
+// is over (false). The last loop to go idle checks for a deadlock: with
+// every loop idle and every inbox empty, no agent runs or is in flight,
+// so the live agents that remain are all parked on events. live cannot
+// change while every loop is idle, and a stall is declared once, so
+// done is closed once.
+func (l *peLoop) await() bool {
+	b := l.b
+	b.idleMu.Lock()
+	b.idle++
+	if !b.stalled && b.idle == len(b.pes) && b.live.Load() > 0 && b.quiet() {
+		b.stalled = true
+		close(b.done)
+	}
+	b.idleMu.Unlock()
+	select {
+	case <-l.wake:
+		b.idleMu.Lock()
+		b.idle--
+		b.idleMu.Unlock()
+		return true
+	case <-b.done:
+		return false
+	}
+}
+
+// quiet reports whether no loop has an undrained arrival.
+func (b *realBackend) quiet() bool {
+	for _, l := range b.pes {
+		if l.arrived.Load() {
+			return false
+		}
+	}
+	return true
+}
+
+// unwind reports a deadlock: it lists every parked agent, then stops
+// its coroutine so Run leaks no goroutine.
+func (b *realBackend) unwind(s *System) error {
+	dl := &sim.DeadlockError{Time: b.elapsed()}
+	var parked []*Agent
+	for _, nd := range s.nodes {
+		for name, es := range nd.events {
+			for w := es.(*realEvent).head; w != nil; w = w.link {
+				dl.Blocked = append(dl.Blocked, fmt.Sprintf("%s (waiting on %s@%d)", w.name, name, nd.id))
+				parked = append(parked, w)
+			}
+		}
+	}
+	sort.Strings(dl.Blocked)
+	for _, ag := range parked {
+		stopParked(ag)
+	}
+	return dl
+}
+
+// stopParked ends a parked agent's coroutine, absorbing the errUnwound
+// panic that its yield raised to unwind it.
+func stopParked(ag *Agent) {
+	defer func() {
+		if r := recover(); r != nil && r != errUnwound {
+			panic(r)
+		}
+	}()
+	ag.stop()
 }
 
 func (b *realBackend) hop(ag *Agent, dst int) {
@@ -69,78 +272,72 @@ func (b *realBackend) hop(ag *Agent, dst int) {
 		ag.sys.record(TraceEvent{Kind: TraceHop, Agent: ag.name, From: src, To: dst,
 			Bytes: ag.PayloadBytes(), Start: now, End: now})
 	}
+	ag.suspend()
 }
 
-// compute runs fn holding the PE's CPU; a traced interval is the time it
-// held it, so queueing for the CPU is not "computing".
+// compute runs fn inline: the loop running the agent is the PE's CPU.
 func (b *realBackend) compute(ag *Agent, flops float64, fn func()) {
-	id := ag.node.id
-	b.cpus[id].Lock()
 	start := b.stamp(ag.sys)
 	if fn != nil {
 		fn()
 	}
-	end := b.stamp(ag.sys)
-	b.cpus[id].Unlock()
 	if ag.sys.tracer != nil {
+		id := ag.node.id
 		ag.sys.record(TraceEvent{Kind: TraceCompute, Agent: ag.name, From: id, To: id,
-			Start: start, End: end})
+			Start: start, End: b.elapsed()})
 	}
 }
 
-// realEvent fetches or creates the event name on nd. nd.mu must be held.
-func (b *realBackend) realEvent(nd *Node, name string) *realEvent {
-	if es, ok := nd.events[name]; ok {
-		return es.(*realEvent)
-	}
-	ev := &realEvent{}
-	ev.wake.L = &nd.mu
-	nd.events[name] = ev
-	return ev
-}
-
-// wait consumes one signal of event, parking until one is pending. The
-// last consumer of a quiet event deletes it, so a node holds entries only
-// for events with pending signals or parked waiters.
+// wait consumes one signal of event, parking on the event's waiter FIFO
+// until a signal is handed over. A node holds entries only for events
+// with pending signals or parked waiters.
 func (b *realBackend) wait(ag *Agent, event string) {
 	nd := ag.node
 	start := b.stamp(ag.sys)
-	nd.mu.Lock()
-	ev := b.realEvent(nd, event)
-	for ev.count == 0 {
-		ev.waiting++
-		ev.wake.Wait()
-		ev.waiting--
+	if es, ok := nd.events[event]; !ok {
+		ev := &realEvent{head: ag, tail: ag}
+		nd.events[event] = ev
+		ag.suspend()
+	} else if ev := es.(*realEvent); ev.count > 0 {
+		if ev.count--; ev.count == 0 {
+			delete(nd.events, event)
+		}
+	} else {
+		ev.tail.link = ag
+		ev.tail = ag
+		ag.suspend()
 	}
-	ev.count--
-	if ev.count == 0 && ev.waiting == 0 {
-		delete(nd.events, event)
-	}
-	nd.mu.Unlock()
 	if ag.sys.tracer != nil {
 		ag.sys.record(TraceEvent{Kind: TraceWait, Agent: ag.name, From: nd.id, To: nd.id,
 			Label: event, Start: start, End: b.elapsed()})
 	}
 }
 
+// signal posts one signal of event: it goes straight to the first
+// parked waiter, which joins the tail of this loop's queue.
 func (b *realBackend) signal(ag *Agent, event string) {
 	nd := ag.node
-	nd.mu.Lock()
-	ev := b.realEvent(nd, event)
-	ev.count++
-	if ev.waiting > 0 {
-		ev.wake.Signal()
+	es, ok := nd.events[event]
+	if !ok {
+		nd.events[event] = &realEvent{count: 1}
+		return
 	}
-	nd.mu.Unlock()
+	ev := es.(*realEvent)
+	w := ev.head
+	if w == nil {
+		ev.count++
+		return
+	}
+	if ev.head = w.link; ev.head == nil {
+		delete(nd.events, event)
+	}
+	w.link = nil
+	b.pes[nd.id].runq.pushBack(w)
 }
 
 func (b *realBackend) inject(parent *Agent, name string, fn func(*Agent)) {
-	child := &Agent{name: name, sys: parent.sys, node: parent.node, vars: map[string]agentVar{}}
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		fn(child)
-	}()
+	l := b.pes[parent.node.id]
+	l.born = append(l.born, b.spawn(parent.sys, name, parent.node, fn))
 }
 
 func (b *realBackend) touch(ag *Agent, key string, bytes int64) {}
@@ -157,3 +354,45 @@ func (b *realBackend) stamp(s *System) sim.Time {
 }
 
 func (b *realBackend) now(ag *Agent) sim.Time { return b.elapsed() }
+
+// agentQueue is a growable ring buffer of agents, usable from both ends.
+type agentQueue struct {
+	buf     []*Agent // len is zero or a power of two
+	head, n int
+}
+
+func (q *agentQueue) grow() {
+	if q.n < len(q.buf) {
+		return
+	}
+	buf := make([]*Agent, max(8, 2*len(q.buf)))
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+	}
+	q.buf, q.head = buf, 0
+}
+
+func (q *agentQueue) pushBack(ag *Agent) {
+	q.grow()
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = ag
+	q.n++
+}
+
+func (q *agentQueue) pushFront(ag *Agent) {
+	q.grow()
+	q.head = (q.head - 1) & (len(q.buf) - 1)
+	q.buf[q.head] = ag
+	q.n++
+}
+
+// popFront removes and returns the head, or nil when q is empty.
+func (q *agentQueue) popFront() *Agent {
+	if q.n == 0 {
+		return nil
+	}
+	ag := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return ag
+}
