@@ -3,7 +3,6 @@ package matmul
 import (
 	"testing"
 
-	"repro/internal/navp"
 	"repro/internal/trace"
 )
 
@@ -88,7 +87,7 @@ func TestPhase2DCarrierVolumeExact(t *testing.T) {
 
 	var loaded, empty int
 	for _, ev := range rec.Events() {
-		if ev.Kind != navp.TraceHop {
+		if ev.Kind != trace.TraceHop {
 			continue
 		}
 		switch ev.Bytes {
@@ -124,7 +123,7 @@ func TestNoSelfHopsRecorded(t *testing.T) {
 		cfg.Phantom = true
 		rec := tracedRun(t, stage, cfg)
 		for _, ev := range rec.Events() {
-			if ev.Kind == navp.TraceHop && ev.From == ev.To {
+			if ev.Kind == trace.TraceHop && ev.From == ev.To {
 				t.Fatalf("%v: self-hop recorded on PE %d", stage, ev.From)
 			}
 		}

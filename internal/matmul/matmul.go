@@ -31,6 +31,7 @@ import (
 	"repro/internal/matrix"
 	"repro/internal/metrics"
 	"repro/internal/navp"
+	"repro/internal/trace"
 )
 
 // Stage identifies one step of the incremental parallelization.
@@ -100,7 +101,7 @@ type Config struct {
 	// NavP holds the MESSENGERS daemon cost parameters (ignored when Real).
 	NavP navp.Config
 	// Tracer, if non-nil, receives hop/compute/wait events.
-	Tracer navp.Tracer
+	Tracer trace.Tracer
 	// Metrics, if non-nil, receives the NavP-layer and sim-kernel
 	// counters (hops, injects, event waits, dispatches, time horizon).
 	Metrics *metrics.Registry

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/machine"
+	"repro/internal/trace"
 )
 
 func chaosPlan() *fault.Plan {
@@ -41,11 +42,11 @@ func TestFaultPlanReplaysIdenticallyOnSim(t *testing.T) {
 // no earlier under drops/kills than on a clean network, and the fault
 // trace kinds show up.
 func TestFaultPlanChargesTime(t *testing.T) {
-	run := func(p *fault.Plan) (float64, map[TraceKind]int) {
+	run := func(p *fault.Plan) (float64, map[trace.TraceKind]int) {
 		s := NewSim(DefaultConfig(), machine.SunBlade100(), 4)
 		randomProgram(s, 7, 5, 12, 4)
-		kinds := map[TraceKind]int{}
-		s.SetTracer(faultTracer(func(ev TraceEvent) { kinds[ev.Kind]++ }))
+		kinds := map[trace.TraceKind]int{}
+		s.SetTracer(faultTracer(func(ev trace.TraceEvent) { kinds[ev.Kind]++ }))
 		if p != nil {
 			s.SetFaultPlan(p)
 		}
@@ -59,17 +60,17 @@ func TestFaultPlanChargesTime(t *testing.T) {
 	if chaotic < clean {
 		t.Errorf("chaos run (%gs) finished before the clean run (%gs)", chaotic, clean)
 	}
-	if kinds[TraceDrop] == 0 || kinds[TraceRetry] == 0 {
+	if kinds[trace.TraceDrop] == 0 || kinds[trace.TraceRetry] == 0 {
 		t.Errorf("no drop/retry events recorded: %v", kinds)
 	}
-	if kinds[TraceKill] != 1 || kinds[TraceRecover] != 1 {
-		t.Errorf("kill/recover events = %d/%d, want 1/1", kinds[TraceKill], kinds[TraceRecover])
+	if kinds[trace.TraceKill] != 1 || kinds[trace.TraceRecover] != 1 {
+		t.Errorf("kill/recover events = %d/%d, want 1/1", kinds[trace.TraceKill], kinds[trace.TraceRecover])
 	}
 }
 
-type faultTracer func(TraceEvent)
+type faultTracer func(trace.TraceEvent)
 
-func (f faultTracer) Record(ev TraceEvent) { f(ev) }
+func (f faultTracer) Record(ev trace.TraceEvent) { f(ev) }
 
 func TestSetFaultPlanGuards(t *testing.T) {
 	expectPanic := func(name string, fn func()) {

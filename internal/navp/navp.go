@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Config holds the NavP runtime (MESSENGERS daemon) cost parameters used
@@ -62,77 +63,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// TraceKind classifies a trace event.
-type TraceKind uint8
-
-const (
-	TraceHop TraceKind = iota
-	TraceCompute
-	TraceWait
-	TraceSignal
-	TraceInject
-	// Fault-layer kinds: a hop frame lost in transit, a resend after a
-	// timeout, a daemon death, and its recovery (checkpoint replay).
-	TraceDrop
-	TraceRetry
-	TraceKill
-	TraceRecover
-	// TraceMigrate is an agent shipped between daemons as a synthetic
-	// hop by the elasticity layer (migration, drain, reroute) rather
-	// than by its own behavior.
-	TraceMigrate
-)
-
-// String returns the kind's name.
-func (k TraceKind) String() string {
-	switch k {
-	case TraceHop:
-		return "hop"
-	case TraceCompute:
-		return "compute"
-	case TraceWait:
-		return "wait"
-	case TraceSignal:
-		return "signal"
-	case TraceInject:
-		return "inject"
-	case TraceDrop:
-		return "drop"
-	case TraceRetry:
-		return "retry"
-	case TraceKill:
-		return "kill"
-	case TraceRecover:
-		return "recover"
-	case TraceMigrate:
-		return "migrate"
-	}
-	return fmt.Sprintf("TraceKind(%d)", uint8(k))
-}
-
-// TraceEvent is one observable action of an agent, reported to the
-// system's Tracer (if any). Times are virtual seconds on the sim backend.
-type TraceEvent struct {
-	Kind  TraceKind
-	Agent string
-	// Job is the job namespace the event belongs to when the runtime
-	// above is multi-tenant (the wire scheduler); 0 otherwise. Viewers
-	// group events into one track group per job.
-	Job        uint64
-	From, To   int // node ids; From == To except for hops
-	Label      string
-	Bytes      int64
-	Start, End sim.Time
-}
-
-// Tracer receives trace events. Implementations must be cheap; on the sim
-// backend they are called from the single running process, on the real
-// backend from every PE's run loop at once (the provided internal/trace
-// recorder locks internally).
-type Tracer interface {
-	Record(TraceEvent)
-}
-
 // System is a NavP machine: a set of nodes plus a backend that executes
 // agents. Create with NewSim or NewReal, stage initial computations with
 // Inject, then call Run.
@@ -140,7 +70,7 @@ type System struct {
 	cfg     Config
 	nodes   []*Node
 	backend backend
-	tracer  Tracer
+	tracer  trace.Tracer
 	metrics *metrics.Registry
 	met     *navpMetrics
 	pending []pendingInject
@@ -238,7 +168,7 @@ func (s *System) Nodes() int { return len(s.nodes) }
 func (s *System) Node(i int) *Node { return s.nodes[i] }
 
 // SetTracer installs a tracer. It must be called before Run.
-func (s *System) SetTracer(t Tracer) { s.tracer = t }
+func (s *System) SetTracer(t trace.Tracer) { s.tracer = t }
 
 // Simulated reports whether the system runs on the deterministic
 // virtual-time backend (as opposed to the real run loops). Both backends
@@ -290,7 +220,7 @@ func (s *System) Run() error {
 }
 
 // record reports ev to the tracer, if one is installed.
-func (s *System) record(ev TraceEvent) {
+func (s *System) record(ev trace.TraceEvent) {
 	if s.tracer != nil {
 		s.tracer.Record(ev)
 	}

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 func testHW() machine.Config {
@@ -371,8 +372,8 @@ func TestRealEventCountsUnderParkedWaiters(t *testing.T) {
 func TestRealTraceIntervals(t *testing.T) {
 	s := NewReal(zeroCfg(), 1)
 	var mu sync.Mutex
-	var events []TraceEvent
-	s.SetTracer(tracerFunc(func(ev TraceEvent) {
+	var events []trace.TraceEvent
+	s.SetTracer(tracerFunc(func(ev trace.TraceEvent) {
 		mu.Lock()
 		events = append(events, ev)
 		mu.Unlock()
@@ -387,22 +388,22 @@ func TestRealTraceIntervals(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[TraceKind]int{}
+	kinds := map[trace.TraceKind]int{}
 	for _, ev := range events {
 		kinds[ev.Kind]++
 		switch ev.Kind {
-		case TraceCompute:
+		case trace.TraceCompute:
 			if got := ev.End - ev.Start; got < nap.Seconds() {
 				t.Errorf("compute interval %.6fs, want >= %v held", got, nap)
 			}
-		case TraceWait:
+		case trace.TraceWait:
 			if ev.End < ev.Start || ev.Label != "e" {
 				t.Errorf("wait event %+v", ev)
 			}
 		}
 	}
-	if kinds[TraceCompute] != 1 || kinds[TraceWait] != 1 {
-		t.Fatalf("recorded %d computes and %d waits, want 1 and 1", kinds[TraceCompute], kinds[TraceWait])
+	if kinds[trace.TraceCompute] != 1 || kinds[trace.TraceWait] != 1 {
+		t.Fatalf("recorded %d computes and %d waits, want 1 and 1", kinds[trace.TraceCompute], kinds[trace.TraceWait])
 	}
 }
 
@@ -615,8 +616,8 @@ func TestNodeVarPanicsOnMissingAndWrongType(t *testing.T) {
 
 func TestTracerReceivesEvents(t *testing.T) {
 	s := newSimSys(2)
-	var events []TraceEvent
-	s.SetTracer(tracerFunc(func(ev TraceEvent) { events = append(events, ev) }))
+	var events []trace.TraceEvent
+	s.SetTracer(tracerFunc(func(ev trace.TraceEvent) { events = append(events, ev) }))
 	s.Inject(0, "a", func(ag *Agent) {
 		ag.Hop(1)
 		ag.Compute(1e6, nil)
@@ -627,20 +628,20 @@ func TestTracerReceivesEvents(t *testing.T) {
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[TraceKind]int{}
+	kinds := map[trace.TraceKind]int{}
 	for _, ev := range events {
 		kinds[ev.Kind]++
 	}
-	for _, k := range []TraceKind{TraceHop, TraceCompute, TraceSignal, TraceWait, TraceInject} {
+	for _, k := range []trace.TraceKind{trace.TraceHop, trace.TraceCompute, trace.TraceSignal, trace.TraceWait, trace.TraceInject} {
 		if kinds[k] == 0 {
 			t.Fatalf("no %v event recorded (events: %d)", k, len(events))
 		}
 	}
 }
 
-type tracerFunc func(TraceEvent)
+type tracerFunc func(trace.TraceEvent)
 
-func (f tracerFunc) Record(ev TraceEvent) { f(ev) }
+func (f tracerFunc) Record(ev trace.TraceEvent) { f(ev) }
 
 func TestRealBackendParallelAgentsNoRace(t *testing.T) {
 	// Many agents hopping, computing, and signaling concurrently; run with

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // realBackend runs each PE as one non-preemptive loop, the MESSENGERS
@@ -269,7 +270,7 @@ func (b *realBackend) hop(ag *Agent, dst int) {
 	ag.node = ag.sys.nodes[dst]
 	if ag.sys.tracer != nil {
 		now := b.elapsed()
-		ag.sys.record(TraceEvent{Kind: TraceHop, Agent: ag.name, From: src, To: dst,
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceHop, Agent: ag.name, From: src, To: dst,
 			Bytes: ag.PayloadBytes(), Start: now, End: now})
 	}
 	ag.suspend()
@@ -283,7 +284,7 @@ func (b *realBackend) compute(ag *Agent, flops float64, fn func()) {
 	}
 	if ag.sys.tracer != nil {
 		id := ag.node.id
-		ag.sys.record(TraceEvent{Kind: TraceCompute, Agent: ag.name, From: id, To: id,
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: ag.name, From: id, To: id,
 			Start: start, End: b.elapsed()})
 	}
 }
@@ -308,7 +309,7 @@ func (b *realBackend) wait(ag *Agent, event string) {
 		ag.suspend()
 	}
 	if ag.sys.tracer != nil {
-		ag.sys.record(TraceEvent{Kind: TraceWait, Agent: ag.name, From: nd.id, To: nd.id,
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceWait, Agent: ag.name, From: nd.id, To: nd.id,
 			Label: event, Start: start, End: b.elapsed()})
 	}
 }

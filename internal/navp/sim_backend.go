@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // simBackend executes agents as processes on a discrete-event kernel,
@@ -89,7 +90,7 @@ func (b *simBackend) hop(ag *Agent, dst int) {
 		ag.proc.Sleep(ag.sys.cfg.HopOverhead)
 	}
 	ag.node = ag.sys.nodes[dst]
-	ag.sys.record(TraceEvent{Kind: TraceHop, Agent: ag.name, From: src, To: dst,
+	ag.sys.record(trace.TraceEvent{Kind: trace.TraceHop, Agent: ag.name, From: src, To: dst,
 		Bytes: bytes, Start: start, End: ag.proc.Now()})
 }
 
@@ -102,7 +103,7 @@ func (b *simBackend) compute(ag *Agent, flops float64, fn func()) {
 	}
 	ag.proc.Sleep(flops / pe.Rate)
 	pe.CPU.Release(1)
-	ag.sys.record(TraceEvent{Kind: TraceCompute, Agent: ag.name, From: ag.node.id,
+	ag.sys.record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: ag.name, From: ag.node.id,
 		To: ag.node.id, Start: start, End: ag.proc.Now()})
 }
 
@@ -123,7 +124,7 @@ func (b *simBackend) wait(ag *Agent, event string) {
 	}
 	node := ag.node // record the wait against the node we waited on
 	b.simEvent(node, event).Wait(ag.proc)
-	ag.sys.record(TraceEvent{Kind: TraceWait, Agent: ag.name, From: node.id,
+	ag.sys.record(trace.TraceEvent{Kind: trace.TraceWait, Agent: ag.name, From: node.id,
 		To: node.id, Label: event, Start: start, End: ag.proc.Now()})
 }
 
@@ -132,7 +133,7 @@ func (b *simBackend) signal(ag *Agent, event string) {
 		ag.proc.Sleep(o)
 	}
 	b.simEvent(ag.node, event).Signal()
-	ag.sys.record(TraceEvent{Kind: TraceSignal, Agent: ag.name, From: ag.node.id,
+	ag.sys.record(trace.TraceEvent{Kind: trace.TraceSignal, Agent: ag.name, From: ag.node.id,
 		To: ag.node.id, Label: event, Start: ag.proc.Now(), End: ag.proc.Now()})
 }
 
@@ -141,7 +142,7 @@ func (b *simBackend) inject(parent *Agent, name string, fn func(*Agent)) {
 		parent.proc.Sleep(o)
 	}
 	child := b.newAgent(parent.sys, name, parent.node.id)
-	parent.sys.record(TraceEvent{Kind: TraceInject, Agent: parent.name,
+	parent.sys.record(trace.TraceEvent{Kind: trace.TraceInject, Agent: parent.name,
 		From: parent.node.id, To: parent.node.id, Label: name,
 		Start: parent.proc.Now(), End: parent.proc.Now()})
 	parent.proc.Spawn(child.procName(), func(p *sim.Proc) {

@@ -1,8 +1,9 @@
-// Package sched is the multi-tenant serving layer on top of the NavP
-// runtimes: a job scheduler that accepts NavP programs — wire-cluster
-// matmul pipelines, simulated matmul stages from internal/matmul,
-// arbitrary core.Plans — and runs many of them concurrently over one
-// shared wire.Cluster and a pool of workers (DESIGN.md §12).
+// Package sched is the multi-tenant serving layer on top of the wire
+// NavP runtime: a job scheduler that accepts NavP programs — the
+// wire-cluster matmul pipeline (WireMatmul) over HTTP, any Work from Go —
+// and runs many of them concurrently over one shared cluster and a pool
+// of workers (DESIGN.md §12). Like internal/wire below it, it links no
+// simulator package; a CI step checks that with go list -deps.
 //
 // The scheduler provides what the single-program runtimes deliberately
 // do not: a bounded admission queue with priorities and backpressure,

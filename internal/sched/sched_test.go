@@ -743,38 +743,3 @@ func TestWireMatmulCallShape(t *testing.T) {
 		})
 	}
 }
-
-func TestSimWorksServeLocally(t *testing.T) {
-	s := newTestScheduler(t, Config{Workers: 2})
-	mm := SubmitRequest{Kind: "matmul", Stage: 2, N: 64, BS: 16, P: 2}
-	w1, err := mm.work()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := SubmitRequest{Kind: "plan", Rows: 3, Cols: 4, PEs: 2, Variant: "pipeline"}
-	w2, err := pl.work()
-	if err != nil {
-		t.Fatal(err)
-	}
-	id1, _ := s.Submit(Spec{Work: w1})
-	id2, _ := s.Submit(Spec{Work: w2})
-	for _, id := range []uint64{id1, id2} {
-		if st := waitTerminal(t, s, id); st.State != "done" {
-			t.Fatalf("sim job %d: %+v", id, st)
-		}
-	}
-	r1, err := s.Result(id1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.(map[string]any)["seconds"].(float64) <= 0 {
-		t.Fatalf("matmul stage reported no virtual time: %v", r1)
-	}
-	r2, err := s.Result(id2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.(map[string]any)["makespan"].(float64) <= 0 {
-		t.Fatalf("plan run reported no makespan: %v", r2)
-	}
-}

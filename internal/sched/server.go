@@ -8,11 +8,6 @@ import (
 	"strconv"
 	"strings"
 	"time"
-
-	"repro/internal/core"
-	"repro/internal/machine"
-	"repro/internal/matmul"
-	"repro/internal/navp"
 )
 
 // Server is the scheduler's HTTP API. Register mounts it on a mux —
@@ -37,11 +32,7 @@ func NewServer(s *Scheduler) *Server { return &Server{sched: s} }
 
 // SubmitRequest is the POST /jobs body. Kind selects the program:
 //
-//	"wirematmul"  {n, seed}            integer matmul on the shared cluster (n ≤ 1024)
-//	"matmul"      {stage, n, bs, p}    a simulated paper stage (stage 0-6)
-//	"plan"        {rows, cols, pes, flops, variant}
-//	              a GridSweep core.Plan (rows, cols ≤ 256):
-//	              variant dsc | pipeline | phase
+//	"wirematmul"  {n, seed}  integer matmul on the shared cluster (n ≤ 1024)
 type SubmitRequest struct {
 	Kind       string   `json:"kind"`
 	Priority   Priority `json:"priority,omitempty"`
@@ -50,16 +41,6 @@ type SubmitRequest struct {
 
 	N    int   `json:"n,omitempty"`
 	Seed int64 `json:"seed,omitempty"`
-
-	Stage int `json:"stage,omitempty"`
-	BS    int `json:"bs,omitempty"`
-	P     int `json:"p,omitempty"`
-
-	Rows    int     `json:"rows,omitempty"`
-	Cols    int     `json:"cols,omitempty"`
-	PEs     int     `json:"pes,omitempty"`
-	Flops   float64 `json:"flops,omitempty"`
-	Variant string  `json:"variant,omitempty"`
 }
 
 // SubmitResponse is the POST /jobs reply.
@@ -67,76 +48,24 @@ type SubmitResponse struct {
 	ID uint64 `json:"id"`
 }
 
-// Bounds on the sizes a submission may ask for. A wirematmul job
-// builds both n×n operands in the front end before its first call, and
-// one node's B strip must fit in one frame: n = 1024 is an 8 MiB strip.
-// A plan allocates rows×cols items.
-const (
-	maxWireMatmulN = 1024
-	maxPlanSide    = 256
-)
+// maxWireMatmulN bounds a wirematmul submission. The job builds both
+// n×n operands in the front end before its first call, and one node's
+// B strip must fit in one frame: n = 1024 is an 8 MiB strip.
+const maxWireMatmulN = 1024
 
 // work builds the Work a request describes.
 func (r *SubmitRequest) work() (Work, error) {
-	switch r.Kind {
-	case "wirematmul":
-		n := r.N
-		if n <= 0 {
-			n = 8
-		}
-		if n > maxWireMatmulN {
-			return nil, fmt.Errorf("wirematmul order %d exceeds %d", n, maxWireMatmulN)
-		}
-		return WireMatmul{N: n, Seed: r.Seed}, nil
-	case "matmul":
-		if r.Stage < 0 || r.Stage >= len(matmul.Stages) {
-			return nil, fmt.Errorf("stage %d out of range [0,%d]", r.Stage, len(matmul.Stages)-1)
-		}
-		cfg := matmul.Config{N: r.N, BS: r.BS, P: r.P,
-			HW: machine.SunBlade100(), NavP: navp.DefaultConfig(), Seed: r.Seed}
-		if cfg.N <= 0 {
-			cfg.N, cfg.BS, cfg.P = 64, 16, 2
-		}
-		return MatmulStage{Stage: matmul.Stages[r.Stage], Cfg: cfg}, nil
-	case "plan":
-		rows, cols := r.Rows, r.Cols
-		if rows <= 0 {
-			rows = 4
-		}
-		if cols <= 0 {
-			cols = 4
-		}
-		if rows > maxPlanSide || cols > maxPlanSide {
-			return nil, fmt.Errorf("plan grid %d×%d exceeds %d on a side", rows, cols, maxPlanSide)
-		}
-		pes := r.PEs
-		if pes <= 0 || pes > cols {
-			pes = cols
-		}
-		flops := r.Flops
-		if flops <= 0 {
-			flops = 1e6
-		}
-		items := core.GridSweep(rows, cols, flops, func(j int) int { return j * pes / cols })
-		plan := core.DSC("sweep", items, 256)
-		groupByRow := func(it core.Item) string {
-			var i, j int
-			fmt.Sscanf(it.ID, "it(%d,%d)", &i, &j)
-			return fmt.Sprintf("row%d", i)
-		}
-		switch r.Variant {
-		case "", "dsc":
-		case "pipeline":
-			plan = core.Pipeline(plan, groupByRow)
-		case "phase":
-			plan = core.PhaseShift(core.Pipeline(plan, groupByRow), nil)
-		default:
-			return nil, fmt.Errorf("unknown plan variant %q (want dsc, pipeline, or phase)", r.Variant)
-		}
-		return PlanRun{Plan: plan, PEs: pes}, nil
-	default:
-		return nil, fmt.Errorf("unknown job kind %q (want wirematmul, matmul, or plan)", r.Kind)
+	if r.Kind != "wirematmul" {
+		return nil, fmt.Errorf("unknown job kind %q (want wirematmul)", r.Kind)
 	}
+	n := r.N
+	if n <= 0 {
+		n = 8
+	}
+	if n > maxWireMatmulN {
+		return nil, fmt.Errorf("wirematmul order %d exceeds %d", n, maxWireMatmulN)
+	}
+	return WireMatmul{N: n, Seed: r.Seed}, nil
 }
 
 // Register mounts the API on mux.
@@ -170,7 +99,7 @@ func (sv *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// 400 is reserved for bodies that do not parse; a body that parses
-	// but describes an impossible job (unknown kind, out-of-range stage)
+	// but describes an impossible job (unknown kind, oversized order)
 	// is semantically invalid — 422.
 	work, err := req.work()
 	if err != nil {

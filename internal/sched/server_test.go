@@ -229,7 +229,7 @@ func TestHTTPErrorCodes(t *testing.T) {
 	// Result of a job that is not done yet: 409.
 	var sub SubmitResponse
 	respQ, err := http.Post(ts.URL+"/jobs", "application/json",
-		bytes.NewReader([]byte(`{"kind":"matmul"}`)))
+		bytes.NewReader([]byte(`{"kind":"wirematmul","n":4}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,14 +261,16 @@ func TestHTTPMalformedSpecs(t *testing.T) {
 		{"not an object", `[1,2,3]`, http.StatusBadRequest},
 		{"empty body kind", `{}`, http.StatusUnprocessableEntity},
 		{"unknown kind", `{"kind":"frobnicate"}`, http.StatusUnprocessableEntity},
+		{"wirematmul order too large", `{"kind":"wirematmul","n":1025}`, http.StatusUnprocessableEntity},
+		{"valid wirematmul", `{"kind":"wirematmul","n":4}`, http.StatusAccepted},
+		// matmul and plan were simulated kinds; their bodies now get 422.
+		{"deleted kind matmul", `{"kind":"matmul","stage":2}`, http.StatusUnprocessableEntity},
 		{"stage out of range", `{"kind":"matmul","stage":99}`, http.StatusUnprocessableEntity},
 		{"negative stage", `{"kind":"matmul","stage":-1}`, http.StatusUnprocessableEntity},
+		{"deleted kind plan", `{"kind":"plan","rows":2,"cols":2}`, http.StatusUnprocessableEntity},
 		{"unknown plan variant", `{"kind":"plan","variant":"zigzag"}`, http.StatusUnprocessableEntity},
-		{"wirematmul order too large", `{"kind":"wirematmul","n":1025}`, http.StatusUnprocessableEntity},
 		{"plan rows too large", `{"kind":"plan","rows":257}`, http.StatusUnprocessableEntity},
 		{"plan cols too large", `{"kind":"plan","cols":257}`, http.StatusUnprocessableEntity},
-		{"valid wirematmul", `{"kind":"wirematmul","n":4}`, http.StatusAccepted},
-		{"valid plan", `{"kind":"plan","rows":2,"cols":2}`, http.StatusAccepted},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -452,7 +454,7 @@ func TestHTTPCancel(t *testing.T) {
 		return nil, nil
 	}}})
 	<-started
-	_, sub := postJSON(t, ts.URL+"/jobs", SubmitRequest{Kind: "matmul"})
+	_, sub := postJSON(t, ts.URL+"/jobs", SubmitRequest{Kind: "wirematmul", N: 4})
 	id := uint64(sub["id"].(float64))
 	respC, body := postJSON(t, ts.URL+fmt.Sprintf("/jobs/%d/cancel", id), struct{}{})
 	if respC.StatusCode != http.StatusOK || body["cancelled"] != true {
@@ -485,7 +487,7 @@ func TestHTTPDeadlinePropagates(t *testing.T) {
 	}}})
 	<-started
 	_, sub := postJSON(t, ts.URL+"/jobs", SubmitRequest{
-		Kind: "plan", Rows: 4, Cols: 4, PEs: 2, DeadlineMS: 20, Retries: 2,
+		Kind: "wirematmul", N: 4, DeadlineMS: 20, Retries: 2,
 	})
 	id := uint64(sub["id"].(float64))
 	time.Sleep(50 * time.Millisecond)

@@ -8,9 +8,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/machine"
-	"repro/internal/matmul"
-	"repro/internal/navp"
 	"repro/internal/wire"
 )
 
@@ -76,12 +73,8 @@ func TestSoakConcurrentJobsUnderChaos(t *testing.T) {
 			switch i % 4 {
 			case 0, 1: // wire jobs: the chaos-exposed path
 				spec.Work = WireMatmul{N: 6, Seed: int64(100 + i)}
-			case 2: // simulated stage, private virtual-time system
-				spec.Work = MatmulStage{
-					Stage: matmul.Stages[i%len(matmul.Stages)],
-					Cfg: matmul.Config{N: 32, BS: 8, P: 2,
-						HW: machine.SunBlade100(), NavP: navp.DefaultConfig()},
-				}
+			case 2: // local work that never touches the cluster
+				spec.Work = WorkFunc{Name: "local", Fn: func(*Runtime) (any, error) { return i * i, nil }}
 			default: // wire job with an impossible deadline: must evict, not hang
 				spec.Work = WireMatmul{N: 6, Seed: int64(100 + i)}
 				spec.Deadline = time.Millisecond
@@ -160,7 +153,7 @@ func TestSoakConcurrentJobsUnderChaos(t *testing.T) {
 	}
 	t.Logf("soak: %v, %d admission rejects absorbed", counts, rejects)
 	// The deadline cohort (i%4==3) must be evicted, and the healthy wire +
-	// sim cohorts must overwhelmingly succeed despite the chaos plan.
+	// local cohorts must overwhelmingly succeed despite the chaos plan.
 	if counts["evicted"] < jobCount/4 {
 		t.Fatalf("only %d evictions; the 1ms-deadline cohort (%d jobs) should all evict", counts["evicted"], jobCount/4)
 	}

@@ -6,10 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/machine"
-	"repro/internal/matmul"
-	"repro/internal/navp"
 	"repro/internal/wire"
 )
 
@@ -340,72 +336,4 @@ func intMatrices(n int, seed int64) (a, b [][]int64) {
 		}
 	}
 	return a, b
-}
-
-// ---------------------------------------------------------------------
-// Simulated work: the paper's programs served as jobs. These run on
-// private virtual-time systems inside the worker — they never touch the
-// shared cluster, so they need no namespace and cannot be cancelled
-// mid-run; the scheduler enforces their deadlines at attempt
-// boundaries.
-
-// MatmulStage runs one stage of the paper's matmul progression on the
-// simulated testbed and reports its virtual timing.
-type MatmulStage struct {
-	Stage matmul.Stage
-	Cfg   matmul.Config
-}
-
-// Kind implements Work.
-func (w MatmulStage) Kind() string { return "matmul" }
-
-// Run implements Work.
-func (w MatmulStage) Run(rt *Runtime) (any, error) {
-	res, err := matmul.Run(w.Stage, w.Cfg)
-	if err != nil {
-		return nil, err
-	}
-	return map[string]any{
-		"stage":   res.Stage.String(),
-		"seconds": res.Seconds,
-		"pes":     res.PEs,
-	}, nil
-}
-
-// PlanRun executes an arbitrary core.Plan via core.Execute on a fresh
-// simulated system and reports its makespan.
-type PlanRun struct {
-	Plan *core.Plan
-	// PEs sizes the system; 0 sizes it to the plan's highest node + 1.
-	PEs int
-}
-
-// Kind implements Work.
-func (w PlanRun) Kind() string { return "plan" }
-
-// Run implements Work.
-func (w PlanRun) Run(rt *Runtime) (any, error) {
-	if w.Plan == nil {
-		return nil, fmt.Errorf("sched: plan work without a plan")
-	}
-	pes := w.PEs
-	if pes <= 0 {
-		for _, nd := range w.Plan.NodesUsed() {
-			if nd+1 > pes {
-				pes = nd + 1
-			}
-		}
-		if pes == 0 {
-			pes = 1
-		}
-	}
-	sys := navp.NewSim(navp.DefaultConfig(), machine.SunBlade100(), pes)
-	if err := core.Execute(w.Plan, sys, nil); err != nil {
-		return nil, err
-	}
-	return map[string]any{
-		"threads":  len(w.Plan.Threads),
-		"makespan": sys.VirtualTime(),
-		"pes":      pes,
-	}, nil
 }

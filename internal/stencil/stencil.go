@@ -37,6 +37,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/matrix"
 	"repro/internal/navp"
+	"repro/internal/trace"
 )
 
 // Method selects the implementation.
@@ -78,7 +79,7 @@ type Config struct {
 	// NavP holds the runtime cost parameters.
 	NavP navp.Config
 	// Tracer, if non-nil, receives trace events.
-	Tracer navp.Tracer
+	Tracer trace.Tracer
 	// Seed feeds the initial grid generator.
 	Seed int64
 }

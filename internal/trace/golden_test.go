@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"flag"
@@ -7,8 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/navp"
-	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -17,21 +16,21 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // three PEs computing, a dropped frame with its retry on PE 0, a kill and
 // recovery on PE 1, and an undisturbed hop. Hand-built events keep the
 // golden file independent of scheduler timing.
-func chaosTrace() *Recorder {
-	rec := New()
-	ev := func(kind navp.TraceKind, agent string, from, to int, bytes int64, start, end sim.Time, label string) {
-		rec.Record(navp.TraceEvent{Kind: kind, Agent: agent, From: from, To: to,
+func chaosTrace() *trace.Recorder {
+	rec := trace.New()
+	ev := func(kind trace.TraceKind, agent string, from, to int, bytes int64, start, end float64, label string) {
+		rec.Record(trace.TraceEvent{Kind: kind, Agent: agent, From: from, To: to,
 			Bytes: bytes, Start: start, End: end, Label: label})
 	}
-	ev(navp.TraceCompute, "alpha", 0, 0, 0, 0.0, 3.0, "")
-	ev(navp.TraceCompute, "beta", 1, 1, 0, 0.0, 2.0, "")
-	ev(navp.TraceCompute, "gamma", 2, 2, 0, 1.0, 7.0, "")
-	ev(navp.TraceDrop, "alpha", 0, 1, 800, 3.0, 3.0, "")
-	ev(navp.TraceRetry, "alpha", 0, 1, 800, 4.1, 4.1, "attempt 2")
-	ev(navp.TraceHop, "alpha", 0, 1, 800, 4.2, 4.2, "")
-	ev(navp.TraceKill, "", 1, 1, 0, 5.0, 5.0, "")
-	ev(navp.TraceRecover, "", 1, 1, 0, 6.0, 6.0, "1 agents replayed")
-	ev(navp.TraceCompute, "alpha", 1, 1, 0, 6.2, 8.0, "")
+	ev(trace.TraceCompute, "alpha", 0, 0, 0, 0.0, 3.0, "")
+	ev(trace.TraceCompute, "beta", 1, 1, 0, 0.0, 2.0, "")
+	ev(trace.TraceCompute, "gamma", 2, 2, 0, 1.0, 7.0, "")
+	ev(trace.TraceDrop, "alpha", 0, 1, 800, 3.0, 3.0, "")
+	ev(trace.TraceRetry, "alpha", 0, 1, 800, 4.1, 4.1, "attempt 2")
+	ev(trace.TraceHop, "alpha", 0, 1, 800, 4.2, 4.2, "")
+	ev(trace.TraceKill, "", 1, 1, 0, 5.0, 5.0, "")
+	ev(trace.TraceRecover, "", 1, 1, 0, 6.0, 6.0, "1 agents replayed")
+	ev(trace.TraceCompute, "alpha", 1, 1, 0, 6.2, 8.0, "")
 	return rec
 }
 
@@ -57,10 +56,10 @@ func TestSpaceTimeFaultMarksGolden(t *testing.T) {
 
 func TestSpaceTimeFaultPrecedence(t *testing.T) {
 	// A kill and a retry in the same cell: the kill mark must win.
-	rec := New()
-	rec.Record(navp.TraceEvent{Kind: navp.TraceCompute, Agent: "a", From: 0, To: 0, Start: 0, End: 4})
-	rec.Record(navp.TraceEvent{Kind: navp.TraceRetry, Agent: "a", From: 0, To: 1, Start: 1, End: 1})
-	rec.Record(navp.TraceEvent{Kind: navp.TraceKill, From: 0, To: 0, Start: 1.2, End: 1.2})
+	rec := trace.New()
+	rec.Record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: "a", From: 0, To: 0, Start: 0, End: 4})
+	rec.Record(trace.TraceEvent{Kind: trace.TraceRetry, Agent: "a", From: 0, To: 1, Start: 1, End: 1})
+	rec.Record(trace.TraceEvent{Kind: trace.TraceKill, From: 0, To: 0, Start: 1.2, End: 1.2})
 	art := rec.SpaceTime(2, 4)
 	if !strings.Contains(art, "#") {
 		t.Fatalf("kill mark missing:\n%s", art)
@@ -77,8 +76,8 @@ func TestSpaceTimeFaultPrecedence(t *testing.T) {
 }
 
 func TestSpaceTimeNoFaultLegendWhenClean(t *testing.T) {
-	rec := New()
-	rec.Record(navp.TraceEvent{Kind: navp.TraceCompute, Agent: "a", From: 0, To: 0, Start: 0, End: 1})
+	rec := trace.New()
+	rec.Record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: "a", From: 0, To: 0, Start: 0, End: 1})
 	if art := rec.SpaceTime(1, 4); strings.Contains(art, "faults:") {
 		t.Fatalf("fault legend on a clean trace:\n%s", art)
 	}

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/navp"
-	"repro/internal/sim"
 )
 
 // perfettoEvent is one Chrome trace_event entry. The exported subset —
@@ -35,7 +32,7 @@ const perfettoPid = 1
 
 // usec converts a trace timestamp (seconds — virtual on the sim backend,
 // wall since start on the real and wire runtimes) to microseconds.
-func usec(t sim.Time) float64 { return float64(t) * 1e6 }
+func usec(t float64) float64 { return t * 1e6 }
 
 // WritePerfetto exports the recorded events as Chrome trace_event JSON,
 // loadable in ui.perfetto.dev or chrome://tracing. Each PE gets one
@@ -87,12 +84,12 @@ func (r *Recorder) WritePerfetto(w io.Writer, pes int) error {
 		}
 	}
 	pid := perfettoPid // reassigned per event from its job tag
-	span := func(name, cat string, tid int, start, end sim.Time, args map[string]any) perfettoEvent {
+	span := func(name, cat string, tid int, start, end float64, args map[string]any) perfettoEvent {
 		d := usec(end) - usec(start)
 		return perfettoEvent{Name: name, Phase: "X", Cat: cat,
 			TS: usec(start), Dur: &d, Pid: pid, Tid: tid, Args: args}
 	}
-	instant := func(name, cat string, tid int, at sim.Time, args map[string]any) perfettoEvent {
+	instant := func(name, cat string, tid int, at float64, args map[string]any) perfettoEvent {
 		return perfettoEvent{Name: name, Phase: "i", Cat: cat, Scope: "t",
 			TS: usec(at), Pid: pid, Tid: tid, Args: args}
 	}
@@ -109,13 +106,13 @@ func (r *Recorder) WritePerfetto(w io.Writer, pes int) error {
 		pid = pidFor[ev.Job]
 		agent := map[string]any{"agent": ev.Agent}
 		switch ev.Kind {
-		case navp.TraceCompute:
+		case TraceCompute:
 			out.TraceEvents = append(out.TraceEvents,
 				span("compute", "compute", clampTid(ev.From), ev.Start, ev.End, agent))
-		case navp.TraceWait:
+		case TraceWait:
 			out.TraceEvents = append(out.TraceEvents,
 				span("wait:"+ev.Label, "wait", clampTid(ev.From), ev.Start, ev.End, agent))
-		case navp.TraceHop:
+		case TraceHop:
 			args := map[string]any{"agent": ev.Agent, "from": ev.From, "to": ev.To, "bytes": ev.Bytes}
 			if ev.End > ev.Start {
 				out.TraceEvents = append(out.TraceEvents,
@@ -124,24 +121,24 @@ func (r *Recorder) WritePerfetto(w io.Writer, pes int) error {
 				out.TraceEvents = append(out.TraceEvents,
 					instant("hop", "hop", clampTid(ev.To), ev.Start, args))
 			}
-		case navp.TraceSignal:
+		case TraceSignal:
 			out.TraceEvents = append(out.TraceEvents,
 				instant("signal:"+ev.Label, "event", clampTid(ev.From), ev.Start, agent))
-		case navp.TraceInject:
+		case TraceInject:
 			out.TraceEvents = append(out.TraceEvents,
 				instant("inject:"+ev.Label, "event", clampTid(ev.From), ev.Start, agent))
-		case navp.TraceDrop:
+		case TraceDrop:
 			args := map[string]any{"agent": ev.Agent, "to": ev.To, "bytes": ev.Bytes}
 			out.TraceEvents = append(out.TraceEvents,
 				instant("drop", "fault", clampTid(ev.From), ev.Start, args))
-		case navp.TraceRetry:
+		case TraceRetry:
 			args := map[string]any{"agent": ev.Agent, "to": ev.To, "attempt": ev.Label}
 			out.TraceEvents = append(out.TraceEvents,
 				instant("retry", "fault", clampTid(ev.From), ev.Start, args))
-		case navp.TraceKill:
+		case TraceKill:
 			out.TraceEvents = append(out.TraceEvents,
 				instant("kill", "fault", clampTid(ev.From), ev.Start, nil))
-		case navp.TraceRecover:
+		case TraceRecover:
 			args := map[string]any{"replayed": ev.Label}
 			if ev.End > ev.Start {
 				out.TraceEvents = append(out.TraceEvents,

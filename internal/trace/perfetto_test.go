@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"bytes"
@@ -8,7 +8,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/navp"
+	"repro/internal/trace"
 )
 
 func TestPerfettoGolden(t *testing.T) {
@@ -106,10 +106,10 @@ func TestPerfettoSchema(t *testing.T) {
 // events stay in the base "cluster" group, and pid assignment follows
 // ascending job order regardless of the interleaving recorded.
 func TestPerfettoJobTracks(t *testing.T) {
-	rec := New()
-	rec.Record(navp.TraceEvent{Kind: navp.TraceHop, Job: 7, Agent: "b", From: 0, To: 1, Start: 1, End: 1})
-	rec.Record(navp.TraceEvent{Kind: navp.TraceHop, Job: 3, Agent: "a", From: 1, To: 0, Start: 2, End: 2})
-	rec.Record(navp.TraceEvent{Kind: navp.TraceKill, From: 0, To: 0, Start: 3, End: 3})
+	rec := trace.New()
+	rec.Record(trace.TraceEvent{Kind: trace.TraceHop, Job: 7, Agent: "b", From: 0, To: 1, Start: 1, End: 1})
+	rec.Record(trace.TraceEvent{Kind: trace.TraceHop, Job: 3, Agent: "a", From: 1, To: 0, Start: 2, End: 2})
+	rec.Record(trace.TraceEvent{Kind: trace.TraceKill, From: 0, To: 0, Start: 3, End: 3})
 	var buf bytes.Buffer
 	if err := rec.WritePerfetto(&buf, 2); err != nil {
 		t.Fatal(err)
@@ -164,12 +164,12 @@ func TestPerfettoDeterministic(t *testing.T) {
 // and a span exactly on the trace's finish time indexed one row past the
 // diagram — both used to vanish.
 func TestSpaceTimeShowsZeroWidthCompute(t *testing.T) {
-	rec := New()
+	rec := trace.New()
 	// One real span to give the diagram a finish time, then zero-width
 	// computes by a second agent, including one at the finish boundary.
-	rec.Record(navp.TraceEvent{Kind: navp.TraceCompute, Agent: "wide", From: 0, To: 0, Start: 0, End: 4})
-	rec.Record(navp.TraceEvent{Kind: navp.TraceCompute, Agent: "thin", From: 1, To: 1, Start: 2, End: 2})
-	rec.Record(navp.TraceEvent{Kind: navp.TraceCompute, Agent: "thin", From: 1, To: 1, Start: 4, End: 4})
+	rec.Record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: "wide", From: 0, To: 0, Start: 0, End: 4})
+	rec.Record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: "thin", From: 1, To: 1, Start: 2, End: 2})
+	rec.Record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: "thin", From: 1, To: 1, Start: 4, End: 4})
 	art := rec.SpaceTime(2, 4)
 	// Agent symbols: wide = '0', thin = '1'.
 	if got := strings.Count(cellArea(t, art), "1"); got != 2 {
@@ -199,9 +199,9 @@ func cellArea(t *testing.T, art string) string {
 // TestSpaceTimeZeroWidthDoesNotOutweighRealWork checks the epsilon
 // credit loses the cell to any agent with genuine compute time there.
 func TestSpaceTimeZeroWidthDoesNotOutweighRealWork(t *testing.T) {
-	rec := New()
-	rec.Record(navp.TraceEvent{Kind: navp.TraceCompute, Agent: "wide", From: 0, To: 0, Start: 0, End: 4})
-	rec.Record(navp.TraceEvent{Kind: navp.TraceCompute, Agent: "thin", From: 0, To: 0, Start: 1, End: 1})
+	rec := trace.New()
+	rec.Record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: "wide", From: 0, To: 0, Start: 0, End: 4})
+	rec.Record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: "thin", From: 0, To: 0, Start: 1, End: 1})
 	art := rec.SpaceTime(1, 4)
 	if strings.Contains(cellArea(t, art), "1") {
 		t.Fatalf("epsilon occupancy beat a real compute span:\n%s", art)

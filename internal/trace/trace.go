@@ -2,42 +2,114 @@
 // computation spans, event waits — and renders them as ASCII space-time
 // diagrams (space across, time down), the measured counterpart of the
 // paper's Figure 1 schematics, and as per-PE data-movement summaries used
-// by the experiment reports.
+// by the experiment reports. It also defines the event types the runtimes
+// report (TraceEvent, Tracer), and imports nothing else from the repo, so
+// the wire serving stack can record events without linking a simulator.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"sync"
-
-	"repro/internal/navp"
-	"repro/internal/sim"
 )
+
+// TraceKind classifies a trace event.
+type TraceKind uint8
+
+const (
+	TraceHop TraceKind = iota
+	TraceCompute
+	TraceWait
+	TraceSignal
+	TraceInject
+	// Fault-layer kinds: a hop frame lost in transit, a resend after a
+	// timeout, a daemon death, and its recovery (checkpoint replay).
+	TraceDrop
+	TraceRetry
+	TraceKill
+	TraceRecover
+	// TraceMigrate is an agent shipped between daemons as a synthetic
+	// hop by the elasticity layer (migration, drain, reroute) rather
+	// than by its own behavior.
+	TraceMigrate
+)
+
+// String returns the kind's name.
+func (k TraceKind) String() string {
+	switch k {
+	case TraceHop:
+		return "hop"
+	case TraceCompute:
+		return "compute"
+	case TraceWait:
+		return "wait"
+	case TraceSignal:
+		return "signal"
+	case TraceInject:
+		return "inject"
+	case TraceDrop:
+		return "drop"
+	case TraceRetry:
+		return "retry"
+	case TraceKill:
+		return "kill"
+	case TraceRecover:
+		return "recover"
+	case TraceMigrate:
+		return "migrate"
+	}
+	return fmt.Sprintf("TraceKind(%d)", uint8(k))
+}
+
+// TraceEvent is one observable action of an agent, reported to the
+// runtime's Tracer (if any). Times are seconds: virtual on navp's sim
+// backend, wall since start on the goroutine backend and the wire runtime.
+type TraceEvent struct {
+	Kind  TraceKind
+	Agent string
+	// Job is the job namespace the event belongs to when the runtime
+	// above is multi-tenant (the wire scheduler); 0 otherwise. Viewers
+	// group events into one track group per job.
+	Job        uint64
+	From, To   int // node ids; From == To except for hops
+	Label      string
+	Bytes      int64
+	Start, End float64
+}
+
+// Tracer receives trace events from a runtime: navp.System.SetTracer
+// and wire.Options.Tracer install one. Implementations must be cheap;
+// navp's sim backend calls them from its single running process, its
+// goroutine backend from every PE's run loop at once, and the wire
+// runtime from every daemon. Recorder implements Tracer and locks
+// internally.
+type Tracer interface {
+	Record(TraceEvent)
+}
 
 // Recorder collects trace events. It is safe for concurrent use (the
 // real backend records from many goroutines).
 type Recorder struct {
 	mu     sync.Mutex
-	events []navp.TraceEvent
+	events []TraceEvent
 }
 
 // New returns an empty recorder.
 func New() *Recorder { return &Recorder{} }
 
-// Record implements navp.Tracer.
-func (r *Recorder) Record(ev navp.TraceEvent) {
+// Record implements Tracer.
+func (r *Recorder) Record(ev TraceEvent) {
 	r.mu.Lock()
 	r.events = append(r.events, ev)
 	r.mu.Unlock()
 }
 
 // Events returns a copy of the recorded events.
-func (r *Recorder) Events() []navp.TraceEvent {
+func (r *Recorder) Events() []TraceEvent {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]navp.TraceEvent(nil), r.events...)
+	return append([]TraceEvent(nil), r.events...)
 }
 
 // Len returns the number of recorded events.
@@ -55,11 +127,11 @@ type Stats struct {
 	HopBytes int64
 	// ComputeTime is the summed duration of compute spans across agents;
 	// WaitTime the summed duration of event waits.
-	ComputeTime, WaitTime sim.Time
+	ComputeTime, WaitTime float64
 	// Agents is the number of distinct agents observed.
 	Agents int
 	// Finish is the latest event end time.
-	Finish sim.Time
+	Finish float64
 	// Fault-injection counts: dropped hop frames, retransmission
 	// attempts, daemon kills, and daemon recoveries.
 	Drops, Retries, Kills, Recovers int
@@ -77,20 +149,20 @@ func (r *Recorder) Stats() Stats {
 			s.Finish = ev.End
 		}
 		switch ev.Kind {
-		case navp.TraceHop:
+		case TraceHop:
 			s.Hops++
 			s.HopBytes += ev.Bytes
-		case navp.TraceCompute:
+		case TraceCompute:
 			s.ComputeTime += ev.End - ev.Start
-		case navp.TraceWait:
+		case TraceWait:
 			s.WaitTime += ev.End - ev.Start
-		case navp.TraceDrop:
+		case TraceDrop:
 			s.Drops++
-		case navp.TraceRetry:
+		case TraceRetry:
 			s.Retries++
-		case navp.TraceKill:
+		case TraceKill:
 			s.Kills++
-		case navp.TraceRecover:
+		case TraceRecover:
 			s.Recovers++
 		}
 	}
@@ -108,7 +180,7 @@ func (r *Recorder) HopMatrix(pes int) [][]int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, ev := range r.events {
-		if ev.Kind == navp.TraceHop && ev.From < pes && ev.To < pes {
+		if ev.Kind == TraceHop && ev.From < pes && ev.To < pes {
 			m[ev.From][ev.To] += ev.Bytes
 		}
 	}
@@ -133,7 +205,7 @@ func (r *Recorder) SpaceTime(pes, height int) string {
 		height = 24
 	}
 	events := r.Events()
-	var finish sim.Time
+	var finish float64
 	for _, ev := range events {
 		if ev.End > finish {
 			finish = ev.End
@@ -142,12 +214,12 @@ func (r *Recorder) SpaceTime(pes, height int) string {
 	if finish == 0 {
 		return "(empty trace)\n"
 	}
-	bucket := finish / sim.Time(height)
+	bucket := finish / float64(height)
 
 	// occupancy[row][pe][agent] = compute time in that cell.
-	occupancy := make([]map[int]map[string]sim.Time, height)
+	occupancy := make([]map[int]map[string]float64, height)
 	for i := range occupancy {
-		occupancy[i] = map[int]map[string]sim.Time{}
+		occupancy[i] = map[int]map[string]float64{}
 	}
 	symbols := map[string]rune{}
 	order := []string{}
@@ -166,13 +238,13 @@ func (r *Recorder) SpaceTime(pes, height int) string {
 	// Fault marks per cell, keeping the highest-precedence mark. Kills
 	// and recoveries are recorded at the affected node (From == To);
 	// drops and retries at the sending PE.
-	faultRank := map[navp.TraceKind]int{
-		navp.TraceRetry: 1, navp.TraceDrop: 2, navp.TraceRecover: 3, navp.TraceKill: 4,
+	faultRank := map[TraceKind]int{
+		TraceRetry: 1, TraceDrop: 2, TraceRecover: 3, TraceKill: 4,
 	}
-	faultRune := map[navp.TraceKind]rune{
-		navp.TraceRetry: 'r', navp.TraceDrop: 'x', navp.TraceRecover: '+', navp.TraceKill: '#',
+	faultRune := map[TraceKind]rune{
+		TraceRetry: 'r', TraceDrop: 'x', TraceRecover: '+', TraceKill: '#',
 	}
-	faults := make([]map[int]navp.TraceKind, height)
+	faults := make([]map[int]TraceKind, height)
 	anyFault := false
 	for _, ev := range events {
 		if faultRank[ev.Kind] == 0 {
@@ -186,7 +258,7 @@ func (r *Recorder) SpaceTime(pes, height int) string {
 			row = height - 1
 		}
 		if faults[row] == nil {
-			faults[row] = map[int]navp.TraceKind{}
+			faults[row] = map[int]TraceKind{}
 		}
 		if faultRank[ev.Kind] > faultRank[faults[row][ev.From]] {
 			faults[row][ev.From] = ev.Kind
@@ -195,7 +267,7 @@ func (r *Recorder) SpaceTime(pes, height int) string {
 	}
 
 	for _, ev := range events {
-		if ev.Kind != navp.TraceCompute {
+		if ev.Kind != TraceCompute {
 			continue
 		}
 		sym(ev.Agent)
@@ -212,23 +284,23 @@ func (r *Recorder) SpaceTime(pes, height int) string {
 				row = height - 1
 			}
 			if occupancy[row][ev.From] == nil {
-				occupancy[row][ev.From] = map[string]sim.Time{}
+				occupancy[row][ev.From] = map[string]float64{}
 			}
 			occupancy[row][ev.From][ev.Agent] += bucket * 1e-12
 			continue
 		}
 		for row := int(ev.Start / bucket); row < height; row++ {
-			lo := sim.Time(row) * bucket
+			lo := float64(row) * bucket
 			hi := lo + bucket
 			if ev.End <= lo {
 				break
 			}
-			span := minT(ev.End, hi) - maxT(ev.Start, lo)
+			span := min(ev.End, hi) - max(ev.Start, lo)
 			if span <= 0 {
 				continue
 			}
 			if occupancy[row][ev.From] == nil {
-				occupancy[row][ev.From] = map[string]sim.Time{}
+				occupancy[row][ev.From] = map[string]float64{}
 			}
 			occupancy[row][ev.From][ev.Agent] += span
 		}
@@ -241,9 +313,9 @@ func (r *Recorder) SpaceTime(pes, height int) string {
 	}
 	b.WriteByte('\n')
 	for row := 0; row < height; row++ {
-		fmt.Fprintf(&b, "%9.3fs  ", sim.Time(row)*bucket)
+		fmt.Fprintf(&b, "%9.3fs  ", float64(row)*bucket)
 		for pe := 0; pe < pes; pe++ {
-			best, bestSpan := '·', sim.Time(0)
+			best, bestSpan := '·', float64(0)
 			// Deterministic tie-breaking by agent appearance order.
 			for _, agent := range order {
 				if span := occupancy[row][pe][agent]; span > bestSpan {
@@ -274,48 +346,6 @@ func (r *Recorder) SpaceTime(pes, height int) string {
 		b.WriteString("faults: x=drop, r=retry, #=kill, +=recover\n")
 	}
 	return b.String()
-}
-
-// Layout renders the node-variable placement of a NavP system as a
-// per-PE listing — the measured counterpart of the paper's data-layout
-// figures (4, 6, 8, 10, 12, 14). For 2-D systems pass the grid order;
-// for 1-D pass cols = number of PEs and rows = 1.
-func Layout(sys *navp.System, rows, cols int) string {
-	var b strings.Builder
-	for gr := 0; gr < rows; gr++ {
-		for gc := 0; gc < cols; gc++ {
-			id := gr*cols + gc
-			names := sys.Node(id).VarNames()
-			sort.Strings(names)
-			if rows > 1 {
-				fmt.Fprintf(&b, "node(%d,%d): ", gr, gc)
-			} else {
-				fmt.Fprintf(&b, "node(%d): ", gc)
-			}
-			if len(names) <= 12 {
-				b.WriteString(strings.Join(names, " "))
-			} else {
-				b.WriteString(strings.Join(names[:12], " "))
-				fmt.Fprintf(&b, " … (%d vars)", len(names))
-			}
-			b.WriteByte('\n')
-		}
-	}
-	return b.String()
-}
-
-func minT(a, b sim.Time) sim.Time {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxT(a, b sim.Time) sim.Time {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // WriteCSV streams the recorded events as CSV (kind, agent, from, to,

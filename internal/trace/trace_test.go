@@ -1,4 +1,4 @@
-package trace
+package trace_test
 
 import (
 	"fmt"
@@ -7,10 +7,11 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/navp"
+	"repro/internal/trace"
 )
 
-func record() (*Recorder, *navp.System) {
-	rec := New()
+func record() (*trace.Recorder, *navp.System) {
+	rec := trace.New()
 	sys := navp.NewSim(navp.DefaultConfig(), machine.SunBlade100(), 3)
 	sys.SetTracer(rec)
 	return rec, sys
@@ -93,29 +94,15 @@ func TestSpaceTimeRendersOccupancy(t *testing.T) {
 }
 
 func TestSpaceTimeEmptyTrace(t *testing.T) {
-	rec := New()
+	rec := trace.New()
 	if got := rec.SpaceTime(2, 5); !strings.Contains(got, "empty") {
 		t.Fatalf("got %q", got)
 	}
 }
 
-func TestLayoutListsNodeVariables(t *testing.T) {
-	_, sys := record()
-	sys.Node(0).Set("B:0:0", 1)
-	sys.Node(2).Set("C:1:1", 1)
-	out := Layout(sys, 1, 3)
-	if !strings.Contains(out, "node(0): B:0:0") || !strings.Contains(out, "node(2): C:1:1") {
-		t.Fatalf("layout:\n%s", out)
-	}
-	out2d := Layout(sys, 3, 1)
-	if !strings.Contains(out2d, "node(2,0):") {
-		t.Fatalf("2d layout:\n%s", out2d)
-	}
-}
-
 func TestRecorderThreadSafe(t *testing.T) {
 	// Record from the real backend under -race.
-	rec := New()
+	rec := trace.New()
 	sys := navp.NewReal(navp.DefaultConfig(), 2)
 	sys.SetTracer(rec)
 	for i := 0; i < 8; i++ {
@@ -150,17 +137,6 @@ func TestSpaceTimeManyAgentsSymbolFallback(t *testing.T) {
 	art := rec.SpaceTime(3, 8)
 	if !strings.Contains(art, "agents)") {
 		t.Fatalf("legend not truncated:\n%s", art)
-	}
-}
-
-func TestLayoutTruncatesLongVarLists(t *testing.T) {
-	_, sys := record()
-	for i := 0; i < 20; i++ {
-		sys.Node(0).Set(fmt.Sprintf("var%02d", i), i)
-	}
-	out := Layout(sys, 1, 3)
-	if !strings.Contains(out, "(20 vars)") {
-		t.Fatalf("layout not truncated:\n%s", out)
 	}
 }
 

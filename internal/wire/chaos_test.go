@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/navp"
 	"repro/internal/trace"
 )
 
@@ -251,7 +250,7 @@ func TestDropsAreRetriedAndTraced(t *testing.T) {
 // returns the gaps in seconds. Frames are told apart by their link: a
 // sender waits the same ack timeout after every drop, so on one link
 // drops and the retries they cause come in the same order.
-func dropRetryGaps(events []navp.TraceEvent) []float64 {
+func dropRetryGaps(events []trace.TraceEvent) []float64 {
 	type link struct {
 		agent    string
 		from, to int
@@ -262,9 +261,9 @@ func dropRetryGaps(events []navp.TraceEvent) []float64 {
 	for _, ev := range events {
 		l := link{ev.Agent, ev.From, ev.To}
 		switch ev.Kind {
-		case navp.TraceDrop:
+		case trace.TraceDrop:
 			pending[l] = append(pending[l], float64(ev.Start))
-		case navp.TraceRetry:
+		case trace.TraceRetry:
 			if q := pending[l]; len(q) > 0 {
 				gaps = append(gaps, float64(ev.Start)-q[0])
 				pending[l] = q[1:]

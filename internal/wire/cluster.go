@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/navp"
+	"repro/internal/trace"
 )
 
 // Options configures an in-process cluster's chaos layer. The zero value
@@ -27,7 +27,7 @@ type Options struct {
 	// Tracer, if non-nil, receives hop/drop/retry/kill/recover events
 	// with wall-clock timestamps in seconds since cluster start (it
 	// must be safe for concurrent use; internal/trace.Recorder is).
-	Tracer navp.Tracer
+	Tracer trace.Tracer
 }
 
 // The runtime's fixed timings, the ones process hosts and front-end
@@ -55,16 +55,16 @@ func (o *Options) ackTimeout() time.Duration {
 // traceSink stamps wire runtime events with wall-clock seconds since
 // cluster start and forwards them to the configured tracer.
 type traceSink struct {
-	tracer navp.Tracer
+	tracer trace.Tracer
 	epoch  time.Time
 }
 
-func (ts *traceSink) record(kind navp.TraceKind, job uint64, agent string, from, to int, bytes int64, label string) {
+func (ts *traceSink) record(kind trace.TraceKind, job uint64, agent string, from, to int, bytes int64, label string) {
 	if ts == nil || ts.tracer == nil {
 		return
 	}
 	now := time.Since(ts.epoch).Seconds()
-	ts.tracer.Record(navp.TraceEvent{Kind: kind, Job: job, Agent: agent, From: from, To: to,
+	ts.tracer.Record(trace.TraceEvent{Kind: kind, Job: job, Agent: agent, From: from, To: to,
 		Label: label, Bytes: bytes, Start: now, End: now})
 }
 
@@ -451,7 +451,7 @@ func (cl *Cluster) restart(i int) {
 	if err == nil {
 		var replayed int
 		if replayed, err = h.serve(ln); err == nil {
-			h.sink.record(navp.TraceRecover, 0, "", i, i, 0, fmt.Sprintf("%d agents replayed", replayed))
+			h.sink.record(trace.TraceRecover, 0, "", i, i, 0, fmt.Sprintf("%d agents replayed", replayed))
 			return
 		}
 	}

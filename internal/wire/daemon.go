@@ -10,7 +10,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/navp"
+	"repro/internal/trace"
 )
 
 // errKilled is the panic sentinel that unwinds a behavior step when its
@@ -634,7 +634,7 @@ func (d *daemon) migrateOut(msg *agentMsg, dst int, note string) {
 	out := &agentMsg{ID: msg.ID, Hop: msg.Hop + 1, Job: msg.Job, Behavior: msg.Behavior, State: msg.State}
 	if d.deliver(dst, out, prev) {
 		d.node.met.agentsMigrated.Inc()
-		d.sink.record(navp.TraceMigrate, msg.Job, msg.Behavior, d.id, dst, 0, note)
+		d.sink.record(trace.TraceMigrate, msg.Job, msg.Behavior, d.id, dst, 0, note)
 	}
 }
 
@@ -695,7 +695,7 @@ func (d *daemon) deliver(dst int, msg *agentMsg, prevHop uint64) bool {
 		sentAt := time.Now()
 		if dec.Drop {
 			met.framesDropped.Inc()
-			d.sink.record(navp.TraceDrop, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)), "")
+			d.sink.record(trace.TraceDrop, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)), "")
 			// A lost frame's sender learns of the loss only when its ack
 			// fails to come: the drop costs the ack timeout, as it costs
 			// the plan's RetryTimeout on the sim backend.
@@ -736,12 +736,12 @@ func (d *daemon) deliver(dst int, msg *agentMsg, prevHop uint64) bool {
 			if d.node.ackDelivered(msg.ID, prevHop) {
 				d.syncLazily()
 			}
-			d.sink.record(navp.TraceHop, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)), "")
+			d.sink.record(trace.TraceHop, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)), "")
 			return true
 		}
 		if errors.Is(err, errCtlTornDown) {
 			met.framesRetried.Inc()
-			d.sink.record(navp.TraceRetry, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)),
+			d.sink.record(trace.TraceRetry, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)),
 				fmt.Sprintf("attempt %d", attempt+2))
 			continue // resend at once over a fresh dial
 		}
@@ -759,7 +759,7 @@ func (d *daemon) deliver(dst int, msg *agentMsg, prevHop uint64) bool {
 			return false
 		}
 		met.framesRetried.Inc()
-		d.sink.record(navp.TraceRetry, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)),
+		d.sink.record(trace.TraceRetry, msg.Job, msg.Behavior, d.id, dst, int64(len(frame)),
 			fmt.Sprintf("attempt %d", attempt+2))
 		if !d.sleep(backoff) {
 			return false
@@ -789,7 +789,7 @@ func (d *daemon) reroute(msg *agentMsg, failed int) int {
 		return -1
 	}
 	d.node.met.agentsRerouted.Inc()
-	d.sink.record(navp.TraceMigrate, msg.Job, msg.Behavior, d.id, nd, 0,
+	d.sink.record(trace.TraceMigrate, msg.Job, msg.Behavior, d.id, nd, 0,
 		fmt.Sprintf("reroute around %d", failed))
 	return nd
 }
@@ -860,7 +860,7 @@ func (d *daemon) kill() {
 	alreadyDead := d.dead.Load()
 	d.terminate()
 	if !alreadyDead {
-		d.sink.record(navp.TraceKill, 0, "", d.id, d.id, 0, "")
+		d.sink.record(trace.TraceKill, 0, "", d.id, d.id, 0, "")
 	}
 }
 
