@@ -64,9 +64,13 @@ package bench
 // Allocation gates are not loosened — an allocation count does not
 // depend on the host — and quick runs measure no 256×256 block.
 //
-// The navp suite gates the goroutine NavP runtime (DESIGN.md §4), whose
-// control overhead decides whether the paper's best variant can beat
-// the program it parallelises on real cores —
+// The navp suite gates both executors of NavP programs. The simulation
+// kernel's process switch makes at most 2 allocations and its event
+// signal/wait pair at most 4 (the run queue is a slice popped from the
+// front, so an append re-grows it). The goroutine NavP runtime
+// (DESIGN.md §4) is gated on the control overhead that decides whether
+// the paper's best variant can beat the program it parallelises on real
+// cores —
 //
 //   - paper-fine's Phase2D solve takes at most 4.0× its Sequential twin
 //     on the same host, in every run with GOMAXPROCS ≥ 2 (a goroutine
@@ -144,6 +148,11 @@ const (
 	// runtime's allocations per event round trip and per hop (all runs).
 	gateEventRoundTripAllocs = 2
 	gateHopAllocs            = 0
+	// gateProcessSwitchAllocs and gateSignalWaitAllocs cap the
+	// simulation kernel's allocations per process switch and per event
+	// signal/wait pair (all runs).
+	gateProcessSwitchAllocs = 2
+	gateSignalWaitAllocs    = 4
 )
 
 // CheckGates evaluates every regression gate of the file's suite and
@@ -161,8 +170,8 @@ func (f *RegressFile) CheckGates() []error {
 }
 
 // checkNavpGates holds paper-fine's Phase2D to a multiple of its
-// Sequential twin, and the runtime's hop and event hand-off to their
-// allocation counts.
+// Sequential twin, and the kernel's switch and event pair and the
+// runtime's hop and event hand-off to their allocation counts.
 func (f *RegressFile) checkNavpGates() []error {
 	var errs []error
 	fail := func(format string, args ...any) {
@@ -181,7 +190,12 @@ func (f *RegressFile) checkNavpGates() []error {
 	for _, c := range []struct {
 		name string
 		max  int64
-	}{{"BenchmarkEventRoundTripReal", gateEventRoundTripAllocs}, {"BenchmarkHopReal", gateHopAllocs}} {
+	}{
+		{"BenchmarkProcessSwitch", gateProcessSwitchAllocs},
+		{"BenchmarkEventSignalWait", gateSignalWaitAllocs},
+		{"BenchmarkEventRoundTripReal", gateEventRoundTripAllocs},
+		{"BenchmarkHopReal", gateHopAllocs},
+	} {
 		switch r := f.Find(c.name); {
 		case r == nil:
 			fail("no %s recorded", c.name)

@@ -345,13 +345,16 @@ func navpGateFile() *RegressFile {
 		{Name: "BenchmarkEventRoundTripReal", NsPerOp: 830, AllocsPerOp: 2},
 		{Name: "BenchmarkPhase2DFine", NsPerOp: 100e6, AllocsPerOp: 314e3},
 		{Name: "BenchmarkSequentialFine", NsPerOp: 29e6, AllocsPerOp: 44e3},
+		{Name: "BenchmarkProcessSwitch", NsPerOp: 560, AllocsPerOp: 2},
+		{Name: "BenchmarkEventSignalWait", NsPerOp: 830, AllocsPerOp: 4},
 	}}
 }
 
 // TestNavpGates pins the runtime gates: one loop per PE passes; the
 // goroutine-per-agent backend's Phase2D ratio fails, as does an extra
-// allocation per event round trip or per hop. A one-CPU host skips the
-// ratio, never the allocation gates.
+// allocation per event round trip, per hop, per kernel process switch or
+// per kernel signal/wait pair. A one-CPU host skips the ratio, never the
+// allocation gates.
 func TestNavpGates(t *testing.T) {
 	if errs := navpGateFile().CheckGates(); len(errs) != 0 {
 		t.Fatalf("run-loop numbers violated gates: %v", errs)
@@ -375,8 +378,16 @@ func TestNavpGates(t *testing.T) {
 	if errs := f.CheckGates(); !hasViolation(errs, "BenchmarkHopReal makes 1 allocations per op, above 0") {
 		t.Fatalf("an allocation per hop passed: %v", errs)
 	}
+	f = navpGateFile()
+	f.Results[4].AllocsPerOp = 4
+	f.Results[5].AllocsPerOp = 5
+	if errs := f.CheckGates(); !hasViolation(errs, "BenchmarkProcessSwitch makes 4 allocations per op, above 2") ||
+		!hasViolation(errs, "BenchmarkEventSignalWait makes 5 allocations per op, above 4") {
+		t.Fatalf("extra kernel allocations passed: %v", errs)
+	}
 	missing := &RegressFile{Schema: 2, Suite: "navp", GOMAXPROCS: 2}
-	if errs := missing.CheckGates(); !hasViolation(errs, "no BenchmarkPhase2DFine/SequentialFine pair") || !hasViolation(errs, "no BenchmarkHopReal") {
+	if errs := missing.CheckGates(); !hasViolation(errs, "no BenchmarkPhase2DFine/SequentialFine pair") ||
+		!hasViolation(errs, "no BenchmarkHopReal") || !hasViolation(errs, "no BenchmarkProcessSwitch") {
 		t.Fatalf("a navp file without its rows passed: %v", errs)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/matmul"
 	"repro/internal/matrix"
 	"repro/internal/navp"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -338,18 +339,26 @@ func RegressWire(quick bool) (*RegressFile, error) {
 	return f, nil
 }
 
-// RegressNavp measures the goroutine NavP runtime (navp.NewReal): a
+// RegressNavp measures the two executors of NavP programs. First the
+// simulation kernel (internal/sim): a process switch and an event
+// signal/wait pair. Then the goroutine runtime (navp.NewReal): a
 // cross-PE hop and a same-PE event round trip, then whole solves on it:
 // in full runs paper-coarse's Phase1D, which is sensitive to the run
 // loop's queue order, and always paper-fine's Phase2D beside its
 // Sequential twin (the ratio the navp gate reads). The rows carry the
-// names of the go-test benchmarks in internal/navp and internal/matmul.
+// names of the go-test benchmarks in internal/sim, internal/navp and
+// internal/matmul.
 func RegressNavp(quick bool) (*RegressFile, error) {
 	f := newRegressFile("navp", quick)
 	for _, c := range []struct {
 		name string
 		run  func(n int) error
-	}{{"BenchmarkHopReal", navp.BenchHops}, {"BenchmarkEventRoundTripReal", navp.BenchEventRoundTrips}} {
+	}{
+		{"BenchmarkProcessSwitch", sim.BenchProcessSwitch},
+		{"BenchmarkEventSignalWait", sim.BenchEventSignalWait},
+		{"BenchmarkHopReal", navp.BenchHops},
+		{"BenchmarkEventRoundTripReal", navp.BenchEventRoundTrips},
+	} {
 		f.Results = append(f.Results, benchmarked(c.name, func(b *testing.B) {
 			if err := c.run(b.N); err != nil {
 				b.Fatal(err)

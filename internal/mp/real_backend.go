@@ -18,7 +18,6 @@ import (
 type realBackend struct {
 	mu      sync.Mutex
 	boxes   []realMailbox
-	cpus    []sync.Mutex
 	started time.Time
 
 	bar struct {
@@ -41,7 +40,7 @@ type realParkedSend struct {
 
 // NewRealWorld builds an n-rank world executed by real goroutines.
 func NewRealWorld(n int) *World {
-	b := &realBackend{boxes: make([]realMailbox, n), cpus: make([]sync.Mutex, n)}
+	b := &realBackend{boxes: make([]realMailbox, n)}
 	b.bar.cond = sync.NewCond(&b.mu)
 	return &World{size: n, backend: b}
 }
@@ -143,11 +142,9 @@ func (b *realBackend) barrier(r *Rank) {
 }
 
 func (b *realBackend) compute(r *Rank, flops float64, fn func()) {
-	b.cpus[r.id].Lock()
 	if fn != nil {
 		fn()
 	}
-	b.cpus[r.id].Unlock()
 }
 
 func (b *realBackend) now(r *Rank) sim.Time { return time.Since(b.started).Seconds() }

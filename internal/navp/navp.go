@@ -239,10 +239,8 @@ type Agent struct {
 
 	// Real backend only: the agent's coroutine, and its link in the
 	// waiter FIFO of the event it is parked on.
-	resume func() (struct{}, bool)
-	stop   func()
-	yield  func(struct{}) bool
-	link   *Agent
+	co   sim.Coro[*Agent]
+	link *Agent
 }
 
 type agentVar struct {

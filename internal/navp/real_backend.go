@@ -5,9 +5,7 @@
 package navp
 
 import (
-	"errors"
 	"fmt"
-	"iter"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,8 +16,8 @@ import (
 )
 
 // realBackend runs each PE as one non-preemptive loop, the MESSENGERS
-// daemon of the paper's §2, and each agent as an iter.Pull coroutine
-// that the loop resumes. An agent runs until its next scheduling point:
+// daemon of the paper's §2, and each agent as a sim.Coro coroutine that
+// the loop resumes. An agent runs until its next scheduling point:
 // a hop to another PE or a WaitEvent with no pending signal. Everything
 // else — compute, signal, inject, a hop between virtual cells on one
 // PE — runs inline, because the loop is the PE's CPU.
@@ -72,10 +70,6 @@ type realEvent struct {
 	head, tail *Agent
 }
 
-// errUnwound is panicked out of a parked agent's yield when Run unwinds
-// it after a deadlock, so its coroutine returns.
-var errUnwound = errors.New("navp: agent unwound after a deadlock")
-
 // NewReal builds a NavP system of n nodes, each run by one goroutine
 // that schedules its resident agents as coroutines. Run returns a
 // *sim.DeadlockError when every live agent is parked on an event.
@@ -118,19 +112,9 @@ func (b *realBackend) run(s *System) error {
 // spawn creates an agent on nd whose body is a suspended coroutine.
 func (b *realBackend) spawn(s *System, name string, nd *Node, fn func(*Agent)) *Agent {
 	ag := &Agent{name: name, sys: s, node: nd, vars: map[string]agentVar{}}
-	ag.resume, ag.stop = iter.Pull(func(yield func(struct{}) bool) {
-		ag.yield = yield
-		fn(ag)
-	})
+	ag.co.Start(fn, ag)
 	b.live.Add(1)
 	return ag
-}
-
-// suspend returns control to the agent's loop until the loop resumes it.
-func (ag *Agent) suspend() {
-	if !ag.yield(struct{}{}) {
-		panic(errUnwound)
-	}
 }
 
 // run schedules the loop's agents until the run is over.
@@ -154,7 +138,7 @@ func (l *peLoop) run() {
 // away, and queues the children it injected ahead of the queue.
 func (l *peLoop) step(ag *Agent) {
 	b := l.b
-	if _, ok := ag.resume(); !ok {
+	if !ag.co.Resume() {
 		if b.live.Add(-1) == 0 {
 			close(b.done)
 		}
@@ -246,20 +230,9 @@ func (b *realBackend) unwind(s *System) error {
 	}
 	sort.Strings(dl.Blocked)
 	for _, ag := range parked {
-		stopParked(ag)
+		ag.co.Stop()
 	}
 	return dl
-}
-
-// stopParked ends a parked agent's coroutine, absorbing the errUnwound
-// panic that its yield raised to unwind it.
-func stopParked(ag *Agent) {
-	defer func() {
-		if r := recover(); r != nil && r != errUnwound {
-			panic(r)
-		}
-	}()
-	ag.stop()
 }
 
 func (b *realBackend) hop(ag *Agent, dst int) {
@@ -273,7 +246,7 @@ func (b *realBackend) hop(ag *Agent, dst int) {
 		ag.sys.record(trace.TraceEvent{Kind: trace.TraceHop, Agent: ag.name, From: src, To: dst,
 			Bytes: ag.PayloadBytes(), Start: now, End: now})
 	}
-	ag.suspend()
+	ag.co.Suspend()
 }
 
 // compute runs fn inline: the loop running the agent is the PE's CPU.
@@ -298,7 +271,7 @@ func (b *realBackend) wait(ag *Agent, event string) {
 	if es, ok := nd.events[event]; !ok {
 		ev := &realEvent{head: ag, tail: ag}
 		nd.events[event] = ev
-		ag.suspend()
+		ag.co.Suspend()
 	} else if ev := es.(*realEvent); ev.count > 0 {
 		if ev.count--; ev.count == 0 {
 			delete(nd.events, event)
@@ -306,7 +279,7 @@ func (b *realBackend) wait(ag *Agent, event string) {
 	} else {
 		ev.tail.link = ag
 		ev.tail = ag
-		ag.suspend()
+		ag.co.Suspend()
 	}
 	if ag.sys.tracer != nil {
 		ag.sys.record(trace.TraceEvent{Kind: trace.TraceWait, Agent: ag.name, From: nd.id, To: nd.id,

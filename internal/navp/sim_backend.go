@@ -13,7 +13,6 @@ import (
 type simBackend struct {
 	kernel  *sim.Kernel
 	cluster *machine.Cluster
-	nagents int       // monotone counter for unique process names
 	fault   *simFault // chaos injection, nil when no plan is set
 }
 
@@ -52,25 +51,20 @@ func (s *System) VirtualTime() sim.Time {
 
 func (b *simBackend) run(s *System) error {
 	for _, pi := range s.pending {
-		pi := pi
-		ag := b.newAgent(s, pi.name, pi.node)
-		b.kernel.Spawn(ag.procName(), func(p *sim.Proc) {
-			ag.proc = p
-			pi.fn(ag)
-		})
+		b.spawn(s, pi.name, s.nodes[pi.node], pi.fn)
 	}
 	s.pending = nil
 	return b.kernel.Run()
 }
 
-func (b *simBackend) newAgent(s *System, name string, node int) *Agent {
-	b.nagents++
-	return &Agent{name: name, sys: s, node: s.nodes[node], vars: map[string]agentVar{}}
-}
-
-// procName returns a unique kernel process name for diagnostics.
-func (ag *Agent) procName() string {
-	return fmt.Sprintf("%s@n%d", ag.name, ag.node.id)
+// spawn starts an agent on nd as a kernel process, named after the agent
+// and its birth node in deadlock diagnostics.
+func (b *simBackend) spawn(s *System, name string, nd *Node, fn func(*Agent)) {
+	ag := &Agent{name: name, sys: s, node: nd, vars: map[string]agentVar{}}
+	b.kernel.Spawn(fmt.Sprintf("%s@n%d", name, nd.id), func(p *sim.Proc) {
+		ag.proc = p
+		fn(ag)
+	})
 }
 
 func (b *simBackend) hop(ag *Agent, dst int) {
@@ -141,14 +135,10 @@ func (b *simBackend) inject(parent *Agent, name string, fn func(*Agent)) {
 	if o := parent.sys.cfg.InjectOverhead; o > 0 {
 		parent.proc.Sleep(o)
 	}
-	child := b.newAgent(parent.sys, name, parent.node.id)
 	parent.sys.record(trace.TraceEvent{Kind: trace.TraceInject, Agent: parent.name,
 		From: parent.node.id, To: parent.node.id, Label: name,
 		Start: parent.proc.Now(), End: parent.proc.Now()})
-	parent.proc.Spawn(child.procName(), func(p *sim.Proc) {
-		child.proc = p
-		fn(child)
-	})
+	b.spawn(parent.sys, name, parent.node, fn)
 }
 
 func (b *simBackend) touch(ag *Agent, key string, bytes int64) {

@@ -5,20 +5,10 @@ import (
 	"testing"
 )
 
-// BenchmarkProcessSwitch measures the coroutine handshake: two processes
+// BenchmarkProcessSwitch measures the coroutine switch: two processes
 // ping-ponging via yields.
 func BenchmarkProcessSwitch(b *testing.B) {
-	k := New()
-	n := b.N
-	for p := 0; p < 2; p++ {
-		k.Spawn(fmt.Sprintf("p%d", p), func(p *Proc) {
-			for i := 0; i < n; i++ {
-				p.Yield()
-			}
-		})
-	}
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
+	if err := BenchProcessSwitch(b.N); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -40,22 +30,7 @@ func BenchmarkTimerHeap(b *testing.B) {
 
 // BenchmarkEventSignalWait measures the producer/consumer event path.
 func BenchmarkEventSignalWait(b *testing.B) {
-	k := New()
-	ev := NewEvent("e")
-	n := b.N
-	k.Spawn("producer", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			ev.Signal()
-			p.Yield()
-		}
-	})
-	k.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			ev.Wait(p)
-		}
-	})
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
+	if err := BenchEventSignalWait(b.N); err != nil {
 		b.Fatal(err)
 	}
 }

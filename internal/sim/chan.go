@@ -53,7 +53,7 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 		c.receivers = c.receivers[1:]
 		*r.slot = v
 		*r.ok = true
-		r.p.k.ready(r.p)
+		r.p.k.Ready(r.p)
 		return
 	}
 	if len(c.buf) < c.capacity {
@@ -61,35 +61,17 @@ func (c *Chan[T]) Send(p *Proc, v T) {
 		return
 	}
 	c.senders = append(c.senders, chanSender[T]{p: p, v: v})
-	p.park("send " + c.name)
+	p.Park("send " + c.name)
 }
 
 // Recv receives a value, blocking until one is available. ok is false only
 // when the channel is closed and drained, as with Go channels.
 func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
-	if len(c.buf) > 0 {
-		v = c.buf[0]
-		c.buf = c.buf[1:]
-		// A parked sender can now occupy the freed buffer slot.
-		if len(c.senders) > 0 {
-			s := c.senders[0]
-			c.senders = c.senders[1:]
-			c.buf = append(c.buf, s.v)
-			s.p.k.ready(s.p)
-		}
-		return v, true
-	}
-	if len(c.senders) > 0 {
-		s := c.senders[0]
-		c.senders = c.senders[1:]
-		s.p.k.ready(s.p)
-		return s.v, true
-	}
-	if c.closed {
-		return v, false
+	if v, ok = c.TryRecv(); ok || c.closed {
+		return v, ok
 	}
 	c.receivers = append(c.receivers, chanReceiver[T]{p: p, slot: &v, ok: &ok})
-	p.park("recv " + c.name)
+	p.Park("recv " + c.name)
 	return v, ok
 }
 
@@ -99,18 +81,19 @@ func (c *Chan[T]) TryRecv() (v T, ok bool) {
 	if len(c.buf) > 0 {
 		v = c.buf[0]
 		c.buf = c.buf[1:]
+		// A parked sender can now occupy the freed buffer slot.
 		if len(c.senders) > 0 {
 			s := c.senders[0]
 			c.senders = c.senders[1:]
 			c.buf = append(c.buf, s.v)
-			s.p.k.ready(s.p)
+			s.p.k.Ready(s.p)
 		}
 		return v, true
 	}
 	if len(c.senders) > 0 {
 		s := c.senders[0]
 		c.senders = c.senders[1:]
-		s.p.k.ready(s.p)
+		s.p.k.Ready(s.p)
 		return s.v, true
 	}
 	return v, false
@@ -129,7 +112,7 @@ func (c *Chan[T]) Close() {
 	c.closed = true
 	for _, r := range c.receivers {
 		*r.ok = false
-		r.p.k.ready(r.p)
+		r.p.k.Ready(r.p)
 	}
 	c.receivers = nil
 }

@@ -32,7 +32,7 @@ func (e *Event) Signal() {
 	if len(e.waiters) > 0 {
 		p := e.waiters[0]
 		e.waiters = e.waiters[1:]
-		p.k.ready(p)
+		p.k.Ready(p)
 		return
 	}
 	e.count++
@@ -41,12 +41,11 @@ func (e *Event) Signal() {
 // Wait consumes one pending signal, blocking the calling process until a
 // signal is available.
 func (e *Event) Wait(p *Proc) {
-	if e.count > 0 {
-		e.count--
+	if e.TryWait() {
 		return
 	}
 	e.waiters = append(e.waiters, p)
-	p.park("event " + e.name)
+	p.Park("event " + e.name)
 }
 
 // TryWait consumes a pending signal if one is available and reports

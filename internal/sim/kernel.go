@@ -7,10 +7,11 @@
 // and the same virtual finish times on every run, independent of the host
 // machine's core count or load.
 //
-// Processes are ordinary goroutines that hand control back to the kernel
-// whenever they block on a primitive (Sleep, Event.Wait, Resource.Acquire,
-// Chan.Send/Recv). The kernel advances virtual time only when no process
-// is runnable, jumping directly to the next timed wakeup.
+// Each process is a coroutine (Coro) that the kernel's run loop resumes
+// and that suspends whenever it blocks on a primitive (Sleep, Event.Wait,
+// Resource.Acquire, Chan.Send/Recv). The kernel advances virtual time
+// only when no process is runnable, jumping directly to the next timed
+// wakeup.
 //
 // The package is the substrate for the NavP runtime (internal/navp), the
 // message-passing library (internal/mp), and the cluster machine model
@@ -35,10 +36,9 @@ type Kernel struct {
 	now     Time
 	timers  timerHeap
 	runq    []*Proc
-	nextSeq uint64
-	live    int // spawned processes that have not finished
+	nextSeq uint64 // timer creation order
+	live    int    // spawned processes that have not finished
 	procs   []*Proc
-	yielded chan struct{}
 	failure error
 	running bool
 
@@ -48,7 +48,7 @@ type Kernel struct {
 
 // New returns an empty kernel at virtual time zero.
 func New() *Kernel {
-	k := &Kernel{yielded: make(chan struct{})}
+	k := &Kernel{}
 	k.SetMetrics(nil) // no-op sinks until SetMetrics is called for real
 	return k
 }
@@ -63,47 +63,19 @@ func (k *Kernel) Now() Time { return k.now }
 // inside a running process; calling it from any other goroutine while Run
 // is in progress is a data race and must not be done.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		k:      k,
-		name:   name,
-		seq:    k.nextSeq,
-		resume: make(chan struct{}),
-	}
-	k.nextSeq++
+	p := &Proc{k: k, name: name}
+	p.co.Start(fn, p)
 	k.live++
 	k.procs = append(k.procs, p)
-	//lint:ignore simsafe the kernel itself multiplexes procs onto parked goroutines; exactly one is ever runnable, so virtual-time order stays deterministic
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if r == errKilled {
-					// Kernel shut down while this process was parked;
-					// exit silently without touching kernel state.
-					return
-				}
-				k.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-			}
-			p.state = procDone
-			k.live--
-			k.yielded <- struct{}{}
-		}()
-		if _, ok := <-p.resume; !ok {
-			panic(errKilled)
-		}
-		fn(p)
-	}()
-	k.ready(p)
+	k.Ready(p)
 	return p
 }
 
-// Ready makes a process parked with Proc.Park runnable again. Calling it
-// on a process that is not parked corrupts the scheduler; external
-// primitives must pair every Ready with exactly one earlier Park.
-func (k *Kernel) Ready(p *Proc) { k.ready(p) }
-
-// ready appends p to the run queue.
-func (k *Kernel) ready(p *Proc) {
-	p.state = procReady
+// Ready appends a process parked with Proc.Park to the run queue.
+// Calling it on a process that is not parked corrupts the scheduler;
+// every Ready must pair with exactly one earlier Park.
+func (k *Kernel) Ready(p *Proc) {
+	p.blocked = false
 	p.blockedOn = ""
 	k.runq = append(k.runq, p)
 }
@@ -125,8 +97,9 @@ func (e *DeadlockError) Error() string {
 
 // Run executes the simulation until every spawned process has finished.
 // It returns a *DeadlockError if processes remain blocked with no pending
-// wakeups, or the panic value (wrapped) if a process panics. After Run
-// returns, all remaining parked goroutines are reclaimed.
+// wakeups, or the panic value (wrapped) if a process panics. Before Run
+// returns, every process still parked is unwound through its deferred
+// calls.
 func (k *Kernel) Run() error {
 	if k.running {
 		return fmt.Errorf("sim: Run called reentrantly")
@@ -148,16 +121,14 @@ func (k *Kernel) Run() error {
 			k.now = t
 			k.metHorizon.Set(int64(t * 1e6))
 			for k.timers.Len() > 0 && k.timers.peek().at == t {
-				k.ready(k.timers.pop().p)
+				k.Ready(k.timers.pop().p)
 			}
 			continue
 		}
 		p := k.runq[0]
 		k.runq = k.runq[1:]
-		p.state = procRunning
 		k.metDispatched.Inc()
-		p.resume <- struct{}{}
-		<-k.yielded
+		k.step(p)
 	}
 	if k.failure != nil {
 		return k.failure
@@ -165,7 +136,7 @@ func (k *Kernel) Run() error {
 	if k.live > 0 {
 		dl := &DeadlockError{Time: k.now}
 		for _, p := range k.procs {
-			if p.state == procBlocked {
+			if p.blocked {
 				dl.Blocked = append(dl.Blocked, fmt.Sprintf("%s (waiting on %s)", p.name, p.blockedOn))
 			}
 		}
@@ -175,16 +146,22 @@ func (k *Kernel) Run() error {
 	return nil
 }
 
-// shutdown reclaims goroutines of processes that are still parked.
-func (k *Kernel) shutdown() {
-	for _, p := range k.procs {
-		if p.state != procDone {
-			p.state = procDone
-			close(p.resume)
+// step resumes p until it parks or finishes; a panic in p becomes the
+// run's failure.
+func (k *Kernel) step(p *Proc) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
 		}
+	}()
+	if !p.co.Resume() {
+		k.live--
 	}
 }
 
-// errKilled is panicked inside a parked process when the kernel shuts
-// down, unwinding its goroutine.
-var errKilled = new(int)
+// shutdown unwinds every process that has not finished.
+func (k *Kernel) shutdown() {
+	for _, p := range k.procs {
+		p.co.Stop()
+	}
+}

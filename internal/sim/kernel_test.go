@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -616,5 +617,43 @@ func TestNamesAndAccessors(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestDeadlockUnwindsParkedProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	k := New()
+	ev := NewEvent("never")
+	rendezvous := NewChan[int]("rv", 0)
+	cpu := NewResource("cpu", 1)
+	unwound := 0
+	k.Spawn("holder", func(p *Proc) {
+		defer func() { unwound++ }()
+		cpu.Acquire(p, 1)
+		ev.Wait(p)
+	})
+	k.Spawn("waiter", func(p *Proc) {
+		defer func() { unwound++ }()
+		ev.Wait(p)
+	})
+	k.Spawn("receiver", func(p *Proc) {
+		defer func() { unwound++ }()
+		rendezvous.Recv(p)
+	})
+	k.Spawn("contender", func(p *Proc) {
+		defer func() { unwound++ }()
+		cpu.Acquire(p, 1)
+	})
+	k.Spawn("finisher", func(p *Proc) { p.Sleep(1) })
+	err := k.Run()
+	dl, ok := err.(*DeadlockError)
+	if !ok || len(dl.Blocked) != 4 {
+		t.Fatalf("got %v, want a DeadlockError naming four processes", err)
+	}
+	if unwound != 4 {
+		t.Fatalf("deferred calls ran %d of 4 times when Run returned", unwound)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("%d goroutines after Run, %d before", n, base)
 	}
 }

@@ -1,25 +1,13 @@
 package sim
 
-import "fmt"
-
-type procState uint8
-
-const (
-	procReady procState = iota
-	procRunning
-	procBlocked
-	procDone
-)
-
-// Proc is a simulated process: a goroutine scheduled cooperatively by a
-// Kernel. All Proc methods must be called from the process's own goroutine
-// (i.e., from within the function passed to Spawn).
+// Proc is a simulated process: a coroutine that its Kernel's run loop
+// resumes and that suspends whenever it blocks. All Proc methods must be
+// called from within the process (the function passed to Spawn).
 type Proc struct {
 	k         *Kernel
 	name      string
-	seq       uint64
-	resume    chan struct{}
-	state     procState
+	co        Coro[*Proc]
+	blocked   bool // parked, and not yet readied
 	blockedOn string
 }
 
@@ -32,16 +20,14 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// park blocks the calling process until another process (or a timer)
-// readies it. The caller must have registered itself with a waker (timer
-// heap, event queue, resource queue, ...) before parking.
-func (p *Proc) park(reason string) {
-	p.state = procBlocked
+// Park blocks the calling process until Kernel.Ready makes it runnable
+// again. The caller must have registered itself with a waker (timer
+// heap, event queue, resource queue, message matching in internal/mp,
+// ...) before parking. The reason appears in deadlock diagnostics.
+func (p *Proc) Park(reason string) {
+	p.blocked = true
 	p.blockedOn = reason
-	p.k.yielded <- struct{}{}
-	if _, ok := <-p.resume; !ok {
-		panic(errKilled)
-	}
+	p.co.Suspend()
 }
 
 // Sleep advances the process's local view of time by d seconds of virtual
@@ -64,17 +50,17 @@ func (p *Proc) SleepUntil(t Time) {
 	}
 	p.k.timers.push(timer{at: t, seq: p.k.nextSeq, p: p})
 	p.k.nextSeq++
-	p.park(fmt.Sprintf("timer@%.6f", t))
+	// A process parked on a timer never appears in a DeadlockError: Run
+	// declares a deadlock only once the timer heap is empty.
+	p.Park("timer")
 }
 
 // Yield moves the process to the back of the ready queue, letting every
 // other currently runnable process execute first. Virtual time does not
 // advance.
 func (p *Proc) Yield() {
-	p.k.ready(p)
-	p.park("yield")
-	// ready() reset state/blockedOn; park overwrote them after the fact is
-	// harmless because the scheduler resumes us only via the run queue.
+	p.k.Ready(p)
+	p.Park("yield") // already queued, so Run resumes p in its turn
 }
 
 // Spawn creates a child process on the same kernel. Injection is local in
@@ -83,9 +69,3 @@ func (p *Proc) Yield() {
 func (p *Proc) Spawn(name string, fn func(*Proc)) *Proc {
 	return p.k.Spawn(name, fn)
 }
-
-// Park blocks the calling process until another process passes it to
-// Kernel.Ready. It is the building block for synchronization primitives
-// implemented outside this package (e.g. message matching in internal/mp).
-// The reason string appears in deadlock diagnostics.
-func (p *Proc) Park(reason string) { p.park(reason) }

@@ -51,7 +51,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		return
 	}
 	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
-	p.park("resource " + r.name)
+	p.Park("resource " + r.name)
 }
 
 // Release returns n units and admits queued waiters (in FIFO order) whose
@@ -68,7 +68,7 @@ func (r *Resource) Release(n int) {
 		}
 		r.inUse += w.n
 		r.waiters = r.waiters[1:]
-		w.p.k.ready(w.p)
+		w.p.k.Ready(w.p)
 	}
 }
 

@@ -379,6 +379,21 @@ func (d *daemon) forwardJoin(joinAddr string) (*envelope, error) {
 	return rep, nil
 }
 
+// refreshMembers adopts node 0's membership list, read with the observer
+// join query. It is best-effort: a failure leaves the view as it was.
+func (d *daemon) refreshMembers() {
+	if d.id == 0 {
+		return // node 0 allocates the ids, so its view is never behind
+	}
+	c, err := d.peer(0)
+	if err != nil {
+		return
+	}
+	if rep, err := c.roundTrip(&envelope{Kind: msgJoin}, d.opts.ackTimeout()); err == nil && rep.Kind == msgMembers {
+		d.members.update(rep.Members)
+	}
+}
+
 // broadcast sends env to every other member, best-effort and
 // asynchronous: nobody waits for the replies, and a member that misses
 // the frame learns its news another way (see the call sites).

@@ -317,3 +317,42 @@ func TestRemoteClusterDetectsDeadHost(t *testing.T) {
 		t.Fatal("node 0 wrongly marked dead")
 	}
 }
+
+func init() {
+	Register("hopToNode3", func(ctx *Ctx) Verdict {
+		if ctx.NodeID() == 3 {
+			ctx.Set("arrived", ctx.Job())
+			return ctx.Done()
+		}
+		return ctx.HopTo(3)
+	})
+}
+
+// TestHopBeyondStaleMembership hops to a member the hopping daemon has
+// not heard of: the join broadcast that would have told it is
+// best-effort, so the daemon refreshes its view from node 0 instead of
+// failing the hop.
+func TestHopBeyondStaleMembership(t *testing.T) {
+	cl, err := NewCluster(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	stale := cl.hosts[2].members
+	stale.mu.Lock()
+	stale.addrs, stale.down = stale.addrs[:3], stale.down[:3]
+	stale.mu.Unlock()
+
+	if err := cl.InjectJob(2, 5, "hopToNode3", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.WaitJob(5, chaosTimeout); err != nil {
+		t.Fatalf("job did not quiesce: %v", err)
+	}
+	if got := getVar(t, cl, 3, "arrived"); got != uint64(5) {
+		t.Fatalf("node 3 recorded %v, want job 5", got)
+	}
+	if n := stale.size(); n != 4 {
+		t.Fatalf("node 2 sees %d members after the hop, want 4", n)
+	}
+}

@@ -156,9 +156,17 @@ func (c *Ctx) Inject(behavior string, state any) {
 	c.daemon.commit(c.daemon.inject(&agentMsg{Job: c.agent.Job, Behavior: behavior, State: state}), nil)
 }
 
-// HopTo ends the step with a migration to node dst.
+// HopTo ends the step with a migration to node dst. A dst beyond this
+// daemon's membership first refreshes it from node 0: a joiner is
+// announced by a best-effort broadcast, so a front-end that read node 0's
+// list can name a member this daemon has not heard of yet.
 func (c *Ctx) HopTo(dst int) Verdict {
-	if n := c.daemon.members.size(); dst < 0 || dst >= n {
+	n := c.daemon.members.size()
+	if dst >= n {
+		c.daemon.refreshMembers()
+		n = c.daemon.members.size()
+	}
+	if dst < 0 || dst >= n {
 		panic(fmt.Sprintf("wire: hop to node %d of %d", dst, n))
 	}
 	return Verdict{hop: true, dst: dst}
