@@ -341,26 +341,27 @@ func TestGatesFrameCodec(t *testing.T) {
 // navpGateFile builds a synthetic navp RegressFile whose rows pass.
 func navpGateFile() *RegressFile {
 	return &RegressFile{Schema: 2, Suite: "navp", GOMAXPROCS: 2, Results: []RegressResult{
-		{Name: "BenchmarkHopReal", NsPerOp: 1050},
-		{Name: "BenchmarkEventRoundTripReal", NsPerOp: 830, AllocsPerOp: 2},
-		{Name: "BenchmarkPhase2DFine", NsPerOp: 100e6, AllocsPerOp: 314e3},
-		{Name: "BenchmarkSequentialFine", NsPerOp: 29e6, AllocsPerOp: 44e3},
-		{Name: "BenchmarkProcessSwitch", NsPerOp: 560, AllocsPerOp: 2},
-		{Name: "BenchmarkEventSignalWait", NsPerOp: 830, AllocsPerOp: 4},
+		{Name: "BenchmarkHopReal", NsPerOp: 900},
+		{Name: "BenchmarkEventRoundTripReal", NsPerOp: 640},
+		{Name: "BenchmarkPhase2DFine", NsPerOp: 54e6, AllocsPerOp: 44e3},
+		{Name: "BenchmarkSequentialFine", NsPerOp: 23e6, AllocsPerOp: 8.3e3},
+		{Name: "BenchmarkProcessSwitch", NsPerOp: 450},
+		{Name: "BenchmarkEventSignalWait", NsPerOp: 570},
 	}}
 }
 
 // TestNavpGates pins the runtime gates: one loop per PE passes; the
-// goroutine-per-agent backend's Phase2D ratio fails, as does an extra
+// goroutine-per-agent backend's Phase2D ratio fails, as does an
 // allocation per event round trip, per hop, per kernel process switch or
-// per kernel signal/wait pair. A one-CPU host skips the ratio, never the
-// allocation gates.
+// per kernel signal/wait pair, and a paper-fine solve over its
+// allocation cap (one at its cap passes). A one-CPU host skips the
+// ratio, never the allocation gates.
 func TestNavpGates(t *testing.T) {
 	if errs := navpGateFile().CheckGates(); len(errs) != 0 {
 		t.Fatalf("run-loop numbers violated gates: %v", errs)
 	}
 	f := navpGateFile()
-	f.Results[2].NsPerOp = 130e6 // 4.48x, as a goroutine per agent read
+	f.Results[2].NsPerOp = 103e6 // 4.48x, as a goroutine per agent read
 	if errs := f.CheckGates(); !hasViolation(errs, "Phase2DFine is 4.48x SequentialFine, above the 4.0x ceiling") {
 		t.Fatalf("a 4.48x Phase2D ratio passed the gate: %v", errs)
 	}
@@ -369,9 +370,9 @@ func TestNavpGates(t *testing.T) {
 		t.Fatalf("the ratio gate applied on one CPU: %v", errs)
 	}
 	f = navpGateFile()
-	f.Results[1].AllocsPerOp = 6
-	if errs := f.CheckGates(); !hasViolation(errs, "BenchmarkEventRoundTripReal makes 6 allocations per op, above 2") {
-		t.Fatalf("6 allocations per event round trip passed: %v", errs)
+	f.Results[1].AllocsPerOp = 2
+	if errs := f.CheckGates(); !hasViolation(errs, "BenchmarkEventRoundTripReal makes 2 allocations per op, above 0") {
+		t.Fatalf("2 allocations per event round trip passed: %v", errs)
 	}
 	f = navpGateFile()
 	f.Results[0].AllocsPerOp = 1
@@ -379,11 +380,23 @@ func TestNavpGates(t *testing.T) {
 		t.Fatalf("an allocation per hop passed: %v", errs)
 	}
 	f = navpGateFile()
-	f.Results[4].AllocsPerOp = 4
-	f.Results[5].AllocsPerOp = 5
-	if errs := f.CheckGates(); !hasViolation(errs, "BenchmarkProcessSwitch makes 4 allocations per op, above 2") ||
-		!hasViolation(errs, "BenchmarkEventSignalWait makes 5 allocations per op, above 4") {
-		t.Fatalf("extra kernel allocations passed: %v", errs)
+	f.Results[4].AllocsPerOp = 2
+	f.Results[5].AllocsPerOp = 4
+	if errs := f.CheckGates(); !hasViolation(errs, "BenchmarkProcessSwitch makes 2 allocations per op, above 0") ||
+		!hasViolation(errs, "BenchmarkEventSignalWait makes 4 allocations per op, above 0") {
+		t.Fatalf("kernel allocations passed: %v", errs)
+	}
+	f = navpGateFile()
+	f.Results[2].AllocsPerOp = gatePhase2DFineAllocs
+	f.Results[3].AllocsPerOp = gateSequentialFineAllocs
+	if errs := f.CheckGates(); len(errs) != 0 {
+		t.Fatalf("paper-fine solves at their allocation caps failed: %v", errs)
+	}
+	f.Results[2].AllocsPerOp = 314_576 // names built per call, escaping closures
+	f.Results[3].AllocsPerOp = gateSequentialFineAllocs + 1
+	if errs := f.CheckGates(); !hasViolation(errs, "BenchmarkPhase2DFine makes 314576 allocations per op, above 48500") ||
+		!hasViolation(errs, "BenchmarkSequentialFine makes 9101 allocations per op, above 9100") {
+		t.Fatalf("paper-fine solves over their allocation caps passed: %v", errs)
 	}
 	missing := &RegressFile{Schema: 2, Suite: "navp", GOMAXPROCS: 2}
 	if errs := missing.CheckGates(); !hasViolation(errs, "no BenchmarkPhase2DFine/SequentialFine pair") ||

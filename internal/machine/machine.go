@@ -159,15 +159,17 @@ func NewCluster(k *sim.Kernel, cfg Config, n int) *Cluster {
 // Size returns the number of PEs.
 func (cl *Cluster) Size() int { return len(cl.PEs) }
 
-// Compute charges flops of CPU work on this PE, executing fn (which may be
-// nil) while the CPU is held. The PE has a single CPU, so concurrent
-// computations on one PE serialize in FIFO order — exactly the MESSENGERS
-// daemon's task queue behaviour the paper relies on.
-func (pe *PE) Compute(p *sim.Proc, flops float64, fn func()) {
-	pe.CPU.Acquire(p, 1)
-	if fn != nil {
-		fn()
-	}
+// StartCompute acquires the PE's CPU for a computation, and EndCompute
+// charges its flops of CPU work and releases the CPU; the computation's
+// own work runs between the two, while the CPU is held. The PE has a
+// single CPU, so concurrent computations on one PE serialize in FIFO
+// order — exactly the MESSENGERS daemon's task queue behaviour the
+// paper relies on. The pair, rather than one call taking the work as a
+// func, lets a runtime run that func itself, so it never escapes.
+func (pe *PE) StartCompute(p *sim.Proc) { pe.CPU.Acquire(p, 1) }
+
+// EndCompute ends a computation begun with StartCompute.
+func (pe *PE) EndCompute(p *sim.Proc, flops float64) {
 	p.Sleep(flops / pe.Rate)
 	pe.CPU.Release(1)
 }

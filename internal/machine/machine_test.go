@@ -45,13 +45,22 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// compute runs fn as one computation of flops on pe, as the runtimes do.
+func compute(pe *PE, p *sim.Proc, flops float64, fn func()) {
+	pe.StartCompute(p)
+	if fn != nil {
+		fn()
+	}
+	pe.EndCompute(p, flops)
+}
+
 func TestComputeChargesFlopsOverRate(t *testing.T) {
 	k := sim.New()
 	cl := NewCluster(k, testConfig(), 1)
 	var end sim.Time
 	ran := false
 	k.Spawn("p", func(p *sim.Proc) {
-		cl.PEs[0].Compute(p, 200e6, func() { ran = true })
+		compute(cl.PEs[0], p, 200e6, func() { ran = true })
 		end = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -71,13 +80,13 @@ func TestComputeSerializesPerPE(t *testing.T) {
 	var ends []sim.Time
 	for i := 0; i < 2; i++ {
 		k.Spawn(fmt.Sprintf("same%d", i), func(p *sim.Proc) {
-			cl.PEs[0].Compute(p, 100e6, nil)
+			compute(cl.PEs[0], p, 100e6, nil)
 			ends = append(ends, p.Now())
 		})
 	}
 	var otherEnd sim.Time
 	k.Spawn("other", func(p *sim.Proc) {
-		cl.PEs[1].Compute(p, 100e6, nil)
+		compute(cl.PEs[1], p, 100e6, nil)
 		otherEnd = p.Now()
 	})
 	if err := k.Run(); err != nil {
@@ -312,11 +321,11 @@ func TestHeterogeneousCPURates(t *testing.T) {
 	cl.SetCPURate(1, 50e6) // half speed
 	var fastEnd, slowEnd sim.Time
 	k.Spawn("fast", func(p *sim.Proc) {
-		cl.PEs[0].Compute(p, 100e6, nil)
+		compute(cl.PEs[0], p, 100e6, nil)
 		fastEnd = p.Now()
 	})
 	k.Spawn("slow", func(p *sim.Proc) {
-		cl.PEs[1].Compute(p, 100e6, nil)
+		compute(cl.PEs[1], p, 100e6, nil)
 		slowEnd = p.Now()
 	})
 	if err := k.Run(); err != nil {

@@ -24,7 +24,6 @@ package matmul
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/fault"
 	"repro/internal/machine"
@@ -173,7 +172,12 @@ func Run(stage Stage, cfg Config) (*Result, error) {
 	if err := cfg.Validate(stage); err != nil {
 		return nil, err
 	}
-	pr := newProblem(stage, cfg)
+	return newProblem(stage, cfg).run()
+}
+
+// run stages the problem's program, runs it and gathers the product.
+func (pr *problem) run() (*Result, error) {
+	cfg, stage := pr.cfg, pr.stage
 	switch stage {
 	case Sequential:
 		pr.sequential()
@@ -219,10 +223,28 @@ type problem struct {
 	NB, vpp int
 	A, B    *matrix.Blocked
 	elem    int
+
+	// name holds the node-variable and event names, built once per
+	// problem: newProblem builds C, each stage the other tables it uses.
+	name struct {
+		c, b           names // "C:i:j", "B:k:j"
+		aRow, bColHome names // "Arow:i", "BcolHome:j"
+		bCol, ep       names // "Bcol:i:j", "EP:i:j" (2-D DSC)
+		ec, ep3        names // "EC:i:j", "EP:i:j:k" (per-block 2-D stages)
+		aHome, bHome   names // "Ahome:i:j", "Bhome:i:j" (2-D phase)
+	}
+	// deposit holds, for each cell (i,j) of the per-block 2-D stages, the
+	// B block deposited for A(i,k) at index k. Cell (i,j)'s slots belong
+	// to its node: only agents there touch them.
+	deposit [][]*matrix.Block
+	// onRead, when set (by tests), sees every node-variable read the
+	// program makes through nodeVar.
+	onRead func(node int, name string)
 }
 
 func newProblem(stage Stage, cfg Config) *problem {
 	pr := &problem{cfg: cfg, stage: stage, NB: cfg.N / cfg.BS}
+	pr.name.c = newNames("C", pr.NB, 2)
 	pr.elem = cfg.HW.ElemBytes
 	if pr.elem == 0 {
 		pr.elem = 8
@@ -285,25 +307,13 @@ func (pr *problem) pe1D(v int) int { return pr.owner(v) }
 // pe2D returns the physical node of virtual cell (vi, vj) on the P×P grid.
 func (pr *problem) pe2D(vi, vj int) int { return pr.owner(vi)*pr.cfg.P + pr.owner(vj) }
 
-// Node-variable keys. Virtual coordinates are part of the key because
-// several virtual nodes share one physical PE.
-func aRowKey(i int) string    { return "Arow:" + strconv.Itoa(i) }
-func bKey(k, j int) string    { return "B:" + strconv.Itoa(k) + ":" + strconv.Itoa(j) }
-func bColKey(i, j int) string { return "Bcol:" + strconv.Itoa(i) + ":" + strconv.Itoa(j) }
-func cKey(i, j int) string    { return "C:" + strconv.Itoa(i) + ":" + strconv.Itoa(j) }
-func epKey(i, j int) string   { return "EP:" + strconv.Itoa(i) + ":" + strconv.Itoa(j) }
-func ecKey(i, j int) string   { return "EC:" + strconv.Itoa(i) + ":" + strconv.Itoa(j) }
-func bDepositKey(i, j, k int) string {
-	return "Bdep:" + strconv.Itoa(i) + ":" + strconv.Itoa(j) + ":" + strconv.Itoa(k)
-}
-
-// epKey3 is the per-k variant of EP used by the per-block carriers of
-// Figures 13 and 15: it pairs A(i,k) with the deposit of B(k,j)
-// explicitly, so correctness does not depend on carrier arrival order
-// (the paper's fine-grained protocol relies on FIFO delivery for the
-// same pairing; on the FIFO simulation backend the two are identical).
-func epKey3(i, j, k int) string {
-	return "EP:" + strconv.Itoa(i) + ":" + strconv.Itoa(j) + ":" + strconv.Itoa(k)
+// nodeVar reads node variable name of nd as a T (navp.NodeVar),
+// reporting the read to pr.onRead when one is set.
+func nodeVar[T any](pr *problem, nd *navp.Node, name string) T {
+	if pr.onRead != nil {
+		pr.onRead(nd.ID(), name)
+	}
+	return navp.NodeVar[T](nd, name)
 }
 
 // aRow materializes block row i of A as a slice of blocks.
@@ -357,7 +367,7 @@ func (pr *problem) visitFlops() float64 {
 }
 
 // gatherC collects the C blocks from the node variables they ended on and
-// assembles the product. Every stage stores C(i,j) under cKey(i,j) on the
+// assembles the product. Every stage stores C(i,j) as "C:i:j" on the
 // virtual cell's owner node (node 0 for Sequential; the 1-D column owner;
 // the 2-D grid cell owner).
 func (pr *problem) gatherC() *matrix.Dense {
@@ -365,7 +375,7 @@ func (pr *problem) gatherC() *matrix.Dense {
 	for i := 0; i < pr.NB; i++ {
 		for j := 0; j < pr.NB; j++ {
 			nd := pr.sys.Node(pr.cNode(i, j))
-			blk := navp.NodeVar[*matrix.Block](nd, cKey(i, j))
+			blk := navp.NodeVar[*matrix.Block](nd, pr.name.c.at2(i, j))
 			out.SetBlock(i, j, blk)
 		}
 	}

@@ -15,25 +15,25 @@ func (pr *problem) sequential() {
 	nd0 := pr.sys.Node(0)
 	for i := 0; i < pr.NB; i++ {
 		for j := 0; j < pr.NB; j++ {
-			nd0.Set(cKey(i, j), pr.newCBlock(i, j))
+			nd0.Set(pr.name.c.at2(i, j), pr.newCBlock(i, j))
 		}
 	}
+	// The pager's keys name the blocks as the node variables do.
+	var pageA, pageB names
+	if pr.cfg.Paged {
+		pageA, pageB = newNames("A", pr.NB, 2), newNames("B", pr.NB, 2)
+	}
 	pr.sys.Inject(0, "Sequential", func(ag *navp.Agent) {
-		var touch func(kind string, i, j int, blk *matrix.Block)
-		if pr.cfg.Paged {
-			touch = func(kind string, i, j int, blk *matrix.Block) {
-				ag.TouchMemory(fmt.Sprintf("%s:%d:%d", kind, i, j), blk.Bytes(pr.elem))
-			}
-		}
 		for i := 0; i < pr.NB; i++ {
 			for j := 0; j < pr.NB; j++ {
-				c := navp.NodeVar[*matrix.Block](ag.Node(), cKey(i, j))
+				cName := pr.name.c.at2(i, j)
+				c := nodeVar[*matrix.Block](pr, ag.Node(), cName)
 				for k := 0; k < pr.NB; k++ {
 					a, b := pr.A.Block(i, k), pr.B.Block(k, j)
-					if touch != nil {
-						touch("A", i, k, a)
-						touch("B", k, j, b)
-						touch("C", i, j, c)
+					if pr.cfg.Paged {
+						ag.TouchMemory(pageA.at2(i, k), a.Bytes(pr.elem))
+						ag.TouchMemory(pageB.at2(k, j), b.Bytes(pr.elem))
+						ag.TouchMemory(cName, c.Bytes(pr.elem))
 					}
 					ag.Compute(pr.blockFlops(), func() { matrix.MulAdd(c, a, b) })
 				}
@@ -59,7 +59,7 @@ func (pr *problem) dsc1D() {
 			ag.Delete("mA")
 			ag.Hop(0)
 			// mA(*) = A(mi,*): pick up the next block row.
-			row := navp.NodeVar[[]*matrix.Block](ag.Node(), aRowKey(mi))
+			row := nodeVar[[]*matrix.Block](pr, ag.Node(), pr.name.aRow.at(mi))
 			ag.Set("mA", row, pr.blocksBytes(row))
 			pr.sweep1D(ag, mi, func(mj int) int { return mj })
 		}
@@ -77,7 +77,7 @@ func (pr *problem) pipeline1D() {
 		for i := 0; i < pr.NB; i++ {
 			mi := i
 			ag.Inject(fmt.Sprintf("RowCarrier(%d)", mi), func(rc *navp.Agent) {
-				row := navp.NodeVar[[]*matrix.Block](rc.Node(), aRowKey(mi))
+				row := nodeVar[[]*matrix.Block](pr, rc.Node(), pr.name.aRow.at(mi))
 				rc.Set("mA", row, pr.blocksBytes(row))
 				pr.sweep1D(rc, mi, func(mj int) int { return mj })
 			})
@@ -102,7 +102,7 @@ func (pr *problem) phase1D() {
 			mi := i
 			ag.Hop(pr.pe1D(mi))
 			ag.Inject(fmt.Sprintf("RowCarrier(%d)", mi), func(rc *navp.Agent) {
-				row := navp.NodeVar[[]*matrix.Block](rc.Node(), aRowKey(mi))
+				row := nodeVar[[]*matrix.Block](pr, rc.Node(), pr.name.aRow.at(mi))
 				rc.Set("mA", row, pr.blocksBytes(row))
 				chunk := pr.owner(mi)
 				pr.sweep1D(rc, mi, func(mj int) int {
@@ -124,20 +124,21 @@ func (pr *problem) phase1D() {
 // pipeline of Figure 6 flow carrier-by-carrier rather than time-slicing.
 func (pr *problem) sweep1D(ag *navp.Agent, mi int, colAt func(mj int) int) {
 	row := navp.AgentVar[[]*matrix.Block](ag, "mA")
+	cols := make([]int, 0, pr.vpp)
 	for mj := 0; mj < pr.NB; {
 		pe := pr.pe1D(colAt(mj))
 		ag.Hop(pe)
 		// Gather the run of consecutive visits on this PE.
-		var cols []int
+		cols = cols[:0]
 		for ; mj < pr.NB && pr.pe1D(colAt(mj)) == pe; mj++ {
 			cols = append(cols, colAt(mj))
 		}
 		nd := ag.Node()
 		ag.Compute(pr.visitFlops()*float64(len(cols)), func() {
 			for _, col := range cols {
-				c := navp.NodeVar[*matrix.Block](nd, cKey(mi, col))
+				c := nodeVar[*matrix.Block](pr, nd, pr.name.c.at2(mi, col))
 				for k := 0; k < pr.NB; k++ {
-					matrix.MulAdd(c, row[k], navp.NodeVar[*matrix.Block](nd, bKey(k, col)))
+					matrix.MulAdd(c, row[k], nodeVar[*matrix.Block](pr, nd, pr.name.b.at2(k, col)))
 				}
 			}
 		})
@@ -148,20 +149,22 @@ func (pr *problem) sweep1D(ag *navp.Agent, mi int, colAt func(mj int) int) {
 // virtual column j — the initial layout shared by all 1-D stages
 // (Figures 4, 6, 8).
 func (pr *problem) placeColumns1D() {
+	pr.name.b = newNames("B", pr.NB, 2)
 	for j := 0; j < pr.NB; j++ {
 		nd := pr.sys.Node(pr.pe1D(j))
 		for k := 0; k < pr.NB; k++ {
-			nd.Set(bKey(k, j), pr.B.Block(k, j))
+			nd.Set(pr.name.b.at2(k, j), pr.B.Block(k, j))
 		}
 		for i := 0; i < pr.NB; i++ {
-			nd.Set(cKey(i, j), pr.newCBlock(i, j))
+			nd.Set(pr.name.c.at2(i, j), pr.newCBlock(i, j))
 		}
 	}
 }
 
 // placeARowsAt stores block row i of A (as a slice) on the node home(i).
 func (pr *problem) placeARowsAt(home func(i int) int) {
+	pr.name.aRow = newNames("Arow", pr.NB, 1)
 	for i := 0; i < pr.NB; i++ {
-		pr.sys.Node(home(i)).Set(aRowKey(i), pr.aRow(i))
+		pr.sys.Node(home(i)).Set(pr.name.aRow.at(i), pr.aRow(i))
 	}
 }

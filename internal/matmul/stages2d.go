@@ -2,7 +2,6 @@ package matmul
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/matrix"
 	"repro/internal/navp"
@@ -20,12 +19,9 @@ import (
 // grid column, depositing a copy at every cell; RowCarriers follow,
 // consuming them (event EP per cell).
 func (pr *problem) dsc2D() {
+	pr.name.bCol, pr.name.ep = newNames("Bcol", pr.NB, 2), newNames("EP", pr.NB, 2)
 	pr.placeC2D()
-	for l := 0; l < pr.NB; l++ {
-		nd := pr.sys.Node(pr.pe2D(pr.NB-1-l, l))
-		nd.Set(aRowKey(pr.NB-1-l), pr.aRow(pr.NB-1-l))
-		nd.Set("BcolHome:"+itoa(l), pr.bCol(l))
-	}
+	pr.placeGathered2D()
 
 	pr.sys.Inject(0, "injector", func(ag *navp.Agent) {
 		for l := 0; l < pr.NB; l++ {
@@ -46,15 +42,15 @@ func (pr *problem) dsc2D() {
 // through virtual cells (mi, (NB−1−mi+mj) mod NB), waiting at each for
 // the ColCarrier to have deposited the B column, then updating C.
 func (pr *problem) rowCarrier2D(rc *navp.Agent, mi int) {
-	row := navp.NodeVar[[]*matrix.Block](rc.Node(), aRowKey(mi))
+	row := nodeVar[[]*matrix.Block](pr, rc.Node(), pr.name.aRow.at(mi))
 	rc.Set("mA", row, pr.blocksBytes(row))
 	for mj := 0; mj < pr.NB; mj++ {
 		col := (pr.NB - 1 - mi + mj) % pr.NB
 		rc.Hop(pr.pe2D(mi, col))
-		rc.WaitEvent(epKey(mi, col))
+		rc.WaitEvent(pr.name.ep.at2(mi, col))
 		nd := rc.Node()
-		c := navp.NodeVar[*matrix.Block](nd, cKey(mi, col))
-		bcol := navp.NodeVar[[]*matrix.Block](nd, bColKey(mi, col))
+		c := nodeVar[*matrix.Block](pr, nd, pr.name.c.at2(mi, col))
+		bcol := nodeVar[[]*matrix.Block](pr, nd, pr.name.bCol.at2(mi, col))
 		rc.Compute(pr.visitFlops(), func() {
 			for k := 0; k < pr.NB; k++ {
 				matrix.MulAdd(c, row[k], bcol[k])
@@ -67,13 +63,13 @@ func (pr *problem) rowCarrier2D(rc *navp.Agent, mi int) {
 // through virtual cells ((NB−1−mj+mi) mod NB, mj), depositing the column
 // and signaling EP at each.
 func (pr *problem) colCarrier2D(cc *navp.Agent, mj int) {
-	col := navp.NodeVar[[]*matrix.Block](cc.Node(), "BcolHome:"+itoa(mj))
+	col := nodeVar[[]*matrix.Block](pr, cc.Node(), pr.name.bColHome.at(mj))
 	cc.Set("mB", col, pr.blocksBytes(col))
 	for mi := 0; mi < pr.NB; mi++ {
 		row := (pr.NB - 1 - mj + mi) % pr.NB
 		cc.Hop(pr.pe2D(row, mj))
-		cc.Node().Set(bColKey(row, mj), col)
-		cc.SignalEvent(epKey(row, mj))
+		cc.Node().Set(pr.name.bCol.at2(row, mj), col)
+		cc.SignalEvent(pr.name.ep.at2(row, mj))
 	}
 }
 
@@ -85,11 +81,8 @@ func (pr *problem) colCarrier2D(cc *navp.Agent, mj int) {
 // and consumers (ACarriers) at every cell; EC is pre-signaled everywhere.
 func (pr *problem) pipeline2D() {
 	pr.placeC2D()
-	for l := 0; l < pr.NB; l++ {
-		nd := pr.sys.Node(pr.pe2D(pr.NB-1-l, l))
-		nd.Set(aRowKey(pr.NB-1-l), pr.aRow(pr.NB-1-l))
-		nd.Set("BcolHome:"+itoa(l), pr.bCol(l))
-	}
+	pr.placeGathered2D()
+	pr.placePerBlock2D()
 	pr.preSignalEC()
 
 	pr.sys.Inject(0, "injector", func(ag *navp.Agent) {
@@ -98,8 +91,8 @@ func (pr *problem) pipeline2D() {
 			ag.Hop(pr.pe2D(pr.NB-1-ml, ml))
 			ag.Inject(fmt.Sprintf("spawner(%d)", ml), func(sp *navp.Agent) {
 				mi := pr.NB - 1 - ml
-				aRow := navp.NodeVar[[]*matrix.Block](sp.Node(), aRowKey(mi))
-				bCol := navp.NodeVar[[]*matrix.Block](sp.Node(), "BcolHome:"+itoa(ml))
+				aRow := nodeVar[[]*matrix.Block](pr, sp.Node(), pr.name.aRow.at(mi))
+				bCol := nodeVar[[]*matrix.Block](pr, sp.Node(), pr.name.bColHome.at(ml))
 				for k := 0; k < pr.NB; k++ {
 					mk := k
 					sp.Inject(fmt.Sprintf("ACarrier(%d,%d)", mi, mk), func(ac *navp.Agent) {
@@ -123,12 +116,14 @@ func (pr *problem) pipeline2D() {
 // canonical home — A(i,j), B(i,j), and C(i,j) on cell (i,j) — and the
 // carriers' first hops realize the reverse staggering.
 func (pr *problem) phase2D() {
+	pr.name.aHome, pr.name.bHome = newNames("Ahome", pr.NB, 2), newNames("Bhome", pr.NB, 2)
 	pr.placeC2D()
+	pr.placePerBlock2D()
 	for i := 0; i < pr.NB; i++ {
 		for j := 0; j < pr.NB; j++ {
 			nd := pr.sys.Node(pr.pe2D(i, j))
-			nd.Set("Ahome:"+itoa(i)+":"+itoa(j), pr.A.Block(i, j))
-			nd.Set("Bhome:"+itoa(i)+":"+itoa(j), pr.B.Block(i, j))
+			nd.Set(pr.name.aHome.at2(i, j), pr.A.Block(i, j))
+			nd.Set(pr.name.bHome.at2(i, j), pr.B.Block(i, j))
 		}
 	}
 	pr.sys.Inject(0, "injector", func(ag *navp.Agent) {
@@ -139,9 +134,9 @@ func (pr *problem) phase2D() {
 				for i := 0; i < pr.NB; i++ {
 					mi := i
 					sp.Hop(pr.pe2D(mi, mj))
-					sp.SignalEvent(ecKey(mi, mj)) // Figure 15 line (4)
-					aBlk := navp.NodeVar[*matrix.Block](sp.Node(), "Ahome:"+itoa(mi)+":"+itoa(mj))
-					bBlk := navp.NodeVar[*matrix.Block](sp.Node(), "Bhome:"+itoa(mi)+":"+itoa(mj))
+					sp.SignalEvent(pr.name.ec.at2(mi, mj)) // Figure 15 line (4)
+					aBlk := nodeVar[*matrix.Block](pr, sp.Node(), pr.name.aHome.at2(mi, mj))
+					bBlk := nodeVar[*matrix.Block](pr, sp.Node(), pr.name.bHome.at2(mi, mj))
 					// ACarrier(mi, mk) with mk = home column mj.
 					sp.Inject(fmt.Sprintf("ACarrier(%d,%d)", mi, mj), func(ac *navp.Agent) {
 						pr.aCarrier(ac, mi, mj, aBlk, func(step int) int {
@@ -169,12 +164,11 @@ func (pr *problem) aCarrier(ac *navp.Agent, mi, mk int, blk *matrix.Block, colAt
 	for mj := 0; mj < pr.NB; mj++ {
 		col := colAt(mj)
 		ac.Hop(pr.pe2D(mi, col))
-		ac.WaitEvent(epKey3(mi, col, mk))
-		nd := ac.Node()
-		c := navp.NodeVar[*matrix.Block](nd, cKey(mi, col))
-		b := navp.NodeVar[*matrix.Block](nd, bDepositKey(mi, col, mk))
+		ac.WaitEvent(pr.name.ep3.at3(mi, col, mk))
+		c := nodeVar[*matrix.Block](pr, ac.Node(), pr.name.c.at2(mi, col))
+		b := pr.deposit[mi*pr.NB+col][mk]
 		ac.Compute(pr.blockFlops(), func() { matrix.MulAdd(c, blk, b) })
-		ac.SignalEvent(ecKey(mi, col))
+		ac.SignalEvent(pr.name.ec.at2(mi, col))
 	}
 }
 
@@ -193,14 +187,14 @@ func (pr *problem) bCarrier(bc *navp.Agent, mk, mj int, blk *matrix.Block, rowAt
 		// lands. Its liveness relies on FIFO carrier arrival, which both
 		// backends give on each link (as does a real MESSENGERS
 		// network), but it has been checked only under the simulation's
-		// schedule. On the goroutine backend the per-k deposit keys
+		// schedule. On the goroutine backend the per-k deposit slots
 		// already make deposits conflict-free, so the wait is skipped
 		// there until a schedule explorer gives its verdict.
 		if sim {
-			bc.WaitEvent(ecKey(row, mj))
+			bc.WaitEvent(pr.name.ec.at2(row, mj))
 		}
-		bc.Node().Set(bDepositKey(row, mj, mk), blk)
-		bc.SignalEvent(epKey3(row, mj, mk))
+		pr.deposit[row*pr.NB+mj][mk] = blk
+		bc.SignalEvent(pr.name.ep3.at3(row, mj, mk))
 	}
 }
 
@@ -208,8 +202,36 @@ func (pr *problem) bCarrier(bc *navp.Agent, mk, mj int, blk *matrix.Block, rowAt
 func (pr *problem) placeC2D() {
 	for i := 0; i < pr.NB; i++ {
 		for j := 0; j < pr.NB; j++ {
-			pr.sys.Node(pr.pe2D(i, j)).Set(cKey(i, j), pr.newCBlock(i, j))
+			pr.sys.Node(pr.pe2D(i, j)).Set(pr.name.c.at2(i, j), pr.newCBlock(i, j))
 		}
+	}
+}
+
+// placeGathered2D is the gathered initial layout shared by 2-D DSC and
+// pipelining (Figure 12): block row A(NB−1−l,*) and block column B(*,l)
+// on virtual cell (NB−1−l, l).
+func (pr *problem) placeGathered2D() {
+	pr.name.aRow, pr.name.bColHome = newNames("Arow", pr.NB, 1), newNames("BcolHome", pr.NB, 1)
+	for l := 0; l < pr.NB; l++ {
+		nd := pr.sys.Node(pr.pe2D(pr.NB-1-l, l))
+		nd.Set(pr.name.aRow.at(pr.NB-1-l), pr.aRow(pr.NB-1-l))
+		nd.Set(pr.name.bColHome.at(l), pr.bCol(l))
+	}
+}
+
+// placePerBlock2D prepares the per-block carriers of Figures 13 and 15:
+// the EC event names, an empty deposit slot per (cell, k) — one array
+// for all cells, so a deposit is a store, not a node variable — and the
+// per-k EP event names. EP:i:j:k pairs A(i,k) with the deposit of B(k,j)
+// explicitly, so correctness does not depend on carrier arrival order
+// (the paper's fine-grained protocol relies on FIFO delivery for the
+// same pairing; on the FIFO simulation backend the two are identical).
+func (pr *problem) placePerBlock2D() {
+	pr.name.ec, pr.name.ep3 = newNames("EC", pr.NB, 2), newNames("EP", pr.NB, 3)
+	slots := make([]*matrix.Block, pr.NB*pr.NB*pr.NB)
+	pr.deposit = make([][]*matrix.Block, pr.NB*pr.NB)
+	for cell := range pr.deposit {
+		pr.deposit[cell] = slots[cell*pr.NB : (cell+1)*pr.NB : (cell+1)*pr.NB]
 	}
 }
 
@@ -220,10 +242,8 @@ func (pr *problem) preSignalEC() {
 		for i := 0; i < pr.NB; i++ {
 			for j := 0; j < pr.NB; j++ {
 				ag.Hop(pr.pe2D(i, j))
-				ag.SignalEvent(ecKey(i, j))
+				ag.SignalEvent(pr.name.ec.at2(i, j))
 			}
 		}
 	})
 }
-
-func itoa(v int) string { return strconv.Itoa(v) }

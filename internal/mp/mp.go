@@ -40,7 +40,10 @@ type backend interface {
 	irecv(r *Rank, src, tag int) *Request
 	wait(r *Rank, req *Request) any
 	barrier(r *Rank)
-	compute(r *Rank, flops float64, fn func())
+	// computeStart and computeEnd bracket the fn of a Compute, which
+	// Rank.Compute calls itself so that fn never escapes.
+	computeStart(r *Rank)
+	computeEnd(r *Rank, flops float64)
 	now(r *Rank) sim.Time
 }
 
@@ -153,9 +156,16 @@ func (r *Rank) Bcast(root, tag int, value any, bytes int64) any {
 }
 
 // Compute performs fn, charging flops of CPU work on this rank's PE (one
-// CPU per PE). fn may be nil when only the cost matters.
+// CPU per PE). fn may be nil when only the cost matters. fn runs before
+// Compute returns and is not retained, so a closure passed here stays on
+// the caller's stack.
 func (r *Rank) Compute(flops float64, fn func()) {
-	r.world.backend.compute(r, flops, fn)
+	b := r.world.backend
+	b.computeStart(r)
+	if fn != nil {
+		fn()
+	}
+	b.computeEnd(r, flops)
 }
 
 // Now returns the current time: virtual seconds on the sim backend,

@@ -141,10 +141,10 @@ func (b *realBackend) barrier(r *Rank) {
 	}
 }
 
-func (b *realBackend) compute(r *Rank, flops float64, fn func()) {
-	if fn != nil {
-		fn()
-	}
-}
+// computeStart and computeEnd cost nothing: fn runs on the rank's
+// goroutine.
+func (b *realBackend) computeStart(r *Rank) {}
+
+func (b *realBackend) computeEnd(r *Rank, flops float64) {}
 
 func (b *realBackend) now(r *Rank) sim.Time { return time.Since(b.started).Seconds() }

@@ -156,8 +156,10 @@ func (b *simBackend) barrier(r *Rank) {
 // user tags must be non-negative.
 const barrierTag = -1000
 
-func (b *simBackend) compute(r *Rank, flops float64, fn func()) {
-	b.cluster.PEs[r.id].Compute(r.proc, flops, fn)
+func (b *simBackend) computeStart(r *Rank) { b.cluster.PEs[r.id].StartCompute(r.proc) }
+
+func (b *simBackend) computeEnd(r *Rank, flops float64) {
+	b.cluster.PEs[r.id].EndCompute(r.proc, flops)
 }
 
 func (b *simBackend) now(r *Rank) sim.Time { return r.proc.Now() }

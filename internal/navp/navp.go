@@ -28,7 +28,6 @@ package navp
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/metrics"
@@ -87,7 +86,10 @@ type pendingInject struct {
 type backend interface {
 	run(s *System) error
 	hop(ag *Agent, dst int)
-	compute(ag *Agent, flops float64, fn func())
+	// computeStart and computeEnd bracket the fn of a Compute, which
+	// Agent.Compute calls itself so that fn never escapes.
+	computeStart(ag *Agent) sim.Time
+	computeEnd(ag *Agent, flops float64, start sim.Time)
 	wait(ag *Agent, event string)
 	signal(ag *Agent, event string)
 	inject(parent *Agent, name string, fn func(*Agent))
@@ -95,22 +97,17 @@ type backend interface {
 	now(ag *Agent) sim.Time
 }
 
-// Node is one PE of the NavP network: a holder of node variables and
-// named events.
+// Node is one PE of the NavP network: a holder of node variables. Its
+// named events are held by the backend (on the goroutine backend, by
+// the node's run loop).
 type Node struct {
 	id   int
 	mu   sync.Mutex // guards vars; uncontended on sim
 	vars map[string]any
-	// events is unlocked: on sim one process runs at a time, and on the
-	// real backend only the node's run loop touches it.
-	events map[string]eventState
 }
 
-// eventState abstracts the two backends' event representations.
-type eventState interface{}
-
 func newNode(id int) *Node {
-	return &Node{id: id, vars: map[string]any{}, events: map[string]eventState{}}
+	return &Node{id: id, vars: map[string]any{}}
 }
 
 // ID returns the node's identifier (0..n-1).
@@ -131,19 +128,6 @@ func (nd *Node) Set(name string, v any) {
 	nd.mu.Lock()
 	defer nd.mu.Unlock()
 	nd.vars[name] = v
-}
-
-// VarNames returns the sorted names of the node's variables (diagnostics
-// and layout rendering).
-func (nd *Node) VarNames() []string {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	names := make([]string, 0, len(nd.vars))
-	for n := range nd.vars {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // NodeVar returns node variable name of nd as a T, panicking with a
@@ -317,9 +301,15 @@ func (ag *Agent) Hop(dst int) {
 // Compute performs fn on the current node, charging flops of CPU work.
 // The node has one CPU: concurrent computations on the same node
 // serialize in arrival order (the MESSENGERS daemon's task queue). fn may
-// be nil when only the cost matters.
+// be nil when only the cost matters. fn runs before Compute returns and
+// is not retained, so a closure passed here stays on the caller's stack.
 func (ag *Agent) Compute(flops float64, fn func()) {
-	ag.sys.backend.compute(ag, flops, fn)
+	b := ag.sys.backend
+	start := b.computeStart(ag)
+	if fn != nil {
+		fn()
+	}
+	b.computeEnd(ag, flops, start)
 }
 
 // WaitEvent blocks until the named event on the *current* node has a

@@ -259,18 +259,19 @@ func TestInjectAfterRunReturnsErrSystemDone(t *testing.T) {
 	}
 }
 
-// pendingEvents returns how many events nd's map holds.
-func pendingEvents(nd *Node) int { return len(nd.events) }
+// pendingEvents returns how many events node's loop holds (real
+// backend).
+func pendingEvents(s *System, node int) int {
+	return len(s.backend.(*realBackend).pes[node].events)
+}
 
-// parkedOn returns how many agents are parked on nd's event name (real
-// backend). While the system runs, only an agent on nd may call it: the
-// events belong to nd's loop.
-func parkedOn(nd *Node, name string) int {
+// parkedOn returns how many agents are parked on the event name of ag's
+// node (real backend). Only an agent on the node may call it: the
+// events belong to the node's loop.
+func parkedOn(ag *Agent, name string) int {
 	n := 0
-	if ev, ok := nd.events[name].(*realEvent); ok {
-		for w := ev.head; w != nil; w = w.link {
-			n++
-		}
+	for w := ag.sys.backend.(*realBackend).pes[ag.node.id].events[name].head; w != nil; w = w.link {
+		n++
 	}
 	return n
 }
@@ -302,7 +303,7 @@ func TestRealEventsLeaveNoResidue(t *testing.T) {
 							ag.SignalEvent(e)
 							continue
 						}
-						if n := parkedOn(ag.Node(), e); n != 1 {
+						if n := parkedOn(ag, e); n != 1 {
 							t.Errorf("%d waiters parked on %s before its signal, want 1", n, e)
 						}
 						ag.SignalEvent(e)
@@ -318,7 +319,7 @@ func TestRealEventsLeaveNoResidue(t *testing.T) {
 				t.Fatal(err)
 			}
 			for node := 0; node < 2; node++ {
-				if n := pendingEvents(s.Node(node)); n != 0 {
+				if n := pendingEvents(s, node); n != 0 {
 					t.Fatalf("node %d holds %d events after a balanced program", node, n)
 				}
 			}
@@ -339,7 +340,7 @@ func TestRealEventCountsUnderParkedWaiters(t *testing.T) {
 	}
 	// Injected last, the signaler runs after every waiter has parked.
 	s.Inject(0, "signaler", func(ag *Agent) {
-		if n := parkedOn(ag.Node(), "go"); n != waiters {
+		if n := parkedOn(ag, "go"); n != waiters {
 			t.Errorf("%d waiters parked before the first signal, want %d", n, waiters)
 		}
 		// The first half one at a time, each consumed while the others
@@ -350,7 +351,7 @@ func TestRealEventCountsUnderParkedWaiters(t *testing.T) {
 				continue
 			}
 			ag.WaitEvent("ack")
-			if n := parkedOn(ag.Node(), "go"); finished != i || n != waiters-i {
+			if n := parkedOn(ag, "go"); finished != i || n != waiters-i {
 				t.Errorf("after signal %d: %d finished and %d parked, want %d and %d", i, finished, n, i, waiters-i)
 			}
 		}
@@ -364,7 +365,7 @@ func TestRealEventCountsUnderParkedWaiters(t *testing.T) {
 	if finished != waiters {
 		t.Fatalf("%d of %d waiters finished", finished, waiters)
 	}
-	if n := pendingEvents(s.Node(0)); n != 0 {
+	if n := pendingEvents(s, 0); n != 0 {
 		t.Fatalf("node 0 holds %d events, want 0", n)
 	}
 }
@@ -570,6 +571,31 @@ func TestComputeRunsBody(t *testing.T) {
 		}
 		if x != 7 {
 			t.Fatal("compute body skipped")
+		}
+	})
+}
+
+// TestComputeClosureDoesNotAllocate pins Compute calling fn itself: a
+// closure capturing three pointers, passed to Compute, stays on the
+// caller's stack on both backends.
+func TestComputeClosureDoesNotAllocate(t *testing.T) {
+	eachBackend(t, 1, func(t *testing.T, s *System) {
+		var allocs float64
+		s.Inject(0, "c", func(ag *Agent) {
+			x, y, z := new(float64), new(float64), new(float64)
+			*x, *y = 1, 2
+			allocs = testing.AllocsPerRun(100, func() {
+				ag.Compute(1, func() { *z += *x * *y })
+			})
+			if *z != 2*101 {
+				t.Errorf("compute body ran %v times, want 101", *z/2)
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Fatalf("Compute with a capturing closure made %v allocations per call, want 0", allocs)
 		}
 	})
 }

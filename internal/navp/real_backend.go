@@ -23,8 +23,10 @@ import (
 // PE — runs inline, because the loop is the PE's CPU.
 //
 // A loop's run queue, and its node's events, are touched only by that
-// loop; the inbox is the one structure other loops write. The queue
-// order is:
+// loop; the inbox is the one structure other loops write. The events
+// are records held by value in the loop's map, so signalling or waiting
+// on a fresh name allocates nothing beyond the map's own growth. The
+// queue order is:
 //
 //   - agents arriving from other PEs and waiters handed a signal join
 //     the tail, so each link delivers in the order agents left (one
@@ -50,10 +52,11 @@ type realBackend struct {
 
 // peLoop is one PE's scheduler.
 type peLoop struct {
-	b    *realBackend
-	id   int
-	runq agentQueue
-	born []*Agent // children injected during the running step
+	b      *realBackend
+	id     int
+	runq   sim.Ring[*Agent]
+	born   []*Agent             // children injected during the running step
+	events map[string]realEvent // the node's events with pending signals or waiters
 
 	mu      sync.Mutex
 	inbox   []*Agent // arrivals from other loops, under mu
@@ -64,7 +67,8 @@ type peLoop struct {
 
 // realEvent is one named event of a node: pending signals, or a FIFO
 // of parked waiters linked through Agent.link. A signal is handed
-// straight to a waiter, so count and waiters are never both non-zero.
+// straight to a waiter, so count and waiters are never both non-zero;
+// the zero record is an event with neither, which the map never holds.
 type realEvent struct {
 	count      int
 	head, tail *Agent
@@ -78,7 +82,7 @@ func NewReal(cfg Config, n int) *System {
 	s := &System{cfg: cfg, backend: b, met: newNavpMetrics(nil)}
 	for i := 0; i < n; i++ {
 		s.nodes = append(s.nodes, newNode(i))
-		b.pes = append(b.pes, &peLoop{b: b, id: i, wake: make(chan struct{}, 1)})
+		b.pes = append(b.pes, &peLoop{b: b, id: i, events: map[string]realEvent{}, wake: make(chan struct{}, 1)})
 	}
 	return s
 }
@@ -86,7 +90,7 @@ func NewReal(cfg Config, n int) *System {
 func (b *realBackend) run(s *System) error {
 	b.started = time.Now()
 	for _, pi := range s.pending {
-		b.pes[pi.node].runq.pushBack(b.spawn(s, pi.name, s.nodes[pi.node], pi.fn))
+		b.pes[pi.node].runq.PushBack(b.spawn(s, pi.name, s.nodes[pi.node], pi.fn))
 	}
 	s.pending = nil
 	if b.live.Load() == 0 {
@@ -123,8 +127,8 @@ func (l *peLoop) run() {
 		if l.arrived.Load() {
 			l.drain()
 		}
-		ag := l.runq.popFront()
-		if ag == nil {
+		ag, ok := l.runq.PopFront()
+		if !ok {
 			if !l.await() {
 				return
 			}
@@ -146,7 +150,7 @@ func (l *peLoop) step(ag *Agent) {
 		b.pes[dst].deliver(ag)
 	}
 	for i := len(l.born) - 1; i >= 0; i-- {
-		l.runq.pushFront(l.born[i])
+		l.runq.PushFront(l.born[i])
 		l.born[i] = nil
 	}
 	l.born = l.born[:0]
@@ -173,7 +177,7 @@ func (l *peLoop) drain() {
 	l.arrived.Store(false)
 	l.mu.Unlock()
 	for i, ag := range in {
-		l.runq.pushBack(ag)
+		l.runq.PushBack(ag)
 		in[i] = nil
 	}
 	l.spare = in
@@ -220,10 +224,10 @@ func (b *realBackend) quiet() bool {
 func (b *realBackend) unwind(s *System) error {
 	dl := &sim.DeadlockError{Time: b.elapsed()}
 	var parked []*Agent
-	for _, nd := range s.nodes {
-		for name, es := range nd.events {
-			for w := es.(*realEvent).head; w != nil; w = w.link {
-				dl.Blocked = append(dl.Blocked, fmt.Sprintf("%s (waiting on %s@%d)", w.name, name, nd.id))
+	for _, l := range b.pes {
+		for name, ev := range l.events {
+			for w := ev.head; w != nil; w = w.link {
+				dl.Blocked = append(dl.Blocked, fmt.Sprintf("%s (waiting on %s@%d)", w.name, name, l.id))
 				parked = append(parked, w)
 			}
 		}
@@ -249,12 +253,11 @@ func (b *realBackend) hop(ag *Agent, dst int) {
 	ag.co.Suspend()
 }
 
-// compute runs fn inline: the loop running the agent is the PE's CPU.
-func (b *realBackend) compute(ag *Agent, flops float64, fn func()) {
-	start := b.stamp(ag.sys)
-	if fn != nil {
-		fn()
-	}
+// computeStart and computeEnd bracket a Compute, whose fn runs inline:
+// the loop running the agent is the PE's CPU.
+func (b *realBackend) computeStart(ag *Agent) sim.Time { return b.stamp(ag.sys) }
+
+func (b *realBackend) computeEnd(ag *Agent, flops float64, start sim.Time) {
 	if ag.sys.tracer != nil {
 		id := ag.node.id
 		ag.sys.record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: ag.name, From: id, To: id,
@@ -263,22 +266,26 @@ func (b *realBackend) compute(ag *Agent, flops float64, fn func()) {
 }
 
 // wait consumes one signal of event, parking on the event's waiter FIFO
-// until a signal is handed over. A node holds entries only for events
-// with pending signals or parked waiters.
+// until a signal is handed over. The loop's map holds records only for
+// events with pending signals or parked waiters.
 func (b *realBackend) wait(ag *Agent, event string) {
 	nd := ag.node
 	start := b.stamp(ag.sys)
-	if es, ok := nd.events[event]; !ok {
-		ev := &realEvent{head: ag, tail: ag}
-		nd.events[event] = ev
-		ag.co.Suspend()
-	} else if ev := es.(*realEvent); ev.count > 0 {
-		if ev.count--; ev.count == 0 {
-			delete(nd.events, event)
+	events := b.pes[nd.id].events
+	switch ev := events[event]; {
+	case ev.count > 1:
+		ev.count--
+		events[event] = ev
+	case ev.count == 1:
+		delete(events, event)
+	default:
+		if ev.head == nil {
+			ev.head = ag
+		} else {
+			ev.tail.link = ag
 		}
-	} else {
-		ev.tail.link = ag
 		ev.tail = ag
+		events[event] = ev
 		ag.co.Suspend()
 	}
 	if ag.sys.tracer != nil {
@@ -290,23 +297,22 @@ func (b *realBackend) wait(ag *Agent, event string) {
 // signal posts one signal of event: it goes straight to the first
 // parked waiter, which joins the tail of this loop's queue.
 func (b *realBackend) signal(ag *Agent, event string) {
-	nd := ag.node
-	es, ok := nd.events[event]
-	if !ok {
-		nd.events[event] = &realEvent{count: 1}
-		return
-	}
-	ev := es.(*realEvent)
+	l := b.pes[ag.node.id]
+	ev := l.events[event]
 	w := ev.head
-	if w == nil {
+	switch {
+	case w == nil:
 		ev.count++
+		l.events[event] = ev
 		return
-	}
-	if ev.head = w.link; ev.head == nil {
-		delete(nd.events, event)
+	case w.link == nil:
+		delete(l.events, event)
+	default:
+		ev.head = w.link
+		l.events[event] = ev
 	}
 	w.link = nil
-	b.pes[nd.id].runq.pushBack(w)
+	l.runq.PushBack(w)
 }
 
 func (b *realBackend) inject(parent *Agent, name string, fn func(*Agent)) {
@@ -328,45 +334,3 @@ func (b *realBackend) stamp(s *System) sim.Time {
 }
 
 func (b *realBackend) now(ag *Agent) sim.Time { return b.elapsed() }
-
-// agentQueue is a growable ring buffer of agents, usable from both ends.
-type agentQueue struct {
-	buf     []*Agent // len is zero or a power of two
-	head, n int
-}
-
-func (q *agentQueue) grow() {
-	if q.n < len(q.buf) {
-		return
-	}
-	buf := make([]*Agent, max(8, 2*len(q.buf)))
-	for i := 0; i < q.n; i++ {
-		buf[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
-	}
-	q.buf, q.head = buf, 0
-}
-
-func (q *agentQueue) pushBack(ag *Agent) {
-	q.grow()
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = ag
-	q.n++
-}
-
-func (q *agentQueue) pushFront(ag *Agent) {
-	q.grow()
-	q.head = (q.head - 1) & (len(q.buf) - 1)
-	q.buf[q.head] = ag
-	q.n++
-}
-
-// popFront removes and returns the head, or nil when q is empty.
-func (q *agentQueue) popFront() *Agent {
-	if q.n == 0 {
-		return nil
-	}
-	ag := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & (len(q.buf) - 1)
-	q.n--
-	return ag
-}

@@ -13,7 +13,8 @@ import (
 type simBackend struct {
 	kernel  *sim.Kernel
 	cluster *machine.Cluster
-	fault   *simFault // chaos injection, nil when no plan is set
+	fault   *simFault               // chaos injection, nil when no plan is set
+	events  []map[string]*sim.Event // per node, by event name
 }
 
 // NewSim builds a NavP system of n nodes on a fresh simulation kernel
@@ -24,6 +25,7 @@ func NewSim(cfg Config, hw machine.Config, n int) *System {
 	s := &System{cfg: cfg, backend: b, met: newNavpMetrics(nil)}
 	for i := 0; i < n; i++ {
 		s.nodes = append(s.nodes, newNode(i))
+		b.events = append(b.events, map[string]*sim.Event{})
 	}
 	return s
 }
@@ -88,26 +90,27 @@ func (b *simBackend) hop(ag *Agent, dst int) {
 		Bytes: bytes, Start: start, End: ag.proc.Now()})
 }
 
-func (b *simBackend) compute(ag *Agent, flops float64, fn func()) {
-	pe := b.cluster.PEs[ag.node.id]
-	pe.CPU.Acquire(ag.proc, 1)
-	start := ag.proc.Now() // service start: queueing is not "computing"
-	if fn != nil {
-		fn()
-	}
-	ag.proc.Sleep(flops / pe.Rate)
-	pe.CPU.Release(1)
+// computeStart returns the service start: queueing for the CPU is not
+// "computing".
+func (b *simBackend) computeStart(ag *Agent) sim.Time {
+	b.cluster.PEs[ag.node.id].StartCompute(ag.proc)
+	return ag.proc.Now()
+}
+
+func (b *simBackend) computeEnd(ag *Agent, flops float64, start sim.Time) {
+	b.cluster.PEs[ag.node.id].EndCompute(ag.proc, flops)
 	ag.sys.record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: ag.name, From: ag.node.id,
 		To: ag.node.id, Start: start, End: ag.proc.Now()})
 }
 
 // simEvent fetches or creates the sim event for (node, name).
 func (b *simBackend) simEvent(nd *Node, name string) *sim.Event {
-	if es, ok := nd.events[name]; ok {
-		return es.(*sim.Event)
+	events := b.events[nd.id]
+	if ev, ok := events[name]; ok {
+		return ev
 	}
 	ev := sim.NewEvent(fmt.Sprintf("n%d:%s", nd.id, name))
-	nd.events[name] = ev
+	events[name] = ev
 	return ev
 }
 

@@ -10,13 +10,14 @@ package sim
 // deterministic.
 type Event struct {
 	name    string
+	reason  string // park reason, built once
 	count   int
-	waiters []*Proc
+	waiters Ring[*Proc]
 }
 
 // NewEvent returns a counting event with an initial count of zero. The
 // name is used only in deadlock diagnostics.
-func NewEvent(name string) *Event { return &Event{name: name} }
+func NewEvent(name string) *Event { return &Event{name: name, reason: "event " + name} }
 
 // Name returns the event's diagnostic name.
 func (e *Event) Name() string { return e.name }
@@ -29,9 +30,7 @@ func (e *Event) Count() int { return e.count }
 // pending count is incremented. Signal never blocks and may be called from
 // any process on the same kernel.
 func (e *Event) Signal() {
-	if len(e.waiters) > 0 {
-		p := e.waiters[0]
-		e.waiters = e.waiters[1:]
+	if p, ok := e.waiters.PopFront(); ok {
 		p.k.Ready(p)
 		return
 	}
@@ -44,8 +43,8 @@ func (e *Event) Wait(p *Proc) {
 	if e.TryWait() {
 		return
 	}
-	e.waiters = append(e.waiters, p)
-	p.Park("event " + e.name)
+	e.waiters.PushBack(p)
+	p.Park(e.reason)
 }
 
 // TryWait consumes a pending signal if one is available and reports

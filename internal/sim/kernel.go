@@ -35,7 +35,7 @@ type Time = float64
 type Kernel struct {
 	now     Time
 	timers  timerHeap
-	runq    []*Proc
+	runq    Ring[*Proc]
 	nextSeq uint64 // timer creation order
 	live    int    // spawned processes that have not finished
 	procs   []*Proc
@@ -77,7 +77,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 func (k *Kernel) Ready(p *Proc) {
 	p.blocked = false
 	p.blockedOn = ""
-	k.runq = append(k.runq, p)
+	k.runq.PushBack(p)
 }
 
 // DeadlockError is returned by Run when live processes remain but none is
@@ -110,7 +110,8 @@ func (k *Kernel) Run() error {
 		k.shutdown()
 	}()
 	for k.failure == nil {
-		if len(k.runq) == 0 {
+		p, ok := k.runq.PopFront()
+		if !ok {
 			if k.timers.Len() == 0 {
 				break
 			}
@@ -125,8 +126,6 @@ func (k *Kernel) Run() error {
 			}
 			continue
 		}
-		p := k.runq[0]
-		k.runq = k.runq[1:]
 		k.metDispatched.Inc()
 		k.step(p)
 	}

@@ -8,9 +8,10 @@ import "fmt"
 // behind it, which prevents starvation and keeps scheduling deterministic.
 type Resource struct {
 	name     string
+	reason   string // park reason, built once
 	capacity int
 	inUse    int
-	waiters  []resWaiter
+	waiters  Ring[resWaiter]
 }
 
 type resWaiter struct {
@@ -25,7 +26,7 @@ func NewResource(name string, capacity int) *Resource {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("sim: resource %q: capacity %d must be positive", name, capacity))
 	}
-	return &Resource{name: name, capacity: capacity}
+	return &Resource{name: name, reason: "resource " + name, capacity: capacity}
 }
 
 // Name returns the resource's diagnostic name.
@@ -38,7 +39,7 @@ func (r *Resource) Capacity() int { return r.capacity }
 func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // Acquire obtains n units, blocking the calling process in FIFO order
 // until they are available. n must be between 1 and the capacity.
@@ -46,12 +47,12 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	if n <= 0 || n > r.capacity {
 		panic(fmt.Sprintf("sim: resource %q: acquire %d of capacity %d", r.name, n, r.capacity))
 	}
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.Len() == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		return
 	}
-	r.waiters = append(r.waiters, resWaiter{p: p, n: n})
-	p.Park("resource " + r.name)
+	r.waiters.PushBack(resWaiter{p: p, n: n})
+	p.Park(r.reason)
 }
 
 // Release returns n units and admits queued waiters (in FIFO order) whose
@@ -61,13 +62,13 @@ func (r *Resource) Release(n int) {
 	if r.inUse < 0 {
 		panic(fmt.Sprintf("sim: resource %q: released more than acquired", r.name))
 	}
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.waiters.Len() > 0 {
+		w := r.waiters.Front()
 		if r.inUse+w.n > r.capacity {
 			break
 		}
 		r.inUse += w.n
-		r.waiters = r.waiters[1:]
+		r.waiters.PopFront()
 		w.p.k.Ready(w.p)
 	}
 }
