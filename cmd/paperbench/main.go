@@ -10,7 +10,6 @@
 //	paperbench -ablations          # pointer-swap / overlap / block-size
 //	paperbench -quick              # truncated tables (smoke test)
 //	paperbench -regress            # measure the fast data paths and the NavP runtime, write BENCH_*.json
-//	paperbench -tune               # autotune GEMM blocking for this host, cache the winner
 package main
 
 import (
@@ -37,23 +36,12 @@ func main() {
 	report := flag.Bool("report", false, "emit the full markdown reproduction report (tables, staggering, ablations)")
 	regress := flag.Bool("regress", false, "benchmark the fast data paths and the goroutine NavP runtime, write BENCH_kernels.json + BENCH_wire.json + BENCH_navp.json")
 	regressOut := flag.String("regress-out", ".", "directory the -regress JSON files are written to")
-	tune := flag.Bool("tune", false, "search GEMM blocking parameters for this host and cache the winner")
 	modern := flag.Bool("modern", false, "re-run the paper's tables on a modern machine model fed by this host's measured kernel rate, plus a real-backend anchor run")
 	flag.Parse()
 
-	if *table == "" && !*stagger && !*ablations && !*report && !*regress && !*tune && !*modern {
+	if *table == "" && !*stagger && !*ablations && !*report && !*regress && !*modern {
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	if *tune {
-		if err := runTune(*quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if *table == "" && !*stagger && !*ablations && !*report && !*regress && !*modern {
-			return
-		}
 	}
 
 	if *modern {
@@ -130,27 +118,6 @@ func main() {
 	}
 }
 
-// runTune searches the MC/KC/NC blocking space for every micro-kernel
-// variant this host can execute, prints the measured table, and caches
-// the per-variant winners so every later Kernel user (tables,
-// benchmarks, the regression harness) runs with them.
-func runTune(quick bool) error {
-	fmt.Printf("autotuning GEMM on %s %v\n", matrix.CPUModel(), matrix.CPUFeatures())
-	f := matrix.TuneSearch(matrix.TuneOptions{Quick: quick, Progress: func(t matrix.TuneTrial) {
-		fmt.Printf("  %-10s mc=%-4d kc=%-4d nc=%-5d %7.2f GFLOP/s\n", t.Variant, t.MC, t.KC, t.NC, t.GFlops)
-	}})
-	fmt.Println("winners:")
-	for _, b := range f.Best {
-		fmt.Printf("  %-10s mc=%-4d kc=%-4d nc=%-5d %7.2f GFLOP/s\n", b.Variant, b.MC, b.KC, b.NC, b.GFlops)
-	}
-	path, err := matrix.SaveTune(f)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("cached to %s\n", path)
-	return nil
-}
-
 // runModern re-runs the paper's table structure on the modern machine
 // model (machine.Modern) with the CPU rate anchored to this host's
 // measured kernel throughput, then closes the loop with a real-backend
@@ -163,9 +130,9 @@ func runModern(quick bool) error {
 		mn, mreps = 512, 1
 	}
 	rate := matrix.MeasureActiveRate(mn, mreps)
-	mc, kc, nc, src := matrix.ActiveBlocking()
-	fmt.Printf("measured kernel: %s at %.2f GFLOP/s (n=%d, mc=%d kc=%d nc=%d %s)\n\n",
-		matrix.ActiveKernel(), rate/1e9, mn, mc, kc, nc, src)
+	mc, kc, nc, _ := matrix.ActiveBlocking()
+	fmt.Printf("measured kernel: %s at %.2f GFLOP/s (n=%d, mc=%d kc=%d nc=%d)\n\n",
+		matrix.ActiveKernel(), rate/1e9, mn, mc, kc, nc)
 
 	tables, err := bench.ModernTables(rate, quick)
 	if err != nil {
@@ -215,8 +182,8 @@ func runRegress(dir string, quick bool) error {
 	if err := writeRegressFile(filepath.Join(dir, "BENCH_kernels.json"), kernels); err != nil {
 		return err
 	}
-	fmt.Printf("kernel: %s, blocking mc=%d kc=%d nc=%d (%s)\n",
-		kernels.Kernel, kernels.BlockMC, kernels.BlockKC, kernels.BlockNC, kernels.BlockSource)
+	fmt.Printf("kernel: %s, blocking mc=%d kc=%d nc=%d\n",
+		kernels.Kernel, kernels.BlockMC, kernels.BlockKC, kernels.BlockNC)
 	if n, ratio, err := kernels.KernelSpeedup(); err == nil {
 		fmt.Printf("kernel vs naive at n=%d: %.2fx GFLOP/s\n", n, ratio)
 	}

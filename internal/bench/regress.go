@@ -42,10 +42,9 @@ type RegressResult struct {
 // RegressFile is the schema of BENCH_kernels.json, BENCH_wire.json and
 // BENCH_navp.json.
 // Schema 2 adds the host identity block (CPU model, ISA features,
-// NumCPU) and the kernel dispatch state (active variant, blocking
-// parameters and whether they came from the autotune cache), so a
-// recorded number can always be traced to the hardware and kernel that
-// produced it.
+// NumCPU) and the kernel dispatch state (active variant and its
+// blocking parameters), so a recorded number can always be traced to
+// the hardware and kernel that produced it.
 type RegressFile struct {
 	Schema      int             `json:"schema"`
 	Suite       string          `json:"suite"`
@@ -60,7 +59,6 @@ type RegressFile struct {
 	BlockMC     int             `json:"block_mc,omitempty"`
 	BlockKC     int             `json:"block_kc,omitempty"`
 	BlockNC     int             `json:"block_nc,omitempty"`
-	BlockSource string          `json:"block_source,omitempty"`
 	Quick       bool            `json:"quick"`
 	Results     []RegressResult `json:"results"`
 }
@@ -75,7 +73,7 @@ func newRegressFile(suite string, quick bool) *RegressFile {
 	}
 	if suite == "kernels" {
 		f.Kernel = matrix.ActiveKernel()
-		f.BlockMC, f.BlockKC, f.BlockNC, f.BlockSource = matrix.ActiveBlocking()
+		f.BlockMC, f.BlockKC, f.BlockNC, _ = matrix.ActiveBlocking()
 	}
 	return f
 }

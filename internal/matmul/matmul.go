@@ -366,20 +366,14 @@ func (pr *problem) visitFlops() float64 {
 	return pr.blockFlops() * float64(pr.NB)
 }
 
-// gatherC collects the C blocks from the node variables they ended on and
-// assembles the product. Every stage stores C(i,j) as "C:i:j" on the
+// gatherC copies the C blocks from the node variables they ended on
+// straight into the product. Every stage stores C(i,j) as "C:i:j" on the
 // virtual cell's owner node (node 0 for Sequential; the 1-D column owner;
 // the 2-D grid cell owner).
 func (pr *problem) gatherC() *matrix.Dense {
-	out := matrix.NewBlocked(pr.cfg.N, pr.cfg.BS, false)
-	for i := 0; i < pr.NB; i++ {
-		for j := 0; j < pr.NB; j++ {
-			nd := pr.sys.Node(pr.cNode(i, j))
-			blk := navp.NodeVar[*matrix.Block](nd, pr.name.c.at2(i, j))
-			out.SetBlock(i, j, blk)
-		}
-	}
-	return out.Assemble()
+	return matrix.Assemble(pr.cfg.N, pr.cfg.BS, func(i, j int) *matrix.Block {
+		return navp.NodeVar[*matrix.Block](pr.sys.Node(pr.cNode(i, j)), pr.name.c.at2(i, j))
+	})
 }
 
 // cNode returns the physical node holding C(i,j) for the current stage.

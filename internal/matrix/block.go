@@ -158,23 +158,28 @@ func (bm *Blocked) SetBlock(br, bc int, b *Block) {
 	bm.blocks[br*bm.NB+bc] = b
 }
 
-// Phantom reports whether the blocked matrix holds phantom blocks (it
-// checks the first block; mixtures are not constructed by this package).
-func (bm *Blocked) Phantom() bool { return bm.blocks[0].Phantom() }
-
 // Assemble copies the blocks back into a dense matrix. It panics on a
 // phantom matrix.
-func (bm *Blocked) Assemble() *Dense {
-	if bm.Phantom() {
-		panic("matrix: Assemble on phantom blocked matrix")
-	}
-	d := NewDense(bm.N, bm.N)
-	for br := 0; br < bm.NB; br++ {
-		for bc := 0; bc < bm.NB; bc++ {
-			blk := bm.Block(br, bc)
-			r0, c0 := br*bm.BS, bc*bm.BS
+func (bm *Blocked) Assemble() *Dense { return Assemble(bm.N, bm.BS, bm.Block) }
+
+// Assemble copies the blocks of an order-n matrix with block size bs
+// into a dense matrix, asking block for each grid position: callers
+// whose blocks live elsewhere need no Blocked to hold them. It panics
+// on a phantom block or one whose shape does not fit its position.
+func Assemble(n, bs int, block func(br, bc int) *Block) *Dense {
+	d := NewDense(n, n)
+	for r0 := 0; r0 < n; r0 += bs {
+		for c0 := 0; c0 < n; c0 += bs {
+			blk := block(r0/bs, c0/bs)
+			if blk.Phantom() {
+				panic("matrix: Assemble on a phantom block")
+			}
+			if blk.Rows != min(bs, n-r0) || blk.Cols != min(bs, n-c0) {
+				panic(fmt.Sprintf("matrix: Assemble shape mismatch at (%d,%d): %d×%d",
+					r0/bs, c0/bs, blk.Rows, blk.Cols))
+			}
 			for i := 0; i < blk.Rows; i++ {
-				copy(d.Data[(r0+i)*d.Stride+c0:(r0+i)*d.Stride+c0+blk.Cols], blk.Data[i*blk.Cols:(i+1)*blk.Cols])
+				copy(d.Data[(r0+i)*d.Stride+c0:][:blk.Cols], blk.Data[i*blk.Cols:][:blk.Cols])
 			}
 		}
 	}

@@ -40,10 +40,10 @@ import (
 // Packed panels are (rsa, csa, rsb) = (1, mr, nr); a row-major operand
 // is (lda, 1, ldb). Callers pass a zeroed scratch tile for edges.
 //
-// mc, kc and nc are the variant's untuned cache-blocking parameters:
-// kc×nr and mr×kc micro-panels are sized so a B panel slice and an A
-// panel slice sit in L1 together, and mc×kc A panels target L2. The
-// autotuner (tune.go) overrides them per host.
+// mc, kc and nc are the variant's cache-blocking parameters: kc×nr and
+// mr×kc micro-panels are sized so a B panel slice and an A panel slice
+// sit in L1 together, and mc×kc A panels target L2. Every host runs
+// them as declared (DESIGN.md §15.2).
 type microKernel struct {
 	name       string
 	mr, nr     int
@@ -77,7 +77,7 @@ const (
 
 // Kernel is a configurable GEMM driver. The zero value is the serial
 // fast path used by Mul, MulBlocked, and Block MulAdd: it runs the best
-// micro-kernel the host supports with the tuned (or default) blocking.
+// micro-kernel the host supports with that variant's own blocking.
 // Threads > 1 additionally spreads column panels of C over a worker pool
 // (real OS concurrency — see parallel.go for why this stays outside the
 // simulation domain).
@@ -87,7 +87,7 @@ type Kernel struct {
 	Threads int
 
 	// Cache-blocking overrides used by tests to force panel edges with
-	// small inputs; zero means the tuned (or default) parameters.
+	// small inputs; zero means the variant's own parameters.
 	mc, kc, nc int
 
 	// variant forces a specific micro-kernel; nil means the dispatcher's
@@ -96,26 +96,22 @@ type Kernel struct {
 }
 
 // config resolves the micro-kernel variant and cache-blocking parameters
-// for one gemm call: explicit overrides win, then the per-host tuned
-// parameters (tune.go), then the variant defaults. Panels are rounded up
-// to whole micro-tiles.
+// for one gemm call: a test override where one is set, the variant's
+// own constants otherwise. Panels are rounded up to whole micro-tiles.
 func (k Kernel) config() (v *microKernel, mc, kc, nc int) {
 	v = k.variant
 	if v == nil {
 		v = activeVariant()
 	}
 	mc, kc, nc = k.mc, k.kc, k.nc
-	if mc <= 0 || kc <= 0 || nc <= 0 {
-		tmc, tkc, tnc := tunedFor(v)
-		if mc <= 0 {
-			mc = tmc
-		}
-		if kc <= 0 {
-			kc = tkc
-		}
-		if nc <= 0 {
-			nc = tnc
-		}
+	if mc <= 0 {
+		mc = v.mc
+	}
+	if kc <= 0 {
+		kc = v.kc
+	}
+	if nc <= 0 {
+		nc = v.nc
 	}
 	mc = roundUp(mc, v.mr)
 	nc = roundUp(nc, v.nr)
@@ -134,11 +130,12 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 func ActiveKernel() string { return activeVariant().name }
 
 // ActiveBlocking reports the cache-blocking parameters a zero-value
-// Kernel will run with and where they came from ("tuned" when the
-// per-host autotune cache supplied them, "default" otherwise).
+// Kernel will run with. They are always the active variant's own
+// constants, so source is always "default"; it stays only because the
+// navpbench header still prints it.
 func ActiveBlocking() (mc, kc, nc int, source string) {
 	_, mc, kc, nc = Kernel{}.config()
-	return mc, kc, nc, tunedSource(activeVariant())
+	return mc, kc, nc, "default"
 }
 
 // Mul returns a×b through the GEMM kernel.

@@ -100,7 +100,7 @@ func activeVariant() *microKernel {
 
 // kernelVariants lists every micro-kernel this host can execute, the
 // portable oracle first and the widest last. Used by the dispatcher,
-// the equivalence tests and the autotuner; NAVP_NOSIMD restricts
+// the equivalence tests and the benchmarks; NAVP_NOSIMD restricts
 // dispatch, not testability.
 func kernelVariants() []*microKernel {
 	vs := []*microKernel{goKernel}

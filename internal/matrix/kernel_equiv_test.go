@@ -67,6 +67,27 @@ func TestDispatchPicksWidestVariant(t *testing.T) {
 	}
 }
 
+// TestZeroKernelUsesVariantBlocking pins Kernel.config's contract: with
+// no override a variant runs its own mc/kc/nc rounded to whole tiles,
+// ActiveBlocking reports what the zero Kernel runs, and resolving the
+// blocking (once per block product) allocates nothing.
+func TestZeroKernelUsesVariantBlocking(t *testing.T) {
+	for _, v := range kernelVariants() {
+		got, mc, kc, nc := Kernel{variant: v}.config()
+		want := [3]int{roundUp(v.mc, v.mr), v.kc, roundUp(v.nc, v.nr)}
+		if got != v || [3]int{mc, kc, nc} != want {
+			t.Errorf("%s: config() = %s %d/%d/%d, want %s %v", v.name, got.name, mc, kc, nc, v.name, want)
+		}
+	}
+	_, mc, kc, nc := Kernel{}.config()
+	if amc, akc, anc, _ := ActiveBlocking(); [3]int{amc, akc, anc} != [3]int{mc, kc, nc} {
+		t.Errorf("ActiveBlocking() = %d/%d/%d, Kernel{}.config() = %d/%d/%d", amc, akc, anc, mc, kc, nc)
+	}
+	if got := testing.AllocsPerRun(100, func() { Kernel{}.config() }); got != 0 {
+		t.Errorf("Kernel{}.config(): %v allocs, want 0", got)
+	}
+}
+
 // equivKernels returns one Kernel per executable variant, each with
 // small blocking so multi-panel paths engage at test sizes.
 func equivKernels() map[string]Kernel {

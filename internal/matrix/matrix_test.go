@@ -115,6 +115,11 @@ func TestPartitionEdgeBlocks(t *testing.T) {
 	if got := bm.Block(1, 1).At(0, 0); got != d.At(4, 4) {
 		t.Fatalf("block content wrong: %v vs %v", got, d.At(4, 4))
 	}
+	// Blocks held outside a Blocked (as matmul gathers C) assemble to
+	// the same matrix, edge blocks included.
+	if got := Assemble(10, 4, func(br, bc int) *Block { return bm.Block(br, bc).Clone() }); !got.EqualApprox(d, 0) {
+		t.Fatal("Assemble from cloned edge blocks differs from the source")
+	}
 }
 
 func TestBlockMulAddMatchesDense(t *testing.T) {

@@ -32,7 +32,7 @@ import (
 // panel (cache-cold edge, preempted CPU) cannot unbalance the rest.
 // The panel width is sized to give each thread at least two panels for
 // that balancing to act on, while staying a multiple of nr and at most
-// the tuned nc so cache behaviour matches the serial path.
+// the variant's nc so cache behaviour matches the serial path.
 func (k Kernel) gemmParallel(v *microKernel, mc, kc, nc, m, n, kk int, a []float64, lda int, b []float64, ldb int, c []float64, ldc int) {
 	ncw := roundUp(ceilDiv(n, 2*k.Threads), v.nr)
 	if ncw > nc {

@@ -105,14 +105,6 @@ func (c *Ctx) NodeID() int { return c.daemon.id }
 // Nodes returns the cluster size.
 func (c *Ctx) Nodes() int { return c.daemon.members.size() }
 
-// AgentID returns the agent's cluster-unique identity, assigned at
-// injection and stable across hops, retries, and checkpoint replays.
-func (c *Ctx) AgentID() uint64 { return c.agent.ID }
-
-// HopCount returns the number of hop boundaries the agent has crossed
-// (local re-dispatches included).
-func (c *Ctx) HopCount() uint64 { return c.agent.Hop }
-
 // Job returns the agent's job namespace (0 outside any job). It is
 // inherited by every agent this one injects.
 func (c *Ctx) Job() uint64 { return c.agent.Job }
