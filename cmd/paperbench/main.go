@@ -201,6 +201,7 @@ func runRegress(dir string, quick bool) error {
 	if err := writeRegressFile(filepath.Join(dir, "BENCH_navp.json"), navpFile); err != nil {
 		return err
 	}
+	navpFile.PrintRatios(os.Stdout)
 	// Gates run after every file is written so a red run still leaves
 	// the measurements on disk for diagnosis.
 	violations := append(kernels.CheckGates(), wireFile.CheckGates()...)

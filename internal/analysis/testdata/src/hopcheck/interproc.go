@@ -17,19 +17,21 @@ func bounce(ag *navp.Agent) {
 // throughHelper is the interprocedural escape: the node reference is
 // stale after the helper's buried Hop.
 func throughHelper(sys *navp.System) {
+	x := sys.Var("x")
 	sys.Inject(0, "bad-relay", func(ag *navp.Agent) {
 		nd := ag.Node()
 		relay(ag, 1)
-		nd.Set("x", 1) // want `node reference "nd" crosses a Hop`
+		nd.Set(x, 1) // want `node reference "nd" crosses a Hop`
 	})
 }
 
 // throughTwoHelpers needs the hop fact to survive two summary levels.
 func throughTwoHelpers(sys *navp.System) {
+	x := sys.Var("x")
 	sys.Inject(0, "bad-bounce", func(ag *navp.Agent) {
 		nd := ag.Node()
 		bounce(ag)
-		_ = nd.Get("x") // want `node reference "nd" crosses a Hop`
+		_ = nd.Get(x) // want `node reference "nd" crosses a Hop`
 	})
 }
 
@@ -41,9 +43,10 @@ func work(ag *navp.Agent) {
 // helperNoHop keeps its node reference valid across a non-hopping
 // helper.
 func helperNoHop(sys *navp.System) {
+	x := sys.Var("x")
 	sys.Inject(0, "good-helper", func(ag *navp.Agent) {
 		nd := ag.Node()
 		work(ag)
-		nd.Set("x", 1)
+		nd.Set(x, 1)
 	})
 }

@@ -75,16 +75,22 @@ package bench
 //     on the same host, in every run with GOMAXPROCS ≥ 2 (a goroutine
 //     per agent, a CPU mutex per compute and a sync.Cond park per wait
 //     read 4.4–4.6×; one coroutine loop per PE reads 3.3–3.8×);
-//   - an event round trip on one PE and a hop between PEs make no
-//     allocation (the waiter FIFO is intrusive, the event records are
-//     values in the loop's map, the run queue is a ring and the inbox a
-//     swapped pair of buffers);
+//   - an event round trip on one PE, a signal/wait pair on each of
+//     32 768 events in turn and a hop between PEs make no allocation (the
+//     waiter FIFO is intrusive, the event records are values in a table
+//     indexed by handle, the run queue is a ring and the inbox a swapped
+//     pair of buffers);
 //   - a block product allocates nothing, so the two paper-fine solves
 //     stay within about 1.1× of their measured allocation counts
-//     (Phase2D 44.0 k, Sequential 8.3 k; 314.6 k and 44.1 k while names
+//     (Phase2D 37.6 k, Sequential 6.2 k; 314.6 k and 44.1 k while names
 //     were built per call, Compute's closure escaped and every event
-//     record was a heap object): what remains is per agent or per
-//     input block, not per block product.
+//     record was a heap object, 44.0 k and 8.3 k while agent variables
+//     were a map per agent): what remains is per agent or per input
+//     block, not per block product.
+//
+// Phase2DFine over GentlemanFine, the paper's comparison with MPI, is
+// recorded and printed but not gated: NavP loses it on real cores at
+// this grain (ROADMAP).
 
 import (
 	"fmt"
@@ -151,8 +157,10 @@ const (
 	// BenchmarkSequentialFine (runs with GOMAXPROCS ≥ 2).
 	gateFineRatio = 4.0
 	// gateEventRoundTripAllocs and gateHopAllocs cap the goroutine
-	// runtime's allocations per event round trip and per hop (all runs).
+	// runtime's allocations per event round trip, per signal/wait pair
+	// over many events and per hop (all runs).
 	gateEventRoundTripAllocs = 0
+	gateEventFanAllocs       = 0
 	gateHopAllocs            = 0
 	// gateProcessSwitchAllocs and gateSignalWaitAllocs cap the
 	// simulation kernel's allocations per process switch and per event
@@ -162,8 +170,8 @@ const (
 	// gatePhase2DFineAllocs and gateSequentialFineAllocs cap the
 	// allocations of one paper-fine solve on the goroutine runtime (all
 	// runs).
-	gatePhase2DFineAllocs    = 48_500
-	gateSequentialFineAllocs = 9_100
+	gatePhase2DFineAllocs    = 41_400
+	gateSequentialFineAllocs = 6_800
 )
 
 // CheckGates evaluates every regression gate of the file's suite and
@@ -206,6 +214,7 @@ func (f *RegressFile) checkNavpGates() []error {
 		{"BenchmarkProcessSwitch", gateProcessSwitchAllocs},
 		{"BenchmarkEventSignalWait", gateSignalWaitAllocs},
 		{"BenchmarkEventRoundTripReal", gateEventRoundTripAllocs},
+		{"BenchmarkEventFanReal", gateEventFanAllocs},
 		{"BenchmarkHopReal", gateHopAllocs},
 		{"BenchmarkPhase2DFine", gatePhase2DFineAllocs},
 		{"BenchmarkSequentialFine", gateSequentialFineAllocs},

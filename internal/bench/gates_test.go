@@ -343,24 +343,37 @@ func navpGateFile() *RegressFile {
 	return &RegressFile{Schema: 2, Suite: "navp", GOMAXPROCS: 2, Results: []RegressResult{
 		{Name: "BenchmarkHopReal", NsPerOp: 900},
 		{Name: "BenchmarkEventRoundTripReal", NsPerOp: 640},
-		{Name: "BenchmarkPhase2DFine", NsPerOp: 54e6, AllocsPerOp: 44e3},
-		{Name: "BenchmarkSequentialFine", NsPerOp: 23e6, AllocsPerOp: 8.3e3},
+		{Name: "BenchmarkPhase2DFine", NsPerOp: 54e6, AllocsPerOp: 37.6e3},
+		{Name: "BenchmarkSequentialFine", NsPerOp: 23e6, AllocsPerOp: 6.2e3},
 		{Name: "BenchmarkProcessSwitch", NsPerOp: 450},
 		{Name: "BenchmarkEventSignalWait", NsPerOp: 570},
+		{Name: "BenchmarkEventFanReal", NsPerOp: 17},
+		{Name: "BenchmarkGentlemanFine", NsPerOp: 20e6, AllocsPerOp: 18.9e3},
 	}}
 }
 
 // TestNavpGates pins the runtime gates: one loop per PE passes; the
 // goroutine-per-agent backend's Phase2D ratio fails, as does an
-// allocation per event round trip, per hop, per kernel process switch or
-// per kernel signal/wait pair, and a paper-fine solve over its
-// allocation cap (one at its cap passes). A one-CPU host skips the
-// ratio, never the allocation gates.
+// allocation per event round trip, per signal/wait pair of the event
+// fan, per hop, per kernel process switch or per kernel signal/wait
+// pair, and a paper-fine solve over its allocation cap (one at its cap
+// passes). A one-CPU host skips the ratio, never the allocation gates;
+// the ratio to Gentleman's Algorithm is never gated.
 func TestNavpGates(t *testing.T) {
 	if errs := navpGateFile().CheckGates(); len(errs) != 0 {
 		t.Fatalf("run-loop numbers violated gates: %v", errs)
 	}
 	f := navpGateFile()
+	f.Results[7].NsPerOp = 1e6 // Phase2DFine 54x GentlemanFine
+	if errs := f.CheckGates(); len(errs) != 0 {
+		t.Fatalf("the ratio to GentlemanFine was gated: %v", errs)
+	}
+	f = navpGateFile()
+	f.Results[6].AllocsPerOp = 1
+	if errs := f.CheckGates(); !hasViolation(errs, "BenchmarkEventFanReal makes 1 allocations per op, above 0") {
+		t.Fatalf("an allocation per fanned signal/wait pair passed: %v", errs)
+	}
+	f = navpGateFile()
 	f.Results[2].NsPerOp = 103e6 // 4.48x, as a goroutine per agent read
 	if errs := f.CheckGates(); !hasViolation(errs, "Phase2DFine is 4.48x SequentialFine, above the 4.0x ceiling") {
 		t.Fatalf("a 4.48x Phase2D ratio passed the gate: %v", errs)
@@ -394,13 +407,30 @@ func TestNavpGates(t *testing.T) {
 	}
 	f.Results[2].AllocsPerOp = 314_576 // names built per call, escaping closures
 	f.Results[3].AllocsPerOp = gateSequentialFineAllocs + 1
-	if errs := f.CheckGates(); !hasViolation(errs, "BenchmarkPhase2DFine makes 314576 allocations per op, above 48500") ||
-		!hasViolation(errs, "BenchmarkSequentialFine makes 9101 allocations per op, above 9100") {
+	if errs := f.CheckGates(); !hasViolation(errs, "BenchmarkPhase2DFine makes 314576 allocations per op, above 41400") ||
+		!hasViolation(errs, "BenchmarkSequentialFine makes 6801 allocations per op, above 6800") {
 		t.Fatalf("paper-fine solves over their allocation caps passed: %v", errs)
 	}
 	missing := &RegressFile{Schema: 2, Suite: "navp", GOMAXPROCS: 2}
 	if errs := missing.CheckGates(); !hasViolation(errs, "no BenchmarkPhase2DFine/SequentialFine pair") ||
 		!hasViolation(errs, "no BenchmarkHopReal") || !hasViolation(errs, "no BenchmarkProcessSwitch") {
 		t.Fatalf("a navp file without its rows passed: %v", errs)
+	}
+}
+
+// TestPrintRatios pins the ratio lines paperbench -regress prints after
+// the navp file, and that a ratio missing a row is left out.
+func TestPrintRatios(t *testing.T) {
+	var b strings.Builder
+	navpGateFile().PrintRatios(&b)
+	if got, want := b.String(), "Phase2DFine / SequentialFine: 2.35\nPhase2DFine / GentlemanFine: 2.70\n"; got != want {
+		t.Fatalf("printed %q, want %q", got, want)
+	}
+	f := navpGateFile()
+	f.Results = withoutRows(f, "BenchmarkGentlemanFine")
+	b.Reset()
+	f.PrintRatios(&b)
+	if got, want := b.String(), "Phase2DFine / SequentialFine: 2.35\n"; got != want {
+		t.Fatalf("without GentlemanFine printed %q, want %q", got, want)
 	}
 }

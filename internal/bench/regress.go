@@ -13,12 +13,15 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/gentleman"
 	"repro/internal/matmul"
 	"repro/internal/matrix"
 	"repro/internal/navp"
@@ -91,6 +94,29 @@ func benchmarked(name string, body func(b *testing.B)) RegressResult {
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
 	}
+}
+
+// alternated measures each row in turn, rounds times over, and returns
+// each row's median round, in row order: drift on a shared host then
+// moves every row of a ratio alike. A measure that fails ends the
+// rounds.
+func alternated(rounds int, measure ...func() (RegressResult, error)) ([]RegressResult, error) {
+	all := make([][]RegressResult, len(measure))
+	for round := 0; round < rounds; round++ {
+		for i, m := range measure {
+			res, err := m()
+			if err != nil {
+				return nil, err
+			}
+			all[i] = append(all[i], res)
+		}
+	}
+	medians := make([]RegressResult, len(measure))
+	for i, rs := range all {
+		sort.Slice(rs, func(a, b int) bool { return rs[a].NsPerOp < rs[b].NsPerOp })
+		medians[i] = rs[len(rs)/2]
+	}
+	return medians, nil
 }
 
 func withGflops(res RegressResult, n int) RegressResult {
@@ -317,35 +343,41 @@ func RegressWire(quick bool) (*RegressFile, error) {
 
 	// The control plane: one GetVar round trip on a client's pipelined
 	// connection to an in-process host, callers taking turns and sixteen
-	// at once (per call). The other pair the wire gates read.
-	for _, c := range []struct {
-		name    string
-		callers int
-	}{{"serial", 1}, {"burst=16", 16}} {
-		run, closeCluster, err := wire.BenchControlRoundTrip()
-		if err != nil {
-			return nil, fmt.Errorf("bench: control round trip %s: %w", c.name, err)
-		}
-		res := benchmarked("BenchmarkControlRoundTrip/"+c.name, func(b *testing.B) {
-			if err := run(c.callers, b.N); err != nil {
-				b.Fatal(err)
+	// at once (per call). The other pair the wire gates read, so the two
+	// alternate over three rounds, each on a fresh cluster.
+	roundTrip := func(name string, callers int) func() (RegressResult, error) {
+		return func() (RegressResult, error) {
+			run, closeCluster, err := wire.BenchControlRoundTrip()
+			if err != nil {
+				return RegressResult{}, fmt.Errorf("bench: control round trip %s: %w", name, err)
 			}
-		})
-		closeCluster()
-		f.Results = append(f.Results, res)
+			defer closeCluster()
+			return benchmarked("BenchmarkControlRoundTrip/"+name, func(b *testing.B) {
+				if err := run(callers, b.N); err != nil {
+					b.Fatal(err)
+				}
+			}), nil
+		}
 	}
+	ctl, err := alternated(3, roundTrip("serial", 1), roundTrip("burst=16", 16))
+	if err != nil {
+		return nil, err
+	}
+	f.Results = append(f.Results, ctl...)
 	return f, nil
 }
 
 // RegressNavp measures the two executors of NavP programs. First the
 // simulation kernel (internal/sim): a process switch and an event
 // signal/wait pair. Then the goroutine runtime (navp.NewReal): a
-// cross-PE hop and a same-PE event round trip, then whole solves on it:
-// in full runs paper-coarse's Phase1D, which is sensitive to the run
-// loop's queue order, and always paper-fine's Phase2D beside its
-// Sequential twin (the ratio the navp gate reads). The rows carry the
-// names of the go-test benchmarks in internal/sim, internal/navp and
-// internal/matmul.
+// cross-PE hop, a same-PE event round trip and signal/wait pairs fanned
+// over 32 768 events, then whole solves on it: in full runs
+// paper-coarse's Phase1D, which is sensitive to the run loop's queue
+// order, and always paper-fine's Phase2D beside its Sequential twin (the
+// ratio the navp gate reads) and Gentleman's Algorithm on the goroutine
+// mp backend (the paper's MPI baseline; PrintRatios reports the ratio,
+// ungated). The rows carry the names of the go-test benchmarks in
+// internal/sim, internal/navp, internal/matmul and internal/gentleman.
 func RegressNavp(quick bool) (*RegressFile, error) {
 	f := newRegressFile("navp", quick)
 	for _, c := range []struct {
@@ -356,6 +388,7 @@ func RegressNavp(quick bool) (*RegressFile, error) {
 		{"BenchmarkEventSignalWait", sim.BenchEventSignalWait},
 		{"BenchmarkHopReal", navp.BenchHops},
 		{"BenchmarkEventRoundTripReal", navp.BenchEventRoundTrips},
+		{"BenchmarkEventFanReal", navp.BenchEventFan},
 	} {
 		f.Results = append(f.Results, benchmarked(c.name, func(b *testing.B) {
 			if err := c.run(b.N); err != nil {
@@ -363,34 +396,71 @@ func RegressNavp(quick bool) (*RegressFile, error) {
 			}
 		}))
 	}
-	fine := matmul.Config{N: 512, BS: 16, P: 2, Real: true, Seed: 1}
-	var err error
-	solve := func(stage matmul.Stage, cfg matmul.Config) func(b *testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N && err == nil; i++ {
-				_, err = matmul.Run(stage, cfg)
+	// measure times runs of body as the row name.
+	measure := func(name string, body func(n int) error) func() (RegressResult, error) {
+		return func() (RegressResult, error) {
+			var err error
+			res := benchmarked(name, func(b *testing.B) {
+				if err == nil {
+					err = body(b.N)
+				}
+			})
+			if err != nil {
+				return res, fmt.Errorf("bench: navp solve: %w", err)
 			}
+			return res, nil
 		}
 	}
-	// The gated pair alternates over three rounds and each row keeps its
-	// median round, so drift on a shared host moves both rows alike.
-	var phase2d, seq []RegressResult
-	for round := 0; round < 3 && err == nil; round++ {
-		phase2d = append(phase2d, benchmarked("BenchmarkPhase2DFine", solve(matmul.Phase2D, fine)))
-		seq = append(seq, benchmarked("BenchmarkSequentialFine", solve(matmul.Sequential, fine)))
+	solve := func(stage matmul.Stage, cfg matmul.Config) func(n int) error {
+		return func(n int) error {
+			for i := 0; i < n; i++ {
+				if _, err := matmul.Run(stage, cfg); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 	}
-	if !quick && err == nil {
+	if !quick {
 		coarse := matmul.Config{N: 1536, BS: 256, P: 2, Real: true, Seed: 1}
-		f.Results = append(f.Results, benchmarked("BenchmarkPhase1DCoarse", solve(matmul.Phase1D, coarse)))
+		res, err := measure("BenchmarkPhase1DCoarse", solve(matmul.Phase1D, coarse))()
+		if err != nil {
+			return nil, err
+		}
+		f.Results = append(f.Results, res)
 	}
+	// The compared rows alternate over three rounds and each keeps its
+	// median round, so drift on a shared host moves them alike.
+	fine := matmul.Config{N: 512, BS: 16, P: 2, Real: true, Seed: 1}
+	solves, err := alternated(3,
+		measure("BenchmarkPhase2DFine", solve(matmul.Phase2D, fine)),
+		measure("BenchmarkSequentialFine", solve(matmul.Sequential, fine)),
+		measure("BenchmarkGentlemanFine", gentleman.BenchFine))
 	if err != nil {
-		return nil, fmt.Errorf("bench: navp solve: %w", err)
+		return nil, err
 	}
-	for _, rounds := range [][]RegressResult{phase2d, seq} {
-		sort.Slice(rounds, func(i, j int) bool { return rounds[i].NsPerOp < rounds[j].NsPerOp })
-		f.Results = append(f.Results, rounds[len(rounds)/2])
-	}
+	f.Results = append(f.Results, solves...)
 	return f, nil
+}
+
+// fineRatios are the ratios of paper-fine rows PrintRatios reports: the
+// gated NavP-over-sequential one and the ungated NavP-over-MPI one.
+var fineRatios = [][2]string{
+	{"BenchmarkPhase2DFine", "BenchmarkSequentialFine"},
+	{"BenchmarkPhase2DFine", "BenchmarkGentlemanFine"},
+}
+
+// PrintRatios writes one line per ratio of recorded rows the navp file
+// compares, e.g. "Phase2DFine / GentlemanFine: 2.01".
+func (f *RegressFile) PrintRatios(w io.Writer) {
+	for _, r := range fineRatios {
+		num, den := f.Find(r[0]), f.Find(r[1])
+		if num == nil || den == nil || den.NsPerOp <= 0 {
+			continue
+		}
+		fmt.Fprintf(w, "%s / %s: %.2f\n", strings.TrimPrefix(r[0], "Benchmark"),
+			strings.TrimPrefix(r[1], "Benchmark"), num.NsPerOp/den.NsPerOp)
+	}
 }
 
 // Find returns the named result, or nil.

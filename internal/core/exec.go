@@ -10,8 +10,9 @@ import (
 // finishes. nodeOf maps the plan's (virtual) node numbers onto physical
 // PE ids — pass nil for the identity mapping. Threads are injected in
 // plan order by an injector agent that hops to each thread's start node,
-// exactly as the paper's outer pseudocode does; cross-thread Deps become
-// node-local waitEvent/signalEvent pairs.
+// exactly as the paper's outer pseudocode does; each cross-thread Dep
+// becomes a node-local wait/signal pair on an event of its own, minted
+// before the system runs.
 //
 // Execute works on both backends; on the simulation backend the system's
 // VirtualTime after return is the plan's makespan.
@@ -23,21 +24,16 @@ func Execute(p *Plan, sys *navp.System, nodeOf func(int) int) error {
 		nodeOf = func(n int) int { return n }
 	}
 
-	incoming := map[string][]string{} // item ID -> dep event keys to wait
-	outgoing := map[string][]string{} // item ID -> dep event keys to signal
-	for _, d := range p.Deps {
-		key := "dep:" + d.Before + ">" + d.After
-		incoming[d.After] = append(incoming[d.After], key)
-		outgoing[d.Before] = append(outgoing[d.Before], key)
-	}
-
-	sys.Inject(0, "injector", func(ag *navp.Agent) {
+	incoming := map[string][]navp.Event{} // item ID -> dep events to wait on
+	outgoing := map[string][]navp.Event{} // item ID -> dep events to signal
+	var carry navp.Var
+	err := sys.Inject(0, "injector", func(ag *navp.Agent) {
 		for ti := range p.Threads {
 			t := &p.Threads[ti]
 			ag.Hop(nodeOf(t.Start))
 			ag.Inject(t.Name, func(th *navp.Agent) {
 				if t.CarryBytes > 0 {
-					th.Set("carry", nil, t.CarryBytes)
+					th.Set(carry, nil, t.CarryBytes)
 				}
 				for ii := 0; ii < len(t.Items); {
 					// MESSENGERS computations are non-preemptive between
@@ -46,8 +42,8 @@ func Execute(p *Plan, sys *navp.System, nodeOf func(int) int) error {
 					// boundaries executes as one CPU burst.
 					first := &t.Items[ii]
 					th.Hop(nodeOf(first.Node))
-					for _, key := range incoming[first.ID] {
-						th.WaitEvent(key)
+					for _, ev := range incoming[first.ID] {
+						th.Wait(ev)
 					}
 					run := []*Item{first}
 					flops := first.Flops
@@ -68,13 +64,24 @@ func Execute(p *Plan, sys *navp.System, nodeOf func(int) int) error {
 							}
 						}
 					})
-					for _, key := range outgoing[run[len(run)-1].ID] {
-						th.SignalEvent(key)
+					for _, ev := range outgoing[run[len(run)-1].ID] {
+						th.Signal(ev)
 					}
 				}
 			})
 		}
 	})
+	if err != nil {
+		return fmt.Errorf("core: plan execution: %w", err)
+	}
+	// The handles are minted once Inject has accepted the program: a
+	// system that already ran refuses it above.
+	for _, d := range p.Deps {
+		ev := sys.Event("dep:" + d.Before + ">" + d.After)
+		incoming[d.After] = append(incoming[d.After], ev)
+		outgoing[d.Before] = append(outgoing[d.Before], ev)
+	}
+	carry = sys.Var("carry")
 	if err := sys.Run(); err != nil {
 		return fmt.Errorf("core: plan execution: %w", err)
 	}

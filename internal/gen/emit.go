@@ -227,12 +227,13 @@ func (e *emitter) variantFunc(variant int) {
 	e.p("\tif err := genrun.CheckPEs(sys, pes); err != nil {")
 	e.p("\t\treturn fmt.Errorf(\"navpgen: %s/%s: %%w\", err)", n.Name, short)
 	e.p("\t}")
+	e.p("\tcarry := sys.Var(\"st\")")
 
 	if variant == 0 {
 		e.p("\terr := sys.Inject(%s, %q, func(ag *navp.Agent) {", e.entryNode(false), n.Name+"/"+short)
 		e.p("\t\tfor %s := %s; %s < %s; %s++ {", o.Var, o.LoSrc, o.Var, o.HiSrc, o.Var)
 		e.p("\t\t\tst := &%s{%s: %s}", e.stateType(), upperFirst(o.Var), o.Var)
-		e.p("\t\t\tag.Set(\"st\", st, %s)", e.carryExpr())
+		e.p("\t\t\tag.Set(carry, st, %s)", e.carryExpr())
 		e.visit(false)
 		e.p("\t\t}")
 		e.p("\t})")
@@ -255,7 +256,7 @@ func (e *emitter) variantFunc(variant int) {
 		e.p("\t\trot := genrun.Rotation(%s, %s)", e.rotArg(), e.rotLen())
 	}
 	e.p("\t\terr := sys.Inject(%s, fmt.Sprintf(\"%s/%s/%%d\", %s), func(ag *navp.Agent) {", e.entryNode(phase), n.Name, short, o.Var)
-	e.p("\t\t\tag.Set(\"st\", st, %s)", e.carryExpr())
+	e.p("\t\t\tag.Set(carry, st, %s)", e.carryExpr())
 	e.visit(phase)
 	e.p("\t\t})")
 	e.p("\t\tif err != nil {")

@@ -477,7 +477,7 @@ func nestSummary(pkg *load.Package, fs *facts.Set, decl *ast.FuncDecl) *facts.Su
 // the nest's own; nests may not use them for parameters or loop
 // variables.
 var reservedIdents = map[string]bool{
-	"sys": true, "pes": true, "ag": true, "st": true,
+	"sys": true, "pes": true, "ag": true, "st": true, "carry": true,
 	"lo": true, "hi": true, "p": true, "q": true,
 	"rot": true, "span": true, "items": true, "plan": true,
 	"v": true, "it": true, "err": true, "sizes": true, "seed": true,

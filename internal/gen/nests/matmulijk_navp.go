@@ -30,10 +30,11 @@ func MatmulIJKDSC(sys *navp.System, pes int, a [][]float64, b [][]float64, c [][
 	if err := genrun.CheckPEs(sys, pes); err != nil {
 		return fmt.Errorf("navpgen: MatmulIJK/dsc: %w", err)
 	}
+	carry := sys.Var("st")
 	err := sys.Inject(0, "MatmulIJK/dsc", func(ag *navp.Agent) {
 		for i := 0; i < n; i++ {
 			st := &matmulIJKState{I: i}
-			ag.Set("st", st, int64(8+8*n))
+			ag.Set(carry, st, int64(8+8*n))
 			for p := 0; p < pes; p++ {
 				// Hop to the owner of chunk p of j ∈ [0, n).
 				ag.Hop(p)
@@ -62,10 +63,11 @@ func MatmulIJKPipelined(sys *navp.System, pes int, a [][]float64, b [][]float64,
 	if err := genrun.CheckPEs(sys, pes); err != nil {
 		return fmt.Errorf("navpgen: MatmulIJK/pipe: %w", err)
 	}
+	carry := sys.Var("st")
 	for i := 0; i < n; i++ {
 		st := &matmulIJKState{I: i}
 		err := sys.Inject(0, fmt.Sprintf("MatmulIJK/pipe/%d", i), func(ag *navp.Agent) {
-			ag.Set("st", st, int64(8+8*n))
+			ag.Set(carry, st, int64(8+8*n))
 			for p := 0; p < pes; p++ {
 				// Hop to the owner of chunk p of j ∈ [0, n).
 				ag.Hop(p)
@@ -94,11 +96,12 @@ func MatmulIJKPhaseShifted(sys *navp.System, pes int, a [][]float64, b [][]float
 	if err := genrun.CheckPEs(sys, pes); err != nil {
 		return fmt.Errorf("navpgen: MatmulIJK/phase: %w", err)
 	}
+	carry := sys.Var("st")
 	for i := 0; i < n; i++ {
 		st := &matmulIJKState{I: i}
 		rot := genrun.Rotation(i, pes)
 		err := sys.Inject(rot, fmt.Sprintf("MatmulIJK/phase/%d", i), func(ag *navp.Agent) {
-			ag.Set("st", st, int64(8+8*n))
+			ag.Set(carry, st, int64(8+8*n))
 			for q := 0; q < pes; q++ {
 				p := (q + rot) % pes
 				// Hop to the owner of chunk p of j ∈ [0, n).

@@ -30,10 +30,11 @@ func Stencil1DDSC(sys *navp.System, pes int, in [][]float64, out [][]float64, ro
 	if err := genrun.CheckPEs(sys, pes); err != nil {
 		return fmt.Errorf("navpgen: Stencil1D/dsc: %w", err)
 	}
+	carry := sys.Var("st")
 	err := sys.Inject(0, "Stencil1D/dsc", func(ag *navp.Agent) {
 		for r := 0; r < rows; r++ {
 			st := &stencil1DState{R: r}
-			ag.Set("st", st, int64(8))
+			ag.Set(carry, st, int64(8))
 			for p := 0; p < pes; p++ {
 				// Hop to the owner of chunk p of i ∈ [1, n - 1).
 				ag.Hop(p)
@@ -60,10 +61,11 @@ func Stencil1DPipelined(sys *navp.System, pes int, in [][]float64, out [][]float
 	if err := genrun.CheckPEs(sys, pes); err != nil {
 		return fmt.Errorf("navpgen: Stencil1D/pipe: %w", err)
 	}
+	carry := sys.Var("st")
 	for r := 0; r < rows; r++ {
 		st := &stencil1DState{R: r}
 		err := sys.Inject(0, fmt.Sprintf("Stencil1D/pipe/%d", r), func(ag *navp.Agent) {
-			ag.Set("st", st, int64(8))
+			ag.Set(carry, st, int64(8))
 			for p := 0; p < pes; p++ {
 				// Hop to the owner of chunk p of i ∈ [1, n - 1).
 				ag.Hop(p)
@@ -90,11 +92,12 @@ func Stencil1DPhaseShifted(sys *navp.System, pes int, in [][]float64, out [][]fl
 	if err := genrun.CheckPEs(sys, pes); err != nil {
 		return fmt.Errorf("navpgen: Stencil1D/phase: %w", err)
 	}
+	carry := sys.Var("st")
 	for r := 0; r < rows; r++ {
 		st := &stencil1DState{R: r}
 		rot := genrun.Rotation(r, pes)
 		err := sys.Inject(rot, fmt.Sprintf("Stencil1D/phase/%d", r), func(ag *navp.Agent) {
-			ag.Set("st", st, int64(8))
+			ag.Set(carry, st, int64(8))
 			for q := 0; q < pes; q++ {
 				p := (q + rot) % pes
 				// Hop to the owner of chunk p of i ∈ [1, n - 1).

@@ -30,10 +30,11 @@ func SweepDSC(sys *navp.System, pes int, in []int64, out [][]int64, rows int, co
 	if err := genrun.CheckPEs(sys, pes); err != nil {
 		return fmt.Errorf("navpgen: Sweep/dsc: %w", err)
 	}
+	carry := sys.Var("st")
 	err := sys.Inject(0, "Sweep/dsc", func(ag *navp.Agent) {
 		for i := 0; i < rows; i++ {
 			st := &sweepState{I: i}
-			ag.Set("st", st, int64(8+8))
+			ag.Set(carry, st, int64(8+8))
 			for j := 0; j < cols; j++ {
 				// Hop to the cyclic owner of index j.
 				ag.Hop(genrun.CyclicOwner(j, 0, pes))
@@ -57,10 +58,11 @@ func SweepPipelined(sys *navp.System, pes int, in []int64, out [][]int64, rows i
 	if err := genrun.CheckPEs(sys, pes); err != nil {
 		return fmt.Errorf("navpgen: Sweep/pipe: %w", err)
 	}
+	carry := sys.Var("st")
 	for i := 0; i < rows; i++ {
 		st := &sweepState{I: i}
 		err := sys.Inject(0, fmt.Sprintf("Sweep/pipe/%d", i), func(ag *navp.Agent) {
-			ag.Set("st", st, int64(8+8))
+			ag.Set(carry, st, int64(8+8))
 			for j := 0; j < cols; j++ {
 				// Hop to the cyclic owner of index j.
 				ag.Hop(genrun.CyclicOwner(j, 0, pes))
@@ -84,12 +86,13 @@ func SweepPhaseShifted(sys *navp.System, pes int, in []int64, out [][]int64, row
 	if err := genrun.CheckPEs(sys, pes); err != nil {
 		return fmt.Errorf("navpgen: Sweep/phase: %w", err)
 	}
+	carry := sys.Var("st")
 	for i := 0; i < rows; i++ {
 		st := &sweepState{I: i}
 		span := cols
 		rot := genrun.Rotation(i, span)
 		err := sys.Inject(genrun.CyclicOwner(0+rot, 0, pes), fmt.Sprintf("Sweep/phase/%d", i), func(ag *navp.Agent) {
-			ag.Set("st", st, int64(8+8))
+			ag.Set(carry, st, int64(8+8))
 			for q := 0; q < span; q++ {
 				j := (q + rot) % span
 				// Hop to the cyclic owner of index j.

@@ -224,27 +224,29 @@ type problem struct {
 	A, B    *matrix.Blocked
 	elem    int
 
-	// name holds the node-variable and event names, built once per
-	// problem: newProblem builds C, each stage the other tables it uses.
+	// name holds the handles of the node variables, agent variables
+	// and events, minted once per problem: newProblem mints C and the
+	// carried rows and blocks, each stage the other tables it uses.
 	name struct {
-		c, b           names // "C:i:j", "B:k:j"
-		aRow, bColHome names // "Arow:i", "BcolHome:j"
-		bCol, ep       names // "Bcol:i:j", "EP:i:j" (2-D DSC)
-		ec, ep3        names // "EC:i:j", "EP:i:j:k" (per-block 2-D stages)
-		aHome, bHome   names // "Ahome:i:j", "Bhome:i:j" (2-D phase)
+		c, b           table[navp.Var]   // "C:i:j", "B:k:j"
+		aRow, bColHome table[navp.Var]   // "Arow:i", "BcolHome:j"
+		bCol           table[navp.Var]   // "Bcol:i:j" (2-D DSC)
+		aHome, bHome   table[navp.Var]   // "Ahome:i:j", "Bhome:i:j" (2-D phase)
+		mA, mB         navp.Var          // the carried A row or block, B column or block
+		ep             table[navp.Event] // "EP:i:j" (2-D DSC)
+		ec, ep3        table[navp.Event] // "EC:i:j", "EP:i:j:k" (per-block 2-D stages)
 	}
 	// deposit holds, for each cell (i,j) of the per-block 2-D stages, the
 	// B block deposited for A(i,k) at index k. Cell (i,j)'s slots belong
 	// to its node: only agents there touch them.
 	deposit [][]*matrix.Block
 	// onRead, when set (by tests), sees every node-variable read the
-	// program makes through nodeVar.
+	// program makes through nodeVar, by the variable's name.
 	onRead func(node int, name string)
 }
 
 func newProblem(stage Stage, cfg Config) *problem {
 	pr := &problem{cfg: cfg, stage: stage, NB: cfg.N / cfg.BS}
-	pr.name.c = newNames("C", pr.NB, 2)
 	pr.elem = cfg.HW.ElemBytes
 	if pr.elem == 0 {
 		pr.elem = 8
@@ -265,6 +267,8 @@ func newProblem(stage Stage, cfg Config) *problem {
 	} else {
 		pr.sys = navp.NewSim(cfg.NavP, cfg.HW, pr.pes)
 	}
+	pr.name.c = vars(pr.sys, "C", pr.NB, 2)
+	pr.name.mA, pr.name.mB = pr.sys.Var("mA"), pr.sys.Var("mB")
 	if cfg.Tracer != nil {
 		pr.sys.SetTracer(cfg.Tracer)
 	}
@@ -307,13 +311,13 @@ func (pr *problem) pe1D(v int) int { return pr.owner(v) }
 // pe2D returns the physical node of virtual cell (vi, vj) on the P×P grid.
 func (pr *problem) pe2D(vi, vj int) int { return pr.owner(vi)*pr.cfg.P + pr.owner(vj) }
 
-// nodeVar reads node variable name of nd as a T (navp.NodeVar),
+// nodeVar reads node variable v of nd as a T (navp.NodeVar),
 // reporting the read to pr.onRead when one is set.
-func nodeVar[T any](pr *problem, nd *navp.Node, name string) T {
+func nodeVar[T any](pr *problem, nd *navp.Node, v navp.Var) T {
 	if pr.onRead != nil {
-		pr.onRead(nd.ID(), name)
+		pr.onRead(nd.ID(), pr.sys.VarName(v))
 	}
-	return navp.NodeVar[T](nd, name)
+	return navp.NodeVar[T](nd, v)
 }
 
 // aRow materializes block row i of A as a slice of blocks.

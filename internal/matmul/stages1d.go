@@ -26,14 +26,14 @@ func (pr *problem) sequential() {
 	pr.sys.Inject(0, "Sequential", func(ag *navp.Agent) {
 		for i := 0; i < pr.NB; i++ {
 			for j := 0; j < pr.NB; j++ {
-				cName := pr.name.c.at2(i, j)
-				c := nodeVar[*matrix.Block](pr, ag.Node(), cName)
+				cVar := pr.name.c.at2(i, j)
+				c := nodeVar[*matrix.Block](pr, ag.Node(), cVar)
 				for k := 0; k < pr.NB; k++ {
 					a, b := pr.A.Block(i, k), pr.B.Block(k, j)
 					if pr.cfg.Paged {
 						ag.TouchMemory(pageA.at2(i, k), a.Bytes(pr.elem))
 						ag.TouchMemory(pageB.at2(k, j), b.Bytes(pr.elem))
-						ag.TouchMemory(cName, c.Bytes(pr.elem))
+						ag.TouchMemory(pr.sys.VarName(cVar), c.Bytes(pr.elem))
 					}
 					ag.Compute(pr.blockFlops(), func() { matrix.MulAdd(c, a, b) })
 				}
@@ -56,11 +56,11 @@ func (pr *problem) dsc1D() {
 			// The previous row is dead after its last column; drop it so
 			// the wrap-around hop back to node 0 travels light (Figure 5
 			// reloads mA there anyway).
-			ag.Delete("mA")
+			ag.Delete(pr.name.mA)
 			ag.Hop(0)
 			// mA(*) = A(mi,*): pick up the next block row.
 			row := nodeVar[[]*matrix.Block](pr, ag.Node(), pr.name.aRow.at(mi))
-			ag.Set("mA", row, pr.blocksBytes(row))
+			ag.Set(pr.name.mA, row, pr.blocksBytes(row))
 			pr.sweep1D(ag, mi, func(mj int) int { return mj })
 		}
 	})
@@ -78,7 +78,7 @@ func (pr *problem) pipeline1D() {
 			mi := i
 			ag.Inject(fmt.Sprintf("RowCarrier(%d)", mi), func(rc *navp.Agent) {
 				row := nodeVar[[]*matrix.Block](pr, rc.Node(), pr.name.aRow.at(mi))
-				rc.Set("mA", row, pr.blocksBytes(row))
+				rc.Set(pr.name.mA, row, pr.blocksBytes(row))
 				pr.sweep1D(rc, mi, func(mj int) int { return mj })
 			})
 		}
@@ -103,7 +103,7 @@ func (pr *problem) phase1D() {
 			ag.Hop(pr.pe1D(mi))
 			ag.Inject(fmt.Sprintf("RowCarrier(%d)", mi), func(rc *navp.Agent) {
 				row := nodeVar[[]*matrix.Block](pr, rc.Node(), pr.name.aRow.at(mi))
-				rc.Set("mA", row, pr.blocksBytes(row))
+				rc.Set(pr.name.mA, row, pr.blocksBytes(row))
 				chunk := pr.owner(mi)
 				pr.sweep1D(rc, mi, func(mj int) int {
 					pe := (pr.cfg.P - 1 - chunk + mj/pr.vpp) % pr.cfg.P
@@ -123,7 +123,7 @@ func (pr *problem) phase1D() {
 // synchronization statement to the next, which is what makes the
 // pipeline of Figure 6 flow carrier-by-carrier rather than time-slicing.
 func (pr *problem) sweep1D(ag *navp.Agent, mi int, colAt func(mj int) int) {
-	row := navp.AgentVar[[]*matrix.Block](ag, "mA")
+	row := navp.AgentVar[[]*matrix.Block](ag, pr.name.mA)
 	cols := make([]int, 0, pr.vpp)
 	for mj := 0; mj < pr.NB; {
 		pe := pr.pe1D(colAt(mj))
@@ -149,7 +149,7 @@ func (pr *problem) sweep1D(ag *navp.Agent, mi int, colAt func(mj int) int) {
 // virtual column j — the initial layout shared by all 1-D stages
 // (Figures 4, 6, 8).
 func (pr *problem) placeColumns1D() {
-	pr.name.b = newNames("B", pr.NB, 2)
+	pr.name.b = vars(pr.sys, "B", pr.NB, 2)
 	for j := 0; j < pr.NB; j++ {
 		nd := pr.sys.Node(pr.pe1D(j))
 		for k := 0; k < pr.NB; k++ {
@@ -163,7 +163,7 @@ func (pr *problem) placeColumns1D() {
 
 // placeARowsAt stores block row i of A (as a slice) on the node home(i).
 func (pr *problem) placeARowsAt(home func(i int) int) {
-	pr.name.aRow = newNames("Arow", pr.NB, 1)
+	pr.name.aRow = vars(pr.sys, "Arow", pr.NB, 1)
 	for i := 0; i < pr.NB; i++ {
 		pr.sys.Node(home(i)).Set(pr.name.aRow.at(i), pr.aRow(i))
 	}

@@ -19,7 +19,7 @@ import (
 // grid column, depositing a copy at every cell; RowCarriers follow,
 // consuming them (event EP per cell).
 func (pr *problem) dsc2D() {
-	pr.name.bCol, pr.name.ep = newNames("Bcol", pr.NB, 2), newNames("EP", pr.NB, 2)
+	pr.name.bCol, pr.name.ep = vars(pr.sys, "Bcol", pr.NB, 2), events(pr.sys, "EP", pr.NB, 2)
 	pr.placeC2D()
 	pr.placeGathered2D()
 
@@ -43,11 +43,11 @@ func (pr *problem) dsc2D() {
 // the ColCarrier to have deposited the B column, then updating C.
 func (pr *problem) rowCarrier2D(rc *navp.Agent, mi int) {
 	row := nodeVar[[]*matrix.Block](pr, rc.Node(), pr.name.aRow.at(mi))
-	rc.Set("mA", row, pr.blocksBytes(row))
+	rc.Set(pr.name.mA, row, pr.blocksBytes(row))
 	for mj := 0; mj < pr.NB; mj++ {
 		col := (pr.NB - 1 - mi + mj) % pr.NB
 		rc.Hop(pr.pe2D(mi, col))
-		rc.WaitEvent(pr.name.ep.at2(mi, col))
+		rc.Wait(pr.name.ep.at2(mi, col))
 		nd := rc.Node()
 		c := nodeVar[*matrix.Block](pr, nd, pr.name.c.at2(mi, col))
 		bcol := nodeVar[[]*matrix.Block](pr, nd, pr.name.bCol.at2(mi, col))
@@ -64,12 +64,12 @@ func (pr *problem) rowCarrier2D(rc *navp.Agent, mi int) {
 // and signaling EP at each.
 func (pr *problem) colCarrier2D(cc *navp.Agent, mj int) {
 	col := nodeVar[[]*matrix.Block](pr, cc.Node(), pr.name.bColHome.at(mj))
-	cc.Set("mB", col, pr.blocksBytes(col))
+	cc.Set(pr.name.mB, col, pr.blocksBytes(col))
 	for mi := 0; mi < pr.NB; mi++ {
 		row := (pr.NB - 1 - mj + mi) % pr.NB
 		cc.Hop(pr.pe2D(row, mj))
 		cc.Node().Set(pr.name.bCol.at2(row, mj), col)
-		cc.SignalEvent(pr.name.ep.at2(row, mj))
+		cc.Signal(pr.name.ep.at2(row, mj))
 	}
 }
 
@@ -116,7 +116,7 @@ func (pr *problem) pipeline2D() {
 // canonical home — A(i,j), B(i,j), and C(i,j) on cell (i,j) — and the
 // carriers' first hops realize the reverse staggering.
 func (pr *problem) phase2D() {
-	pr.name.aHome, pr.name.bHome = newNames("Ahome", pr.NB, 2), newNames("Bhome", pr.NB, 2)
+	pr.name.aHome, pr.name.bHome = vars(pr.sys, "Ahome", pr.NB, 2), vars(pr.sys, "Bhome", pr.NB, 2)
 	pr.placeC2D()
 	pr.placePerBlock2D()
 	for i := 0; i < pr.NB; i++ {
@@ -134,7 +134,7 @@ func (pr *problem) phase2D() {
 				for i := 0; i < pr.NB; i++ {
 					mi := i
 					sp.Hop(pr.pe2D(mi, mj))
-					sp.SignalEvent(pr.name.ec.at2(mi, mj)) // Figure 15 line (4)
+					sp.Signal(pr.name.ec.at2(mi, mj)) // Figure 15 line (4)
 					aBlk := nodeVar[*matrix.Block](pr, sp.Node(), pr.name.aHome.at2(mi, mj))
 					bBlk := nodeVar[*matrix.Block](pr, sp.Node(), pr.name.bHome.at2(mi, mj))
 					// ACarrier(mi, mk) with mk = home column mj.
@@ -160,15 +160,15 @@ func (pr *problem) phase2D() {
 // step; at each cell wait EP, update C with the deposited B block, and
 // signal EC.
 func (pr *problem) aCarrier(ac *navp.Agent, mi, mk int, blk *matrix.Block, colAt func(step int) int) {
-	ac.Set("mA", blk, blk.Bytes(pr.elem))
+	ac.Set(pr.name.mA, blk, blk.Bytes(pr.elem))
 	for mj := 0; mj < pr.NB; mj++ {
 		col := colAt(mj)
 		ac.Hop(pr.pe2D(mi, col))
-		ac.WaitEvent(pr.name.ep3.at3(mi, col, mk))
+		ac.Wait(pr.name.ep3.at3(mi, col, mk))
 		c := nodeVar[*matrix.Block](pr, ac.Node(), pr.name.c.at2(mi, col))
 		b := pr.deposit[mi*pr.NB+col][mk]
 		ac.Compute(pr.blockFlops(), func() { matrix.MulAdd(c, blk, b) })
-		ac.SignalEvent(pr.name.ec.at2(mi, col))
+		ac.Signal(pr.name.ec.at2(mi, col))
 	}
 }
 
@@ -177,7 +177,7 @@ func (pr *problem) aCarrier(ac *navp.Agent, mi, mk int, blk *matrix.Block, colAt
 // step; at each cell wait EC (the previous B block consumed), deposit,
 // and signal EP.
 func (pr *problem) bCarrier(bc *navp.Agent, mk, mj int, blk *matrix.Block, rowAt func(step int) int) {
-	bc.Set("mB", blk, blk.Bytes(pr.elem))
+	bc.Set(pr.name.mB, blk, blk.Bytes(pr.elem))
 	sim := bc.System().Simulated()
 	for mi := 0; mi < pr.NB; mi++ {
 		row := rowAt(mi)
@@ -191,10 +191,10 @@ func (pr *problem) bCarrier(bc *navp.Agent, mk, mj int, blk *matrix.Block, rowAt
 		// already make deposits conflict-free, so the wait is skipped
 		// there until a schedule explorer gives its verdict.
 		if sim {
-			bc.WaitEvent(pr.name.ec.at2(row, mj))
+			bc.Wait(pr.name.ec.at2(row, mj))
 		}
 		pr.deposit[row*pr.NB+mj][mk] = blk
-		bc.SignalEvent(pr.name.ep3.at3(row, mj, mk))
+		bc.Signal(pr.name.ep3.at3(row, mj, mk))
 	}
 }
 
@@ -211,7 +211,7 @@ func (pr *problem) placeC2D() {
 // pipelining (Figure 12): block row A(NB−1−l,*) and block column B(*,l)
 // on virtual cell (NB−1−l, l).
 func (pr *problem) placeGathered2D() {
-	pr.name.aRow, pr.name.bColHome = newNames("Arow", pr.NB, 1), newNames("BcolHome", pr.NB, 1)
+	pr.name.aRow, pr.name.bColHome = vars(pr.sys, "Arow", pr.NB, 1), vars(pr.sys, "BcolHome", pr.NB, 1)
 	for l := 0; l < pr.NB; l++ {
 		nd := pr.sys.Node(pr.pe2D(pr.NB-1-l, l))
 		nd.Set(pr.name.aRow.at(pr.NB-1-l), pr.aRow(pr.NB-1-l))
@@ -220,14 +220,14 @@ func (pr *problem) placeGathered2D() {
 }
 
 // placePerBlock2D prepares the per-block carriers of Figures 13 and 15:
-// the EC event names, an empty deposit slot per (cell, k) — one array
-// for all cells, so a deposit is a store, not a node variable — and the
-// per-k EP event names. EP:i:j:k pairs A(i,k) with the deposit of B(k,j)
+// the EC events, an empty deposit slot per (cell, k) — one array for
+// all cells, so a deposit is a store, not a node variable — and the
+// per-k EP events. EP:i:j:k pairs A(i,k) with the deposit of B(k,j)
 // explicitly, so correctness does not depend on carrier arrival order
 // (the paper's fine-grained protocol relies on FIFO delivery for the
 // same pairing; on the FIFO simulation backend the two are identical).
 func (pr *problem) placePerBlock2D() {
-	pr.name.ec, pr.name.ep3 = newNames("EC", pr.NB, 2), newNames("EP", pr.NB, 3)
+	pr.name.ec, pr.name.ep3 = events(pr.sys, "EC", pr.NB, 2), events(pr.sys, "EP", pr.NB, 3)
 	slots := make([]*matrix.Block, pr.NB*pr.NB*pr.NB)
 	pr.deposit = make([][]*matrix.Block, pr.NB*pr.NB)
 	for cell := range pr.deposit {
@@ -242,7 +242,7 @@ func (pr *problem) preSignalEC() {
 		for i := 0; i < pr.NB; i++ {
 			for j := 0; j < pr.NB; j++ {
 				ag.Hop(pr.pe2D(i, j))
-				ag.SignalEvent(pr.name.ec.at2(i, j))
+				ag.Signal(pr.name.ec.at2(i, j))
 			}
 		}
 	})

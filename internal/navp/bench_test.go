@@ -11,8 +11,9 @@ import (
 func BenchmarkHopSim(b *testing.B) {
 	s := NewSim(DefaultConfig(), machine.SunBlade100(), 2)
 	n := b.N
+	payload := s.Var("payload")
 	s.Inject(0, "hopper", func(ag *Agent) {
-		ag.Set("payload", nil, 1024)
+		ag.Set(payload, nil, 1024)
 		for i := 0; i < n; i++ {
 			ag.Hop((ag.Node().ID() + 1) % 2)
 		}
@@ -37,16 +38,17 @@ func BenchmarkHopReal(b *testing.B) {
 func BenchmarkEventRoundTrip(b *testing.B) {
 	s := NewSim(Config{}, machine.SunBlade100(), 1)
 	n := b.N
+	ping, pong := s.Event("ping"), s.Event("pong")
 	s.Inject(0, "ping", func(ag *Agent) {
 		for i := 0; i < n; i++ {
-			ag.SignalEvent("ping")
-			ag.WaitEvent("pong")
+			ag.Signal(ping)
+			ag.Wait(pong)
 		}
 	})
 	s.Inject(0, "pong", func(ag *Agent) {
 		for i := 0; i < n; i++ {
-			ag.WaitEvent("ping")
-			ag.SignalEvent("pong")
+			ag.Wait(ping)
+			ag.Signal(pong)
 		}
 	})
 	b.ResetTimer()
@@ -60,6 +62,16 @@ func BenchmarkEventRoundTrip(b *testing.B) {
 // and queues it on the signaler's loop.
 func BenchmarkEventRoundTripReal(b *testing.B) {
 	if err := BenchEventRoundTrips(b.N); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkEventFanReal measures signal/wait pairs of one agent on the
+// goroutine backend, each on the next of eventFanWidth distinct events:
+// the per-event cost that BenchmarkEventRoundTripReal, cycling two
+// events, does not show.
+func BenchmarkEventFanReal(b *testing.B) {
+	if err := BenchEventFan(b.N); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -79,14 +91,15 @@ func BenchmarkInjectSim(b *testing.B) {
 	}
 }
 
-// BenchmarkNodeVarAccess measures the node-variable map path.
+// BenchmarkNodeVarAccess measures a typed node-variable read.
 func BenchmarkNodeVarAccess(b *testing.B) {
 	s := NewReal(Config{}, 1)
-	s.Node(0).Set("x", 42)
+	x := s.Var("x")
+	s.Node(0).Set(x, 42)
 	nd := s.Node(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if NodeVar[int](nd, "x") != 42 {
+		if NodeVar[int](nd, x) != 42 {
 			b.Fatal("wrong value")
 		}
 	}

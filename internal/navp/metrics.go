@@ -11,7 +11,7 @@ const (
 	MetricHops = "navp.hops"
 	// Agents created with Inject — staged injections and in-program ones.
 	MetricInjects = "navp.injects"
-	// WaitEvent and SignalEvent calls.
+	// Wait and Signal calls (and their string forms).
 	MetricWaits   = "navp.waits"
 	MetricSignals = "navp.signals"
 )

@@ -12,12 +12,13 @@ import (
 // pingPong is a two-agent program exercising every instrumented
 // primitive: hops (remote and free local), injects, waits, signals.
 func pingPong(s *System) {
+	payload, ping, pong := s.Var("payload"), s.Event("ping"), s.Event("pong")
 	s.Inject(0, "ping", func(ag *Agent) {
-		ag.Set("payload", 1, 64)
+		ag.Set(payload, 1, 64)
 		for i := 0; i < 3; i++ {
 			ag.Hop(1)
-			ag.SignalEvent("ping")
-			ag.WaitEvent("pong")
+			ag.Signal(ping)
+			ag.Wait(pong)
 			ag.Hop(0)
 		}
 		ag.Hop(0) // free local hop
@@ -27,8 +28,8 @@ func pingPong(s *System) {
 	})
 	s.Inject(1, "pong", func(ag *Agent) {
 		for i := 0; i < 3; i++ {
-			ag.WaitEvent("ping")
-			ag.SignalEvent("pong")
+			ag.Wait(ping)
+			ag.Signal(pong)
 		}
 	})
 }

@@ -7,9 +7,24 @@
 // network of Nodes (PEs) with Hop. Data the agent carries lives in agent
 // variables (private, travel with the agent, charged to every hop); large
 // data lives in node variables (resident on one PE, shared by all agents
-// currently there). Agents synchronize through named counting events on
-// nodes (SignalEvent/WaitEvent) and create new agents on their current
-// node with Inject — injection is always local, as in MESSENGERS.
+// currently there). Agents synchronize through counting events on nodes
+// (Signal/Wait) and create new agents on their current node with Inject
+// — injection is always local, as in MESSENGERS.
+//
+// Events and variables are dense integer handles, minted once per System
+// before Run (System.Event, System.Var), as a MESSENGERS daemon resolves
+// a program's names to slots when it loads it. A handle's name is read
+// only where a person reads it: trace labels, deadlock reports and panic
+// text.
+//
+//	sys := navp.NewSim(navp.DefaultConfig(), machine.SunBlade100(), 2)
+//	x, done := sys.Var("x"), sys.Event("done")
+//	sys.Node(1).Set(x, 42)
+//	sys.Inject(0, "reader", func(ag *navp.Agent) {
+//		ag.Hop(1)
+//		ag.Node().Set(x, navp.NodeVar[int](ag.Node(), x)+1)
+//		ag.Signal(done)
+//	})
 //
 // Two interchangeable backends execute the same program text:
 //
@@ -29,6 +44,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -66,6 +82,7 @@ func DefaultConfig() Config {
 // agents. Create with NewSim or NewReal, stage initial computations with
 // Inject, then call Run.
 type System struct {
+	id      uint32 // the tag of every handle the system mints
 	cfg     Config
 	nodes   []*Node
 	backend backend
@@ -74,6 +91,25 @@ type System struct {
 	met     *navpMetrics
 	pending []pendingInject
 	ran     bool
+
+	// The names of the minted handles, by id. Var names and the Events
+	// minted before Run do not change during it; the string forms of
+	// WaitEvent and SignalEvent mint events while it runs, so reading
+	// eventNames during Run takes namedMu, and nevents is its length.
+	varNames   []string
+	eventNames []string
+	nevents    atomic.Uint32
+	namedMu    sync.Mutex
+	named      map[string]Event // events minted by the string forms, under namedMu
+}
+
+// newSystem builds a system of n nodes on backend b.
+func newSystem(cfg Config, b backend, n int) *System {
+	s := &System{id: systems.Add(1), cfg: cfg, backend: b, met: newNavpMetrics(nil)}
+	for i := 0; i < n; i++ {
+		s.nodes = append(s.nodes, &Node{id: i, sys: s})
+	}
+	return s
 }
 
 type pendingInject struct {
@@ -90,57 +126,62 @@ type backend interface {
 	// Agent.Compute calls itself so that fn never escapes.
 	computeStart(ag *Agent) sim.Time
 	computeEnd(ag *Agent, flops float64, start sim.Time)
-	wait(ag *Agent, event string)
-	signal(ag *Agent, event string)
+	wait(ag *Agent, ev Event)
+	signal(ag *Agent, ev Event)
 	inject(parent *Agent, name string, fn func(*Agent))
 	touch(ag *Agent, key string, bytes int64)
 	now(ag *Agent) sim.Time
 }
 
 // Node is one PE of the NavP network: a holder of node variables. Its
-// named events are held by the backend (on the goroutine backend, by
-// the node's run loop).
+// events are held by the backend (on the goroutine backend, by the
+// node's run loop).
+//
+// While the program runs, a node's variables belong to the agents on
+// it, as its CPU does: on the goroutine backend only the node's loop
+// touches them, so they take no lock. Set them up before Run and read
+// the results after it.
 type Node struct {
 	id   int
-	mu   sync.Mutex // guards vars; uncontended on sim
-	vars map[string]any
-}
-
-func newNode(id int) *Node {
-	return &Node{id: id, vars: map[string]any{}}
+	sys  *System
+	vars []any // by Var id, grown to the highest id set
 }
 
 // ID returns the node's identifier (0..n-1).
 func (nd *Node) ID() int { return nd.id }
 
-// Get returns the node variable with the given name, or nil if unset.
-// Node variables are shared by all agents resident on the node, matching
-// the paper's "node variables ... shared by all computation threads
-// currently on that PE".
-func (nd *Node) Get(name string) any {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	return nd.vars[name]
+// Get returns node variable v, or nil if unset. Node variables are
+// shared by all agents resident on the node, matching the paper's "node
+// variables ... shared by all computation threads currently on that
+// PE".
+func (nd *Node) Get(v Var) any {
+	nd.sys.checkVar(v)
+	if int(v.id) < len(nd.vars) {
+		return nd.vars[v.id]
+	}
+	return nil
 }
 
-// Set assigns a node variable.
-func (nd *Node) Set(name string, v any) {
-	nd.mu.Lock()
-	defer nd.mu.Unlock()
-	nd.vars[name] = v
+// Set assigns node variable v.
+func (nd *Node) Set(v Var, val any) {
+	nd.sys.checkVar(v)
+	if int(v.id) >= len(nd.vars) {
+		nd.vars = append(nd.vars, make([]any, int(v.id)+1-len(nd.vars))...)
+	}
+	nd.vars[v.id] = val
 }
 
-// NodeVar returns node variable name of nd as a T, panicking with a
+// NodeVar returns node variable v of nd as a T, panicking with a
 // descriptive message when it is unset or has another type — the NavP
 // equivalent of a wild pointer, best caught loudly.
-func NodeVar[T any](nd *Node, name string) T {
-	v := nd.Get(name)
-	if v == nil {
-		panic(fmt.Sprintf("navp: node %d has no variable %q", nd.id, name))
+func NodeVar[T any](nd *Node, v Var) T {
+	val := nd.Get(v)
+	if val == nil {
+		panic(fmt.Sprintf("navp: node %d has no variable %q", nd.id, nd.sys.VarName(v)))
 	}
-	t, ok := v.(T)
+	t, ok := val.(T)
 	if !ok {
-		panic(fmt.Sprintf("navp: node %d variable %q has type %T, not %T", nd.id, name, v, t))
+		panic(fmt.Sprintf("navp: node %d variable %q has type %T, not %T", nd.id, nd.sys.VarName(v), val, t))
 	}
 	return t
 }
@@ -166,8 +207,9 @@ func (s *System) Simulated() bool {
 
 // ErrSystemDone reports that a System has already executed its staged
 // program: Run was called. Inject and Run return it (wrapped with
-// context) rather than corrupting a finished run; a System runs one
-// program, so the next one needs a fresh System.
+// context) rather than corrupting a finished run, and Event and Var
+// panic with it; a System runs one program, so the next one needs a
+// fresh System.
 var ErrSystemDone = errors.New("navp: system already ran")
 
 // Inject stages an initial computation named name at the given node, the
@@ -216,8 +258,10 @@ type Agent struct {
 	name  string
 	sys   *System
 	node  *Node
-	vars  map[string]agentVar
-	bytes int64 // cached sum of agent-variable sizes
+	vars  []agentVar // in inline until a third variable is set
+	bytes int64      // cached sum of agent-variable sizes
+
+	inline [2]agentVar
 
 	proc *sim.Proc // sim backend only
 
@@ -228,8 +272,27 @@ type Agent struct {
 }
 
 type agentVar struct {
+	key   Var
 	value any
 	bytes int64
+}
+
+// newAgent returns an agent named name on nd with no variables.
+func newAgent(s *System, name string, nd *Node) *Agent {
+	ag := &Agent{name: name, sys: s, node: nd}
+	ag.vars = ag.inline[:0]
+	return ag
+}
+
+// find returns the index of agent variable v in ag.vars, or -1.
+func (ag *Agent) find(v Var) int {
+	ag.sys.checkVar(v)
+	for i := range ag.vars {
+		if ag.vars[i].key == v {
+			return i
+		}
+	}
+	return -1
 }
 
 // Name returns the agent's name.
@@ -244,27 +307,32 @@ func (ag *Agent) System() *System { return ag.sys }
 // Set stores an agent variable: private data that travels with the agent.
 // bytes is its payload size, charged on every subsequent hop (the paper's
 // "small data is carried by the moving computation in agent variables").
-func (ag *Agent) Set(name string, v any, bytes int64) {
-	if old, ok := ag.vars[name]; ok {
-		ag.bytes -= old.bytes
+func (ag *Agent) Set(v Var, val any, bytes int64) {
+	if i := ag.find(v); i >= 0 {
+		ag.bytes += bytes - ag.vars[i].bytes
+		ag.vars[i].value, ag.vars[i].bytes = val, bytes
+		return
 	}
-	ag.vars[name] = agentVar{value: v, bytes: bytes}
+	ag.vars = append(ag.vars, agentVar{key: v, value: val, bytes: bytes})
 	ag.bytes += bytes
 }
 
-// Get returns the agent variable with the given name, or nil.
-func (ag *Agent) Get(name string) any {
-	if av, ok := ag.vars[name]; ok {
-		return av.value
+// Get returns agent variable v, or nil.
+func (ag *Agent) Get(v Var) any {
+	if i := ag.find(v); i >= 0 {
+		return ag.vars[i].value
 	}
 	return nil
 }
 
-// Delete removes an agent variable, reducing future hop payloads.
-func (ag *Agent) Delete(name string) {
-	if av, ok := ag.vars[name]; ok {
-		ag.bytes -= av.bytes
-		delete(ag.vars, name)
+// Delete removes agent variable v, reducing future hop payloads.
+func (ag *Agent) Delete(v Var) {
+	if i := ag.find(v); i >= 0 {
+		ag.bytes -= ag.vars[i].bytes
+		last := len(ag.vars) - 1
+		ag.vars[i] = ag.vars[last]
+		ag.vars[last] = agentVar{}
+		ag.vars = ag.vars[:last]
 	}
 }
 
@@ -272,16 +340,16 @@ func (ag *Agent) Delete(name string) {
 // agent-variable sizes plus the fixed thread-state overhead.
 func (ag *Agent) PayloadBytes() int64 { return ag.bytes + ag.sys.cfg.StateBytes }
 
-// AgentVar returns agent variable name as a T, panicking if unset or of
+// AgentVar returns agent variable v as a T, panicking if unset or of
 // another type.
-func AgentVar[T any](ag *Agent, name string) T {
-	v := ag.Get(name)
-	if v == nil {
-		panic(fmt.Sprintf("navp: agent %q has no variable %q", ag.name, name))
+func AgentVar[T any](ag *Agent, v Var) T {
+	val := ag.Get(v)
+	if val == nil {
+		panic(fmt.Sprintf("navp: agent %q has no variable %q", ag.name, ag.sys.VarName(v)))
 	}
-	t, ok := v.(T)
+	t, ok := val.(T)
 	if !ok {
-		panic(fmt.Sprintf("navp: agent %q variable %q has type %T, not %T", ag.name, name, v, t))
+		panic(fmt.Sprintf("navp: agent %q variable %q has type %T, not %T", ag.name, ag.sys.VarName(v), val, t))
 	}
 	return t
 }
@@ -312,19 +380,34 @@ func (ag *Agent) Compute(flops float64, fn func()) {
 	b.computeEnd(ag, flops, start)
 }
 
-// WaitEvent blocks until the named event on the *current* node has a
-// pending signal, then consumes it (counting semantics; signals are never
-// lost).
-func (ag *Agent) WaitEvent(event string) {
+// Wait blocks until event ev on the *current* node has a pending
+// signal, then consumes it (counting semantics; signals are never lost).
+func (ag *Agent) Wait(ev Event) {
+	ag.sys.checkEvent(ev)
 	ag.sys.met.waits.Inc()
-	ag.sys.backend.wait(ag, event)
+	ag.sys.backend.wait(ag, ev)
 }
 
-// SignalEvent posts one signal of the named event on the current node.
-func (ag *Agent) SignalEvent(event string) {
+// Signal posts one signal of event ev on the current node.
+func (ag *Agent) Signal(ev Event) {
+	ag.sys.checkEvent(ev)
 	ag.sys.met.signals.Inc()
-	ag.sys.backend.signal(ag, event)
+	ag.sys.backend.signal(ag, ev)
 }
+
+// WaitEvent is Wait on the event a string names, minted at the name's
+// first use by WaitEvent or SignalEvent and looked up by name on every
+// call. It is kept for callers that have not minted their events: a
+// name here is a different event from any handle System.Event minted.
+//
+// Deprecated: mint the event with System.Event before Run and call Wait.
+func (ag *Agent) WaitEvent(name string) { ag.Wait(ag.sys.namedEvent(name)) }
+
+// SignalEvent is Signal on the event a string names, as WaitEvent.
+//
+// Deprecated: mint the event with System.Event before Run and call
+// Signal.
+func (ag *Agent) SignalEvent(name string) { ag.Signal(ag.sys.namedEvent(name)) }
 
 // Inject spawns a new computation on the agent's current node — "all
 // injections happen locally". The child starts with no agent variables.

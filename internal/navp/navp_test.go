@@ -77,8 +77,9 @@ func TestHopCostScalesWithPayload(t *testing.T) {
 		ag.Hop(1)
 		light = ag.Now()
 	})
+	payload := s.Var("payload")
 	s.Inject(0, "heavy", func(ag *Agent) {
-		ag.Set("payload", nil, 10e6) // 1 s at 10 MB/s
+		ag.Set(payload, nil, 10e6) // 1 s at 10 MB/s
 		ag.Hop(1)
 		heavy = ag.Now()
 	})
@@ -92,8 +93,9 @@ func TestHopCostScalesWithPayload(t *testing.T) {
 
 func TestHopToSelfIsFree(t *testing.T) {
 	s := newSimSys(2)
+	x := s.Var("x")
 	s.Inject(0, "a", func(ag *Agent) {
-		ag.Set("x", nil, 1<<30)
+		ag.Set(x, nil, 1<<30)
 		ag.Hop(0)
 		if ag.Now() != 0 {
 			t.Errorf("self-hop charged %v", ag.Now())
@@ -106,10 +108,11 @@ func TestHopToSelfIsFree(t *testing.T) {
 
 func TestAgentVariablesTravel(t *testing.T) {
 	eachBackend(t, 2, func(t *testing.T, s *System) {
+		row := s.Var("row")
 		s.Inject(0, "carrier", func(ag *Agent) {
-			ag.Set("row", []float64{1, 2, 3}, 24)
+			ag.Set(row, []float64{1, 2, 3}, 24)
 			ag.Hop(1)
-			got := AgentVar[[]float64](ag, "row")
+			got := AgentVar[[]float64](ag, row)
 			if len(got) != 3 || got[2] != 3 {
 				t.Errorf("agent variable lost in hop: %v", got)
 			}
@@ -122,18 +125,19 @@ func TestAgentVariablesTravel(t *testing.T) {
 
 func TestAgentVarDeleteReducesPayload(t *testing.T) {
 	s := newSimSys(1)
+	x := s.Var("x")
 	s.Inject(0, "a", func(ag *Agent) {
 		base := ag.PayloadBytes()
-		ag.Set("x", 1, 100)
-		ag.Set("x", 2, 60) // overwrite: size replaced, not added
+		ag.Set(x, 1, 100)
+		ag.Set(x, 2, 60) // overwrite: size replaced, not added
 		if got := ag.PayloadBytes(); got != base+60 {
 			t.Errorf("payload %d, want %d", got, base+60)
 		}
-		ag.Delete("x")
+		ag.Delete(x)
 		if got := ag.PayloadBytes(); got != base {
 			t.Errorf("payload after delete %d, want %d", got, base)
 		}
-		if ag.Get("x") != nil {
+		if ag.Get(x) != nil {
 			t.Error("deleted variable still present")
 		}
 	})
@@ -144,13 +148,14 @@ func TestAgentVarDeleteReducesPayload(t *testing.T) {
 
 func TestNodeVariablesStayPut(t *testing.T) {
 	eachBackend(t, 2, func(t *testing.T, s *System) {
-		s.Node(1).Set("B", 42)
+		b := s.Var("B")
+		s.Node(1).Set(b, 42)
 		s.Inject(0, "reader", func(ag *Agent) {
-			if ag.Node().Get("B") != nil {
+			if ag.Node().Get(b) != nil {
 				t.Error("node variable visible on wrong node")
 			}
 			ag.Hop(1)
-			if got := NodeVar[int](ag.Node(), "B"); got != 42 {
+			if got := NodeVar[int](ag.Node(), b); got != 42 {
 				t.Errorf("node variable = %v", got)
 			}
 		})
@@ -165,15 +170,16 @@ func TestEventsSynchronizeAcrossAgents(t *testing.T) {
 		var order []string
 		var mu sync.Mutex
 		push := func(v string) { mu.Lock(); order = append(order, v); mu.Unlock() }
+		ready := s.Event("ready")
 		s.Inject(0, "consumer", func(ag *Agent) {
 			ag.Hop(1)
-			ag.WaitEvent("ready")
+			ag.Wait(ready)
 			push("consumed")
 		})
 		s.Inject(0, "producer", func(ag *Agent) {
 			ag.Hop(1)
 			push("produced")
-			ag.SignalEvent("ready")
+			ag.Signal(ready)
 		})
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
@@ -187,10 +193,11 @@ func TestEventsSynchronizeAcrossAgents(t *testing.T) {
 func TestEventsAreNodeLocal(t *testing.T) {
 	// A signal on node 0 must not satisfy a wait on node 1.
 	eachBackend(t, 2, func(t *testing.T, s *System) {
-		s.Inject(0, "signaler", func(ag *Agent) { ag.SignalEvent("e") })
+		e := s.Event("e")
+		s.Inject(0, "signaler", func(ag *Agent) { ag.Signal(e) })
 		s.Inject(0, "waiter", func(ag *Agent) {
 			ag.Hop(1)
-			ag.WaitEvent("e")
+			ag.Wait(e)
 		})
 		err := s.Run()
 		if _, ok := err.(*sim.DeadlockError); !ok {
@@ -202,14 +209,15 @@ func TestEventsAreNodeLocal(t *testing.T) {
 func TestEventCountingAccumulates(t *testing.T) {
 	eachBackend(t, 1, func(t *testing.T, s *System) {
 		n := 0
+		e := s.Event("e")
 		s.Inject(0, "sig", func(ag *Agent) {
 			for i := 0; i < 5; i++ {
-				ag.SignalEvent("e")
+				ag.Signal(e)
 			}
 		})
 		s.Inject(0, "wait", func(ag *Agent) {
 			for i := 0; i < 5; i++ {
-				ag.WaitEvent("e")
+				ag.Wait(e)
 				n++
 			}
 		})
@@ -259,18 +267,29 @@ func TestInjectAfterRunReturnsErrSystemDone(t *testing.T) {
 	}
 }
 
-// pendingEvents returns how many events node's loop holds (real
-// backend).
+// pendingEvents returns how many events of node's loop hold pending
+// signals or parked waiters (real backend).
 func pendingEvents(s *System, node int) int {
-	return len(s.backend.(*realBackend).pes[node].events)
+	n := 0
+	for _, ev := range s.backend.(*realBackend).pes[node].events {
+		if ev != (realEvent{}) {
+			n++
+		}
+	}
+	return n
 }
 
-// parkedOn returns how many agents are parked on the event name of ag's
-// node (real backend). Only an agent on the node may call it: the
-// events belong to the node's loop.
-func parkedOn(ag *Agent, name string) int {
-	n := 0
-	for w := ag.sys.backend.(*realBackend).pes[ag.node.id].events[name].head; w != nil; w = w.link {
+// parkedOn returns how many agents are parked on event ev of ag's node
+// (real backend). Only an agent on the node may call it: the events
+// belong to the node's loop.
+func parkedOn(ag *Agent, ev Event) int {
+	events := ag.sys.backend.(*realBackend).pes[ag.node.id].events
+	if int(ev.id) >= len(events) || events[ev.id].last == nil {
+		return 0
+	}
+	last := events[ev.id].last
+	n := 1
+	for w := last.link; w != last; w = w.link {
 		n++
 	}
 	return n
@@ -281,11 +300,16 @@ func TestRealEventsLeaveNoResidue(t *testing.T) {
 	for _, order := range []string{"signal-first", "wait-first"} {
 		t.Run(order, func(t *testing.T) {
 			s := NewReal(zeroCfg(), 2)
+			events := make([]Event, names)
+			for i := range events {
+				events[i] = s.Event(fmt.Sprintf("e%d", i))
+			}
+			ack := s.Event("ack")
 			waiter := func(ag *Agent) {
-				for i := 0; i < names; i++ {
-					ag.WaitEvent(fmt.Sprintf("e%d", i))
+				for _, e := range events {
+					ag.Wait(e)
 					if order == "wait-first" {
-						ag.SignalEvent("ack")
+						ag.Signal(ack)
 					}
 				}
 			}
@@ -297,17 +321,16 @@ func TestRealEventsLeaveNoResidue(t *testing.T) {
 					s.Inject(node, "waiter", waiter)
 				}
 				s.Inject(node, "signaler", func(ag *Agent) {
-					for i := 0; i < names; i++ {
-						e := fmt.Sprintf("e%d", i)
+					for i, e := range events {
 						if order == "signal-first" {
-							ag.SignalEvent(e)
+							ag.Signal(e)
 							continue
 						}
 						if n := parkedOn(ag, e); n != 1 {
-							t.Errorf("%d waiters parked on %s before its signal, want 1", n, e)
+							t.Errorf("%d waiters parked on e%d before its signal, want 1", n, i)
 						}
-						ag.SignalEvent(e)
-						ag.WaitEvent("ack")
+						ag.Signal(e)
+						ag.Wait(ack)
 					}
 					if order == "signal-first" {
 						// Every signal is pending before the waiter starts.
@@ -330,33 +353,34 @@ func TestRealEventsLeaveNoResidue(t *testing.T) {
 func TestRealEventCountsUnderParkedWaiters(t *testing.T) {
 	const waiters = 8
 	s := NewReal(zeroCfg(), 1)
+	goEv, ack := s.Event("go"), s.Event("ack")
 	finished := 0 // touched only by node 0's loop
 	for i := 0; i < waiters; i++ {
 		s.Inject(0, fmt.Sprintf("w%d", i), func(ag *Agent) {
-			ag.WaitEvent("go")
+			ag.Wait(goEv)
 			finished++
-			ag.SignalEvent("ack")
+			ag.Signal(ack)
 		})
 	}
 	// Injected last, the signaler runs after every waiter has parked.
 	s.Inject(0, "signaler", func(ag *Agent) {
-		if n := parkedOn(ag, "go"); n != waiters {
+		if n := parkedOn(ag, goEv); n != waiters {
 			t.Errorf("%d waiters parked before the first signal, want %d", n, waiters)
 		}
 		// The first half one at a time, each consumed while the others
 		// stay parked; the second half in one burst.
 		for i := 1; i <= waiters; i++ {
-			ag.SignalEvent("go")
+			ag.Signal(goEv)
 			if i > waiters/2 {
 				continue
 			}
-			ag.WaitEvent("ack")
-			if n := parkedOn(ag, "go"); finished != i || n != waiters-i {
+			ag.Wait(ack)
+			if n := parkedOn(ag, goEv); finished != i || n != waiters-i {
 				t.Errorf("after signal %d: %d finished and %d parked, want %d and %d", i, finished, n, i, waiters-i)
 			}
 		}
 		for i := waiters / 2; i < waiters; i++ {
-			ag.WaitEvent("ack")
+			ag.Wait(ack)
 		}
 	})
 	if err := s.Run(); err != nil {
@@ -384,8 +408,9 @@ func TestRealTraceIntervals(t *testing.T) {
 		ag.Compute(0, func() { time.Sleep(nap) })
 	})
 	// Injected before the signaler, the waiter parks before the signal.
-	s.Inject(0, "waiter", func(ag *Agent) { ag.WaitEvent("e") })
-	s.Inject(0, "signaler", func(ag *Agent) { ag.SignalEvent("e") })
+	e := s.Event("e")
+	s.Inject(0, "waiter", func(ag *Agent) { ag.Wait(e) })
+	s.Inject(0, "signaler", func(ag *Agent) { ag.Signal(e) })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -471,18 +496,19 @@ func TestRealInjectedChildrenRunFirst(t *testing.T) {
 	push := func(v string) func(*Agent) {
 		return func(*Agent) { order = append(order, v) }
 	}
+	resume := s.Event("resume")
 	s.Inject(0, "parent", func(ag *Agent) {
 		ag.Inject("child1", push("child1"))
 		ag.Inject("child2", push("child2"))
 		order = append(order, "parent")
-		ag.WaitEvent("resume")
+		ag.Wait(resume)
 		ag.Inject("child3", push("child3"))
 		order = append(order, "parent resumed")
 	})
 	s.Inject(0, "queued1", push("queued1"))
 	s.Inject(0, "queued2", func(ag *Agent) {
 		order = append(order, "queued2")
-		ag.SignalEvent("resume")
+		ag.Signal(resume)
 	})
 	s.Inject(0, "queued3", push("queued3"))
 	if err := s.Run(); err != nil {
@@ -501,12 +527,13 @@ func TestRealDeadlockIsReported(t *testing.T) {
 	base := runtime.NumGoroutine()
 	s := NewReal(zeroCfg(), 2)
 	unwound := 0 // touched only on PE 1
-	s.Inject(0, "signaler", func(ag *Agent) { ag.SignalEvent("e") })
+	e := s.Event("e")
+	s.Inject(0, "signaler", func(ag *Agent) { ag.Signal(e) })
 	for _, name := range []string{"w2", "w1"} {
 		s.Inject(0, name, func(ag *Agent) {
 			defer func() { unwound++ }()
 			ag.Hop(1)
-			ag.WaitEvent("e")
+			ag.Wait(e)
 			t.Errorf("%s passed a wait no signal can satisfy", name)
 		})
 	}
@@ -604,10 +631,11 @@ func TestDaemonOverheadsCharged(t *testing.T) {
 	cfg := Config{StateBytes: 0, HopOverhead: 0.5, InjectOverhead: 0.25, EventOverhead: 0.125}
 	s := NewSim(cfg, testHW(), 2)
 	var afterHop, afterSignal sim.Time
+	e := s.Event("e")
 	s.Inject(0, "a", func(ag *Agent) {
 		ag.Hop(1) // latency 1e-3 + hop overhead 0.5
 		afterHop = ag.Now()
-		ag.SignalEvent("e")
+		ag.Signal(e)
 		afterSignal = ag.Now()
 		ag.Inject("b", func(*Agent) {})
 	})
@@ -624,18 +652,22 @@ func TestDaemonOverheadsCharged(t *testing.T) {
 
 func TestNodeVarPanicsOnMissingAndWrongType(t *testing.T) {
 	s := newSimSys(1)
-	s.Node(0).Set("x", "string")
-	for name, fn := range map[string]func(){
-		"missing":    func() { NodeVar[int](s.Node(0), "nope") },
-		"wrong type": func() { NodeVar[int](s.Node(0), "x") },
+	x, nope := s.Var("x"), s.Var("nope")
+	s.Node(0).Set(x, "string")
+	for name, c := range map[string]struct {
+		fn   func()
+		want string
+	}{
+		"missing":    {func() { NodeVar[int](s.Node(0), nope) }, `navp: node 0 has no variable "nope"`},
+		"wrong type": {func() { NodeVar[int](s.Node(0), x) }, `navp: node 0 variable "x" has type string, not int`},
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {
-				if recover() == nil {
-					t.Fatal("no panic")
+				if r := recover(); r != c.want {
+					t.Fatalf("panic %v, want %q", r, c.want)
 				}
 			}()
-			fn()
+			c.fn()
 		})
 	}
 }
@@ -644,11 +676,12 @@ func TestTracerReceivesEvents(t *testing.T) {
 	s := newSimSys(2)
 	var events []trace.TraceEvent
 	s.SetTracer(tracerFunc(func(ev trace.TraceEvent) { events = append(events, ev) }))
+	e := s.Event("e")
 	s.Inject(0, "a", func(ag *Agent) {
 		ag.Hop(1)
 		ag.Compute(1e6, nil)
-		ag.SignalEvent("e")
-		ag.WaitEvent("e")
+		ag.Signal(e)
+		ag.Wait(e)
 		ag.Inject("b", func(*Agent) {})
 	})
 	if err := s.Run(); err != nil {
@@ -676,6 +709,7 @@ func TestRealBackendParallelAgentsNoRace(t *testing.T) {
 	const agents = 16
 	var total int
 	var mu sync.Mutex
+	tick := s.Event("tick")
 	for i := 0; i < agents; i++ {
 		i := i
 		s.Inject(i%4, fmt.Sprintf("a%d", i), func(ag *Agent) {
@@ -686,8 +720,8 @@ func TestRealBackendParallelAgentsNoRace(t *testing.T) {
 					total++
 					mu.Unlock()
 				})
-				ag.SignalEvent("tick")
-				ag.WaitEvent("tick")
+				ag.Signal(tick)
+				ag.Wait(tick)
 			}
 		})
 	}
@@ -702,17 +736,18 @@ func TestRealBackendParallelAgentsNoRace(t *testing.T) {
 func TestSimDeterminism(t *testing.T) {
 	run := func() sim.Time {
 		s := NewSim(DefaultConfig(), testHW(), 3)
+		x, e := s.Var("x"), s.Event("e")
 		for i := 0; i < 6; i++ {
 			i := i
 			s.Inject(i%3, fmt.Sprintf("a%d", i), func(ag *Agent) {
 				for j := 0; j < 4; j++ {
-					ag.Set("x", nil, int64(1000*(i+1)))
+					ag.Set(x, nil, int64(1000*(i+1)))
 					ag.Hop((ag.Node().ID() + 1 + j) % 3)
 					ag.Compute(1e6*float64(i+1), nil)
-					ag.SignalEvent("e")
+					ag.Signal(e)
 				}
 				for j := 0; j < 4; j++ {
-					ag.WaitEvent("e")
+					ag.Wait(e)
 				}
 			})
 		}
@@ -722,7 +757,7 @@ func TestSimDeterminism(t *testing.T) {
 			for n := 0; n < 3; n++ {
 				ag.Hop(n)
 				for j := 0; j < 8; j++ {
-					ag.SignalEvent("e")
+					ag.Signal(e)
 				}
 			}
 		})

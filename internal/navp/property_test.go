@@ -13,6 +13,7 @@ import (
 // the system: several agents perform seeded sequences of hops, computes,
 // variable updates, and self-balanced event signal/wait pairs.
 func randomProgram(s *System, seed int64, agents, steps, nodes int) {
+	vars := [3]Var{s.Var("v0"), s.Var("v1"), s.Var("v2")}
 	for a := 0; a < agents; a++ {
 		a := a
 		rng := rand.New(rand.NewSource(seed + int64(a)))
@@ -28,17 +29,17 @@ func randomProgram(s *System, seed int64, agents, steps, nodes int) {
 				script = append(script, func(ag *Agent) { ag.Compute(flops, nil) })
 			case 2:
 				bytes := int64(rng.Intn(4096))
-				name := fmt.Sprintf("v%d", rng.Intn(3))
-				script = append(script, func(ag *Agent) { ag.Set(name, nil, bytes) })
+				v := vars[rng.Intn(3)]
+				script = append(script, func(ag *Agent) { ag.Set(v, nil, bytes) })
 			case 3:
 				// Events are node-local, so a blind signal/wait pair
 				// split by hops could deadlock. Keep each pair adjacent
 				// on whatever node the agent happens to be on, keyed per
 				// agent so no cross-agent coupling arises.
-				key := fmt.Sprintf("ev%d", a)
+				ev := s.Event(fmt.Sprintf("ev%d", a))
 				script = append(script, func(ag *Agent) {
-					ag.SignalEvent(key)
-					ag.WaitEvent(key)
+					ag.Signal(ev)
+					ag.Wait(ev)
 				})
 			}
 		}
@@ -89,18 +90,22 @@ func TestRandomProgramsCompleteOnRealBackend(t *testing.T) {
 func TestRandomProgramsPayloadAccounting(t *testing.T) {
 	f := func(ops []uint16) bool {
 		s := NewSim(DefaultConfig(), machine.SunBlade100(), 1)
+		var vars [5]Var
+		for i := range vars {
+			vars[i] = s.Var(fmt.Sprintf("v%d", i))
+		}
 		ok := true
 		s.Inject(0, "acct", func(ag *Agent) {
-			live := map[string]int64{}
+			live := map[Var]int64{}
 			for _, op := range ops {
-				name := fmt.Sprintf("v%d", op%5)
+				v := vars[op%5]
 				if op%3 == 0 {
-					ag.Delete(name)
-					delete(live, name)
+					ag.Delete(v)
+					delete(live, v)
 				} else {
 					size := int64(op % 1000)
-					ag.Set(name, nil, size)
-					live[name] = size
+					ag.Set(v, nil, size)
+					live[v] = size
 				}
 				var want int64 = ag.sys.cfg.StateBytes
 				for _, sz := range live {

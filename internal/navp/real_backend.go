@@ -18,15 +18,15 @@ import (
 // realBackend runs each PE as one non-preemptive loop, the MESSENGERS
 // daemon of the paper's §2, and each agent as a sim.Coro coroutine that
 // the loop resumes. An agent runs until its next scheduling point:
-// a hop to another PE or a WaitEvent with no pending signal. Everything
+// a hop to another PE or a Wait with no pending signal. Everything
 // else — compute, signal, inject, a hop between virtual cells on one
 // PE — runs inline, because the loop is the PE's CPU.
 //
-// A loop's run queue, and its node's events, are touched only by that
-// loop; the inbox is the one structure other loops write. The events
-// are records held by value in the loop's map, so signalling or waiting
-// on a fresh name allocates nothing beyond the map's own growth. The
-// queue order is:
+// A loop's run queue, and its node's events and variables, are touched
+// only by that loop; the inbox is the one structure other loops write.
+// The events are records held by value in a slice indexed by handle, so
+// signalling or waiting hashes nothing and allocates nothing. The queue
+// order is:
 //
 //   - agents arriving from other PEs and waiters handed a signal join
 //     the tail, so each link delivers in the order agents left (one
@@ -55,8 +55,8 @@ type peLoop struct {
 	b      *realBackend
 	id     int
 	runq   sim.Ring[*Agent]
-	born   []*Agent             // children injected during the running step
-	events map[string]realEvent // the node's events with pending signals or waiters
+	born   []*Agent    // children injected during the running step
+	events []realEvent // the node's events by handle id, one record per event
 
 	mu      sync.Mutex
 	inbox   []*Agent // arrivals from other loops, under mu
@@ -65,13 +65,24 @@ type peLoop struct {
 	wake    chan struct{} // one slot: work was delivered
 }
 
-// realEvent is one named event of a node: pending signals, or a FIFO
-// of parked waiters linked through Agent.link. A signal is handed
-// straight to a waiter, so count and waiters are never both non-zero;
-// the zero record is an event with neither, which the map never holds.
+// realEvent is one event of a node: pending signals, or a FIFO of
+// parked waiters. The waiters form a ring through Agent.link: last is
+// the newest, and last.link the oldest, so one pointer serves both
+// ends. A signal is handed straight to a waiter, so count and waiters
+// are never both non-zero; the zero record is an event with neither.
 type realEvent struct {
-	count      int
-	head, tail *Agent
+	count int
+	last  *Agent
+}
+
+// event returns the record of ev. Run sizes every loop's table to the
+// events minted before it, so the table grows only for events the string
+// forms of WaitEvent and SignalEvent mint while the program runs.
+func (l *peLoop) event(ev Event) *realEvent {
+	if int(ev.id) >= len(l.events) {
+		l.events = append(l.events, make([]realEvent, int(ev.id)+1-len(l.events))...)
+	}
+	return &l.events[ev.id]
 }
 
 // NewReal builds a NavP system of n nodes, each run by one goroutine
@@ -79,16 +90,21 @@ type realEvent struct {
 // *sim.DeadlockError when every live agent is parked on an event.
 func NewReal(cfg Config, n int) *System {
 	b := &realBackend{done: make(chan struct{})}
-	s := &System{cfg: cfg, backend: b, met: newNavpMetrics(nil)}
 	for i := 0; i < n; i++ {
-		s.nodes = append(s.nodes, newNode(i))
-		b.pes = append(b.pes, &peLoop{b: b, id: i, events: map[string]realEvent{}, wake: make(chan struct{}, 1)})
+		b.pes = append(b.pes, &peLoop{b: b, id: i, wake: make(chan struct{}, 1)})
 	}
-	return s
+	return newSystem(cfg, b, n)
 }
 
 func (b *realBackend) run(s *System) error {
 	b.started = time.Now()
+	// One table per loop, sized once. Growing each to the highest
+	// handle its loop touches allocated more, not less (3.2 MB against
+	// 2.2 MB a paper-fine Phase2D solve): append copies as it grows, and
+	// half the loops touch handles near the system's last.
+	for _, l := range b.pes {
+		l.events = make([]realEvent, s.nevents.Load())
+	}
 	for _, pi := range s.pending {
 		b.pes[pi.node].runq.PushBack(b.spawn(s, pi.name, s.nodes[pi.node], pi.fn))
 	}
@@ -115,7 +131,7 @@ func (b *realBackend) run(s *System) error {
 
 // spawn creates an agent on nd whose body is a suspended coroutine.
 func (b *realBackend) spawn(s *System, name string, nd *Node, fn func(*Agent)) *Agent {
-	ag := &Agent{name: name, sys: s, node: nd, vars: map[string]agentVar{}}
+	ag := newAgent(s, name, nd)
 	ag.co.Start(fn, ag)
 	b.live.Add(1)
 	return ag
@@ -225,10 +241,17 @@ func (b *realBackend) unwind(s *System) error {
 	dl := &sim.DeadlockError{Time: b.elapsed()}
 	var parked []*Agent
 	for _, l := range b.pes {
-		for name, ev := range l.events {
-			for w := ev.head; w != nil; w = w.link {
+		for id, ev := range l.events {
+			if ev.last == nil {
+				continue
+			}
+			name := s.eventName(Event{s.id, uint32(id)})
+			for w := ev.last.link; ; w = w.link {
 				dl.Blocked = append(dl.Blocked, fmt.Sprintf("%s (waiting on %s@%d)", w.name, name, l.id))
 				parked = append(parked, w)
+				if w == ev.last {
+					break
+				}
 			}
 		}
 	}
@@ -265,51 +288,43 @@ func (b *realBackend) computeEnd(ag *Agent, flops float64, start sim.Time) {
 	}
 }
 
-// wait consumes one signal of event, parking on the event's waiter FIFO
-// until a signal is handed over. The loop's map holds records only for
-// events with pending signals or parked waiters.
-func (b *realBackend) wait(ag *Agent, event string) {
+// wait consumes one signal of ev, parking on the event's waiter FIFO
+// until a signal is handed over.
+func (b *realBackend) wait(ag *Agent, ev Event) {
 	nd := ag.node
 	start := b.stamp(ag.sys)
-	events := b.pes[nd.id].events
-	switch ev := events[event]; {
-	case ev.count > 1:
-		ev.count--
-		events[event] = ev
-	case ev.count == 1:
-		delete(events, event)
-	default:
-		if ev.head == nil {
-			ev.head = ag
+	if rec := b.pes[nd.id].event(ev); rec.count > 0 {
+		rec.count--
+	} else {
+		if rec.last == nil {
+			ag.link = ag
 		} else {
-			ev.tail.link = ag
+			ag.link = rec.last.link
+			rec.last.link = ag
 		}
-		ev.tail = ag
-		events[event] = ev
+		rec.last = ag
 		ag.co.Suspend()
 	}
 	if ag.sys.tracer != nil {
 		ag.sys.record(trace.TraceEvent{Kind: trace.TraceWait, Agent: ag.name, From: nd.id, To: nd.id,
-			Label: event, Start: start, End: b.elapsed()})
+			Label: ag.sys.eventName(ev), Start: start, End: b.elapsed()})
 	}
 }
 
-// signal posts one signal of event: it goes straight to the first
-// parked waiter, which joins the tail of this loop's queue.
-func (b *realBackend) signal(ag *Agent, event string) {
+// signal posts one signal of ev: it goes straight to the oldest parked
+// waiter, which joins the tail of this loop's queue.
+func (b *realBackend) signal(ag *Agent, ev Event) {
 	l := b.pes[ag.node.id]
-	ev := l.events[event]
-	w := ev.head
-	switch {
-	case w == nil:
-		ev.count++
-		l.events[event] = ev
+	rec := l.event(ev)
+	if rec.last == nil {
+		rec.count++
 		return
-	case w.link == nil:
-		delete(l.events, event)
-	default:
-		ev.head = w.link
-		l.events[event] = ev
+	}
+	w := rec.last.link
+	if w == rec.last {
+		rec.last = nil
+	} else {
+		rec.last.link = w.link
 	}
 	w.link = nil
 	l.runq.PushBack(w)

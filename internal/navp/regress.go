@@ -20,16 +20,41 @@ func BenchHops(n int) error {
 // on one PE of a goroutine-backed system.
 func BenchEventRoundTrips(n int) error {
 	s := NewReal(Config{}, 1)
+	ping, pong := s.Event("ping"), s.Event("pong")
 	s.Inject(0, "ping", func(ag *Agent) {
 		for i := 0; i < n; i++ {
-			ag.SignalEvent("ping")
-			ag.WaitEvent("pong")
+			ag.Signal(ping)
+			ag.Wait(pong)
 		}
 	})
 	s.Inject(0, "pong", func(ag *Agent) {
 		for i := 0; i < n; i++ {
-			ag.WaitEvent("ping")
-			ag.SignalEvent("pong")
+			ag.Wait(ping)
+			ag.Signal(pong)
+		}
+	})
+	return s.Run()
+}
+
+// eventFanWidth is the number of distinct events BenchEventFan cycles
+// through: as many as paper-fine's Phase2D has EP events (32³).
+const eventFanWidth = 32 * 32 * 32
+
+// BenchEventFan runs n signal/wait pairs of one agent on one PE of a
+// goroutine-backed system, each pair on the next of eventFanWidth
+// distinct events, so every pair lands on an event the loop has not
+// touched since its last lap, as Phase2D's EP:i:j:k events do.
+func BenchEventFan(n int) error {
+	s := NewReal(Config{}, 1)
+	fan := make([]Event, min(n, eventFanWidth))
+	for i := range fan {
+		fan[i] = s.Event("fan")
+	}
+	s.Inject(0, "fanner", func(ag *Agent) {
+		for i := 0; i < n; i++ {
+			ev := fan[i%len(fan)]
+			ag.Signal(ev)
+			ag.Wait(ev)
 		}
 	})
 	return s.Run()

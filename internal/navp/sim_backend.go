@@ -13,21 +13,16 @@ import (
 type simBackend struct {
 	kernel  *sim.Kernel
 	cluster *machine.Cluster
-	fault   *simFault               // chaos injection, nil when no plan is set
-	events  []map[string]*sim.Event // per node, by event name
+	fault   *simFault      // chaos injection, nil when no plan is set
+	events  [][]*sim.Event // per node, by event handle id, created at first use
 }
 
 // NewSim builds a NavP system of n nodes on a fresh simulation kernel
 // with the given runtime and hardware parameters.
 func NewSim(cfg Config, hw machine.Config, n int) *System {
 	k := sim.New()
-	b := &simBackend{kernel: k, cluster: machine.NewCluster(k, hw, n)}
-	s := &System{cfg: cfg, backend: b, met: newNavpMetrics(nil)}
-	for i := 0; i < n; i++ {
-		s.nodes = append(s.nodes, newNode(i))
-		b.events = append(b.events, map[string]*sim.Event{})
-	}
-	return s
+	b := &simBackend{kernel: k, cluster: machine.NewCluster(k, hw, n), events: make([][]*sim.Event, n)}
+	return newSystem(cfg, b, n)
 }
 
 // Cluster returns the machine model beneath a simulation-backed system,
@@ -62,7 +57,7 @@ func (b *simBackend) run(s *System) error {
 // spawn starts an agent on nd as a kernel process, named after the agent
 // and its birth node in deadlock diagnostics.
 func (b *simBackend) spawn(s *System, name string, nd *Node, fn func(*Agent)) {
-	ag := &Agent{name: name, sys: s, node: nd, vars: map[string]agentVar{}}
+	ag := newAgent(s, name, nd)
 	b.kernel.Spawn(fmt.Sprintf("%s@n%d", name, nd.id), func(p *sim.Proc) {
 		ag.proc = p
 		fn(ag)
@@ -103,35 +98,42 @@ func (b *simBackend) computeEnd(ag *Agent, flops float64, start sim.Time) {
 		To: ag.node.id, Start: start, End: ag.proc.Now()})
 }
 
-// simEvent fetches or creates the sim event for (node, name).
-func (b *simBackend) simEvent(nd *Node, name string) *sim.Event {
+// simEvent fetches the sim event of ev on nd, creating it at its first
+// use, named "n<node>:<event name>" for deadlock diagnostics.
+func (b *simBackend) simEvent(s *System, nd *Node, ev Event) *sim.Event {
 	events := b.events[nd.id]
-	if ev, ok := events[name]; ok {
-		return ev
+	if int(ev.id) >= len(events) {
+		events = append(events, make([]*sim.Event, int(ev.id)+1-len(events))...)
+		b.events[nd.id] = events
 	}
-	ev := sim.NewEvent(fmt.Sprintf("n%d:%s", nd.id, name))
-	events[name] = ev
-	return ev
+	if events[ev.id] == nil {
+		events[ev.id] = sim.NewEvent(fmt.Sprintf("n%d:%s", nd.id, s.eventName(ev)))
+	}
+	return events[ev.id]
 }
 
-func (b *simBackend) wait(ag *Agent, event string) {
+func (b *simBackend) wait(ag *Agent, ev Event) {
 	start := ag.proc.Now()
 	if o := ag.sys.cfg.EventOverhead; o > 0 {
 		ag.proc.Sleep(o)
 	}
 	node := ag.node // record the wait against the node we waited on
-	b.simEvent(node, event).Wait(ag.proc)
-	ag.sys.record(trace.TraceEvent{Kind: trace.TraceWait, Agent: ag.name, From: node.id,
-		To: node.id, Label: event, Start: start, End: ag.proc.Now()})
+	b.simEvent(ag.sys, node, ev).Wait(ag.proc)
+	if ag.sys.tracer != nil {
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceWait, Agent: ag.name, From: node.id,
+			To: node.id, Label: ag.sys.eventName(ev), Start: start, End: ag.proc.Now()})
+	}
 }
 
-func (b *simBackend) signal(ag *Agent, event string) {
+func (b *simBackend) signal(ag *Agent, ev Event) {
 	if o := ag.sys.cfg.EventOverhead; o > 0 {
 		ag.proc.Sleep(o)
 	}
-	b.simEvent(ag.node, event).Signal()
-	ag.sys.record(trace.TraceEvent{Kind: trace.TraceSignal, Agent: ag.name, From: ag.node.id,
-		To: ag.node.id, Label: event, Start: ag.proc.Now(), End: ag.proc.Now()})
+	b.simEvent(ag.sys, ag.node, ev).Signal()
+	if ag.sys.tracer != nil {
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceSignal, Agent: ag.name, From: ag.node.id,
+			To: ag.node.id, Label: ag.sys.eventName(ev), Start: ag.proc.Now(), End: ag.proc.Now()})
+	}
 }
 
 func (b *simBackend) inject(parent *Agent, name string, fn func(*Agent)) {

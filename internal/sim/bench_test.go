@@ -53,24 +53,3 @@ func BenchmarkResourceContention(b *testing.B) {
 		b.Fatal(err)
 	}
 }
-
-// BenchmarkChanRendezvous measures unbuffered channel handoffs.
-func BenchmarkChanRendezvous(b *testing.B) {
-	k := New()
-	c := NewChan[int]("c", 0)
-	n := b.N
-	k.Spawn("sender", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			c.Send(p, i)
-		}
-	})
-	k.Spawn("receiver", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			c.Recv(p)
-		}
-	})
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}

@@ -9,7 +9,7 @@
 //
 // Each process is a coroutine (Coro) that the kernel's run loop resumes
 // and that suspends whenever it blocks on a primitive (Sleep, Event.Wait,
-// Resource.Acquire, Chan.Send/Recv). The kernel advances virtual time
+// Resource.Acquire). The kernel advances virtual time
 // only when no process is runnable, jumping directly to the next timed
 // wakeup.
 //

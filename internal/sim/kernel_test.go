@@ -350,144 +350,6 @@ func TestResourceOverReleaseFailsRun(t *testing.T) {
 	}
 }
 
-func TestChanRendezvous(t *testing.T) {
-	k := New()
-	c := NewChan[int]("c", 0)
-	var got int
-	var sendDone, recvAt Time
-	k.Spawn("sender", func(p *Proc) {
-		c.Send(p, 42)
-		sendDone = p.Now()
-	})
-	k.Spawn("receiver", func(p *Proc) {
-		p.Sleep(3)
-		got, _ = c.Recv(p)
-		recvAt = p.Now()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got != 42 {
-		t.Fatalf("got %d", got)
-	}
-	if recvAt != 3 || sendDone > 3 {
-		t.Fatalf("recvAt=%v sendDone=%v", recvAt, sendDone)
-	}
-}
-
-func TestChanBufferedDecouples(t *testing.T) {
-	k := New()
-	c := NewChan[int]("c", 2)
-	var sendTimes []Time
-	k.Spawn("sender", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			c.Send(p, i)
-			sendTimes = append(sendTimes, p.Now())
-		}
-	})
-	k.Spawn("receiver", func(p *Proc) {
-		p.Sleep(5)
-		for i := 0; i < 3; i++ {
-			v, ok := c.Recv(p)
-			if !ok || v != i {
-				t.Errorf("recv %d: got %d ok=%v", i, v, ok)
-			}
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if sendTimes[0] != 0 || sendTimes[1] != 0 {
-		t.Fatalf("buffered sends blocked: %v", sendTimes)
-	}
-	if sendTimes[2] != 5 {
-		t.Fatalf("third send should block until recv at t=5: %v", sendTimes)
-	}
-}
-
-func TestChanBlockedSenderFillsFreedSlot(t *testing.T) {
-	k := New()
-	c := NewChan[int]("c", 1)
-	var got []int
-	k.Spawn("sender", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			c.Send(p, i)
-		}
-	})
-	k.Spawn("receiver", func(p *Proc) {
-		p.Sleep(1)
-		for i := 0; i < 3; i++ {
-			v, _ := c.Recv(p)
-			got = append(got, v)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("order %v", got)
-		}
-	}
-}
-
-func TestChanCloseDrainsThenReportsClosed(t *testing.T) {
-	k := New()
-	c := NewChan[int]("c", 4)
-	k.Spawn("sender", func(p *Proc) {
-		c.Send(p, 7)
-		c.Close()
-	})
-	k.Spawn("receiver", func(p *Proc) {
-		p.Sleep(1)
-		v, ok := c.Recv(p)
-		if !ok || v != 7 {
-			t.Errorf("first recv: %d %v", v, ok)
-		}
-		if _, ok := c.Recv(p); ok {
-			t.Error("recv on drained closed channel reported ok")
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChanCloseWakesParkedReceiver(t *testing.T) {
-	k := New()
-	c := NewChan[int]("c", 0)
-	k.Spawn("receiver", func(p *Proc) {
-		if _, ok := c.Recv(p); ok {
-			t.Error("recv reported ok after close")
-		}
-	})
-	k.Spawn("closer", func(p *Proc) {
-		p.Sleep(1)
-		c.Close()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestChanTryRecv(t *testing.T) {
-	k := New()
-	c := NewChan[int]("c", 1)
-	k.Spawn("p", func(p *Proc) {
-		if _, ok := c.TryRecv(); ok {
-			t.Error("TryRecv on empty channel succeeded")
-		}
-		c.Send(p, 9)
-		v, ok := c.TryRecv()
-		if !ok || v != 9 {
-			t.Errorf("TryRecv: %d %v", v, ok)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTimerHeapPropertyOrdering(t *testing.T) {
 	// Property: popping the heap yields timers sorted by (at, seq).
 	f := func(times []float64) bool {
@@ -556,26 +418,6 @@ func TestYieldRoundRobins(t *testing.T) {
 	}
 }
 
-func TestChanCloseWithBlockedSendersPanics(t *testing.T) {
-	k := New()
-	c := NewChan[int]("c", 0)
-	k.Spawn("sender", func(p *Proc) { c.Send(p, 1) })
-	k.Spawn("closer", func(p *Proc) {
-		p.Sleep(1)
-		defer func() {
-			if recover() == nil {
-				t.Error("no panic closing with blocked sender")
-			}
-			// Unblock the sender so the kernel can finish.
-			c.Recv(p)
-		}()
-		c.Close()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestParkReadyRoundTrip(t *testing.T) {
 	k := New()
 	var parked *Proc
@@ -601,19 +443,18 @@ func TestNamesAndAccessors(t *testing.T) {
 	k := New()
 	ev := NewEvent("e1")
 	r := NewResource("r1", 2)
-	c := NewChan[int]("c1", 1)
-	if ev.Name() != "e1" || r.Name() != "r1" || c.Name() != "c1" {
+	if ev.Name() != "e1" || r.Name() != "r1" {
 		t.Fatal("names lost")
 	}
 	if r.Capacity() != 2 || r.InUse() != 0 || r.QueueLen() != 0 {
 		t.Fatal("resource accessors wrong")
 	}
 	k.Spawn("p", func(p *Proc) {
-		c.Send(p, 5)
-		if c.Len() != 1 {
-			t.Error("chan len wrong")
+		r.Acquire(p, 1)
+		if r.InUse() != 1 {
+			t.Error("resource in-use count wrong")
 		}
-		c.TryRecv()
+		r.Release(1)
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -624,7 +465,7 @@ func TestDeadlockUnwindsParkedProcesses(t *testing.T) {
 	base := runtime.NumGoroutine()
 	k := New()
 	ev := NewEvent("never")
-	rendezvous := NewChan[int]("rv", 0)
+	other := NewEvent("other")
 	cpu := NewResource("cpu", 1)
 	unwound := 0
 	k.Spawn("holder", func(p *Proc) {
@@ -638,7 +479,7 @@ func TestDeadlockUnwindsParkedProcesses(t *testing.T) {
 	})
 	k.Spawn("receiver", func(p *Proc) {
 		defer func() { unwound++ }()
-		rendezvous.Recv(p)
+		other.Wait(p)
 	})
 	k.Spawn("contender", func(p *Proc) {
 		defer func() { unwound++ }()

@@ -170,6 +170,7 @@ func Run(m Method, cfg Config) (*Result, error) {
 	if cfg.Tracer != nil {
 		pr.sys.SetTracer(cfg.Tracer)
 	}
+	pr.mint()
 	switch m {
 	case Sequential:
 		pr.sequential()
@@ -197,17 +198,36 @@ type runner struct {
 	sys   *navp.System
 	chunk int // interior rows per PE
 	elem  int
+
+	// The program's variables and events, minted before it runs.
+	grid, ghost    navp.Var     // node: the whole grid (Sequential); the row below the chunk
+	above, carried navp.Var     // agent: the row above the chunk; a GhostCarrier's row
+	rows           []navp.Var   // node: "row:i" for every grid row
+	done, fresh    []navp.Event // "done:t:p" and "ghost:t:p", at t*P+p
 }
 
-// Node-variable keys.
-func rowKey(i int) string { return "row:" + strconv.Itoa(i) }
-func ghostKey() string    { return "ghost" }
-func doneEv(t, p int) string {
-	return "done:" + strconv.Itoa(t) + ":" + strconv.Itoa(p)
+// mint mints the program's variables and events: sweep t has left chunk
+// p when "done:t:p" is signalled on PE p, and has refreshed chunk p's
+// ghost row when "ghost:t:p" is.
+func (r *runner) mint() {
+	r.grid, r.ghost = r.sys.Var("grid"), r.sys.Var("ghost")
+	r.above, r.carried = r.sys.Var("above"), r.sys.Var("row")
+	r.rows = make([]navp.Var, r.cfg.Rows)
+	for i := range r.rows {
+		r.rows[i] = r.sys.Var("row:" + strconv.Itoa(i))
+	}
+	for t := 0; t < r.cfg.Iters; t++ {
+		for p := 0; p < r.cfg.P; p++ {
+			tp := strconv.Itoa(t) + ":" + strconv.Itoa(p)
+			r.done = append(r.done, r.sys.Event("done:"+tp))
+			r.fresh = append(r.fresh, r.sys.Event("ghost:"+tp))
+		}
+	}
 }
-func ghostEv(t, p int) string {
-	return "ghost:" + strconv.Itoa(t) + ":" + strconv.Itoa(p)
-}
+
+// doneEv and ghostEv return events "done:t:p" and "ghost:t:p".
+func (r *runner) doneEv(t, p int) navp.Event  { return r.done[t*r.cfg.P+p] }
+func (r *runner) ghostEv(t, p int) navp.Event { return r.fresh[t*r.cfg.P+p] }
 
 // rowBytes is the payload of one grid row.
 func (r *runner) rowBytes() int64 { return int64(r.cfg.Cols) * int64(r.elem) }
@@ -215,7 +235,7 @@ func (r *runner) rowBytes() int64 { return int64(r.cfg.Cols) * int64(r.elem) }
 // sequential runs the reference sweeps as a single-PE NavP program.
 func (r *runner) sequential() {
 	g := InitialGrid(r.cfg)
-	r.sys.Node(0).Set("grid", g)
+	r.sys.Node(0).Set(r.grid, g)
 	r.sys.Inject(0, "Sweep", func(ag *navp.Agent) {
 		for t := 0; t < r.cfg.Iters; t++ {
 			for i := 1; i < r.cfg.Rows-1; i++ {
@@ -238,14 +258,14 @@ func (r *runner) distribute() {
 		for li := 0; li < r.chunk; li++ {
 			gi := 1 + p*r.chunk + li
 			row := append([]float64(nil), g.Row(gi)...)
-			nd.Set(rowKey(gi), row)
+			nd.Set(r.rows[gi], row)
 		}
 		// Ghost: a copy of the row just below this chunk (the next
 		// chunk's first row, or the fixed bottom boundary).
 		below := append([]float64(nil), g.Row(1+(p+1)*r.chunk)...)
-		nd.Set(ghostKey(), below)
+		nd.Set(r.ghost, below)
 	}
-	r.sys.Node(0).Set(rowKey(0), append([]float64(nil), g.Row(0)...))
+	r.sys.Node(0).Set(r.rows[0], append([]float64(nil), g.Row(0)...))
 }
 
 // sweeps stages the DSC carrier (pipelined == false: one carrier doing
@@ -258,7 +278,7 @@ func (r *runner) sweeps(pipelined bool) {
 				for t := 0; t < r.cfg.Iters; t++ {
 					r.sweep(sc, t)
 					if t < r.cfg.Iters-1 {
-						sc.Delete("above")
+						sc.Delete(r.above)
 						sc.Hop(0)
 					}
 				}
@@ -286,34 +306,34 @@ func (r *runner) sweep(sc *navp.Agent, t int) {
 		p := p
 		sc.Hop(p)
 		if t > 0 {
-			sc.WaitEvent(doneEv(t-1, p))
-			sc.WaitEvent(ghostEv(t-1, p))
+			sc.Wait(r.doneEv(t-1, p))
+			sc.Wait(r.ghostEv(t-1, p))
 		}
 		nd := sc.Node()
 		// The row above the chunk: carried from the previous chunk, or
 		// the fixed top boundary on PE 0.
 		var above []float64
 		if p == 0 {
-			above = navp.NodeVar[[]float64](nd, rowKey(0))
+			above = navp.NodeVar[[]float64](nd, r.rows[0])
 		} else {
-			above = navp.AgentVar[[]float64](sc, "above")
+			above = navp.AgentVar[[]float64](sc, r.above)
 		}
 		first := 1 + p*r.chunk
 		last := first + r.chunk - 1
-		ghost := navp.NodeVar[[]float64](nd, ghostKey())
+		ghost := navp.NodeVar[[]float64](nd, r.ghost)
 
 		for gi := first; gi <= last; gi++ {
 			gi := gi
-			cur := navp.NodeVar[[]float64](nd, rowKey(gi))
+			cur := navp.NodeVar[[]float64](nd, r.rows[gi])
 			var below []float64
 			if gi == last {
 				below = ghost
 			} else {
-				below = navp.NodeVar[[]float64](nd, rowKey(gi+1))
+				below = navp.NodeVar[[]float64](nd, r.rows[gi+1])
 			}
 			up := above
 			if gi > first {
-				up = navp.NodeVar[[]float64](nd, rowKey(gi-1))
+				up = navp.NodeVar[[]float64](nd, r.rows[gi-1])
 			}
 			sc.Compute(rowFlops(cols), func() { relaxRow(up, cur, below) })
 			if gi == first && p > 0 {
@@ -322,21 +342,21 @@ func (r *runner) sweep(sc *navp.Agent, t int) {
 				// ghost. Injection is local; the GhostCarrier hops.
 				snapshot := append([]float64(nil), cur...)
 				sc.Inject(fmt.Sprintf("GhostCarrier(%d,%d)", t, p), func(gc *navp.Agent) {
-					gc.Set("row", snapshot, r.rowBytes())
+					gc.Set(r.carried, snapshot, r.rowBytes())
 					gc.Hop(p - 1)
-					copy(navp.NodeVar[[]float64](gc.Node(), ghostKey()), snapshot)
-					gc.SignalEvent(ghostEv(t, p-1))
+					copy(navp.NodeVar[[]float64](gc.Node(), r.ghost), snapshot)
+					gc.Signal(r.ghostEv(t, p-1))
 				})
 			}
 		}
-		sc.SignalEvent(doneEv(t, p))
+		sc.Signal(r.doneEv(t, p))
 		if p == r.cfg.P-1 {
 			// The bottom boundary never changes; the last chunk's ghost
 			// is always fresh.
-			sc.SignalEvent(ghostEv(t, p))
+			sc.Signal(r.ghostEv(t, p))
 		} else {
-			lastRow := navp.NodeVar[[]float64](nd, rowKey(last))
-			sc.Set("above", append([]float64(nil), lastRow...), r.rowBytes())
+			lastRow := navp.NodeVar[[]float64](nd, r.rows[last])
+			sc.Set(r.above, append([]float64(nil), lastRow...), r.rowBytes())
 		}
 	}
 }
@@ -344,14 +364,14 @@ func (r *runner) sweep(sc *navp.Agent, t int) {
 // collect reassembles the grid from the node variables.
 func (r *runner) collect(m Method) *matrix.Dense {
 	if m == Sequential {
-		return navp.NodeVar[*matrix.Dense](r.sys.Node(0), "grid")
+		return navp.NodeVar[*matrix.Dense](r.sys.Node(0), r.grid)
 	}
 	g := InitialGrid(r.cfg) // boundaries; interior overwritten below
 	for p := 0; p < r.cfg.P; p++ {
 		nd := r.sys.Node(p)
 		for li := 0; li < r.chunk; li++ {
 			gi := 1 + p*r.chunk + li
-			copy(g.Row(gi), navp.NodeVar[[]float64](nd, rowKey(gi)))
+			copy(g.Row(gi), navp.NodeVar[[]float64](nd, r.rows[gi]))
 		}
 	}
 	return g

@@ -19,12 +19,13 @@ func record() (*trace.Recorder, *navp.System) {
 
 func TestRecorderCollectsAndSummarizes(t *testing.T) {
 	rec, sys := record()
+	x, e := sys.Var("x"), sys.Event("e")
 	sys.Inject(0, "walker", func(ag *navp.Agent) {
-		ag.Set("x", nil, 1000)
+		ag.Set(x, nil, 1000)
 		ag.Hop(1)
 		ag.Compute(110.7e6, nil) // ~1 s
-		ag.SignalEvent("e")
-		ag.WaitEvent("e")
+		ag.Signal(e)
+		ag.Wait(e)
 		ag.Hop(2)
 		ag.Compute(110.7e6, nil)
 	})
@@ -51,8 +52,9 @@ func TestRecorderCollectsAndSummarizes(t *testing.T) {
 
 func TestHopMatrix(t *testing.T) {
 	rec, sys := record()
+	x := sys.Var("x")
 	sys.Inject(0, "a", func(ag *navp.Agent) {
-		ag.Set("x", nil, 500)
+		ag.Set(x, nil, 500)
 		ag.Hop(1)
 		ag.Hop(2)
 		ag.Hop(1)
@@ -142,8 +144,9 @@ func TestSpaceTimeManyAgentsSymbolFallback(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	rec, sys := record()
+	x := sys.Var("x")
 	sys.Inject(0, "a", func(ag *navp.Agent) {
-		ag.Set("x", nil, 100)
+		ag.Set(x, nil, 100)
 		ag.Hop(1)
 		ag.Compute(1e6, nil)
 	})
