@@ -170,8 +170,8 @@ const (
 	// gatePhase2DFineAllocs and gateSequentialFineAllocs cap the
 	// allocations of one paper-fine solve on the goroutine runtime (all
 	// runs).
-	gatePhase2DFineAllocs    = 41_400
-	gateSequentialFineAllocs = 6_800
+	gatePhase2DFineAllocs    = 32_400
+	gateSequentialFineAllocs = 67
 )
 
 // CheckGates evaluates every regression gate of the file's suite and

@@ -222,19 +222,22 @@ type problem struct {
 	// along one dimension (NB/P).
 	NB, vpp int
 	A, B    *matrix.Blocked
-	elem    int
+	// C holds the product's blocks, zeroed: each stage places C(i,j) in
+	// node variable "C:i:j" of the cell's owner.
+	C    *matrix.Blocked
+	elem int
 
 	// name holds the handles of the node variables, agent variables
 	// and events, minted once per problem: newProblem mints C and the
 	// carried rows and blocks, each stage the other tables it uses.
 	name struct {
-		c, b           table[navp.Var]   // "C:i:j", "B:k:j"
-		aRow, bColHome table[navp.Var]   // "Arow:i", "BcolHome:j"
-		bCol           table[navp.Var]   // "Bcol:i:j" (2-D DSC)
-		aHome, bHome   table[navp.Var]   // "Ahome:i:j", "Bhome:i:j" (2-D phase)
-		mA, mB         navp.Var          // the carried A row or block, B column or block
-		ep             table[navp.Event] // "EP:i:j" (2-D DSC)
-		ec, ep3        table[navp.Event] // "EC:i:j", "EP:i:j:k" (per-block 2-D stages)
+		c, b           navp.Table[navp.Var]   // "C:i:j", "B:k:j"
+		aRow, bColHome navp.Table[navp.Var]   // "Arow:i", "BcolHome:j"
+		bCol           navp.Table[navp.Var]   // "Bcol:i:j" (2-D DSC)
+		aHome, bHome   navp.Table[navp.Var]   // "Ahome:i:j", "Bhome:i:j" (2-D phase)
+		mA, mB         navp.Var               // the carried A row or block, B column or block
+		ep             navp.Table[navp.Event] // "EP:i:j" (2-D DSC)
+		ec, ep3        navp.Table[navp.Event] // "EC:i:j", "EP:i:j:k" (per-block 2-D stages)
 	}
 	// deposit holds, for each cell (i,j) of the per-block 2-D stages, the
 	// B block deposited for A(i,k) at index k. Cell (i,j)'s slots belong
@@ -267,7 +270,7 @@ func newProblem(stage Stage, cfg Config) *problem {
 	} else {
 		pr.sys = navp.NewSim(cfg.NavP, cfg.HW, pr.pes)
 	}
-	pr.name.c = vars(pr.sys, "C", pr.NB, 2)
+	pr.name.c = pr.sys.Vars("C", pr.NB, pr.NB)
 	pr.name.mA, pr.name.mB = pr.sys.Var("mA"), pr.sys.Var("mB")
 	if cfg.Tracer != nil {
 		pr.sys.SetTracer(cfg.Tracer)
@@ -281,23 +284,25 @@ func newProblem(stage Stage, cfg Config) *problem {
 	if cfg.Fault.Active() && !cfg.Real {
 		pr.sys.SetFaultPlan(cfg.Fault)
 	}
-	pr.generateInputs()
+	pr.A, pr.B, pr.C = blockedInputs(cfg)
 	return pr
 }
 
-func (pr *problem) generateInputs() {
-	if pr.cfg.Phantom {
-		pr.A = matrix.NewBlocked(pr.cfg.N, pr.cfg.BS, true)
-		pr.B = matrix.NewBlocked(pr.cfg.N, pr.cfg.BS, true)
-		return
+// blockedInputs returns the blocked inputs A and B of cfg, drawn from
+// its seed straight into their blocks (phantom for phantom runs), and a
+// zeroed C of the same shape.
+func blockedInputs(cfg Config) (a, b, c *matrix.Blocked) {
+	if cfg.Phantom {
+		return matrix.NewBlocked(cfg.N, cfg.BS, true), matrix.NewBlocked(cfg.N, cfg.BS, true),
+			matrix.NewBlocked(cfg.N, cfg.BS, true)
 	}
-	a, b := Inputs(pr.cfg)
-	pr.A = matrix.Partition(a, pr.cfg.BS)
-	pr.B = matrix.Partition(b, pr.cfg.BS)
+	a, b = matrix.RandomBlockedPair(matrix.NewSeeded(cfg.Seed), cfg.N, cfg.BS)
+	return a, b, matrix.NewBlocked(cfg.N, cfg.BS, false)
 }
 
-// Inputs returns dense copies of the generated inputs for verification.
-// It panics on phantom runs.
+// Inputs returns dense copies of the generated inputs for verification:
+// the matrices the blocked inputs of every run of cfg hold. It panics on
+// phantom runs.
 func Inputs(cfg Config) (a, b *matrix.Dense) {
 	return matrix.RandomPair(matrix.NewSeeded(cfg.Seed), cfg.N)
 }
@@ -347,16 +352,6 @@ func (pr *problem) blocksBytes(blocks []*matrix.Block) int64 {
 	return total
 }
 
-// newCBlock returns a zeroed (or phantom) C block of the right shape.
-func (pr *problem) newCBlock(i, j int) *matrix.Block {
-	rows := pr.A.Block(i, 0).Rows
-	cols := pr.B.Block(0, j).Cols
-	if pr.cfg.Phantom {
-		return matrix.NewPhantomBlock(i, j, rows, cols)
-	}
-	return matrix.NewBlock(i, j, rows, cols)
-}
-
 // blockFlops is the work of one BS×BS block multiply-accumulate.
 func (pr *problem) blockFlops() float64 {
 	bs := float64(pr.cfg.BS)
@@ -376,7 +371,7 @@ func (pr *problem) visitFlops() float64 {
 // the 2-D grid cell owner).
 func (pr *problem) gatherC() *matrix.Dense {
 	return matrix.Assemble(pr.cfg.N, pr.cfg.BS, func(i, j int) *matrix.Block {
-		return navp.NodeVar[*matrix.Block](pr.sys.Node(pr.cNode(i, j)), pr.name.c.at2(i, j))
+		return navp.NodeVar[*matrix.Block](pr.sys.Node(pr.cNode(i, j)), pr.name.c.At2(i, j))
 	})
 }
 

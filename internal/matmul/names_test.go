@@ -9,40 +9,50 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/navp"
 	"repro/internal/trace"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
+// TestNamesTable: the handle tables the stages mint read back the
+// labels "prefix:i", "prefix:i:j" and "prefix:i:j:k", every label of a
+// table is distinct, and minting a table costs at most one allocation
+// however many handles it holds.
 func TestNamesTable(t *testing.T) {
+	sys := navp.NewReal(navp.Config{}, 1)
 	for _, c := range []struct {
-		prefix  string
-		nb, dim int
-		at      func(names) string
-		want    string
+		prefix string
+		label  func() string
+		want   string
 	}{
-		{"Arow", 12, 1, func(t names) string { return t.at(10) }, "Arow:10"},
-		{"C", 12, 2, func(t names) string { return t.at2(3, 11) }, "C:3:11"},
-		{"EP", 12, 3, func(t names) string { return t.at3(11, 0, 7) }, "EP:11:0:7"},
-		{"EP", 1, 3, func(t names) string { return t.at3(0, 0, 0) }, "EP:0:0:0"},
+		{"Arow", func() string { return sys.VarName(sys.Vars("Arow", 12).At(10)) }, "Arow:10"},
+		{"C", func() string { return sys.VarName(sys.Vars("C", 12, 12).At2(3, 11)) }, "C:3:11"},
+		{"EP", func() string { return sys.EventName(sys.Events("EP", 12, 12, 12).At3(11, 0, 7)) }, "EP:11:0:7"},
+		{"EP", func() string { return sys.EventName(sys.Events("EP", 1, 1, 1).At3(0, 0, 0)) }, "EP:0:0:0"},
 	} {
-		if got := c.at(newNames(c.prefix, c.nb, c.dim)); got != c.want {
+		if got := c.label(); got != c.want {
 			t.Errorf("%s table: got %q, want %q", c.prefix, got, c.want)
 		}
 	}
-	tab := newNames("EP", 32, 3)
+	tab := sys.Events("EP", 32, 32, 32)
 	seen := map[string]bool{}
-	for _, n := range tab.tab {
-		if seen[n] {
-			t.Fatalf("name %q appears twice", n)
+	for i := 0; i < 32; i++ {
+		for j := 0; j < 32; j++ {
+			for k := 0; k < 32; k++ {
+				n := sys.EventName(tab.At3(i, j, k))
+				if seen[n] {
+					t.Fatalf("name %q appears twice", n)
+				}
+				seen[n] = true
+			}
 		}
-		seen[n] = true
 	}
 	if len(seen) != 32*32*32 {
 		t.Fatalf("%d names, want %d", len(seen), 32*32*32)
 	}
-	if allocs := testing.AllocsPerRun(10, func() { newNames("EP", 32, 3) }); allocs != 2 {
-		t.Fatalf("building a table made %v allocations, want 2", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { sys.Events("EP", 32, 32, 32) }); allocs > 1 {
+		t.Fatalf("minting a table made %v allocations, want at most 1", allocs)
 	}
 }
 

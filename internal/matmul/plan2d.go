@@ -54,18 +54,8 @@ func BuildPlan2D(stage Stage, cfg Config) (*core.Plan, *PlanProduct, func(int) i
 		elem = 8
 	}
 
-	var a, b *matrix.Blocked
-	out := &PlanProduct{}
-	if cfg.Phantom {
-		a = matrix.NewBlocked(cfg.N, cfg.BS, true)
-		b = matrix.NewBlocked(cfg.N, cfg.BS, true)
-		out.C = matrix.NewBlocked(cfg.N, cfg.BS, true)
-	} else {
-		da, db := Inputs(cfg)
-		a = matrix.Partition(da, cfg.BS)
-		b = matrix.Partition(db, cfg.BS)
-		out.C = matrix.NewBlocked(cfg.N, cfg.BS, false)
-	}
+	a, b, c := blockedInputs(cfg)
+	out := &PlanProduct{C: c}
 
 	bs := float64(cfg.BS)
 	blockFlops := 2 * bs * bs * bs

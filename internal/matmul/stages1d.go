@@ -1,7 +1,7 @@
 package matmul
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/matrix"
 	"repro/internal/navp"
@@ -15,31 +15,41 @@ func (pr *problem) sequential() {
 	nd0 := pr.sys.Node(0)
 	for i := 0; i < pr.NB; i++ {
 		for j := 0; j < pr.NB; j++ {
-			nd0.Set(pr.name.c.at2(i, j), pr.newCBlock(i, j))
+			nd0.Set(pr.name.c.At2(i, j), pr.C.Block(i, j))
 		}
 	}
 	// The pager's keys name the blocks as the node variables do.
-	var pageA, pageB names
+	var pageA, pageB, pageC []string
 	if pr.cfg.Paged {
-		pageA, pageB = newNames("A", pr.NB, 2), newNames("B", pr.NB, 2)
+		pageA, pageB, pageC = pageKeys("A", pr.NB), pageKeys("B", pr.NB), pageKeys("C", pr.NB)
 	}
 	pr.sys.Inject(0, "Sequential", func(ag *navp.Agent) {
 		for i := 0; i < pr.NB; i++ {
 			for j := 0; j < pr.NB; j++ {
-				cVar := pr.name.c.at2(i, j)
+				cVar := pr.name.c.At2(i, j)
 				c := nodeVar[*matrix.Block](pr, ag.Node(), cVar)
 				for k := 0; k < pr.NB; k++ {
 					a, b := pr.A.Block(i, k), pr.B.Block(k, j)
 					if pr.cfg.Paged {
-						ag.TouchMemory(pageA.at2(i, k), a.Bytes(pr.elem))
-						ag.TouchMemory(pageB.at2(k, j), b.Bytes(pr.elem))
-						ag.TouchMemory(pr.sys.VarName(cVar), c.Bytes(pr.elem))
+						ag.TouchMemory(pageA[i*pr.NB+k], a.Bytes(pr.elem))
+						ag.TouchMemory(pageB[k*pr.NB+j], b.Bytes(pr.elem))
+						ag.TouchMemory(pageC[i*pr.NB+j], c.Bytes(pr.elem))
 					}
 					ag.Compute(pr.blockFlops(), func() { matrix.MulAdd(c, a, b) })
 				}
 			}
 		}
 	})
+}
+
+// pageKeys returns the pager keys "prefix:i:j" of an nb×nb block grid,
+// row-major.
+func pageKeys(prefix string, nb int) []string {
+	keys := make([]string, nb*nb)
+	for n := range keys {
+		keys[n] = prefix + ":" + strconv.Itoa(n/nb) + ":" + strconv.Itoa(n%nb)
+	}
+	return keys
 }
 
 // dsc1D stages the paper's Figure 5: one migrating RowCarrier that chases
@@ -59,7 +69,7 @@ func (pr *problem) dsc1D() {
 			ag.Delete(pr.name.mA)
 			ag.Hop(0)
 			// mA(*) = A(mi,*): pick up the next block row.
-			row := nodeVar[[]*matrix.Block](pr, ag.Node(), pr.name.aRow.at(mi))
+			row := nodeVar[[]*matrix.Block](pr, ag.Node(), pr.name.aRow.At(mi))
 			ag.Set(pr.name.mA, row, pr.blocksBytes(row))
 			pr.sweep1D(ag, mi, func(mj int) int { return mj })
 		}
@@ -76,8 +86,8 @@ func (pr *problem) pipeline1D() {
 	pr.sys.Inject(0, "injector", func(ag *navp.Agent) {
 		for i := 0; i < pr.NB; i++ {
 			mi := i
-			ag.Inject(fmt.Sprintf("RowCarrier(%d)", mi), func(rc *navp.Agent) {
-				row := nodeVar[[]*matrix.Block](pr, rc.Node(), pr.name.aRow.at(mi))
+			ag.InjectNamed(navp.Named("RowCarrier", mi), func(rc *navp.Agent) {
+				row := nodeVar[[]*matrix.Block](pr, rc.Node(), pr.name.aRow.At(mi))
 				rc.Set(pr.name.mA, row, pr.blocksBytes(row))
 				pr.sweep1D(rc, mi, func(mj int) int { return mj })
 			})
@@ -101,8 +111,8 @@ func (pr *problem) phase1D() {
 		for i := 0; i < pr.NB; i++ {
 			mi := i
 			ag.Hop(pr.pe1D(mi))
-			ag.Inject(fmt.Sprintf("RowCarrier(%d)", mi), func(rc *navp.Agent) {
-				row := nodeVar[[]*matrix.Block](pr, rc.Node(), pr.name.aRow.at(mi))
+			ag.InjectNamed(navp.Named("RowCarrier", mi), func(rc *navp.Agent) {
+				row := nodeVar[[]*matrix.Block](pr, rc.Node(), pr.name.aRow.At(mi))
 				rc.Set(pr.name.mA, row, pr.blocksBytes(row))
 				chunk := pr.owner(mi)
 				pr.sweep1D(rc, mi, func(mj int) int {
@@ -136,9 +146,9 @@ func (pr *problem) sweep1D(ag *navp.Agent, mi int, colAt func(mj int) int) {
 		nd := ag.Node()
 		ag.Compute(pr.visitFlops()*float64(len(cols)), func() {
 			for _, col := range cols {
-				c := nodeVar[*matrix.Block](pr, nd, pr.name.c.at2(mi, col))
+				c := nodeVar[*matrix.Block](pr, nd, pr.name.c.At2(mi, col))
 				for k := 0; k < pr.NB; k++ {
-					matrix.MulAdd(c, row[k], nodeVar[*matrix.Block](pr, nd, pr.name.b.at2(k, col)))
+					matrix.MulAdd(c, row[k], nodeVar[*matrix.Block](pr, nd, pr.name.b.At2(k, col)))
 				}
 			}
 		})
@@ -149,22 +159,22 @@ func (pr *problem) sweep1D(ag *navp.Agent, mi int, colAt func(mj int) int) {
 // virtual column j — the initial layout shared by all 1-D stages
 // (Figures 4, 6, 8).
 func (pr *problem) placeColumns1D() {
-	pr.name.b = vars(pr.sys, "B", pr.NB, 2)
+	pr.name.b = pr.sys.Vars("B", pr.NB, pr.NB)
 	for j := 0; j < pr.NB; j++ {
 		nd := pr.sys.Node(pr.pe1D(j))
 		for k := 0; k < pr.NB; k++ {
-			nd.Set(pr.name.b.at2(k, j), pr.B.Block(k, j))
+			nd.Set(pr.name.b.At2(k, j), pr.B.Block(k, j))
 		}
 		for i := 0; i < pr.NB; i++ {
-			nd.Set(pr.name.c.at2(i, j), pr.newCBlock(i, j))
+			nd.Set(pr.name.c.At2(i, j), pr.C.Block(i, j))
 		}
 	}
 }
 
 // placeARowsAt stores block row i of A (as a slice) on the node home(i).
 func (pr *problem) placeARowsAt(home func(i int) int) {
-	pr.name.aRow = vars(pr.sys, "Arow", pr.NB, 1)
+	pr.name.aRow = pr.sys.Vars("Arow", pr.NB)
 	for i := 0; i < pr.NB; i++ {
-		pr.sys.Node(home(i)).Set(pr.name.aRow.at(i), pr.aRow(i))
+		pr.sys.Node(home(i)).Set(pr.name.aRow.At(i), pr.aRow(i))
 	}
 }

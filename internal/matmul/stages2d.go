@@ -1,8 +1,6 @@
 package matmul
 
 import (
-	"fmt"
-
 	"repro/internal/matrix"
 	"repro/internal/navp"
 )
@@ -19,7 +17,7 @@ import (
 // grid column, depositing a copy at every cell; RowCarriers follow,
 // consuming them (event EP per cell).
 func (pr *problem) dsc2D() {
-	pr.name.bCol, pr.name.ep = vars(pr.sys, "Bcol", pr.NB, 2), events(pr.sys, "EP", pr.NB, 2)
+	pr.name.bCol, pr.name.ep = pr.sys.Vars("Bcol", pr.NB, pr.NB), pr.sys.Events("EP", pr.NB, pr.NB)
 	pr.placeC2D()
 	pr.placeGathered2D()
 
@@ -28,10 +26,10 @@ func (pr *problem) dsc2D() {
 			ml := l
 			mi := pr.NB - 1 - ml
 			ag.Hop(pr.pe2D(mi, ml))
-			ag.Inject(fmt.Sprintf("RowCarrier(%d)", mi), func(rc *navp.Agent) {
+			ag.InjectNamed(navp.Named("RowCarrier", mi), func(rc *navp.Agent) {
 				pr.rowCarrier2D(rc, mi)
 			})
-			ag.Inject(fmt.Sprintf("ColCarrier(%d)", ml), func(cc *navp.Agent) {
+			ag.InjectNamed(navp.Named("ColCarrier", ml), func(cc *navp.Agent) {
 				pr.colCarrier2D(cc, ml)
 			})
 		}
@@ -42,15 +40,15 @@ func (pr *problem) dsc2D() {
 // through virtual cells (mi, (NB−1−mi+mj) mod NB), waiting at each for
 // the ColCarrier to have deposited the B column, then updating C.
 func (pr *problem) rowCarrier2D(rc *navp.Agent, mi int) {
-	row := nodeVar[[]*matrix.Block](pr, rc.Node(), pr.name.aRow.at(mi))
+	row := nodeVar[[]*matrix.Block](pr, rc.Node(), pr.name.aRow.At(mi))
 	rc.Set(pr.name.mA, row, pr.blocksBytes(row))
 	for mj := 0; mj < pr.NB; mj++ {
 		col := (pr.NB - 1 - mi + mj) % pr.NB
 		rc.Hop(pr.pe2D(mi, col))
-		rc.Wait(pr.name.ep.at2(mi, col))
+		rc.Wait(pr.name.ep.At2(mi, col))
 		nd := rc.Node()
-		c := nodeVar[*matrix.Block](pr, nd, pr.name.c.at2(mi, col))
-		bcol := nodeVar[[]*matrix.Block](pr, nd, pr.name.bCol.at2(mi, col))
+		c := nodeVar[*matrix.Block](pr, nd, pr.name.c.At2(mi, col))
+		bcol := nodeVar[[]*matrix.Block](pr, nd, pr.name.bCol.At2(mi, col))
 		rc.Compute(pr.visitFlops(), func() {
 			for k := 0; k < pr.NB; k++ {
 				matrix.MulAdd(c, row[k], bcol[k])
@@ -63,13 +61,13 @@ func (pr *problem) rowCarrier2D(rc *navp.Agent, mi int) {
 // through virtual cells ((NB−1−mj+mi) mod NB, mj), depositing the column
 // and signaling EP at each.
 func (pr *problem) colCarrier2D(cc *navp.Agent, mj int) {
-	col := nodeVar[[]*matrix.Block](pr, cc.Node(), pr.name.bColHome.at(mj))
+	col := nodeVar[[]*matrix.Block](pr, cc.Node(), pr.name.bColHome.At(mj))
 	cc.Set(pr.name.mB, col, pr.blocksBytes(col))
 	for mi := 0; mi < pr.NB; mi++ {
 		row := (pr.NB - 1 - mj + mi) % pr.NB
 		cc.Hop(pr.pe2D(row, mj))
-		cc.Node().Set(pr.name.bCol.at2(row, mj), col)
-		cc.Signal(pr.name.ep.at2(row, mj))
+		cc.Node().Set(pr.name.bCol.At2(row, mj), col)
+		cc.Signal(pr.name.ep.At2(row, mj))
 	}
 }
 
@@ -89,18 +87,18 @@ func (pr *problem) pipeline2D() {
 		for l := 0; l < pr.NB; l++ {
 			ml := l
 			ag.Hop(pr.pe2D(pr.NB-1-ml, ml))
-			ag.Inject(fmt.Sprintf("spawner(%d)", ml), func(sp *navp.Agent) {
+			ag.InjectNamed(navp.Named("spawner", ml), func(sp *navp.Agent) {
 				mi := pr.NB - 1 - ml
-				aRow := nodeVar[[]*matrix.Block](pr, sp.Node(), pr.name.aRow.at(mi))
-				bCol := nodeVar[[]*matrix.Block](pr, sp.Node(), pr.name.bColHome.at(ml))
+				aRow := nodeVar[[]*matrix.Block](pr, sp.Node(), pr.name.aRow.At(mi))
+				bCol := nodeVar[[]*matrix.Block](pr, sp.Node(), pr.name.bColHome.At(ml))
 				for k := 0; k < pr.NB; k++ {
 					mk := k
-					sp.Inject(fmt.Sprintf("ACarrier(%d,%d)", mi, mk), func(ac *navp.Agent) {
+					sp.InjectNamed(navp.Named("ACarrier", mi, mk), func(ac *navp.Agent) {
 						pr.aCarrier(ac, mi, mk, aRow[mk], func(mj int) int {
 							return (pr.NB - 1 - mi + mj) % pr.NB
 						})
 					})
-					sp.Inject(fmt.Sprintf("BCarrier(%d,%d)", mk, ml), func(bc *navp.Agent) {
+					sp.InjectNamed(navp.Named("BCarrier", mk, ml), func(bc *navp.Agent) {
 						pr.bCarrier(bc, mk, ml, bCol[mk], func(mi2 int) int {
 							return (pr.NB - 1 - ml + mi2) % pr.NB
 						})
@@ -116,35 +114,35 @@ func (pr *problem) pipeline2D() {
 // canonical home — A(i,j), B(i,j), and C(i,j) on cell (i,j) — and the
 // carriers' first hops realize the reverse staggering.
 func (pr *problem) phase2D() {
-	pr.name.aHome, pr.name.bHome = vars(pr.sys, "Ahome", pr.NB, 2), vars(pr.sys, "Bhome", pr.NB, 2)
+	pr.name.aHome, pr.name.bHome = pr.sys.Vars("Ahome", pr.NB, pr.NB), pr.sys.Vars("Bhome", pr.NB, pr.NB)
 	pr.placeC2D()
 	pr.placePerBlock2D()
 	for i := 0; i < pr.NB; i++ {
 		for j := 0; j < pr.NB; j++ {
 			nd := pr.sys.Node(pr.pe2D(i, j))
-			nd.Set(pr.name.aHome.at2(i, j), pr.A.Block(i, j))
-			nd.Set(pr.name.bHome.at2(i, j), pr.B.Block(i, j))
+			nd.Set(pr.name.aHome.At2(i, j), pr.A.Block(i, j))
+			nd.Set(pr.name.bHome.At2(i, j), pr.B.Block(i, j))
 		}
 	}
 	pr.sys.Inject(0, "injector", func(ag *navp.Agent) {
 		for j := 0; j < pr.NB; j++ {
 			mj := j
 			ag.Hop(pr.pe2D(0, mj))
-			ag.Inject(fmt.Sprintf("spawner(%d)", mj), func(sp *navp.Agent) {
+			ag.InjectNamed(navp.Named("spawner", mj), func(sp *navp.Agent) {
 				for i := 0; i < pr.NB; i++ {
 					mi := i
 					sp.Hop(pr.pe2D(mi, mj))
-					sp.Signal(pr.name.ec.at2(mi, mj)) // Figure 15 line (4)
-					aBlk := nodeVar[*matrix.Block](pr, sp.Node(), pr.name.aHome.at2(mi, mj))
-					bBlk := nodeVar[*matrix.Block](pr, sp.Node(), pr.name.bHome.at2(mi, mj))
+					sp.Signal(pr.name.ec.At2(mi, mj)) // Figure 15 line (4)
+					aBlk := nodeVar[*matrix.Block](pr, sp.Node(), pr.name.aHome.At2(mi, mj))
+					bBlk := nodeVar[*matrix.Block](pr, sp.Node(), pr.name.bHome.At2(mi, mj))
 					// ACarrier(mi, mk) with mk = home column mj.
-					sp.Inject(fmt.Sprintf("ACarrier(%d,%d)", mi, mj), func(ac *navp.Agent) {
+					sp.InjectNamed(navp.Named("ACarrier", mi, mj), func(ac *navp.Agent) {
 						pr.aCarrier(ac, mi, mj, aBlk, func(step int) int {
 							return ((pr.NB-1-mi-mj+step)%pr.NB + pr.NB) % pr.NB
 						})
 					})
 					// BCarrier(mk, mj) with mk = home row mi.
-					sp.Inject(fmt.Sprintf("BCarrier(%d,%d)", mi, mj), func(bc *navp.Agent) {
+					sp.InjectNamed(navp.Named("BCarrier", mi, mj), func(bc *navp.Agent) {
 						pr.bCarrier(bc, mi, mj, bBlk, func(step int) int {
 							return ((pr.NB-1-mj-mi+step)%pr.NB + pr.NB) % pr.NB
 						})
@@ -164,11 +162,11 @@ func (pr *problem) aCarrier(ac *navp.Agent, mi, mk int, blk *matrix.Block, colAt
 	for mj := 0; mj < pr.NB; mj++ {
 		col := colAt(mj)
 		ac.Hop(pr.pe2D(mi, col))
-		ac.Wait(pr.name.ep3.at3(mi, col, mk))
-		c := nodeVar[*matrix.Block](pr, ac.Node(), pr.name.c.at2(mi, col))
+		ac.Wait(pr.name.ep3.At3(mi, col, mk))
+		c := nodeVar[*matrix.Block](pr, ac.Node(), pr.name.c.At2(mi, col))
 		b := pr.deposit[mi*pr.NB+col][mk]
 		ac.Compute(pr.blockFlops(), func() { matrix.MulAdd(c, blk, b) })
-		ac.Signal(pr.name.ec.at2(mi, col))
+		ac.Signal(pr.name.ec.At2(mi, col))
 	}
 }
 
@@ -191,10 +189,10 @@ func (pr *problem) bCarrier(bc *navp.Agent, mk, mj int, blk *matrix.Block, rowAt
 		// already make deposits conflict-free, so the wait is skipped
 		// there until a schedule explorer gives its verdict.
 		if sim {
-			bc.Wait(pr.name.ec.at2(row, mj))
+			bc.Wait(pr.name.ec.At2(row, mj))
 		}
 		pr.deposit[row*pr.NB+mj][mk] = blk
-		bc.Signal(pr.name.ep3.at3(row, mj, mk))
+		bc.Signal(pr.name.ep3.At3(row, mj, mk))
 	}
 }
 
@@ -202,7 +200,7 @@ func (pr *problem) bCarrier(bc *navp.Agent, mk, mj int, blk *matrix.Block, rowAt
 func (pr *problem) placeC2D() {
 	for i := 0; i < pr.NB; i++ {
 		for j := 0; j < pr.NB; j++ {
-			pr.sys.Node(pr.pe2D(i, j)).Set(pr.name.c.at2(i, j), pr.newCBlock(i, j))
+			pr.sys.Node(pr.pe2D(i, j)).Set(pr.name.c.At2(i, j), pr.C.Block(i, j))
 		}
 	}
 }
@@ -211,11 +209,11 @@ func (pr *problem) placeC2D() {
 // pipelining (Figure 12): block row A(NB−1−l,*) and block column B(*,l)
 // on virtual cell (NB−1−l, l).
 func (pr *problem) placeGathered2D() {
-	pr.name.aRow, pr.name.bColHome = vars(pr.sys, "Arow", pr.NB, 1), vars(pr.sys, "BcolHome", pr.NB, 1)
+	pr.name.aRow, pr.name.bColHome = pr.sys.Vars("Arow", pr.NB), pr.sys.Vars("BcolHome", pr.NB)
 	for l := 0; l < pr.NB; l++ {
 		nd := pr.sys.Node(pr.pe2D(pr.NB-1-l, l))
-		nd.Set(pr.name.aRow.at(pr.NB-1-l), pr.aRow(pr.NB-1-l))
-		nd.Set(pr.name.bColHome.at(l), pr.bCol(l))
+		nd.Set(pr.name.aRow.At(pr.NB-1-l), pr.aRow(pr.NB-1-l))
+		nd.Set(pr.name.bColHome.At(l), pr.bCol(l))
 	}
 }
 
@@ -227,7 +225,7 @@ func (pr *problem) placeGathered2D() {
 // (the paper's fine-grained protocol relies on FIFO delivery for the
 // same pairing; on the FIFO simulation backend the two are identical).
 func (pr *problem) placePerBlock2D() {
-	pr.name.ec, pr.name.ep3 = events(pr.sys, "EC", pr.NB, 2), events(pr.sys, "EP", pr.NB, 3)
+	pr.name.ec, pr.name.ep3 = pr.sys.Events("EC", pr.NB, pr.NB), pr.sys.Events("EP", pr.NB, pr.NB, pr.NB)
 	slots := make([]*matrix.Block, pr.NB*pr.NB*pr.NB)
 	pr.deposit = make([][]*matrix.Block, pr.NB*pr.NB)
 	for cell := range pr.deposit {
@@ -242,7 +240,7 @@ func (pr *problem) preSignalEC() {
 		for i := 0; i < pr.NB; i++ {
 			for j := 0; j < pr.NB; j++ {
 				ag.Hop(pr.pe2D(i, j))
-				ag.Signal(pr.name.ec.at2(i, j))
+				ag.Signal(pr.name.ec.At2(i, j))
 			}
 		}
 	})

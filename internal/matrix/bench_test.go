@@ -134,7 +134,7 @@ func BenchmarkPartitionAssemble(b *testing.B) {
 	b.SetBytes(int64(n * n * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Partition(d, 128).Assemble()
+		partition(d, 128).Assemble()
 	}
 }
 

@@ -1,6 +1,9 @@
 package matrix
 
-import "fmt"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Block is one algorithmic block of a partitioned matrix: the unit of
 // data a migrating carrier ships and a dgemm kernel consumes (paper
@@ -103,45 +106,63 @@ type Blocked struct {
 	blocks    []*Block // NB×NB, row-major
 }
 
-// Partition copies square matrix d into a blocked form with block size
-// bs.
-func Partition(d *Dense, bs int) *Blocked {
-	if d.Rows != d.Cols {
-		panic(fmt.Sprintf("matrix: Partition requires a square matrix, got %d×%d", d.Rows, d.Cols))
-	}
-	bm := NewBlocked(d.Rows, bs, false)
-	for br := 0; br < bm.NB; br++ {
-		for bc := 0; bc < bm.NB; bc++ {
-			blk := bm.Block(br, bc)
-			r0, c0 := br*bs, bc*bs
-			for i := 0; i < blk.Rows; i++ {
-				copy(blk.Data[i*blk.Cols:(i+1)*blk.Cols], d.Data[(r0+i)*d.Stride+c0:(r0+i)*d.Stride+c0+blk.Cols])
-			}
-		}
-	}
-	return bm
-}
-
 // NewBlocked returns an order-n blocked matrix of zeroed (or phantom)
-// blocks with block size bs.
+// blocks with block size bs. All its blocks live in one []Block and
+// their elements in one slab, each block's Data capped at its own
+// length, so a matrix costs four allocations however many blocks it
+// has.
 func NewBlocked(n, bs int, phantom bool) *Blocked {
 	if n <= 0 || bs <= 0 {
 		panic(fmt.Sprintf("matrix: invalid blocked dimensions n=%d bs=%d", n, bs))
 	}
 	nb := (n + bs - 1) / bs
 	bm := &Blocked{N: n, BS: bs, NB: nb, blocks: make([]*Block, nb*nb)}
+	store := make([]Block, nb*nb)
+	var slab []float64
+	if !phantom {
+		slab = make([]float64, n*n)
+	}
+	off := 0
 	for br := 0; br < nb; br++ {
 		rows := min(bs, n-br*bs)
 		for bc := 0; bc < nb; bc++ {
 			cols := min(bs, n-bc*bs)
-			if phantom {
-				bm.blocks[br*nb+bc] = NewPhantomBlock(br, bc, rows, cols)
-			} else {
-				bm.blocks[br*nb+bc] = NewBlock(br, bc, rows, cols)
+			blk := &store[br*nb+bc]
+			*blk = Block{BR: br, BC: bc, Rows: rows, Cols: cols}
+			if !phantom {
+				blk.Data = slab[off : off+rows*cols : off+rows*cols]
+				off += rows * cols
 			}
+			bm.blocks[br*nb+bc] = blk
 		}
 	}
 	return bm
+}
+
+// RandomBlockedPair returns two order-n blocked matrices with block size
+// bs whose elements are drawn from rng in exactly RandomPair's order —
+// all of A row by row, then all of B — straight into the blocks, so the
+// pair equals RandomPair's partitioned with no dense copy made.
+func RandomBlockedPair(rng *rand.Rand, n, bs int) (a, b *Blocked) {
+	a, b = NewBlocked(n, bs, false), NewBlocked(n, bs, false)
+	a.fillRandom(rng)
+	b.fillRandom(rng)
+	return a, b
+}
+
+// fillRandom fills the matrix row by row with uniform values in [-1, 1)
+// from rng, as Dense.FillRandom fills a dense one.
+func (bm *Blocked) fillRandom(rng *rand.Rand) {
+	for i := 0; i < bm.N; i++ {
+		br, r := i/bm.BS, i%bm.BS
+		for bc := 0; bc < bm.NB; bc++ {
+			blk := bm.Block(br, bc)
+			row := blk.Data[r*blk.Cols : (r+1)*blk.Cols]
+			for j := range row {
+				row[j] = 2*rng.Float64() - 1
+			}
+		}
+	}
 }
 
 // Block returns the block at block-grid coordinates (br, bc).

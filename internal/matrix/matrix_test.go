@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -84,6 +85,55 @@ func TestMulLinearityProperty(t *testing.T) {
 	}
 }
 
+// partition copies square matrix d into a blocked form with block size
+// bs.
+func partition(d *Dense, bs int) *Blocked {
+	bm := NewBlocked(d.Rows, bs, false)
+	for br := 0; br < bm.NB; br++ {
+		for bc := 0; bc < bm.NB; bc++ {
+			blk := bm.Block(br, bc)
+			for i := 0; i < blk.Rows; i++ {
+				copy(blk.Data[i*blk.Cols:][:blk.Cols], d.Row(br*bs + i)[bc*bs:])
+			}
+		}
+	}
+	return bm
+}
+
+// TestRandomBlockedPairMatchesPartition: drawing the inputs straight
+// into blocks gives, bit for bit, RandomPair's matrices partitioned, on
+// exact grids, with edge blocks, and at an order below two blocks; and
+// every block's Data is capped at its own length, so an append to one
+// block cannot run into its neighbour in the shared slab.
+func TestRandomBlockedPairMatchesPartition(t *testing.T) {
+	for _, c := range []struct{ n, bs int }{{64, 16}, {100, 16}, {7, 3}} {
+		a, b := RandomBlockedPair(NewSeeded(21), c.n, c.bs)
+		da, db := RandomPair(NewSeeded(21), c.n)
+		for _, m := range []struct {
+			name      string
+			got, want *Blocked
+		}{{"A", a, partition(da, c.bs)}, {"B", b, partition(db, c.bs)}} {
+			for br := 0; br < m.want.NB; br++ {
+				for bc := 0; bc < m.want.NB; bc++ {
+					g, w := m.got.Block(br, bc), m.want.Block(br, bc)
+					if g.BR != br || g.BC != bc || g.Rows != w.Rows || g.Cols != w.Cols {
+						t.Fatalf("n=%d bs=%d %s(%d,%d): block (%d,%d) %d×%d, want %d×%d",
+							c.n, c.bs, m.name, br, bc, g.BR, g.BC, g.Rows, g.Cols, w.Rows, w.Cols)
+					}
+					if cap(g.Data) != len(g.Data) {
+						t.Fatalf("n=%d bs=%d %s(%d,%d): cap %d, len %d", c.n, c.bs, m.name, br, bc, cap(g.Data), len(g.Data))
+					}
+					for i := range w.Data {
+						if math.Float64bits(g.Data[i]) != math.Float64bits(w.Data[i]) {
+							t.Fatalf("n=%d bs=%d %s(%d,%d)[%d] = %v, want %v", c.n, c.bs, m.name, br, bc, i, g.Data[i], w.Data[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPartitionAssembleRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	f := func(seed int64) bool {
@@ -91,7 +141,7 @@ func TestPartitionAssembleRoundTrip(t *testing.T) {
 		n := 1 + int(r.Int31n(20))
 		bs := 1 + int(r.Int31n(7))
 		d := randDense(r, n, n)
-		return Partition(d, bs).Assemble().EqualApprox(d, 0)
+		return partition(d, bs).Assemble().EqualApprox(d, 0)
 	}
 	_ = rng
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
@@ -102,7 +152,7 @@ func TestPartitionAssembleRoundTrip(t *testing.T) {
 func TestPartitionEdgeBlocks(t *testing.T) {
 	d := NewDense(10, 10)
 	d.FillSequential()
-	bm := Partition(d, 4) // 4,4,2 split
+	bm := partition(d, 4) // 4,4,2 split
 	if bm.NB != 3 {
 		t.Fatalf("NB = %d, want 3", bm.NB)
 	}
@@ -126,7 +176,7 @@ func TestBlockMulAddMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n, bs := 12, 4
 	a, b := randDense(rng, n, n), randDense(rng, n, n)
-	ba, bb := Partition(a, bs), Partition(b, bs)
+	ba, bb := partition(a, bs), partition(b, bs)
 	bc := NewBlocked(n, bs, false)
 	for i := 0; i < ba.NB; i++ {
 		for j := 0; j < ba.NB; j++ {
@@ -281,7 +331,7 @@ func TestSchedulePhasesValidAndComplete(t *testing.T) {
 func TestApplyColumnPermRealizesStagger(t *testing.T) {
 	d := NewDense(6, 6)
 	d.FillSequential()
-	bm := Partition(d, 2) // 3×3 blocks
+	bm := partition(d, 2) // 3×3 blocks
 	p := ForwardStagger(3, 1)
 	bm.ApplyColumnPerm(1, p) // shift row 1 of blocks left by 1
 	// Block originally at (1,1) should now be at column 0.
@@ -293,7 +343,7 @@ func TestApplyColumnPermRealizesStagger(t *testing.T) {
 func TestApplyRowPermRealizesStagger(t *testing.T) {
 	d := NewDense(6, 6)
 	d.FillSequential()
-	bm := Partition(d, 2)
+	bm := partition(d, 2)
 	bm.ApplyRowPerm(2, ForwardStagger(3, 1))
 	if b := bm.Block(0, 2); b.BR != 1 || b.BC != 2 {
 		t.Fatalf("block at (0,2) has origin (%d,%d), want (1,2)", b.BR, b.BC)

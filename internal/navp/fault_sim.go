@@ -72,10 +72,10 @@ func (f *simFault) hop(b *simBackend, ag *Agent, src, dst int, bytes int64) {
 			break
 		}
 		// The frame is lost; the sender times out and resends.
-		ag.sys.record(trace.TraceEvent{Kind: trace.TraceDrop, Agent: ag.name, From: src, To: dst,
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceDrop, Agent: ag.Name(), From: src, To: dst,
 			Bytes: bytes, Start: p.Now(), End: p.Now()})
 		p.Sleep(retry)
-		ag.sys.record(trace.TraceEvent{Kind: trace.TraceRetry, Agent: ag.name, From: src, To: dst,
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceRetry, Agent: ag.Name(), From: src, To: dst,
 			Label: fmt.Sprintf("attempt %d", attempt+2), Start: p.Now(), End: p.Now()})
 	}
 
@@ -91,9 +91,9 @@ func (f *simFault) hop(b *simBackend, ag *Agent, src, dst int, bytes int64) {
 		now := p.Now()
 		down := sim.Time(f.plan.RestartDelayOrDefault())
 		f.outage.Fail(dst, now, down)
-		ag.sys.record(trace.TraceEvent{Kind: trace.TraceKill, Agent: ag.name, From: dst, To: dst,
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceKill, Agent: ag.Name(), From: dst, To: dst,
 			Start: now, End: now})
-		ag.sys.record(trace.TraceEvent{Kind: trace.TraceRecover, Agent: ag.name, From: dst, To: dst,
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceRecover, Agent: ag.Name(), From: dst, To: dst,
 			Start: now, End: now + down})
 		// The arriving agent was checkpointed before dispatch; it
 		// re-enters service from the checkpoint once the daemon is back.

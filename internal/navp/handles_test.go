@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // mustPanic calls fn and returns what it panicked with, failing the
@@ -150,6 +151,137 @@ func TestNamedEventsShareByName(t *testing.T) {
 		}
 		if n != 1 {
 			t.Fatal("a signal by name did not reach the wait by the same name")
+		}
+	})
+}
+
+// TestRangeLabels: every handle of a table minted in one call reads back
+// the label "prefix:i:j:k" of its index tuple, for every index of a 3-D
+// table and of tables of fewer indices minted around it, and an index
+// outside a table's shape panics.
+func TestRangeLabels(t *testing.T) {
+	s := NewReal(zeroCfg(), 1)
+	before := s.Event("EC:0:0")
+	one, two := s.Events("Arow", 5), s.Vars("C", 4, 3)
+	three := s.Events("EP", 3, 4, 5)
+	after := s.Var("mA")
+	if got := s.EventName(before); got != "EC:0:0" {
+		t.Errorf("Event label %q, want EC:0:0", got)
+	}
+	if got := s.VarName(after); got != "mA" {
+		t.Errorf("Var label %q, want mA", got)
+	}
+	for i := 0; i < 5; i++ {
+		if got, want := s.EventName(one.At(i)), fmt.Sprintf("Arow:%d", i); got != want {
+			t.Errorf("label %q, want %q", got, want)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 3; j++ {
+			if got, want := s.VarName(two.At2(i, j)), fmt.Sprintf("C:%d:%d", i, j); got != want {
+				t.Errorf("label %q, want %q", got, want)
+			}
+		}
+	}
+	seen := map[Event]bool{}
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 4; j++ {
+			for k := 0; k < 5; k++ {
+				ev := three.At3(i, j, k)
+				if got, want := s.EventName(ev), fmt.Sprintf("EP:%d:%d:%d", i, j, k); got != want {
+					t.Errorf("label %q, want %q", got, want)
+				}
+				seen[ev] = true
+			}
+		}
+	}
+	if len(seen) != 3*4*5 {
+		t.Errorf("%d distinct handles in a 3×4×5 table", len(seen))
+	}
+	for what, fn := range map[string]func(){
+		"At past the shape":   func() { one.At(5) },
+		"At2 negative index":  func() { two.At2(-1, 0) },
+		"At3 on a 2-D table":  func() { two.At3(0, 0, 0) },
+		"At3 past the shape":  func() { three.At3(0, 4, 0) },
+		"Events with 4 sizes": func() { s.Events("x", 1, 1, 1, 1) },
+	} {
+		mustPanic(t, what, fn)
+	}
+}
+
+// TestNamedAgents: an agent injected with a name kept in parts reads
+// back the name fmt would have built, in Agent.Name and in its trace
+// events.
+func TestNamedAgents(t *testing.T) {
+	for _, c := range []struct {
+		name Name
+		want string
+	}{
+		{Named("injector"), "injector"},
+		{Named("spawner", 7), "spawner(7)"},
+		{Named("ACarrier", 31, 0), "ACarrier(31,0)"},
+		{Named("BCarrier", -1, 12), "BCarrier(-1,12)"},
+	} {
+		if got := c.name.String(); got != c.want {
+			t.Errorf("name %q, want %q", got, c.want)
+		}
+	}
+	mustPanic(t, "Named with 3 indices", func() { Named("x", 1, 2, 3) })
+	eachBackend(t, 2, func(t *testing.T, s *System) {
+		rec := trace.New()
+		s.SetTracer(rec)
+		var got string // touched only by the child, read after Run
+		s.Inject(0, "parent", func(ag *Agent) {
+			ag.InjectNamed(Named("ACarrier", 1, 2), func(ch *Agent) {
+				ch.Hop(1)
+				got = ch.Name()
+			})
+		})
+		if err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if got != "ACarrier(1,2)" {
+			t.Fatalf("Name() = %q, want ACarrier(1,2)", got)
+		}
+		hops := 0
+		for _, ev := range rec.Events() {
+			if ev.Kind == trace.TraceHop {
+				hops++
+				if ev.Agent != "ACarrier(1,2)" {
+					t.Errorf("hop traced for %q, want ACarrier(1,2)", ev.Agent)
+				}
+			}
+		}
+		if hops != 1 {
+			t.Errorf("%d hops traced, want 1", hops)
+		}
+	})
+}
+
+// TestDeadlockNamesRangeEvents: a deadlock on an event minted as one
+// handle of a table names it by its label, and the parked agent by its
+// name kept in parts, in each backend's format.
+func TestDeadlockNamesRangeEvents(t *testing.T) {
+	want := map[string]string{
+		"sim":  "[ACarrier(1,2)@n0 (waiting on event n2:EP:1:2:3)]",
+		"real": "[ACarrier(1,2) (waiting on EP:1:2:3@2)]",
+	}
+	eachBackend(t, 3, func(t *testing.T, s *System) {
+		s.Events("EC", 2, 2)
+		ep := s.Events("EP", 2, 3, 4).At3(1, 2, 3)
+		s.Inject(0, "injector", func(ag *Agent) {
+			ag.InjectNamed(Named("ACarrier", 1, 2), func(w *Agent) {
+				w.Hop(2)
+				w.Wait(ep)
+			})
+		})
+		var dl *sim.DeadlockError
+		if err := s.Run(); !errors.As(err, &dl) {
+			t.Fatalf("err = %v, want *sim.DeadlockError", err)
+		}
+		backend := map[bool]string{true: "sim", false: "real"}[s.Simulated()]
+		if got := fmt.Sprint(dl.Blocked); got != want[backend] {
+			t.Fatalf("blocked %s, want %s", got, want[backend])
 		}
 	})
 }

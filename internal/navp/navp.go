@@ -12,10 +12,14 @@
 // — injection is always local, as in MESSENGERS.
 //
 // Events and variables are dense integer handles, minted once per System
-// before Run (System.Event, System.Var), as a MESSENGERS daemon resolves
-// a program's names to slots when it loads it. A handle's name is read
-// only where a person reads it: trace labels, deadlock reports and panic
-// text.
+// before Run, as a MESSENGERS daemon resolves a program's names to slots
+// when it loads it: one at a time (System.Event, System.Var) or a whole
+// table per call (System.Events, System.Vars: one handle per index tuple,
+// found by arithmetic with Table.At, At2 or At3). The system keeps one
+// record per minting call and formats a handle's label ("EP:1:2:3") only
+// where a person reads it: trace labels, deadlock reports and panic
+// text. An agent's name is kept the same way when it is injected with
+// InjectNamed(Named("ACarrier", i, j), ...): formatted at its first read.
 //
 //	sys := navp.NewSim(navp.DefaultConfig(), machine.SunBlade100(), 2)
 //	x, done := sys.Var("x"), sys.Event("done")
@@ -43,6 +47,7 @@ package navp
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -92,15 +97,16 @@ type System struct {
 	pending []pendingInject
 	ran     bool
 
-	// The names of the minted handles, by id. Var names and the Events
-	// minted before Run do not change during it; the string forms of
-	// WaitEvent and SignalEvent mint events while it runs, so reading
-	// eventNames during Run takes namedMu, and nevents is its length.
-	varNames   []string
-	eventNames []string
-	nevents    atomic.Uint32
-	namedMu    sync.Mutex
-	named      map[string]Event // events minted by the string forms, under namedMu
+	// One record per minting call (handles.go). Variables and the
+	// events minted before Run do not change during it; the string forms
+	// of WaitEvent and SignalEvent mint events while it runs, so reading
+	// events during Run takes namedMu, and nevents is their count.
+	vars    []handleRange
+	events  []handleRange
+	nvars   uint32
+	nevents atomic.Uint32
+	namedMu sync.Mutex
+	named   map[string]Event // events minted by the string forms, under namedMu
 }
 
 // newSystem builds a system of n nodes on backend b.
@@ -114,7 +120,7 @@ func newSystem(cfg Config, b backend, n int) *System {
 
 type pendingInject struct {
 	node int
-	name string
+	name Name
 	fn   func(*Agent)
 }
 
@@ -128,7 +134,7 @@ type backend interface {
 	computeEnd(ag *Agent, flops float64, start sim.Time)
 	wait(ag *Agent, ev Event)
 	signal(ag *Agent, ev Event)
-	inject(parent *Agent, name string, fn func(*Agent))
+	inject(parent *Agent, name Name, fn func(*Agent))
 	touch(ag *Agent, key string, bytes int64)
 	now(ag *Agent) sim.Time
 }
@@ -225,7 +231,7 @@ func (s *System) Inject(node int, name string, fn func(*Agent)) error {
 	if node < 0 || node >= len(s.nodes) {
 		panic(fmt.Sprintf("navp: Inject at node %d of %d", node, len(s.nodes)))
 	}
-	s.pending = append(s.pending, pendingInject{node: node, name: name, fn: fn})
+	s.pending = append(s.pending, pendingInject{node: node, name: Named(name), fn: fn})
 	return nil
 }
 
@@ -255,7 +261,8 @@ func (s *System) record(ev trace.TraceEvent) {
 // Agent is a self-migrating computation. All methods must be called from
 // the agent's own execution context (the function passed to Inject).
 type Agent struct {
-	name  string
+	label Name   // the agent's name, in parts
+	name  string // label formatted, at its first read
 	sys   *System
 	node  *Node
 	vars  []agentVar // in inline until a third variable is set
@@ -277,11 +284,52 @@ type agentVar struct {
 	bytes int64
 }
 
-// newAgent returns an agent named name on nd with no variables.
-func newAgent(s *System, name string, nd *Node) *Agent {
-	ag := &Agent{name: name, sys: s, node: nd}
+// newAgent returns an agent named label on nd with no variables.
+func newAgent(s *System, label Name, nd *Node) *Agent {
+	ag := &Agent{label: label, sys: s, node: nd}
 	ag.vars = ag.inline[:0]
 	return ag
+}
+
+// Name is an agent's name kept as its parts, a prefix and up to two
+// indices, as "ACarrier(1,2)" is "ACarrier" with 1 and 2. An agent's
+// name is read only where a person reads it (Agent.Name, traces,
+// deadlock reports, panic text), so a program that injects thousands
+// of carriers formats none of their names unless one is read.
+type Name struct {
+	prefix string
+	n      int // indices in use
+	i, j   int
+}
+
+// Named returns the name prefix(i) or prefix(i,j), or prefix alone when
+// no index is given. More than two indices panic.
+func Named(prefix string, idx ...int) Name {
+	nm := Name{prefix: prefix, n: len(idx)}
+	switch len(idx) {
+	case 0:
+	case 2:
+		nm.j = idx[1]
+		fallthrough
+	case 1:
+		nm.i = idx[0]
+	default:
+		panic(fmt.Sprintf("navp: Named(%q) with %d indices, at most 2", prefix, len(idx)))
+	}
+	return nm
+}
+
+// String formats the name: "prefix", "prefix(i)" or "prefix(i,j)".
+func (nm Name) String() string {
+	if nm.n == 0 {
+		return nm.prefix
+	}
+	b := make([]byte, 0, len(nm.prefix)+2+nm.n*8)
+	b = strconv.AppendInt(append(append(b, nm.prefix...), '('), int64(nm.i), 10)
+	if nm.n == 2 {
+		b = strconv.AppendInt(append(b, ','), int64(nm.j), 10)
+	}
+	return string(append(b, ')'))
 }
 
 // find returns the index of agent variable v in ag.vars, or -1.
@@ -295,8 +343,14 @@ func (ag *Agent) find(v Var) int {
 	return -1
 }
 
-// Name returns the agent's name.
-func (ag *Agent) Name() string { return ag.name }
+// Name returns the agent's name, formatted at its first read and kept:
+// only the agent's own context and a finished Run read it.
+func (ag *Agent) Name() string {
+	if ag.name == "" {
+		ag.name = ag.label.String()
+	}
+	return ag.name
+}
 
 // Node returns the node the agent currently resides on.
 func (ag *Agent) Node() *Node { return ag.node }
@@ -345,11 +399,11 @@ func (ag *Agent) PayloadBytes() int64 { return ag.bytes + ag.sys.cfg.StateBytes 
 func AgentVar[T any](ag *Agent, v Var) T {
 	val := ag.Get(v)
 	if val == nil {
-		panic(fmt.Sprintf("navp: agent %q has no variable %q", ag.name, ag.sys.VarName(v)))
+		panic(fmt.Sprintf("navp: agent %q has no variable %q", ag.Name(), ag.sys.VarName(v)))
 	}
 	t, ok := val.(T)
 	if !ok {
-		panic(fmt.Sprintf("navp: agent %q variable %q has type %T, not %T", ag.name, ag.sys.VarName(v), val, t))
+		panic(fmt.Sprintf("navp: agent %q variable %q has type %T, not %T", ag.Name(), ag.sys.VarName(v), val, t))
 	}
 	return t
 }
@@ -360,7 +414,7 @@ func AgentVar[T any](ag *Agent, v Var) T {
 // transfer time. Hopping to the current node is free.
 func (ag *Agent) Hop(dst int) {
 	if dst < 0 || dst >= len(ag.sys.nodes) {
-		panic(fmt.Sprintf("navp: agent %q hop to node %d of %d", ag.name, dst, len(ag.sys.nodes)))
+		panic(fmt.Sprintf("navp: agent %q hop to node %d of %d", ag.Name(), dst, len(ag.sys.nodes)))
 	}
 	ag.sys.met.hops.Inc()
 	ag.sys.backend.hop(ag, dst)
@@ -411,7 +465,11 @@ func (ag *Agent) SignalEvent(name string) { ag.Signal(ag.sys.namedEvent(name)) }
 
 // Inject spawns a new computation on the agent's current node — "all
 // injections happen locally". The child starts with no agent variables.
-func (ag *Agent) Inject(name string, fn func(*Agent)) {
+func (ag *Agent) Inject(name string, fn func(*Agent)) { ag.InjectNamed(Named(name), fn) }
+
+// InjectNamed is Inject for a child whose name is kept in parts, such
+// as Named("ACarrier", i, j), and formatted only if it is read.
+func (ag *Agent) InjectNamed(name Name, fn func(*Agent)) {
 	ag.sys.met.injects.Inc()
 	ag.sys.backend.inject(ag, name, fn)
 }

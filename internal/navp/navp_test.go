@@ -271,9 +271,14 @@ func TestInjectAfterRunReturnsErrSystemDone(t *testing.T) {
 // signals or parked waiters (real backend).
 func pendingEvents(s *System, node int) int {
 	n := 0
-	for _, ev := range s.backend.(*realBackend).pes[node].events {
-		if ev != (realEvent{}) {
-			n++
+	for _, pg := range s.backend.(*realBackend).pes[node].pages {
+		if pg == nil {
+			continue
+		}
+		for _, ev := range pg {
+			if ev != (realEvent{}) {
+				n++
+			}
 		}
 	}
 	return n
@@ -283,11 +288,10 @@ func pendingEvents(s *System, node int) int {
 // (real backend). Only an agent on the node may call it: the events
 // belong to the node's loop.
 func parkedOn(ag *Agent, ev Event) int {
-	events := ag.sys.backend.(*realBackend).pes[ag.node.id].events
-	if int(ev.id) >= len(events) || events[ev.id].last == nil {
+	last := ag.sys.backend.(*realBackend).pes[ag.node.id].event(ev).last
+	if last == nil {
 		return 0
 	}
-	last := events[ev.id].last
 	n := 1
 	for w := last.link; w != last; w = w.link {
 		n++

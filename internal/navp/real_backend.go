@@ -24,9 +24,9 @@ import (
 //
 // A loop's run queue, and its node's events and variables, are touched
 // only by that loop; the inbox is the one structure other loops write.
-// The events are records held by value in a slice indexed by handle, so
-// signalling or waiting hashes nothing and allocates nothing. The queue
-// order is:
+// The events are records held by value in pages indexed by handle, so
+// signalling or waiting hashes nothing and, once a page is touched,
+// allocates nothing. The queue order is:
 //
 //   - agents arriving from other PEs and waiters handed a signal join
 //     the tail, so each link delivers in the order agents left (one
@@ -52,11 +52,11 @@ type realBackend struct {
 
 // peLoop is one PE's scheduler.
 type peLoop struct {
-	b      *realBackend
-	id     int
-	runq   sim.Ring[*Agent]
-	born   []*Agent    // children injected during the running step
-	events []realEvent // the node's events by handle id, one record per event
+	b     *realBackend
+	id    int
+	runq  sim.Ring[*Agent]
+	born  []*Agent     // children injected during the running step
+	pages []*eventPage // the node's event records by handle id, a page at first touch
 
 	mu      sync.Mutex
 	inbox   []*Agent // arrivals from other loops, under mu
@@ -75,14 +75,31 @@ type realEvent struct {
 	last  *Agent
 }
 
-// event returns the record of ev. Run sizes every loop's table to the
-// events minted before it, so the table grows only for events the string
-// forms of WaitEvent and SignalEvent mint while the program runs.
+// pageBits sets the events per page of a loop's event table: 512
+// records, 8 KB.
+const pageBits = 9
+
+// eventPage holds the records of 1<<pageBits consecutive handles.
+type eventPage [1 << pageBits]realEvent
+
+// event returns the loop's record of ev. A loop's events are paged: the
+// page holding a handle is allocated at the loop's first touch of it,
+// so a loop pays only for the handle runs its PE uses (a quarter of a
+// Phase2D solve's, whose EP:i:j:k events for one row-half are runs of
+// 512 on one PE). Run sizes the page index to the events minted before
+// it; it grows only for events the string forms of WaitEvent and
+// SignalEvent mint while the program runs.
 func (l *peLoop) event(ev Event) *realEvent {
-	if int(ev.id) >= len(l.events) {
-		l.events = append(l.events, make([]realEvent, int(ev.id)+1-len(l.events))...)
+	p := int(ev.id >> pageBits)
+	if p >= len(l.pages) {
+		l.pages = append(l.pages, make([]*eventPage, p+1-len(l.pages))...)
 	}
-	return &l.events[ev.id]
+	pg := l.pages[p]
+	if pg == nil {
+		pg = new(eventPage)
+		l.pages[p] = pg
+	}
+	return &pg[ev.id&(1<<pageBits-1)]
 }
 
 // NewReal builds a NavP system of n nodes, each run by one goroutine
@@ -98,12 +115,9 @@ func NewReal(cfg Config, n int) *System {
 
 func (b *realBackend) run(s *System) error {
 	b.started = time.Now()
-	// One table per loop, sized once. Growing each to the highest
-	// handle its loop touches allocated more, not less (3.2 MB against
-	// 2.2 MB a paper-fine Phase2D solve): append copies as it grows, and
-	// half the loops touch handles near the system's last.
+	pages := (int(s.nevents.Load()) + 1<<pageBits - 1) >> pageBits
 	for _, l := range b.pes {
-		l.events = make([]realEvent, s.nevents.Load())
+		l.pages = make([]*eventPage, pages)
 	}
 	for _, pi := range s.pending {
 		b.pes[pi.node].runq.PushBack(b.spawn(s, pi.name, s.nodes[pi.node], pi.fn))
@@ -130,7 +144,7 @@ func (b *realBackend) run(s *System) error {
 }
 
 // spawn creates an agent on nd whose body is a suspended coroutine.
-func (b *realBackend) spawn(s *System, name string, nd *Node, fn func(*Agent)) *Agent {
+func (b *realBackend) spawn(s *System, name Name, nd *Node, fn func(*Agent)) *Agent {
 	ag := newAgent(s, name, nd)
 	ag.co.Start(fn, ag)
 	b.live.Add(1)
@@ -241,16 +255,21 @@ func (b *realBackend) unwind(s *System) error {
 	dl := &sim.DeadlockError{Time: b.elapsed()}
 	var parked []*Agent
 	for _, l := range b.pes {
-		for id, ev := range l.events {
-			if ev.last == nil {
+		for p, pg := range l.pages {
+			if pg == nil {
 				continue
 			}
-			name := s.eventName(Event{s.id, uint32(id)})
-			for w := ev.last.link; ; w = w.link {
-				dl.Blocked = append(dl.Blocked, fmt.Sprintf("%s (waiting on %s@%d)", w.name, name, l.id))
-				parked = append(parked, w)
-				if w == ev.last {
-					break
+			for i, ev := range pg {
+				if ev.last == nil {
+					continue
+				}
+				name := s.EventName(Event{s.id, uint32(p<<pageBits + i)})
+				for w := ev.last.link; ; w = w.link {
+					dl.Blocked = append(dl.Blocked, fmt.Sprintf("%s (waiting on %s@%d)", w.Name(), name, l.id))
+					parked = append(parked, w)
+					if w == ev.last {
+						break
+					}
 				}
 			}
 		}
@@ -270,7 +289,7 @@ func (b *realBackend) hop(ag *Agent, dst int) {
 	ag.node = ag.sys.nodes[dst]
 	if ag.sys.tracer != nil {
 		now := b.elapsed()
-		ag.sys.record(trace.TraceEvent{Kind: trace.TraceHop, Agent: ag.name, From: src, To: dst,
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceHop, Agent: ag.Name(), From: src, To: dst,
 			Bytes: ag.PayloadBytes(), Start: now, End: now})
 	}
 	ag.co.Suspend()
@@ -283,7 +302,7 @@ func (b *realBackend) computeStart(ag *Agent) sim.Time { return b.stamp(ag.sys) 
 func (b *realBackend) computeEnd(ag *Agent, flops float64, start sim.Time) {
 	if ag.sys.tracer != nil {
 		id := ag.node.id
-		ag.sys.record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: ag.name, From: id, To: id,
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: ag.Name(), From: id, To: id,
 			Start: start, End: b.elapsed()})
 	}
 }
@@ -306,8 +325,8 @@ func (b *realBackend) wait(ag *Agent, ev Event) {
 		ag.co.Suspend()
 	}
 	if ag.sys.tracer != nil {
-		ag.sys.record(trace.TraceEvent{Kind: trace.TraceWait, Agent: ag.name, From: nd.id, To: nd.id,
-			Label: ag.sys.eventName(ev), Start: start, End: b.elapsed()})
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceWait, Agent: ag.Name(), From: nd.id, To: nd.id,
+			Label: ag.sys.EventName(ev), Start: start, End: b.elapsed()})
 	}
 }
 
@@ -330,7 +349,7 @@ func (b *realBackend) signal(ag *Agent, ev Event) {
 	l.runq.PushBack(w)
 }
 
-func (b *realBackend) inject(parent *Agent, name string, fn func(*Agent)) {
+func (b *realBackend) inject(parent *Agent, name Name, fn func(*Agent)) {
 	l := b.pes[parent.node.id]
 	l.born = append(l.born, b.spawn(parent.sys, name, parent.node, fn))
 }

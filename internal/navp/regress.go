@@ -46,9 +46,10 @@ const eventFanWidth = 32 * 32 * 32
 // touched since its last lap, as Phase2D's EP:i:j:k events do.
 func BenchEventFan(n int) error {
 	s := NewReal(Config{}, 1)
+	tab := s.Events("fan", min(n, eventFanWidth))
 	fan := make([]Event, min(n, eventFanWidth))
 	for i := range fan {
-		fan[i] = s.Event("fan")
+		fan[i] = tab.At(i)
 	}
 	s.Inject(0, "fanner", func(ag *Agent) {
 		for i := 0; i < n; i++ {

@@ -56,9 +56,9 @@ func (b *simBackend) run(s *System) error {
 
 // spawn starts an agent on nd as a kernel process, named after the agent
 // and its birth node in deadlock diagnostics.
-func (b *simBackend) spawn(s *System, name string, nd *Node, fn func(*Agent)) {
+func (b *simBackend) spawn(s *System, name Name, nd *Node, fn func(*Agent)) {
 	ag := newAgent(s, name, nd)
-	b.kernel.Spawn(fmt.Sprintf("%s@n%d", name, nd.id), func(p *sim.Proc) {
+	b.kernel.Spawn(fmt.Sprintf("%s@n%d", ag.Name(), nd.id), func(p *sim.Proc) {
 		ag.proc = p
 		fn(ag)
 	})
@@ -81,7 +81,7 @@ func (b *simBackend) hop(ag *Agent, dst int) {
 		ag.proc.Sleep(ag.sys.cfg.HopOverhead)
 	}
 	ag.node = ag.sys.nodes[dst]
-	ag.sys.record(trace.TraceEvent{Kind: trace.TraceHop, Agent: ag.name, From: src, To: dst,
+	ag.sys.record(trace.TraceEvent{Kind: trace.TraceHop, Agent: ag.Name(), From: src, To: dst,
 		Bytes: bytes, Start: start, End: ag.proc.Now()})
 }
 
@@ -94,7 +94,7 @@ func (b *simBackend) computeStart(ag *Agent) sim.Time {
 
 func (b *simBackend) computeEnd(ag *Agent, flops float64, start sim.Time) {
 	b.cluster.PEs[ag.node.id].EndCompute(ag.proc, flops)
-	ag.sys.record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: ag.name, From: ag.node.id,
+	ag.sys.record(trace.TraceEvent{Kind: trace.TraceCompute, Agent: ag.Name(), From: ag.node.id,
 		To: ag.node.id, Start: start, End: ag.proc.Now()})
 }
 
@@ -107,7 +107,7 @@ func (b *simBackend) simEvent(s *System, nd *Node, ev Event) *sim.Event {
 		b.events[nd.id] = events
 	}
 	if events[ev.id] == nil {
-		events[ev.id] = sim.NewEvent(fmt.Sprintf("n%d:%s", nd.id, s.eventName(ev)))
+		events[ev.id] = sim.NewEvent(fmt.Sprintf("n%d:%s", nd.id, s.EventName(ev)))
 	}
 	return events[ev.id]
 }
@@ -120,8 +120,8 @@ func (b *simBackend) wait(ag *Agent, ev Event) {
 	node := ag.node // record the wait against the node we waited on
 	b.simEvent(ag.sys, node, ev).Wait(ag.proc)
 	if ag.sys.tracer != nil {
-		ag.sys.record(trace.TraceEvent{Kind: trace.TraceWait, Agent: ag.name, From: node.id,
-			To: node.id, Label: ag.sys.eventName(ev), Start: start, End: ag.proc.Now()})
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceWait, Agent: ag.Name(), From: node.id,
+			To: node.id, Label: ag.sys.EventName(ev), Start: start, End: ag.proc.Now()})
 	}
 }
 
@@ -131,17 +131,17 @@ func (b *simBackend) signal(ag *Agent, ev Event) {
 	}
 	b.simEvent(ag.sys, ag.node, ev).Signal()
 	if ag.sys.tracer != nil {
-		ag.sys.record(trace.TraceEvent{Kind: trace.TraceSignal, Agent: ag.name, From: ag.node.id,
-			To: ag.node.id, Label: ag.sys.eventName(ev), Start: ag.proc.Now(), End: ag.proc.Now()})
+		ag.sys.record(trace.TraceEvent{Kind: trace.TraceSignal, Agent: ag.Name(), From: ag.node.id,
+			To: ag.node.id, Label: ag.sys.EventName(ev), Start: ag.proc.Now(), End: ag.proc.Now()})
 	}
 }
 
-func (b *simBackend) inject(parent *Agent, name string, fn func(*Agent)) {
+func (b *simBackend) inject(parent *Agent, name Name, fn func(*Agent)) {
 	if o := parent.sys.cfg.InjectOverhead; o > 0 {
 		parent.proc.Sleep(o)
 	}
-	parent.sys.record(trace.TraceEvent{Kind: trace.TraceInject, Agent: parent.name,
-		From: parent.node.id, To: parent.node.id, Label: name,
+	parent.sys.record(trace.TraceEvent{Kind: trace.TraceInject, Agent: parent.Name(),
+		From: parent.node.id, To: parent.node.id, Label: name.String(),
 		Start: parent.proc.Now(), End: parent.proc.Now()})
 	b.spawn(parent.sys, name, parent.node, fn)
 }

@@ -116,9 +116,7 @@ func newState(cfg Config) *state {
 		st.B = matrix.NewBlocked(cfg.N, cfg.BS, true)
 		st.out = matrix.NewBlocked(cfg.N, cfg.BS, true)
 	} else {
-		a, b := Inputs(cfg)
-		st.A = matrix.Partition(a, cfg.BS)
-		st.B = matrix.Partition(b, cfg.BS)
+		st.A, st.B = matrix.RandomBlockedPair(matrix.NewSeeded(cfg.Seed), cfg.N, cfg.BS)
 		st.out = matrix.NewBlocked(cfg.N, cfg.BS, false)
 	}
 	return st
