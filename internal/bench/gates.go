@@ -75,11 +75,17 @@ package bench
 //     on the same host, in every run with GOMAXPROCS ≥ 2 (a goroutine
 //     per agent, a CPU mutex per compute and a sync.Cond park per wait
 //     read 4.4–4.6×; one coroutine loop per PE reads 3.3–3.8×);
+//   - one agent per PE doing a same-PE hop, signal and wait takes at
+//     most 1.3× as long at two PEs as at one, in every run with
+//     GOMAXPROCS ≥ 2: such actions touch only their own PE's state, so
+//     a second PE slows them only if the loops share a written cache
+//     line (the process-wide counter every action bumped read 4.3–5.5×,
+//     per-node counts 1.01–1.20×); quick runs allow 1.95×;
 //   - an event round trip on one PE, a signal/wait pair on each of
 //     32 768 events in turn and a hop between PEs make no allocation (the
 //     waiter FIFO is intrusive, the event records are values in a table
 //     indexed by handle, the run queue is a ring and the inbox a swapped
-//     pair of buffers);
+//     pair of buffers), nor do the same-PE actions at one or two PEs;
 //   - a block product allocates nothing, so the two paper-fine solves
 //     stay within about 1.1× of their measured allocation counts
 //     (Phase2D 37.6 k, Sequential 6.2 k; 314.6 k and 44.1 k while names
@@ -156,12 +162,18 @@ const (
 	// gateFineRatio caps BenchmarkPhase2DFine over
 	// BenchmarkSequentialFine (runs with GOMAXPROCS ≥ 2).
 	gateFineRatio = 4.0
+	// gateLocalOpsScale caps BenchmarkLocalOpsReal/pes=2 over pes=1
+	// (runs with GOMAXPROCS ≥ 2); quick runs multiply it by
+	// gateQuickLocalOpsSlack.
+	gateLocalOpsScale      = 1.3
+	gateQuickLocalOpsSlack = 1.5
 	// gateEventRoundTripAllocs and gateHopAllocs cap the goroutine
 	// runtime's allocations per event round trip, per signal/wait pair
 	// over many events and per hop (all runs).
 	gateEventRoundTripAllocs = 0
 	gateEventFanAllocs       = 0
 	gateHopAllocs            = 0
+	gateLocalOpsAllocs       = 0
 	// gateProcessSwitchAllocs and gateSignalWaitAllocs cap the
 	// simulation kernel's allocations per process switch and per event
 	// signal/wait pair (all runs).
@@ -189,8 +201,9 @@ func (f *RegressFile) CheckGates() []error {
 }
 
 // checkNavpGates holds paper-fine's Phase2D to a multiple of its
-// Sequential twin, and the kernel's switch and event pair, the
-// runtime's hop and event hand-off and both paper-fine solves to their
+// Sequential twin, same-PE actions at two PEs to a multiple of one PE's,
+// and the kernel's switch and event pair, the runtime's hop, event
+// hand-off and same-PE actions and both paper-fine solves to their
 // allocation counts.
 func (f *RegressFile) checkNavpGates() []error {
 	var errs []error
@@ -207,6 +220,19 @@ func (f *RegressFile) checkNavpGates() []error {
 	case phase2d.NsPerOp/seq.NsPerOp > gateFineRatio:
 		fail("Phase2DFine is %.2fx SequentialFine, above the %.1fx ceiling — the runtime's control overhead outweighs four PEs", phase2d.NsPerOp/seq.NsPerOp, gateFineRatio)
 	}
+	scale := gateLocalOpsScale
+	if f.Quick {
+		scale *= gateQuickLocalOpsSlack
+	}
+	one, two := f.Find("BenchmarkLocalOpsReal/pes=1"), f.Find("BenchmarkLocalOpsReal/pes=2")
+	switch {
+	case one == nil || two == nil || one.NsPerOp <= 0:
+		fail("no BenchmarkLocalOpsReal pes=1/pes=2 pair recorded")
+	case f.GOMAXPROCS < 2:
+		// Both PEs' loops take turns on one CPU: pes=2 does twice the work.
+	case two.NsPerOp/one.NsPerOp > scale:
+		fail("LocalOpsReal at 2 PEs is %.2fx 1 PE, above the %.2fx ceiling — the PEs' loops share a written cache line", two.NsPerOp/one.NsPerOp, scale)
+	}
 	for _, c := range []struct {
 		name string
 		max  int64
@@ -216,6 +242,8 @@ func (f *RegressFile) checkNavpGates() []error {
 		{"BenchmarkEventRoundTripReal", gateEventRoundTripAllocs},
 		{"BenchmarkEventFanReal", gateEventFanAllocs},
 		{"BenchmarkHopReal", gateHopAllocs},
+		{"BenchmarkLocalOpsReal/pes=1", gateLocalOpsAllocs},
+		{"BenchmarkLocalOpsReal/pes=2", gateLocalOpsAllocs},
 		{"BenchmarkPhase2DFine", gatePhase2DFineAllocs},
 		{"BenchmarkSequentialFine", gateSequentialFineAllocs},
 	} {

@@ -349,6 +349,8 @@ func navpGateFile() *RegressFile {
 		{Name: "BenchmarkEventSignalWait", NsPerOp: 570},
 		{Name: "BenchmarkEventFanReal", NsPerOp: 17},
 		{Name: "BenchmarkGentlemanFine", NsPerOp: 20e6, AllocsPerOp: 12.8e3},
+		{Name: "BenchmarkLocalOpsReal/pes=1", NsPerOp: 11.6},
+		{Name: "BenchmarkLocalOpsReal/pes=2", NsPerOp: 11.9},
 	}}
 }
 
@@ -357,8 +359,10 @@ func navpGateFile() *RegressFile {
 // allocation per event round trip, per signal/wait pair of the event
 // fan, per hop, per kernel process switch or per kernel signal/wait
 // pair, and a paper-fine solve over its allocation cap (one at its cap
-// passes). A one-CPU host skips the ratio, never the allocation gates;
-// the ratio to Gentleman's Algorithm is never gated.
+// passes). Same-PE actions that slow at two PEs, as they did while
+// every PE bumped one process-wide counter, fail, as does an allocation
+// among them. A one-CPU host skips the ratios, never the allocation
+// gates; the ratio to Gentleman's Algorithm is never gated.
 func TestNavpGates(t *testing.T) {
 	if errs := navpGateFile().CheckGates(); len(errs) != 0 {
 		t.Fatalf("run-loop numbers violated gates: %v", errs)
@@ -411,9 +415,37 @@ func TestNavpGates(t *testing.T) {
 		!hasViolation(errs, "BenchmarkSequentialFine makes 68 allocations per op, above 67") {
 		t.Fatalf("paper-fine solves over their allocation caps passed: %v", errs)
 	}
+	f = navpGateFile()
+	f.Results[9].NsPerOp = 118.4 // the shared counter's 10.2x
+	if errs := f.CheckGates(); !hasViolation(errs, "LocalOpsReal at 2 PEs is 10.21x 1 PE, above the 1.30x ceiling") {
+		t.Fatalf("same-PE actions 10x slower at two PEs passed: %v", errs)
+	}
+	f.GOMAXPROCS = 1
+	if errs := f.CheckGates(); len(errs) != 0 {
+		t.Fatalf("the local-ops ratio gate applied on one CPU: %v", errs)
+	}
+	f = navpGateFile()
+	f.Results[9].NsPerOp = 20 // 1.72x: over the full-run ceiling, under the quick one
+	if errs := f.CheckGates(); !hasViolation(errs, "above the 1.30x ceiling") {
+		t.Fatalf("a 1.72x local-ops ratio passed a full run: %v", errs)
+	}
+	f.Quick = true
+	if errs := f.CheckGates(); len(errs) != 0 {
+		t.Fatalf("a 1.72x local-ops ratio failed a quick run: %v", errs)
+	}
+	f.Results[9].NsPerOp = 25
+	if errs := f.CheckGates(); !hasViolation(errs, "LocalOpsReal at 2 PEs is 2.16x 1 PE, above the 1.95x ceiling") {
+		t.Fatalf("a 2.16x local-ops ratio passed a quick run: %v", errs)
+	}
+	f = navpGateFile()
+	f.Results[8].AllocsPerOp = 1
+	if errs := f.CheckGates(); !hasViolation(errs, "BenchmarkLocalOpsReal/pes=1 makes 1 allocations per op, above 0") {
+		t.Fatalf("an allocation per same-PE round passed: %v", errs)
+	}
 	missing := &RegressFile{Schema: 2, Suite: "navp", GOMAXPROCS: 2}
 	if errs := missing.CheckGates(); !hasViolation(errs, "no BenchmarkPhase2DFine/SequentialFine pair") ||
-		!hasViolation(errs, "no BenchmarkHopReal") || !hasViolation(errs, "no BenchmarkProcessSwitch") {
+		!hasViolation(errs, "no BenchmarkHopReal") || !hasViolation(errs, "no BenchmarkProcessSwitch") ||
+		!hasViolation(errs, "no BenchmarkLocalOpsReal pes=1/pes=2 pair") {
 		t.Fatalf("a navp file without its rows passed: %v", errs)
 	}
 }

@@ -85,12 +85,17 @@ func newRegressFile(suite string, quick bool) *RegressFile {
 var sinkDense *matrix.Dense
 
 // benchmarked runs body under testing.Benchmark and fills the common
-// counters.
+// counters. ns/op keeps its fraction: testing's NsPerOp truncates to
+// whole nanoseconds, a tenth of an 11 ns row.
 func benchmarked(name string, body func(b *testing.B)) RegressResult {
 	r := testing.Benchmark(body)
+	var ns float64
+	if r.N > 0 {
+		ns = float64(r.T.Nanoseconds()) / float64(r.N)
+	}
 	return RegressResult{
 		Name:        name,
-		NsPerOp:     float64(r.NsPerOp()),
+		NsPerOp:     ns,
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
 	}
@@ -370,8 +375,10 @@ func RegressWire(quick bool) (*RegressFile, error) {
 // RegressNavp measures the two executors of NavP programs. First the
 // simulation kernel (internal/sim): a process switch and an event
 // signal/wait pair. Then the goroutine runtime (navp.NewReal): a
-// cross-PE hop, a same-PE event round trip and signal/wait pairs fanned
-// over 32 768 events, then whole solves on it: in full runs
+// cross-PE hop, a same-PE event round trip, signal/wait pairs fanned
+// over 32 768 events, and a same-PE hop, signal and wait of one agent
+// per PE at one and two PEs (alternated; the navp gate reads their
+// ratio), then whole solves on it: in full runs
 // paper-coarse's Phase1D, which is sensitive to the run loop's queue
 // order, and always paper-fine's Phase2D beside its Sequential twin (the
 // ratio the navp gate reads) and Gentleman's Algorithm on the goroutine
@@ -406,11 +413,20 @@ func RegressNavp(quick bool) (*RegressFile, error) {
 				}
 			})
 			if err != nil {
-				return res, fmt.Errorf("bench: navp solve: %w", err)
+				return res, fmt.Errorf("bench: %s: %w", name, err)
 			}
 			return res, nil
 		}
 	}
+	localOps := func(pes int) func() (RegressResult, error) {
+		return measure(fmt.Sprintf("BenchmarkLocalOpsReal/pes=%d", pes),
+			func(n int) error { return navp.BenchLocalOps(pes, n) })
+	}
+	local, err := alternated(3, localOps(1), localOps(2))
+	if err != nil {
+		return nil, err
+	}
+	f.Results = append(f.Results, local...)
 	solve := func(stage matmul.Stage, cfg matmul.Config) func(n int) error {
 		return func(n int) error {
 			for i := 0; i < n; i++ {

@@ -26,7 +26,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Access declares one data cell an item touches.
@@ -301,31 +300,4 @@ func GridSweep(rows, cols int, flops float64, node func(col int) int) []Item {
 		}
 	}
 	return items
-}
-
-// ThreadNames returns the plan's thread names in injection order
-// (diagnostics).
-func (p *Plan) ThreadNames() []string {
-	names := make([]string, len(p.Threads))
-	for i, t := range p.Threads {
-		names[i] = t.Name
-	}
-	return names
-}
-
-// NodesUsed returns the sorted set of nodes any item is pinned to.
-func (p *Plan) NodesUsed() []int {
-	set := map[int]bool{}
-	for _, t := range p.Threads {
-		set[t.Start] = true
-		for _, it := range t.Items {
-			set[it.Node] = true
-		}
-	}
-	var out []int
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Ints(out)
-	return out
 }

@@ -288,18 +288,6 @@ func TestTransformationsReduceMakespan(t *testing.T) {
 	}
 }
 
-func TestNodesUsedAndThreadNames(t *testing.T) {
-	p := Pipeline(sweepPlan(2, 3), groupByRow)
-	nodes := p.NodesUsed()
-	if len(nodes) != 3 || nodes[0] != 0 || nodes[2] != 2 {
-		t.Fatalf("NodesUsed = %v", nodes)
-	}
-	names := p.ThreadNames()
-	if len(names) != 2 || names[0] != "sweep/row0" {
-		t.Fatalf("ThreadNames = %v", names)
-	}
-}
-
 func TestCheckPropertyRandomCommutativeSweepsSafe(t *testing.T) {
 	// Property: any pipeline+rotation of a sweep whose writes are all
 	// commutative per-cell and whose cells are disjoint across rows

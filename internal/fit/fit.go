@@ -25,9 +25,6 @@ func (p Poly) Eval(x float64) float64 {
 	return v
 }
 
-// Degree returns the polynomial's degree.
-func (p Poly) Degree() int { return len(p.Coeffs) - 1 }
-
 // PolyFit fits a least-squares polynomial of the given degree to the
 // points (xs[i], ys[i]) by solving the normal equations. It requires at
 // least degree+1 points. Inputs are scaled internally for conditioning,

@@ -100,10 +100,6 @@ func (pg *Pager) Warm(key string, bytes int64) {
 	pg.bytesPaged -= bytes
 }
 
-// Fits reports whether a working set of the given size is fully resident
-// at once.
-func (pg *Pager) Fits(bytes int64) bool { return bytes <= pg.capacity }
-
 func (pg *Pager) pushFront(e *pageEntry) {
 	e.prev = nil
 	e.next = pg.head

@@ -207,12 +207,6 @@ func Assemble(n, bs int, block func(br, bc int) *Block) *Dense {
 	return d
 }
 
-// TotalBytes returns the logical size of the whole matrix for the given
-// element width.
-func (bm *Blocked) TotalBytes(elemBytes int) int64 {
-	return int64(bm.N) * int64(bm.N) * int64(elemBytes)
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

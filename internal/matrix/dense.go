@@ -159,14 +159,3 @@ func MulSaxpy(a, b *Dense) *Dense {
 	}
 	return c
 }
-
-// MulBlocked returns a×b computed with the packed kernel using the
-// given algorithmic block size as its cache-blocking granule — the
-// sequential kernel the paper times. Shapes need not be multiples of
-// the block size.
-func MulBlocked(a, b *Dense, block int) *Dense {
-	if block <= 0 {
-		panic("matrix: block size must be positive")
-	}
-	return Kernel{mc: block, kc: block}.Mul(a, b)
-}

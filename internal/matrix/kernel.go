@@ -76,7 +76,7 @@ const (
 )
 
 // Kernel is a configurable GEMM driver. The zero value is the serial
-// fast path used by Mul, MulBlocked, and Block MulAdd: it runs the best
+// fast path used by Mul and Block MulAdd: it runs the best
 // micro-kernel the host supports with that variant's own blocking.
 // Threads > 1 additionally spreads column panels of C over a worker pool
 // (real OS concurrency — see parallel.go for why this stays outside the

@@ -217,18 +217,6 @@ func TestBlockMulAddMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestMulBlockedStillMatches pins the public MulBlocked contract after
-// its rerouting through the kernel: any positive block size, aligned or
-// not, yields the oracle's product.
-func TestMulBlockedStillMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	a, b := randDense(rng, 59, 47), randDense(rng, 47, 53)
-	want := mulNaive(a, b)
-	for _, bs := range []int{1, 3, 16, 64, 100} {
-		equalOrBothNaN(t, MulBlocked(a, b, bs), want, kernelTol(47))
-	}
-}
-
 // TestPackAPadsAndInterleaves pins the packed-A layout: mr-tall
 // micro-panels, k-major within a panel, zero padding past the last row.
 func TestPackAPadsAndInterleaves(t *testing.T) {

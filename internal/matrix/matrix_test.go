@@ -48,19 +48,6 @@ func TestMulShapeMismatchPanics(t *testing.T) {
 	Mul(NewDense(2, 3), NewDense(2, 3))
 }
 
-func TestMulBlockedMatchesMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 5, 8, 16, 17, 33} {
-		for _, bs := range []int{1, 3, 4, 8, 100} {
-			a := randDense(rng, n, n)
-			b := randDense(rng, n, n)
-			if !MulBlocked(a, b, bs).EqualApprox(Mul(a, b), 1e-9) {
-				t.Fatalf("n=%d bs=%d: blocked result differs", n, bs)
-			}
-		}
-	}
-}
-
 func TestMulLinearityProperty(t *testing.T) {
 	// Property: A(B + C) == AB + AC within floating tolerance.
 	rng := rand.New(rand.NewSource(3))

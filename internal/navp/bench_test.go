@@ -1,6 +1,7 @@
 package navp
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/machine"
@@ -73,6 +74,19 @@ func BenchmarkEventRoundTripReal(b *testing.B) {
 func BenchmarkEventFanReal(b *testing.B) {
 	if err := BenchEventFan(b.N); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkLocalOpsReal measures a same-PE hop, signal and wait of one
+// agent per PE on the goroutine backend, at one and two PEs: with one
+// core per PE, pes=2 should read as pes=1.
+func BenchmarkLocalOpsReal(b *testing.B) {
+	for _, pes := range []int{1, 2} {
+		b.Run(fmt.Sprintf("pes=%d", pes), func(b *testing.B) {
+			if err := BenchLocalOps(pes, b.N); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }
 

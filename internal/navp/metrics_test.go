@@ -106,3 +106,82 @@ func TestRealBackendCountsMatchSim(t *testing.T) {
 		}
 	}
 }
+
+// TestProgramCountsFoldedAtRunEnd runs agents on four PEs at once, on
+// both backends, and requires the exact navp.* counts the program
+// makes, also from a run that deadlocks: each node counts its own
+// agents' actions, and Run adds them to the registry when the backend
+// returns, whatever it returns. Under -race, a count written off its
+// node's loop is reported.
+func TestProgramCountsFoldedAtRunEnd(t *testing.T) {
+	const pes, rounds = 4, 50
+	// Each PE's agent takes a token to the next PE and back, rounds
+	// times, then hops in place and waits for the child it injects.
+	ring := func(s *System) {
+		tok, done := s.Event("tok"), s.Event("done")
+		for p := 0; p < pes; p++ {
+			s.Inject(p, "ring", func(ag *Agent) {
+				for r := 0; r < rounds; r++ {
+					ag.Hop((p + 1) % pes)
+					ag.Signal(tok)
+					ag.Hop(p)
+					ag.Wait(tok)
+				}
+				ag.Hop(p)
+				ag.Inject("child", func(c *Agent) { c.Signal(done) })
+				ag.Wait(done)
+			})
+		}
+	}
+	// Each PE's agent hops to the next PE, signals there, injects a
+	// child and waits, as the child does, on an event nobody signals.
+	stuck := func(s *System) {
+		never, sent := s.Event("never"), s.Event("sent")
+		for p := 0; p < pes; p++ {
+			s.Inject(p, "stuck", func(ag *Agent) {
+				ag.Hop((p + 1) % pes)
+				ag.Signal(sent)
+				ag.Inject("child", func(c *Agent) { c.Wait(never) })
+				ag.Wait(never)
+			})
+		}
+	}
+	type counts struct{ hops, injects, waits, signals int64 }
+	for _, c := range []struct {
+		name     string
+		program  func(*System)
+		deadlock bool
+		want     counts
+	}{
+		{"ring", ring, false, counts{pes * (2*rounds + 1), 2 * pes, pes * (rounds + 1), pes * (rounds + 1)}},
+		{"deadlock", stuck, true, counts{pes, 2 * pes, 2 * pes, pes}},
+	} {
+		for _, backend := range []struct {
+			name string
+			new  func() *System
+		}{
+			{"sim", func() *System { return NewSim(DefaultConfig(), machine.SunBlade100(), pes) }},
+			{"real", func() *System { return NewReal(DefaultConfig(), pes) }},
+		} {
+			t.Run(c.name+"/"+backend.name, func(t *testing.T) {
+				reg := metrics.NewRegistry()
+				s := backend.new()
+				s.SetMetrics(reg)
+				c.program(s)
+				err := s.Run()
+				if _, ok := err.(*sim.DeadlockError); ok != c.deadlock {
+					t.Fatalf("Run = %v, deadlock expected: %v", err, c.deadlock)
+				}
+				if !c.deadlock && err != nil {
+					t.Fatal(err)
+				}
+				snap := reg.Snapshot()
+				got := counts{snap.Counter(MetricHops), snap.Counter(MetricInjects),
+					snap.Counter(MetricWaits), snap.Counter(MetricSignals)}
+				if got != c.want {
+					t.Fatalf("hops/injects/waits/signals = %+v, want %+v", got, c.want)
+				}
+			})
+		}
+	}
+}

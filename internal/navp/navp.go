@@ -21,6 +21,11 @@
 // text. An agent's name is kept the same way when it is injected with
 // InjectNamed(Named("ACarrier", i, j), ...): formatted at its first read.
 //
+// A System counts its program's hops, injections, waits and signals
+// (MetricHops and the rest) per node, in plain integers only the node's
+// loop writes, and adds them to the registry installed with SetMetrics
+// when Run returns: PEs share no counter while the program runs.
+//
 //	sys := navp.NewSim(navp.DefaultConfig(), machine.SunBlade100(), 2)
 //	x, done := sys.Var("x"), sys.Event("done")
 //	sys.Node(1).Set(x, 42)
@@ -93,7 +98,6 @@ type System struct {
 	backend backend
 	tracer  trace.Tracer
 	metrics *metrics.Registry
-	met     *navpMetrics
 	pending []pendingInject
 	ran     bool
 
@@ -111,7 +115,7 @@ type System struct {
 
 // newSystem builds a system of n nodes on backend b.
 func newSystem(cfg Config, b backend, n int) *System {
-	s := &System{id: systems.Add(1), cfg: cfg, backend: b, met: newNavpMetrics(nil)}
+	s := &System{id: systems.Add(1), cfg: cfg, backend: b}
 	for i := 0; i < n; i++ {
 		s.nodes = append(s.nodes, &Node{id: i, sys: s})
 	}
@@ -146,11 +150,13 @@ type backend interface {
 // While the program runs, a node's variables belong to the agents on
 // it, as its CPU does: on the goroutine backend only the node's loop
 // touches them, so they take no lock. Set them up before Run and read
-// the results after it.
+// the results after it. The node's counts of program actions belong to
+// its loop the same way.
 type Node struct {
-	id   int
-	sys  *System
-	vars []any // by Var id, grown to the highest id set
+	id     int
+	sys    *System
+	vars   []any // by Var id, grown to the highest id set
+	counts programCounts
 }
 
 // ID returns the node's identifier (0..n-1).
@@ -245,9 +251,9 @@ func (s *System) Run() error {
 		return fmt.Errorf("navp: Run: %w", ErrSystemDone)
 	}
 	s.ran = true
-	// Staged injections are counted here rather than in Inject, so a
-	// registry installed after staging still sees them.
-	s.met.injects.Add(int64(len(s.pending)))
+	// The program's counts reach the registry once, when the backend
+	// returns, however it returns; staged injections count with them.
+	defer s.foldCounts(int64(len(s.pending)))
 	return s.backend.run(s)
 }
 
@@ -416,7 +422,7 @@ func (ag *Agent) Hop(dst int) {
 	if dst < 0 || dst >= len(ag.sys.nodes) {
 		panic(fmt.Sprintf("navp: agent %q hop to node %d of %d", ag.Name(), dst, len(ag.sys.nodes)))
 	}
-	ag.sys.met.hops.Inc()
+	ag.node.counts.hops++
 	ag.sys.backend.hop(ag, dst)
 }
 
@@ -438,14 +444,14 @@ func (ag *Agent) Compute(flops float64, fn func()) {
 // signal, then consumes it (counting semantics; signals are never lost).
 func (ag *Agent) Wait(ev Event) {
 	ag.sys.checkEvent(ev)
-	ag.sys.met.waits.Inc()
+	ag.node.counts.waits++
 	ag.sys.backend.wait(ag, ev)
 }
 
 // Signal posts one signal of event ev on the current node.
 func (ag *Agent) Signal(ev Event) {
 	ag.sys.checkEvent(ev)
-	ag.sys.met.signals.Inc()
+	ag.node.counts.signals++
 	ag.sys.backend.signal(ag, ev)
 }
 
@@ -470,7 +476,7 @@ func (ag *Agent) Inject(name string, fn func(*Agent)) { ag.InjectNamed(Named(nam
 // InjectNamed is Inject for a child whose name is kept in parts, such
 // as Named("ACarrier", i, j), and formatted only if it is read.
 func (ag *Agent) InjectNamed(name Name, fn func(*Agent)) {
-	ag.sys.met.injects.Inc()
+	ag.node.counts.injects++
 	ag.sys.backend.inject(ag, name, fn)
 }
 

@@ -60,3 +60,24 @@ func BenchEventFan(n int) error {
 	})
 	return s.Run()
 }
+
+// BenchLocalOps runs one agent on each of pes PEs of a goroutine-backed
+// system, each doing n rounds of a hop to its own PE, a signal and a
+// wait on its own event: actions a PE takes without another PE, so with
+// a core per PE, pes agents take no longer than one unless the loops
+// share a written cache line.
+func BenchLocalOps(pes, n int) error {
+	s := NewReal(Config{}, pes)
+	own := s.Events("local", pes)
+	for pe := 0; pe < pes; pe++ {
+		ev := own.At(pe)
+		s.Inject(pe, "local", func(ag *Agent) {
+			for i := 0; i < n; i++ {
+				ag.Hop(pe)
+				ag.Signal(ev)
+				ag.Wait(ev)
+			}
+		})
+	}
+	return s.Run()
+}
