@@ -59,18 +59,3 @@ func BenchmarkBarrier8(b *testing.B) {
 		b.Fatal(err)
 	}
 }
-
-// BenchmarkBcast8 measures the binomial broadcast on 8 ranks.
-func BenchmarkBcast8(b *testing.B) {
-	w := NewSimWorld(testHW(), 8)
-	n := b.N
-	b.ResetTimer()
-	err := w.Run(func(r *Rank) {
-		for i := 0; i < n; i++ {
-			r.Bcast(0, i, "payload", 256)
-		}
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-}

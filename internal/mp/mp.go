@@ -1,8 +1,8 @@
 // Package mp is a message-passing library in the style of MPI, providing
 // the subset the paper's Gentleman's Algorithm implementation uses
-// (§4): blocking Send, non-blocking Irecv, Wait, plus Barrier and Bcast
-// for the ScaLAPACK stand-in. Programs are SPMD: World.Run launches one
-// process per rank executing the same function.
+// (§4): blocking Send, non-blocking Irecv, Wait, plus Barrier. Programs
+// are SPMD: World.Run launches one process per rank executing the same
+// function.
 //
 // Send is synchronous (rendezvous protocol, as LAM/MPI uses for the
 // paper's megabyte-scale blocks): it blocks until the destination has
@@ -122,37 +122,6 @@ func (r *Rank) Recv(src, tag int) any {
 // Barrier blocks until every rank has entered it.
 func (r *Rank) Barrier() {
 	r.world.backend.barrier(r)
-}
-
-// Bcast distributes root's value to every rank along a binomial tree and
-// returns it; value is ignored on non-root ranks. bytes is the payload
-// size charged per tree edge.
-func (r *Rank) Bcast(root, tag int, value any, bytes int64) any {
-	size := r.world.size
-	if size == 1 {
-		return value
-	}
-	// Rotate so the root is virtual rank 0. In the binomial tree, virtual
-	// rank v's parent is v with its lowest set bit cleared, and its
-	// children are v+m for each power of two m below that bit.
-	vrank := (r.id - root + size) % size
-	top := 1
-	for top < size {
-		top <<= 1
-	}
-	childMask := top >> 1
-	if vrank != 0 {
-		lsb := vrank & -vrank
-		parent := (vrank - lsb + root) % size
-		value = r.Recv(parent, tag)
-		childMask = lsb >> 1
-	}
-	for m := childMask; m >= 1; m >>= 1 {
-		if child := vrank + m; child < size {
-			r.Send((child+root)%size, tag, value, bytes)
-		}
-	}
-	return value
 }
 
 // Compute performs fn, charging flops of CPU work on this rank's PE (one

@@ -198,30 +198,6 @@ func TestBarrierReusable(t *testing.T) {
 	})
 }
 
-func TestBcastFromEveryRoot(t *testing.T) {
-	for root := 0; root < 4; root++ {
-		root := root
-		eachWorld(t, 4, func(t *testing.T, w *World) {
-			vals := make([]any, 4)
-			err := w.Run(func(r *Rank) {
-				var v any
-				if r.ID() == root {
-					v = "payload"
-				}
-				vals[r.ID()] = r.Bcast(root, 9, v, 100)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, v := range vals {
-				if v != "payload" {
-					t.Fatalf("root %d: rank %d got %v", root, i, v)
-				}
-			}
-		})
-	}
-}
-
 func TestSimTransferTimeCharged(t *testing.T) {
 	w := NewSimWorld(testHW(), 2)
 	var recvDone sim.Time

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -291,22 +292,27 @@ func init() {
 	})
 }
 
-// crossProcessMigrationChaos runs one migration kill interleaving:
-// agents working on a source daemon are live-migrated to a destination
-// daemon, and mid-migration one side is SIGKILLed and respawned from
-// its state directory. Whichever side dies, the replay-ownership rule
-// must keep execution exactly-once: a migrated checkpoint is retired at
-// the source only after the destination's persist-then-ack, so a dead
-// destination means the source still owns the agent, and a dead source
-// means the pinned, persisted migration mark re-ships it on replay —
-// never both running it, never neither.
-func crossProcessMigrationChaos(t *testing.T, killDst bool) {
+// crossProcessMigrationChaos runs one kill interleaving of the one
+// migration the runtime performs: agents working on a source daemon are
+// evacuated by draining it into a destination daemon that is SIGKILLed
+// first, so every evacuation is shipped but unacknowledged; with killSrc
+// the source is SIGKILLed too while it waits, respawned, and its failed
+// drain re-issued, as an operator retries it. The replay-ownership rule
+// must keep execution exactly-once: an evacuated checkpoint is retired
+// at the source only after the destination's persist-then-ack, so the
+// source still owns every agent — its retry reaches the respawned
+// destination, or its respawned incarnation replays the checkpoint and
+// re-ships it to the pinned destination — never both running it, never
+// neither. (With the destination up, an evacuation spends about a
+// millisecond between its write and its ack, too short for a kill to
+// land in reliably.)
+func crossProcessMigrationChaos(t *testing.T, killSrc bool) {
 	if testing.Short() {
 		t.Skip("cross-process chaos test")
 	}
 	const (
 		src    = 1
-		dst    = 2
+		dst    = 2 // the drain's destination: the next live member after src
 		agents = 4
 		hops   = 300
 		ns     = uint64(91)
@@ -318,6 +324,19 @@ func crossProcessMigrationChaos(t *testing.T, killDst bool) {
 	}
 	defer rc.Close()
 	members := rc.Members()
+	respawn := func(node int) {
+		t.Helper()
+		p, err := procs[node].Respawn(members)
+		if err != nil {
+			t.Fatalf("respawn daemon %d: %v", node, err)
+		}
+		procs[node] = p
+	}
+	drain := func() <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- rc.DrainNode(src, time.Minute) }()
+		return done
+	}
 
 	for i := 0; i < agents; i++ {
 		st := &migRelayState{ID: i, Hops: hops, Pause: 2 * time.Millisecond}
@@ -327,39 +346,32 @@ func crossProcessMigrationChaos(t *testing.T, killDst bool) {
 	}
 	time.Sleep(100 * time.Millisecond) // let the agents get airborne
 
-	moved, err := rc.MigrateAgents(src, dst, ns, 0)
-	if err != nil {
-		t.Fatalf("MigrateAgents: %v", err)
-	}
-	if moved < 1 {
-		t.Fatalf("migration marked %d agents, want >= 1", moved)
-	}
-
+	procs[dst].Kill9()
+	drained := drain()
+	time.Sleep(100 * time.Millisecond) // the evacuation ships and waits for acks
 	victim := dst
-	if killDst {
-		// Kill the destination before it can persist-then-ack the
-		// incoming checkpoints: the source must keep ownership and
-		// retry the ship into the respawned incarnation.
-		procs[dst].Kill9()
-	} else {
-		// Let checkpoints ship, then kill the source before the
-		// retirements settle: the respawned source must not replay an
-		// agent the destination already acknowledged.
+	if killSrc {
 		victim = src
-		time.Sleep(50 * time.Millisecond)
 		procs[src].Kill9()
+		if err := <-drained; err == nil {
+			t.Fatal("drain reported success from a source killed mid-evacuation")
+		}
+		respawn(src)
+		drained = drain()
 	}
 	time.Sleep(200 * time.Millisecond)
-	respawned, err := procs[victim].Respawn(members)
-	if err != nil {
-		t.Fatalf("respawn daemon %d: %v", victim, err)
+	respawn(dst)
+	if err := <-drained; err != nil {
+		t.Fatalf("drain of daemon %d after kill -9 of daemon %d: %v", src, victim, err)
 	}
-	procs[victim] = respawned
+	if slices.Contains(rc.LiveNodes(), src) {
+		t.Fatalf("drained daemon %d still listed live: %v", src, rc.LiveNodes())
+	}
 
 	// Quiescence: every agent ran to completion despite the kill. The
 	// client's cached control connections may point at the dead
 	// incarnation, so retry through transient errors.
-	deadline := time.Now().Add(2 * time.Minute)
+	deadline := time.Now().Add(time.Minute)
 	for {
 		if err = rc.WaitJob(ns, 5*time.Second); err == nil {
 			break
@@ -403,18 +415,18 @@ func crossProcessMigrationChaos(t *testing.T, killDst bool) {
 		}
 	}
 	rc.ReleaseJob(ns)
-	t.Logf("migration chaos (killed %s): %d agents exactly-once across kill -9 of daemon %d",
-		map[bool]string{true: "destination", false: "source"}[killDst], agents, victim)
+	t.Logf("drain chaos: %d agents exactly-once across kill -9 of daemon %d", agents, victim)
 }
 
-// TestCrossProcessMigrationKillSource: SIGKILL the migration source
-// after its checkpoints ship but before their retirements settle.
+// TestCrossProcessMigrationKillSource: SIGKILL the draining source after
+// its evacuations ship but before any is acknowledged, then retry the
+// drain.
 func TestCrossProcessMigrationKillSource(t *testing.T) {
-	crossProcessMigrationChaos(t, false)
+	crossProcessMigrationChaos(t, true)
 }
 
-// TestCrossProcessMigrationKillDestination: SIGKILL the migration
+// TestCrossProcessMigrationKillDestination: SIGKILL the drain's
 // destination before it can persist-then-ack the incoming checkpoints.
 func TestCrossProcessMigrationKillDestination(t *testing.T) {
-	crossProcessMigrationChaos(t, true)
+	crossProcessMigrationChaos(t, false)
 }

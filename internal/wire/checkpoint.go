@@ -59,7 +59,7 @@ type nodeState struct {
 	// different nodes. frozen/draining/evacuated/drained/absorbed are the
 	// preemption and drain state machines; parked is rebuilt by replay
 	// and not persisted itself.
-	migrations   map[uint64]int          // agent ID → pinned migration destination
+	migrations   map[uint64]int          // agent ID → pinned evacuation destination
 	reroutes     map[uint64]int          // agent ID → pinned stand-in for a departed destination
 	frozen       map[uint64]struct{}     // job namespaces parked at dispatch
 	parked       map[uint64]*parkedAgent // frozen agents awaiting thaw

@@ -108,9 +108,9 @@ func (d *daemon) handle(conn net.Conn) {
 
 // effects is what one applied frame asks of the daemon once its change
 // is durable: the reply (nil ends the connection unanswered), the agents
-// to dispatch after it (a fresh arrival, or those a thaw or migration
-// mark released), whether the fault plan kills this incarnation on the
-// arrival, and a daemon-fatal error.
+// to dispatch after it (a fresh arrival, or those a thaw released),
+// whether the fault plan kills this incarnation on the arrival, and a
+// daemon-fatal error.
 type effects struct {
 	reply *envelope
 	run   []*parkedAgent
@@ -239,19 +239,6 @@ func (d *daemon) apply(env *envelope) effects {
 	case msgClear:
 		d.node.vars.deletePrefix(env.Name)
 		return replyOK(nil)
-	case msgMigrate:
-		// The marks are durable before the reply: the count the
-		// coordinator sees is a promise, and a crashed daemon's replay
-		// honors the same destinations. Marked agents that are parked
-		// are nudged back through dispatch, where the prologue ships them.
-		marked := d.node.markMigrations(env.Node, env.Job, env.Count)
-		fx := effects{reply: &envelope{Kind: msgMigrated, Count: len(marked)}}
-		for _, id := range marked {
-			if p, wasParked := d.node.takeParked(id); wasParked {
-				fx.run = append(fx.run, p)
-			}
-		}
-		return fx
 	case msgFreeze:
 		d.node.freeze(env.Job)
 		return replyOK(nil)
@@ -450,7 +437,6 @@ func (d *daemon) drain(timeout time.Duration) error {
 			}
 			continue
 		}
-		d.node.sweepStaleMarks()
 		d.node.setEvacuated(true)
 		if err := d.node.sync(); err != nil {
 			return err
@@ -560,22 +546,16 @@ func (d *daemon) startStep(msg *agentMsg, replay bool) {
 			}
 			return
 		}
-		// Elasticity interception (DESIGN.md §16), strictly after the
-		// cancel check (a cancelled agent is absorbed, never shipped) and
-		// strictly before the freeze park (a marked agent leaves even if
-		// its job is frozen — the destination's own freeze mark re-parks
-		// it there). Each branch ships the agent as a synthetic hop.
-		if dst, ok := d.node.migrateTarget(msg.ID); ok && dst != d.id {
-			// The pin was persisted before the msgMigrated reply (or by a
-			// replayed image); ship without re-syncing.
-			d.migrateOut(msg, dst, "migrate")
-			return
-		}
 		if d.node.isDraining() {
-			// A draining node evacuates every agent at its dispatch
-			// boundary. Pin the destination and persist it BEFORE the
-			// ship: a crashed drain replays this dispatch, and the pin is
-			// what keeps the replay from choosing a different survivor.
+			// Drain's evacuation (DESIGN.md §16), strictly after the
+			// cancel check (a cancelled agent is absorbed, never shipped)
+			// and strictly before the freeze park (an evacuated agent
+			// leaves even if its job is frozen — the destination's own
+			// freeze mark re-parks it there). A draining node ships every
+			// agent at its dispatch boundary as a synthetic hop. Pin the
+			// destination and persist it BEFORE the ship: a crashed drain
+			// replays this dispatch, and assignMigration hands the replay
+			// the pinned survivor instead of choosing another.
 			dst := d.members.nextLive(d.id, d.id)
 			if dst < 0 {
 				d.fail(fmt.Errorf("wire: daemon %d draining with no live member to evacuate to", d.id))
@@ -586,7 +566,7 @@ func (d *daemon) startStep(msg *agentMsg, replay bool) {
 				d.fail(err)
 				return
 			}
-			d.migrateOut(msg, dst, "evacuate")
+			d.migrateOut(msg, dst)
 			return
 		}
 		if msg.Job != 0 && d.node.frozenJob(msg.Job) {
@@ -617,18 +597,6 @@ func (d *daemon) startStep(msg *agentMsg, replay bool) {
 				d.startStep(msg, false)
 			}
 		case v.hop:
-			// A migration mark that raced this running step is void — the
-			// step's own hop wins. The clearance must be durable BEFORE the
-			// frame ships: a crashed-and-replayed sender that resurrected
-			// the pin would migrate (id, h+1) to a second destination while
-			// the first may already have accepted this send.
-			if _, marked := d.node.migrateTarget(msg.ID); marked {
-				d.node.clearMigration(msg.ID)
-				if err := d.node.sync(); err != nil {
-					d.fail(err)
-					return
-				}
-			}
 			prev := msg.Hop
 			out := &agentMsg{ID: msg.ID, Hop: msg.Hop + 1, Job: msg.Job, Behavior: msg.Behavior, State: msg.State}
 			d.deliver(v.dst, out, prev)
@@ -644,12 +612,12 @@ func (d *daemon) startStep(msg *agentMsg, replay bool) {
 // destination's dedup accept, the hop-guarded checkpoint retirement
 // here, persist-before-ack, retry, kill -9 recovery — is the one the
 // normal hop already has. The caller has persisted the destination pin.
-func (d *daemon) migrateOut(msg *agentMsg, dst int, note string) {
+func (d *daemon) migrateOut(msg *agentMsg, dst int) {
 	prev := msg.Hop
 	out := &agentMsg{ID: msg.ID, Hop: msg.Hop + 1, Job: msg.Job, Behavior: msg.Behavior, State: msg.State}
 	if d.deliver(dst, out, prev) {
 		d.node.met.agentsMigrated.Inc()
-		d.sink.record(trace.TraceMigrate, msg.Job, msg.Behavior, d.id, dst, 0, note)
+		d.sink.record(trace.TraceMigrate, msg.Job, msg.Behavior, d.id, dst, 0, "evacuate")
 	}
 }
 

@@ -19,9 +19,9 @@ import (
 
 // scriptState drives the one-driver script. The agent idles where it was
 // injected (local re-hops, which touch no termination counter) until
-// something moves it — the script's migration — then walks Left hops
-// round the ring leaving a trail, and finally idles again until the
-// script cancels it. Every counter it can influence is therefore a
+// something moves it — the script's drain of its home — then walks Left
+// hops round the ring leaving a trail, and finally idles again until
+// the script cancels it. Every counter it can influence is therefore a
 // function of the script alone, not of timing.
 type scriptState struct {
 	Key, Home, Left int
@@ -95,8 +95,8 @@ func startedHostsRig(t *testing.T) driverRig {
 
 // scriptOutcome is everything the script leaves observable.
 type scriptOutcome struct {
-	AfterMigrate, AfterCancel, ClusterTotal counters
-	Vars                                    map[string]any
+	AfterDrain, AfterCancel, ClusterTotal counters
+	Vars                                  map[string]any
 }
 
 func runDriverScript(t *testing.T, rig driverRig) scriptOutcome {
@@ -126,21 +126,23 @@ func runDriverScript(t *testing.T, rig driverRig) scriptOutcome {
 	if err := rc.WaitJob(scriptJob, waitTimeout); err != ErrJobFrozen {
 		t.Fatalf("WaitJob on the frozen job = %v, want ErrJobFrozen", err)
 	}
-	// migrate: all of them to node 2, where the freeze re-parks them.
-	moved, err := rc.MigrateAgents(0, 2, scriptJob, 0)
-	if err != nil || moved != agents {
-		t.Fatalf("MigrateAgents = (%d, %v), want %d", moved, err, agents)
+	// drain node 0: its parked agents evacuate to node 1, where the
+	// freeze re-parks them, and node 0 stays behind as a tombstone shell.
+	if err := rc.DrainNode(0, waitTimeout); err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, "migrated agents to re-park on node 2", func() bool {
+	waitFor(t, "evacuated agents to re-park on node 1", func() bool {
 		c, complete := rc.snapshotJob(scriptJob)
-		return parkedOn(2) == agents && parkedOn(0) == 0 && complete && c.Sent == agents
+		return parkedOn(1) == agents && parkedOn(0) == 0 && complete && c.Sent == agents
 	})
-	out.AfterMigrate = jobCounters(t, rc, scriptJob)
-	// thaw: each walks its route and then idles where it ends.
+	out.AfterDrain = jobCounters(t, rc, scriptJob)
+	// thaw: each walks its route and then idles where it ends. The shell
+	// refuses the route's hops into node 0 and their senders reroute
+	// them to node 1, so the walk is 1 → 2 → 1 → 2 → 1.
 	if err := rc.ThawJob(scriptJob); err != nil {
 		t.Fatal(err)
 	}
-	end := (2 + route) % 3
+	const end = 1
 	waitFor(t, "agents to finish their routes", func() bool {
 		for k := 0; k < agents; k++ {
 			if v, err := rc.GetVar(end, fmt.Sprintf("%sarrived:%d", prefix, k)); err != nil || v != true {
@@ -177,10 +179,15 @@ func runDriverScript(t *testing.T, rig driverRig) scriptOutcome {
 		}
 	}
 
-	// release: nothing of the job may remain on any node.
+	// release: nothing of the job may remain on any live node. The
+	// drained shell keeps what it held until it is shut down: the client
+	// sends reclamation frames to live members only.
 	rc.ReleaseJob(scriptJob)
 	rc.ClearVarsPrefix(prefix)
 	for node, h := range rig.hosts {
+		if node == 0 {
+			continue
+		}
 		if n := h.node.jobsTracked(); n != 0 {
 			t.Fatalf("node %d still tracks %d namespaces after release", node, n)
 		}
@@ -194,7 +201,7 @@ func runDriverScript(t *testing.T, rig driverRig) scriptOutcome {
 	return out
 }
 
-// TestOneDriverSameScript runs the inject → freeze → migrate → thaw →
+// TestOneDriverSameScript runs the inject → freeze → drain → thaw →
 // cancel → release script against NewCluster(3) and against a
 // StaticCluster client of three StartHost hosts with state directories.
 // Both must end with the same counters at every checkpoint of the script
@@ -217,17 +224,17 @@ func TestOneDriverSameScript(t *testing.T) {
 		return
 	}
 	// Absolute expectations first, so "identical" cannot mean "identically
-	// wrong": 3 migrations, then 3 agents × 4 route hops, all retired.
+	// wrong": 3 evacuations, then 3 agents × 4 route hops, all retired.
 	want := scriptOutcome{
-		AfterMigrate: counters{Created: 3, Sent: 3, Received: 3},
+		AfterDrain:   counters{Created: 3, Sent: 3, Received: 3},
 		AfterCancel:  counters{Created: 3, Finished: 3, Sent: 15, Received: 15},
 		ClusterTotal: counters{Created: 3, Finished: 3, Sent: 15, Received: 15},
 	}
 	for i, got := range outcomes {
-		if got.AfterMigrate != want.AfterMigrate || got.AfterCancel != want.AfterCancel || got.ClusterTotal != want.ClusterTotal {
+		if got.AfterDrain != want.AfterDrain || got.AfterCancel != want.AfterCancel || got.ClusterTotal != want.ClusterTotal {
 			t.Errorf("%s: counters = %+v / %+v / %+v, want %+v / %+v / %+v", rigs[i].name,
-				got.AfterMigrate, got.AfterCancel, got.ClusterTotal,
-				want.AfterMigrate, want.AfterCancel, want.ClusterTotal)
+				got.AfterDrain, got.AfterCancel, got.ClusterTotal,
+				want.AfterDrain, want.AfterCancel, want.ClusterTotal)
 		}
 		if n := len(got.Vars); n != 3+3+3*4 {
 			t.Errorf("%s: %d script variables, want %d: %v", rigs[i].name, n, 3+3+3*4, got.Vars)

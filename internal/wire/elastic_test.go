@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,10 +11,10 @@ import (
 )
 
 // Elasticity over the checkpoint substrate (DESIGN.md §16): freeze/thaw
-// preemption, agent migration as a synthetic hop, node drain with
-// counter absorption, and the tombstone-shell reroute protocol. These
-// run against the in-process cluster; the cross-process versions live
-// in internal/sched's multi-host suite.
+// preemption, node drain — whose evacuation ships agents as synthetic
+// hops — with counter absorption, and the tombstone-shell reroute
+// protocol. These run against the in-process cluster; the cross-process
+// versions live in internal/sched's multi-host suite.
 
 func totalParked(cl *Cluster) int {
 	n := 0
@@ -34,6 +35,9 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// TestFreezeMigrateThaw freezes a job, migrates its parked agents by
+// draining the node that holds most of them, and thaws it at the
+// survivors.
 func TestFreezeMigrateThaw(t *testing.T) {
 	cl := newCluster(t, 3)
 	const job = 21
@@ -56,33 +60,31 @@ func TestFreezeMigrateThaw(t *testing.T) {
 		return totalParked(cl) == agents && c.Sent == c.Received
 	})
 
-	// Migrate one node's residents two nodes on. Where the agents parked
-	// depends on where the freeze caught them, so the source is whichever
-	// node holds the most. While the job is frozen, the parked set IS the
-	// resident set, so the marked count is exact and the shipped agents
-	// re-park at the destination.
+	// Drain one node. Where the agents parked depends on where the
+	// freeze caught them, so the source is whichever node holds the most.
+	// While the job is frozen, the parked set IS the resident set, so
+	// every parked agent there is evacuated, and the shipped agents
+	// re-park at the survivor.
 	src := 0
 	for node, ns := range states(cl) {
 		if ns.parkedCount() > states(cl)[src].parkedCount() {
 			src = node
 		}
 	}
-	dst := (src + 2) % 3
-	before := states(cl)[src].parkedCount()
-	moved, err := cl.MigrateAgents(src, dst, job, 0)
-	if err != nil {
+	moved := states(cl)[src].parkedCount()
+	if err := cl.DrainNode(src, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if moved != before {
-		t.Fatalf("MigrateAgents marked %d agents, node %d held %d", moved, src, before)
-	}
-	// The migrated counter ticks on the sender after the destination's
-	// ack, which can trail the destination's own re-park — poll all
-	// three observations together.
-	waitFor(t, "migrated agents to land", func() bool {
+	// The drain returns once every evacuated agent was acknowledged, but
+	// the survivor's re-park, and the migrated counter the sender ticks
+	// after the ack, can trail it — poll all three observations together.
+	waitFor(t, "evacuated agents to re-park", func() bool {
 		return states(cl)[src].parkedCount() == 0 && totalParked(cl) == agents &&
 			cl.Metrics().Snapshot().Counter(MetricAgentsMigrated) >= int64(moved)
 	})
+	if got := cl.Metrics().Snapshot().Counter(MetricAgentsMigrated); got != int64(moved) {
+		t.Fatalf("%s = %d, want the %d agents parked on node %d", MetricAgentsMigrated, got, moved, src)
+	}
 	if err := cl.ThawJob(job); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestFreezeMigrateThaw(t *testing.T) {
 	}
 	c := jobCounters(t, cl.RemoteCluster, job)
 	if c.Created != int64(agents) || c.Finished != int64(agents) || c.Sent != c.Received {
-		t.Fatalf("namespace imbalanced after freeze/migrate/thaw: %+v", c)
+		t.Fatalf("namespace imbalanced after freeze/drain/thaw: %+v", c)
 	}
 	if g := cl.Metrics().Snapshot().Gauge(MetricAgentsParked); g != 0 {
 		t.Fatalf("%s gauge = %d after thaw", MetricAgentsParked, g)
@@ -224,7 +226,7 @@ func TestElasticStateSurvivesPersistRoundTrip(t *testing.T) {
 	p.close()
 	dst := loadState(t, dir, 3, 64)
 	for id, want := range map[uint64]int{11: 1, 12: 2} {
-		if got, ok := dst.migrateTarget(id); !ok || got != want {
+		if got, ok := dst.migrations[id]; !ok || got != want {
 			t.Fatalf("migration pin %d = (%d, %v), want %d", id, got, ok, want)
 		}
 	}
@@ -301,8 +303,8 @@ func TestRemoteClusterCloseIdempotent(t *testing.T) {
 
 // TestRemoteElasticGrowMigrateDrain is the remote-client half of the
 // elasticity surface: a cluster grows by one joining host, the client
-// adopts it via Refresh, freezes and migrates a job onto the joiner,
-// and finally drains a founding member with the job completing intact.
+// adopts it via Refresh, and a founding member is drained onto the
+// joiner while a job runs, the job completing intact.
 func TestRemoteElasticGrowMigrateDrain(t *testing.T) {
 	dirs := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 	h0, err := StartHost(HostConfig{Listen: "127.0.0.1:0", StateDir: dirs[0]})
@@ -352,38 +354,23 @@ func TestRemoteElasticGrowMigrateDrain(t *testing.T) {
 	if nodes := rc.LiveNodes(); len(nodes) != 3 {
 		t.Fatalf("LiveNodes = %v, want 3 nodes", nodes)
 	}
-	// The joiner is freezable/placeable: re-broadcast the freeze so node
-	// 2 parks the job too if it lands there, then migrate the parked
-	// agent from wherever it stopped onto the joiner.
+	// The joiner takes the job's freeze mark like a founding member.
 	if err := rc.FreezeJob(job); err != nil {
 		t.Fatal(err)
 	}
-	// The agent may have been mid-hop when the freeze landed; until its
-	// sender has the ack, two nodes hold a checkpoint and both would mark it.
-	waitFor(t, "the agent to park with its last hop settled", func() bool {
-		return h0.node.parkedCount()+h1.node.parkedCount() == 1 &&
-			h0.node.pendingCheckpoints()+h1.node.pendingCheckpoints() == 1
-	})
-	movedTotal := 0
-	for node := 0; node < 2; node++ {
-		n, err := rc.MigrateAgents(node, 2, job, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		movedTotal += n
-	}
-	if movedTotal != 1 {
-		t.Fatalf("migrated %d agents onto the joiner, want 1", movedTotal)
+	if !h2.node.frozenJob(job) {
+		t.Fatal("the joiner missed the re-broadcast freeze")
 	}
 	if err := rc.ThawJob(job); err != nil {
 		t.Fatal(err)
 	}
 
-	// Shrink: drain node 1 while the job runs; nothing may be lost.
+	// Shrink: drain node 1 while the job runs; its evacuation ships onto
+	// the joiner (node 2), and nothing may be lost.
 	if err := rc.DrainNode(1, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if rc.Alive(1) || !rc.Left(1) {
+	if rc.Alive(1) || slices.Contains(rc.LiveNodes(), 1) {
 		t.Fatal("drained node still counted live")
 	}
 	if nodes := rc.LiveNodes(); len(nodes) != 2 {

@@ -36,16 +36,14 @@ const (
 	msgClear  = "clear"  // delete node variables with prefix Name
 	msgOK     = "ok"     // generic control acknowledgement (Err carries failure)
 
-	// Migration and elasticity control (DESIGN.md §16). Migration rides
-	// the agent path itself — a marked agent ships as a normal msgAgent
-	// at hop+1 — so only the *marking* and the drain/freeze state
-	// machines need control frames.
-	msgMigrate  = "migrate"  // mark up to Count agents (namespace Job, 0 = any) for migration to node Node
-	msgMigrated = "migrated" // migrate reply: Count agents marked
-	msgDrain    = "drain"    // evacuate every agent, absorb counters, leave (Count = timeout ms, 0 = default)
-	msgAbsorb   = "absorb"   // a draining node Node hands its counter totals (Counters, PerJob) to a survivor
-	msgFreeze   = "freeze"   // park namespace Job's agents at their next dispatch
-	msgThaw     = "thaw"     // unpark namespace Job's agents and resume them
+	// Elasticity control (DESIGN.md §16). The one system-initiated
+	// migration is drain's evacuation, and it rides the agent path
+	// itself — an evacuated agent ships as a normal msgAgent at hop+1 —
+	// so only the drain and freeze state machines need control frames.
+	msgDrain  = "drain"  // evacuate every agent, absorb counters, leave (Count = timeout ms, 0 = default)
+	msgAbsorb = "absorb" // a draining node Node hands its counter totals (Counters, PerJob) to a survivor
+	msgFreeze = "freeze" // park namespace Job's agents at their next dispatch
+	msgThaw   = "thaw"   // unpark namespace Job's agents and resume them
 )
 
 // envelope is the single message type on the wire; unused fields stay
@@ -79,10 +77,9 @@ type envelope struct {
 	Value *stateBox
 	Err   string
 
-	// Migration operands: a bounded agent count (msgMigrate request and
-	// msgMigrated reply; drain timeout in milliseconds for msgDrain) and
-	// a draining node's per-job counter slices (msgAbsorb, alongside the
-	// cluster-wide total in Counters).
+	// Drain operands: the evacuation timeout in milliseconds (msgDrain)
+	// and a draining node's per-job counter slices (msgAbsorb, alongside
+	// the cluster-wide total in Counters).
 	Count  int
 	PerJob map[uint64]counters
 }
@@ -543,7 +540,7 @@ var frameKinds = func() map[string]string {
 	for _, k := range []string{msgAgent, msgAck, msgSnapshot, msgCounters, msgPing, msgPong, msgShutdown,
 		msgJoin, msgMembers, msgLeave,
 		msgInject, msgSetVar, msgGetVar, msgVar, msgCancel, msgFree, msgClear, msgOK,
-		msgMigrate, msgMigrated, msgDrain, msgAbsorb, msgFreeze, msgThaw} {
+		msgDrain, msgAbsorb, msgFreeze, msgThaw} {
 		m[k] = k
 	}
 	return m
@@ -598,17 +595,6 @@ func (env *envelope) validate() error {
 	case msgFreeze, msgThaw:
 		if env.Job == 0 {
 			return fmt.Errorf("wire: %s frame for the default namespace", env.Kind)
-		}
-	case msgMigrate:
-		if env.Node < 0 {
-			return fmt.Errorf("wire: migrate frame to negative node %d", env.Node)
-		}
-		if env.Count < 0 {
-			return fmt.Errorf("wire: migrate frame with negative count %d", env.Count)
-		}
-	case msgMigrated:
-		if env.Count < 0 {
-			return fmt.Errorf("wire: migrated reply with negative count %d", env.Count)
 		}
 	case msgDrain:
 		if env.Count < 0 {

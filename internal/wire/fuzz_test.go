@@ -36,8 +36,9 @@ func fuzzSeeds(t testing.TB) [][]byte {
 		{Kind: msgOK, Err: "wire: nope"},
 		// Elasticity control frames and the tombstone-shell refusal ack.
 		{Kind: msgAck, Ack: ackMsg{ID: 9, Hop: 2, Refused: true}},
-		{Kind: msgMigrate, Node: 1, Job: 7, Count: 2},
-		{Kind: msgMigrated, Count: 2},
+		// An older client's migration-marking frames: unknown kinds, refused.
+		{Kind: "migrate", Node: 1, Job: 7, Count: 2},
+		{Kind: "migrated", Count: 2},
 		{Kind: msgFreeze, Job: 7},
 		{Kind: msgThaw, Job: 7},
 		{Kind: msgDrain, Count: 5000},
@@ -137,14 +138,25 @@ func TestDecodeFrameRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestDecodeFrameRejectsUnknownKind: a kind this build does not speak
+// is refused with an error, never dispatched and never a panic.
+// "migrate" and "migrated" are the frames of the migration-marking
+// operation an older client may still send.
 func TestDecodeFrameRejectsUnknownKind(t *testing.T) {
-	f, err := encodeFrame(&envelope{Kind: "gremlin"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.release()
-	if _, err := decodeFrame(f.bytes()); err == nil {
-		t.Fatal("unknown frame kind accepted")
+	for _, env := range []*envelope{
+		{Kind: "gremlin"},
+		{Kind: "migrate", Node: 1, Job: 7, Count: 2},
+		{Kind: "migrated", Count: 2},
+	} {
+		f, err := encodeFrame(env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = decodeFrame(f.bytes())
+		f.release()
+		if err == nil || !strings.Contains(err.Error(), "unknown frame kind") {
+			t.Fatalf("%q frame: decode error %v, want an unknown-kind refusal", env.Kind, err)
+		}
 	}
 }
 

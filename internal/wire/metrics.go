@@ -39,10 +39,10 @@ const (
 	// Job namespaces holding live per-job counter slices across all
 	// nodes (grows on first use of a namespace, shrinks on ReleaseJob).
 	MetricJobsTracked = "wire.jobs.tracked"
-	// Elasticity (DESIGN.md §16): agents shipped by the migration path
-	// (marks and drain evacuations), agents rerouted around a departed
-	// destination, agents currently parked by a freeze, fresh frames
-	// refused by evacuated tombstone shells, and drains completed.
+	// Elasticity (DESIGN.md §16): agents shipped by drain evacuations,
+	// agents rerouted around a departed destination, agents currently
+	// parked by a freeze, fresh frames refused by evacuated tombstone
+	// shells, and drains completed.
 	MetricAgentsMigrated = "wire.agents.migrated"
 	MetricAgentsRerouted = "wire.agents.rerouted"
 	MetricAgentsParked   = "wire.agents.parked"

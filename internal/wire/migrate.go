@@ -3,21 +3,24 @@ package wire
 // Agent migration, preemption (freeze/thaw), and drain state over the
 // checkpoint substrate (DESIGN.md §16).
 //
-// Migration is a synthetic hop. A marked agent is not shipped by new
-// machinery: at its next dispatch the daemon skips the step and delivers
-// the checkpointed agent to the destination as an ordinary msgAgent at
-// hop+1 with the state unchanged. That single decision buys the whole
-// exactly-once story for free — the destination's accept() dedup guard,
-// the source's ackDelivered() hop guard, persist-before-ack, retry, and
-// the kill -9 matrix are all the ones PR 1/PR 6 already proved.
+// The one system-initiated migration is drain's evacuation, and it is a
+// synthetic hop. An agent on a draining node is not shipped by new
+// machinery: at its next dispatch the daemon skips the step and
+// delivers the checkpointed agent to a survivor as an ordinary msgAgent
+// at hop+1 with the state unchanged. That single decision buys the
+// whole exactly-once story for free — the destination's accept() dedup
+// guard, the source's ackDelivered() hop guard, persist-before-ack,
+// retry, and the kill -9 recovery the normal hop already has.
 //
 // The one new obligation is *destination determinism*: a crashed source
 // replays its checkpoint and re-ships hop (id, h+1), and if the replay
 // chose a different destination, two nodes would each accept (id, h+1)
 // fresh — a double execution the dedup tables cannot see. So every
-// destination choice (a migration mark, a drain assignment, a reroute
-// around a departed member) is pinned in the persisted image before the
-// first frame leaves the node.
+// destination choice (an evacuation target, a reroute around a departed
+// member) is pinned in the persisted image before the first frame
+// leaves the node. A pin is spent exactly when its checkpoint retires
+// (ackDelivered and complete delete both together), so no pin outlives
+// the agent it steers.
 
 // parkedAgent is one frozen agent held off its step at the dispatch
 // boundary: the message that would have run, plus the replay-ownership
@@ -28,38 +31,11 @@ type parkedAgent struct {
 	replay bool
 }
 
-// markMigrations pins up to max resident agents (all of them when max
-// is 0) for migration to dst, skipping agents already marked and — when
-// job is nonzero — agents of other namespaces. Returns the marked IDs
-// so the caller can nudge parked agents back through dispatch. The
-// marks are part of the persisted image; the caller syncs before
-// acknowledging.
-//
-//navplint:fact durable
-func (ns *nodeState) markMigrations(dst int, job uint64, max int) []uint64 {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	var marked []uint64
-	for id, c := range ns.ckpt {
-		if max > 0 && len(marked) >= max {
-			break
-		}
-		if job != 0 && c.job != job {
-			continue
-		}
-		if _, ok := ns.migrations[id]; ok {
-			continue
-		}
-		ns.setPin(domMig, id, dst)
-		marked = append(marked, id)
-	}
-	return marked
-}
-
-// assignMigration pins one agent's migration destination if it has none
-// yet, returning the pinned destination. Used by the drain loop, which
-// must choose a target per resident agent and make the choice durable
-// before the ship.
+// assignMigration pins one agent's evacuation destination if it has
+// none yet, returning the pinned destination. The draining dispatch
+// prologue is its one caller: it must choose a target per resident
+// agent, make the choice durable before the ship, and hand a replayed
+// dispatch the choice already made.
 //
 //navplint:fact durable
 func (ns *nodeState) assignMigration(id uint64, dst int) int {
@@ -70,24 +46,6 @@ func (ns *nodeState) assignMigration(id uint64, dst int) int {
 	}
 	ns.setPin(domMig, id, dst)
 	return dst
-}
-
-// migrateTarget reports the pinned migration destination of an agent.
-func (ns *nodeState) migrateTarget(id uint64) (int, bool) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	dst, ok := ns.migrations[id]
-	return dst, ok
-}
-
-// clearMigration forgets an agent's migration mark (the ship completed,
-// or the mark went stale because another incarnation moved the agent).
-//
-//navplint:fact durable
-func (ns *nodeState) clearMigration(id uint64) {
-	ns.mu.Lock()
-	ns.delPin(domMig, id)
-	ns.mu.Unlock()
 }
 
 // rerouteFor reports the pinned stand-in destination for an agent whose
@@ -179,31 +137,6 @@ func (ns *nodeState) parkedCount() int {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	return len(ns.parked)
-}
-
-// takeParked removes and returns one parked agent by ID, if parked.
-func (ns *nodeState) takeParked(id uint64) (*parkedAgent, bool) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	p, ok := ns.parked[id]
-	if ok {
-		delete(ns.parked, id)
-		ns.met.agentsParked.Add(-1)
-	}
-	return p, ok
-}
-
-// sweepStaleMarks drops migration marks whose agents are no longer
-// resident (they hopped or completed through another path while the
-// mark was pending). Called by the drain loop between rounds.
-func (ns *nodeState) sweepStaleMarks() {
-	ns.mu.Lock()
-	for id := range ns.migrations {
-		if _, ok := ns.ckpt[id]; !ok {
-			ns.delPin(domMig, id)
-		}
-	}
-	ns.mu.Unlock()
 }
 
 // Drain state machine flags. Ordering on disk is what makes a crashed

@@ -184,7 +184,7 @@ func (s *mutatorScript) step() string {
 	s.n++
 	job := uint64(1 + rng.Intn(3))
 	state := &walkerState{Name: fmt.Sprint("w", s.n), Route: []int{s.n % 3}}
-	switch op := rng.Intn(24); op {
+	switch op := rng.Intn(23); op {
 	case 0, 1, 2:
 		ns.inject(&agentMsg{ID: ns.newAgentID(), Job: job, Behavior: "walker", State: state})
 		return "inject"
@@ -241,39 +241,29 @@ func (s *mutatorScript) step() string {
 		ns.thaw(job)
 		return "thaw"
 	case 19:
-		ns.markMigrations(rng.Intn(3), 0, 1+rng.Intn(2))
-		return "markMigrations"
-	case 20:
 		if id, _, ok := s.resident(); ok {
-			switch rng.Intn(3) {
-			case 0:
-				ns.clearMigration(id)
-				return "clearMigration"
-			case 1:
+			if rng.Intn(2) == 0 {
 				ns.pinReroute(id, rng.Intn(3))
 				return "pinReroute"
-			default:
-				ns.assignMigration(id, rng.Intn(3))
-				return "assignMigration"
 			}
+			ns.assignMigration(id, rng.Intn(3))
+			return "assignMigration"
 		}
-	case 21:
-		switch rng.Intn(5) {
+	case 20:
+		switch rng.Intn(4) {
 		case 0:
 			ns.setDraining(rng.Intn(2) == 0)
 		case 1:
 			ns.setEvacuated(rng.Intn(3) == 0)
 		case 2:
 			ns.pinAbsorbTarget(func() int { return rng.Intn(3) })
-		case 3:
-			ns.sweepStaleMarks()
 		default:
 			if rng.Intn(8) == 0 {
 				ns.setDrained()
 			}
 		}
 		return "drain-phase"
-	case 22:
+	case 21:
 		ns.absorb(3+rng.Intn(3), counters{Created: 2, Finished: 2, Sent: 5, Received: 5},
 			map[uint64]counters{job: {Created: 2, Finished: 2}})
 		return "absorb"
@@ -618,13 +608,6 @@ func TestEveryReplyIsDurable(t *testing.T) {
 			func(img nodeImage) bool { _, ok := img.Vars["v:a"]; return !ok }},
 		{&envelope{Kind: msgFreeze, Job: 13}, msgOK,
 			func(img nodeImage) bool { _, ok := img.Frozen[13]; return ok }},
-		// The injected agent parks behind job 13's freeze mark, so the
-		// migration below has a resident agent to pin (to this node, so
-		// the pin moves nothing).
-		{&envelope{Kind: msgInject, Job: 13, Agent: &agentMsg{Behavior: "persistDone"}}, msgOK,
-			func(img nodeImage) bool { return img.Totals.Created == 2 }},
-		{&envelope{Kind: msgMigrate, Node: h.ID, Job: 13}, msgMigrated,
-			func(img nodeImage) bool { return len(img.Migrations) == 1 }},
 		{&envelope{Kind: msgThaw, Job: 13}, msgOK,
 			func(img nodeImage) bool { _, ok := img.Frozen[13]; return !ok }},
 		{&envelope{Kind: msgCancel, Job: 14}, msgOK,
@@ -632,12 +615,9 @@ func TestEveryReplyIsDurable(t *testing.T) {
 		{&envelope{Kind: msgFree, Job: 14}, msgOK,
 			func(img nodeImage) bool { _, ok := img.Cancelled[14]; return !ok }},
 		{&envelope{Kind: msgAbsorb, Node: 3, Counters: counters{Created: 4, Finished: 4}}, msgOK,
-			func(img nodeImage) bool { return img.Absorbed[3] && img.Totals.Created >= 2+4 }},
+			func(img nodeImage) bool { return img.Absorbed[3] && img.Totals.Created >= 1+4 }},
 	}
 	for _, tc := range cases {
-		if tc.frame.Kind == msgMigrate {
-			waitFor(t, "the injected agent to park", func() bool { return h.node.parkedCount() == 1 })
-		}
 		rep, err := c.roundTrip(tc.frame, waitTimeout)
 		if err != nil || rep.Kind != tc.reply || rep.Err != "" {
 			t.Fatalf("%s: reply (%+v, %v), want %s", tc.frame.Kind, rep, err, tc.reply)

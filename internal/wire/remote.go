@@ -61,7 +61,7 @@ func (m *remoteMember) settle(timeout time.Duration) {
 
 // RemoteCluster is the coordinator's client for a cluster of daemons —
 // the one cluster driver: inject, wait, variables, cancellation, freeze,
-// migration, drain, all as control frames over per-member connections.
+// drain, all as control frames over per-member connections.
 // It drives daemon processes on other machines and, embedded in Cluster,
 // the in-process hosts of a test or a single-binary server exactly the
 // same way, so a scheduler built on sched.Backend never knows which it
@@ -221,12 +221,6 @@ func (rc *RemoteCluster) Metrics() *metrics.Registry { return rc.reg }
 func (rc *RemoteCluster) Alive(i int) bool {
 	m := rc.member(i)
 	return m != nil && !m.left.Load() && m.alive.Load()
-}
-
-// Left reports whether node i has departed (its drain completed).
-func (rc *RemoteCluster) Left(i int) bool {
-	m := rc.member(i)
-	return m == nil || m.left.Load()
 }
 
 // LiveNodes lists the indices of members that have not departed. It is
@@ -458,21 +452,6 @@ func (rc *RemoteCluster) inject(node int, job uint64, behavior string, state any
 	})
 }
 
-// MigrateAgents marks up to count resident agents on node (namespace
-// job; 0 = any; count 0 = all) for migration to dst, returning how many
-// were marked. The daemon persists the marks before replying, and the
-// agents ship at their next dispatch boundary as synthetic hops.
-func (rc *RemoteCluster) MigrateAgents(node, dst int, job uint64, count int) (int, error) {
-	reply, err := rc.roundTrip(node, &envelope{Kind: msgMigrate, Node: dst, Job: job, Count: count})
-	if err != nil {
-		return 0, err
-	}
-	if reply.Kind != msgMigrated {
-		return 0, fmt.Errorf("wire: migrate on node %d: unexpected %s reply", node, reply.Kind)
-	}
-	return reply.Count, nil
-}
-
 // FreezeJob parks a job namespace cluster-wide: every member checkpoints
 // the freeze mark, and the job's agents stop at their next dispatch
 // boundary with counters untouched. WaitJob on a frozen job returns
@@ -499,8 +478,8 @@ func (rc *RemoteCluster) ThawJob(job uint64) error {
 	return rc.broadcast(&envelope{Kind: msgThaw, Job: job})
 }
 
-// JobFrozen reports whether the client has frozen the namespace.
-func (rc *RemoteCluster) JobFrozen(job uint64) bool {
+// jobFrozen reports whether the client has frozen the namespace.
+func (rc *RemoteCluster) jobFrozen(job uint64) bool {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
 	return rc.frozen[job]
@@ -678,7 +657,7 @@ func (rc *RemoteCluster) wait(job uint64, timeout time.Duration) error {
 			return err
 		default:
 		}
-		if rc.JobFrozen(job) {
+		if rc.jobFrozen(job) {
 			return ErrJobFrozen
 		}
 		cur, complete := rc.snapshotJob(job)
